@@ -73,6 +73,7 @@ from .poly import (
 from .stirling import (
     StatProfile,
     StirlingPermutation,
+    asc_des_plat,
     count_stirling,
     enumerate_stirling,
     is_stirling,

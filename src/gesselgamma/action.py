@@ -29,13 +29,12 @@ from .errors import DomainError, NotCanonicalError
 from .multiset import Multiset
 from .stirling import enumerate_stirling
 from .trees import (
-    LEAF,
     GesselTree,
     Internal,
     Leaf,
     Node,
-    internal_vertices,
     leaf_census,
+    render_tree,
 )
 
 
@@ -54,7 +53,6 @@ class BalanceReport:
     uxleaf: int
     bxleaf: int
     uyleaf: int
-    byleaf: int
 
     def vertices_with(self, status: BalanceStatus) -> list[int]:
         return sorted(v for v, st in self.status.items() if st is status)
@@ -77,25 +75,38 @@ def balance_report(t: GesselTree) -> BalanceReport:
     counts = {st: 0 for st in BalanceStatus}
     for st in status.values():
         counts[st] += 1
-    balanced = counts[BalanceStatus.BALANCED]
     return BalanceReport(
         status=status,
         uxleaf=counts[BalanceStatus.UNBALANCED_X],
-        bxleaf=balanced,
+        bxleaf=counts[BalanceStatus.BALANCED],
         uyleaf=counts[BalanceStatus.UNBALANCED_Y],
-        byleaf=balanced,
     )
 
 
 def _swap_ends_at(node: Node, i: int) -> Node:
-    """Swap the first and last children of the vertex labelled i."""
-    if isinstance(node, Leaf):
+    """Swap the first and last children of the vertex labelled i.
+
+    Only the path down to vertex i is rebuilt; without a vertex i the
+    input is returned as it is.
+    """
+    stack: list[tuple[Node, tuple | None]] = [(node, None)]
+    while stack:
+        v, up = stack.pop()  # up: (parent, position in it, parent's up), or None
+        if type(v) is Internal:
+            if v.label == i:
+                break
+            stack.extend((c, (v, pos, up)) for pos, c in enumerate(v.children))
+    else:
         return node
-    if node.label == i:
-        ch = list(node.children)
-        ch[0], ch[-1] = ch[-1], ch[0]
-        return Internal(i, tuple(ch))
-    return Internal(node.label, tuple(_swap_ends_at(c, i) for c in node.children))
+    ch = list(v.children)
+    ch[0], ch[-1] = ch[-1], ch[0]
+    new = Internal(i, tuple(ch))
+    while up is not None:
+        parent, pos, up = up
+        ch = list(parent.children)
+        ch[pos] = new
+        new = Internal(parent.label, tuple(ch))
+    return new
 
 
 def _require_vertex(t: GesselTree, i: int) -> None:
@@ -121,7 +132,16 @@ def toggle(t: GesselTree, i: int) -> GesselTree:
 
 
 def is_canonical(t: GesselTree) -> bool:
-    return balance_report(t).uyleaf == 0
+    """No vertex has an unbalanced y-leaf (a leaf last child, a vertex first child)."""
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if type(v) is Internal:
+            children = v.children
+            if type(children[-1]) is Leaf and type(children[0]) is not Leaf:
+                return False
+            stack.extend(children)
+    return True
 
 
 def canonical_representative(t: GesselTree) -> GesselTree:
@@ -223,30 +243,29 @@ def prune(t: GesselTree) -> PrunedTree:
         for label, (has_x, has_y, _) in census.per_vertex.items()
     }
 
-    def strip(node: Internal) -> Internal:
+    # Rebuild bottom-up: in reversed preorder every vertex follows its children.
+    preorder: list[Internal] = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if type(v) is Internal:
+            preorder.append(v)
+            stack.extend(v.children)
+    stripped: dict[int, Internal] = {}
+    for v in reversed(preorder):
         kept: list[Node] = []
-        last = len(node.children)
-        for pos, child in enumerate(node.children, start=1):
-            if isinstance(child, Leaf):
-                if pos == 1 or pos == last:
-                    continue  # x- or y-leaf
-                kept.append(child)
-            else:
-                kept.append(strip(child))
-        return Internal(node.label, tuple(kept))
+        last = len(v.children) - 1
+        for pos, child in enumerate(v.children):
+            if type(child) is Internal:
+                kept.append(stripped[id(child)])
+            elif 0 < pos < last:
+                kept.append(child)  # a z-leaf; x- and y-leaves are dropped
+        stripped[id(v)] = Internal(v.label, tuple(kept))
 
-    root: Node = t.root if isinstance(t.root, Leaf) else strip(t.root)
+    root: Node = stripped[id(t.root)] if preorder else t.root
     return PrunedTree(root=root, multiset=t.multiset, types=types, zleaf=census.zleaf)
 
 
 def serialize_pruned(p: PrunedTree) -> str:
     """``(label[:tag] child ...)`` with ``*`` for the surviving z-leaves."""
-
-    def render(n: Node) -> str:
-        if isinstance(n, Leaf):
-            return "*"
-        head = f"{n.label}{_TYPE_SUFFIX[p.types[n.label]]}"
-        inner = " ".join(render(c) for c in n.children)
-        return f"({head} {inner})" if inner else f"({head})"
-
-    return render(p.root)
+    return render_tree(p.root, lambda label: f"{label}{_TYPE_SUFFIX[p.types[label]]}")

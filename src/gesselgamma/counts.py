@@ -13,7 +13,7 @@ from .action import enumerate_canonical, is_canonical_ternary
 from .errors import DomainError
 from .multiset import Multiset
 from .poly import XYZ, GammaTable, Poly3
-from .stirling import enumerate_stirling, statistics
+from .stirling import asc_des_plat, enumerate_stirling, statistics
 from .trees import gessel_forward, leaf_census
 
 
@@ -27,8 +27,7 @@ def c_polynomial_enum(m: Multiset) -> Poly3:
         return Poly3.variable("x", XYZ)
     terms: dict[tuple[int, int, int], int] = {}
     for s in enumerate_stirling(m):
-        prof = statistics(s)
-        e = (prof.asc, prof.des, prof.plat)
+        e = asc_des_plat(s.word)
         terms[e] = terms.get(e, 0) + 1
     return Poly3(XYZ, terms)
 

@@ -9,6 +9,7 @@ refuse families whose total permutation count exceeds a budget.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from .poly import (
 )
 from .stirling import (
     StirlingPermutation,
+    asc_des_plat,
     count_stirling,
     enumerate_stirling,
     statistics,
@@ -163,11 +165,11 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
 
 def _check_p21(m: Multiset) -> list[Failure]:
     for s in enumerate_stirling(m):
-        prof = statistics(s)
+        triple = asc_des_plat(s.word)
         census = leaf_census(gessel_forward(s))
-        if prof.triple != census.triple:
+        if triple != census.triple:
             return [_fail(m, "(asc, des, plat) differs from (x, y, z) leaf counts",
-                          sigma=str(s), lhs=list(prof.triple), rhs=list(census.triple))]
+                          sigma=str(s), lhs=list(triple), rhs=list(census.triple))]
     return []
 
 
@@ -321,8 +323,8 @@ def _check_orbit(m: Multiset) -> list[Failure]:
             * Poly3.monomial((0, 0, census.zleaf), 1, XYZ)
         actual = Poly3.zero(XYZ)
         for t in members:
-            prof = statistics(gessel_inverse(t))
-            actual = actual + Poly3.monomial(prof.triple, 1, XYZ)
+            triple = asc_des_plat(gessel_inverse(t).word)
+            actual = actual + Poly3.monomial(triple, 1, XYZ)
         if actual != expected:
             return [_fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
                           tree=canon_text, lhs=actual.to_json_dict(),
@@ -485,6 +487,14 @@ def _run_cell(args: tuple[str, str]) -> dict:
     return out
 
 
+def pool_workers(jobs: int, cpus: int, cells: int) -> int:
+    """Worker processes for a campaign: no more than asked for, CPUs or cells.
+
+    A result below 2 means the cells run in-process.
+    """
+    return min(jobs, cpus, cells)
+
+
 def run_campaign(
     check_ids: list[str],
     members: list[Multiset],
@@ -501,8 +511,9 @@ def run_campaign(
         raise FamilyTooLargeError(cost, cap)
     specs = [m.spec() for m in members]
     cells = [(cid, spec) for cid in check_ids for spec in specs]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = pool_workers(jobs, os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, cells, chunksize=4))
     else:
         results = [_run_cell(cell) for cell in cells]

@@ -11,7 +11,7 @@ always a descent top.  All position indices in this module are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError, ParseError
@@ -174,53 +174,77 @@ class StatProfile:
 
 
 def statistics(s: StirlingPermutation) -> StatProfile:
+    """The full :class:`StatProfile` of a word, in one left-to-right pass.
+
+    A plateau's right copy has rank one more than sigma_i's own.  A double
+    fall is a descent at a value whose first occurrence was entered by a
+    descent, which is known once that occurrence is read.
+    """
     w = s.word
-    K = len(w)
-
-    def sigma(i: int) -> int:
-        return w[i - 1] if 1 <= i <= K else 0
-
-    occ_index = [0] * K  # 1-based occurrence rank of each position's value
-    first_occ: dict[int, int] = {}
-    seen: dict[int, int] = {}
-    for pos in range(1, K + 1):
-        v = w[pos - 1]
-        seen[v] = seen.get(v, 0) + 1
-        occ_index[pos - 1] = seen[v]
-        if seen[v] == 1:
-            first_occ[v] = pos
-
-    ascents = frozenset(i for i in range(1, K + 1) if sigma(i - 1) < sigma(i))
-    descents = frozenset(i for i in range(1, K + 1) if sigma(i) > sigma(i + 1))
-    plateaus = frozenset(i for i in range(1, K + 1) if sigma(i) == sigma(i + 1))
-
+    ascents: list[int] = []
+    descents: list[int] = []
+    plateaus: list[int] = []
+    dfalls: list[int] = []
+    aplats: list[int] = []
+    dplats: list[int] = []
     plat_by_j: dict[int, int] = {}
-    aplat_pos = set()
-    dplat_pos = set()
-    for i in sorted(plateaus):
-        j = occ_index[i]  # occurrence rank of the right copy at position i+1
-        plat_by_j[j] = plat_by_j.get(j, 0) + 1
-        if sigma(i - 1) < sigma(i):
-            aplat_pos.add(i)
-        elif sigma(i - 1) > sigma(i):
-            dplat_pos.add(i)
-
-    dfall_pos = frozenset(
-        i for i in descents if first_occ[sigma(i)] - 1 in descents
-    )
+    rank: dict[int, int] = {}  # occurrences of each value read so far
+    falls_into: dict[int, bool] = {}  # first occurrence is entered by a descent
+    prev = 0
+    for i, (cur, nxt) in enumerate(zip(w, w[1:] + (0,)), start=1):
+        r = rank.get(cur, 0) + 1
+        rank[cur] = r
+        if r == 1:
+            falls_into[cur] = prev > cur
+        if prev < cur:
+            ascents.append(i)
+        if cur > nxt:
+            descents.append(i)
+            if falls_into[cur]:
+                dfalls.append(i)
+        elif cur == nxt:
+            plateaus.append(i)
+            plat_by_j[r + 1] = plat_by_j.get(r + 1, 0) + 1
+            if prev < cur:
+                aplats.append(i)
+            elif prev > cur:
+                dplats.append(i)
+        prev = cur
 
     return StatProfile(
         asc=len(ascents),
         des=len(descents),
         plat=len(plateaus),
         plat_by_j=plat_by_j,
-        dfall=len(dfall_pos),
-        aplat=len(aplat_pos),
-        dplat=len(dplat_pos),
-        ascent_positions=ascents,
-        descent_positions=descents,
-        plateau_positions=plateaus,
-        dfall_positions=dfall_pos,
-        aplat_positions=frozenset(aplat_pos),
-        dplat_positions=frozenset(dplat_pos),
+        dfall=len(dfalls),
+        aplat=len(aplats),
+        dplat=len(dplats),
+        ascent_positions=frozenset(ascents),
+        descent_positions=frozenset(descents),
+        plateau_positions=frozenset(plateaus),
+        dfall_positions=frozenset(dfalls),
+        aplat_positions=frozenset(aplats),
+        dplat_positions=frozenset(dplats),
     )
+
+
+def asc_des_plat(word: tuple[int, ...]) -> tuple[int, int, int]:
+    """``(asc, des, plat)`` of a word, equal to ``statistics(s).triple``.
+
+    Every step (sigma_{i-1}, sigma_i) for i = 1..K+1, boundary zeros
+    included, is exactly one of: an ascent at i, a descent at i-1, or a
+    plateau at i-1.  Counting the steps by kind needs no positions.
+    """
+    asc = des = plat = 0
+    prev = 0
+    for cur in word:
+        if prev < cur:
+            asc += 1
+        elif prev > cur:
+            des += 1
+        else:
+            plat += 1
+        prev = cur
+    if prev:
+        des += 1
+    return asc, des, plat

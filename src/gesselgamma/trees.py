@@ -22,7 +22,7 @@ is either an internal vertex or ``"*"`` for a leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import DomainError, ParseError, TreeValidationError
 from .multiset import Multiset
@@ -88,22 +88,31 @@ def internal_vertices(node: Node) -> Iterator[Internal]:
 
 
 def gessel_forward(s: StirlingPermutation) -> GesselTree:
-    """Map a Stirling permutation to its Gessel tree."""
+    """Map a Stirling permutation to its Gessel tree in one left-to-right scan.
 
-    def build(word: tuple[int, ...]) -> Node:
-        if not word:
-            return LEAF
-        i = min(word)
-        parts: list[tuple[int, ...]] = []
-        start = 0
-        for pos, v in enumerate(word):
-            if v == i:
-                parts.append(word[start:pos])
-                start = pos + 1
-        parts.append(word[start:])
-        return Internal(i, tuple(build(p) for p in parts))
-
-    return GesselTree(build(s.word), s.multiset)
+    The stack holds the open vertices, labels increasing upwards, each with
+    the children finished so far.  A letter smaller than the top label
+    closes that vertex: in a Stirling word no copy of it can follow.  A
+    letter equal to the top label ends one child slot; any other letter
+    opens a new vertex whose first child is whatever was just closed.
+    """
+    stack: list[tuple[int, list[Node]]] = []
+    for c in s.word:
+        done: Node = LEAF
+        while stack and stack[-1][0] > c:
+            label, children = stack.pop()
+            children.append(done)
+            done = Internal(label, tuple(children))
+        if stack and stack[-1][0] == c:
+            stack[-1][1].append(done)
+        else:
+            stack.append((c, [done]))
+    root: Node = LEAF
+    while stack:
+        label, children = stack.pop()
+        children.append(root)
+        root = Internal(label, tuple(children))
+    return GesselTree(root, s.multiset)
 
 
 def gessel_inverse(t: GesselTree) -> StirlingPermutation:
@@ -117,16 +126,21 @@ def gessel_inverse(t: GesselTree) -> StirlingPermutation:
         raise TreeValidationError(violations)
 
     out: list[int] = []
-
-    def read(node: Node) -> None:
-        if isinstance(node, Leaf):
-            return
-        for idx, child in enumerate(node.children):
-            if idx:
-                out.append(node.label)
-            read(child)
-
-    read(t.root)
+    stack: list[Node | int] = [t.root]
+    while stack:
+        x = stack.pop()
+        if type(x) is int:
+            out.append(x)
+        elif type(x) is Internal:
+            # The stack holds what is still to be read, next item on top.
+            # Leaves read as nothing, so only labels and subtrees go on it.
+            children = x.children
+            label = x.label
+            stack.append(children[-1])
+            for child in children[-2::-1]:
+                stack.append(label)
+                if type(child) is Internal:
+                    stack.append(child)
     return StirlingPermutation(tuple(out), t.multiset)
 
 
@@ -144,24 +158,30 @@ def validate_tree(t: GesselTree) -> list[TreeViolation]:
             "structure", None, f"root must be an internal vertex for {{{m}}}"))
         return violations
 
+    n = m.n
     seen: dict[int, int] = {}
-    for v in internal_vertices(t.root):
-        seen[v.label] = seen.get(v.label, 0) + 1
-        if not 1 <= v.label <= m.n:
+    stack = [t.root]  # internal vertices only, visited in internal_vertices order
+    while stack:
+        v = stack.pop()
+        label = v.label
+        children = v.children
+        seen[label] = seen.get(label, 0) + 1
+        in_range = 1 <= label <= n
+        if not in_range:
             violations.append(TreeViolation(
-                "labels", v.label, f"vertex label {v.label} outside 1..{m.n}"))
-            continue
-        expected = m.multiplicity(v.label) + 1
-        if len(v.children) != expected:
+                "labels", label, f"vertex label {label} outside 1..{n}"))
+        elif len(children) != (expected := m.mults[label - 1] + 1):
             violations.append(TreeViolation(
-                "arity", v.label,
-                f"vertex {v.label} has {len(v.children)} children, expected {expected}"))
-        for child in v.children:
-            if isinstance(child, Internal) and child.label <= v.label:
-                violations.append(TreeViolation(
-                    "increasing", child.label,
-                    f"edge ({v.label} -> {child.label}) is not label-increasing"))
-    for label in range(1, m.n + 1):
+                "arity", label,
+                f"vertex {label} has {len(children)} children, expected {expected}"))
+        for child in children:
+            if type(child) is Internal:
+                stack.append(child)
+                if in_range and child.label <= label:
+                    violations.append(TreeViolation(
+                        "increasing", child.label,
+                        f"edge ({label} -> {child.label}) is not label-increasing"))
+    for label in range(1, n + 1):
         c = seen.get(label, 0)
         if c == 0:
             violations.append(TreeViolation(
@@ -173,18 +193,27 @@ def validate_tree(t: GesselTree) -> list[TreeViolation]:
 
 
 def leaf_census(t: GesselTree) -> LeafCensus:
+    """Count leaves by kind; vertices are visited in :func:`internal_vertices` order."""
     xleaf = yleaf = zleaf = 0
     zleaf_by_j: dict[int, int] = {}
     per_vertex: dict[int, tuple[bool, bool, int]] = {}
-    for v in internal_vertices(t.root):
-        last = len(v.children)
-        has_x = isinstance(v.children[0], Leaf)
-        has_y = isinstance(v.children[-1], Leaf)
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if type(v) is not Internal:
+            continue
+        children = v.children
+        has_x = type(children[0]) is Leaf
+        has_y = type(children[-1]) is Leaf
         z_count = 0
-        for j in range(2, last):
-            if isinstance(v.children[j - 1], Leaf):
-                z_count += 1
-                zleaf_by_j[j] = zleaf_by_j.get(j, 0) + 1
+        last = len(children) - 1
+        for pos, child in enumerate(children):
+            if type(child) is Leaf:
+                if 0 < pos < last:
+                    z_count += 1
+                    zleaf_by_j[pos + 1] = zleaf_by_j.get(pos + 1, 0) + 1
+            else:
+                stack.append(child)
         xleaf += has_x
         yleaf += has_y
         zleaf += z_count
@@ -251,17 +280,36 @@ def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, b
     return (before < i, i > after)
 
 
+def render_tree(node: Node, head: Callable[[int], str] = str) -> str:
+    """Write ``(head(label) child ...)`` with ``*`` for leaves, without recursion.
+
+    The stack holds what is still to be written, text or a vertex, next
+    item on top.
+    """
+    parts: list[str] = []
+    stack: list[Node | str] = [node]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            parts.append(x)
+        elif type(x) is Internal:
+            parts.append(f"({head(x.label)}")
+            stack.append(")")
+            for child in reversed(x.children):
+                if type(child) is Internal:
+                    stack.append(child)
+                    stack.append(" ")
+                else:
+                    stack.append(" *")
+        else:
+            parts.append("*")
+    return "".join(parts)
+
+
 def serialize(tree_or_node: GesselTree | Node) -> str:
     """Write a tree in the ``(label child ...)`` form with ``*`` for leaves."""
     node = tree_or_node.root if isinstance(tree_or_node, GesselTree) else tree_or_node
-
-    def render(n: Node) -> str:
-        if isinstance(n, Leaf):
-            return "*"
-        inner = " ".join(render(c) for c in n.children)
-        return f"({n.label} {inner})" if inner else f"({n.label})"
-
-    return render(node)
+    return render_tree(node)
 
 
 def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
@@ -273,33 +321,42 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
     structurally invalid tree raises :class:`TreeValidationError`.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    end = len(tokens)
+    if not tokens:
+        raise ParseError("unexpected end of tree text")
+    # Open vertices, innermost last, each with the children parsed so far.
+    stack: list[tuple[int, list[Node]]] = []
     pos = 0
-
-    def parse_node() -> Node:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of tree text")
+    while True:
         tok = tokens[pos]
+        pos += 1
         if tok == "*":
+            node: Node | None = LEAF
+        elif tok == "(":
+            if pos >= end or not tokens[pos].isdecimal():
+                raise ParseError("expected a vertex label after '('")
+            stack.append((int(tokens[pos]), []))
             pos += 1
-            return LEAF
-        if tok != "(":
+            node = None
+        else:
             raise ParseError(f"expected '(' or '*', got {tok!r}")
-        pos += 1
-        if pos >= len(tokens) or not tokens[pos].isdigit():
-            raise ParseError("expected a vertex label after '('")
-        label = int(tokens[pos])
-        pos += 1
-        children: list[Node] = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse_node())
-        if pos >= len(tokens):
-            raise ParseError(f"unclosed '(' for vertex {label}")
-        pos += 1  # consume ")"
-        return Internal(label, tuple(children))
-
-    root = parse_node()
-    if pos != len(tokens):
+        # Attach the finished node, closing every vertex whose ")" follows.
+        while True:
+            if node is not None:
+                if not stack:
+                    break
+                stack[-1][1].append(node)
+            if pos >= end:
+                raise ParseError(f"unclosed '(' for vertex {stack[-1][0]}")
+            if tokens[pos] != ")":
+                break
+            pos += 1
+            label, children = stack.pop()
+            node = Internal(label, tuple(children))
+        if not stack:
+            break
+    root = node
+    if pos != end:
         raise ParseError(f"trailing tokens after tree: {' '.join(tokens[pos:])!r}")
     if isinstance(root, Leaf):
         inferred = Multiset(())

@@ -60,7 +60,7 @@ class TestBalance:
             6: "unbalanced-x",
             7: "balanced-pair",
         }
-        assert (report.uxleaf, report.bxleaf, report.uyleaf, report.byleaf) == (1, 3, 2, 3)
+        assert (report.uxleaf, report.bxleaf, report.uyleaf) == (1, 3, 2)
         assert report.vertices_with(BalanceStatus.UNBALANCED_Y) == [2, 3]
         assert report.vertices_with(BalanceStatus.BALANCED) == [4, 5, 7]
 
@@ -78,11 +78,20 @@ class TestBalance:
                 report = balance_report(t)
                 census = leaf_census(t)
                 assert report.uxleaf + report.bxleaf == census.xleaf
-                assert report.uyleaf + report.byleaf == census.yleaf
-                assert report.bxleaf == report.byleaf
+                assert report.uyleaf + report.bxleaf == census.yleaf
 
 
 class TestPsi:
+    def test_deep_chain(self):
+        # Word 1200 ... 1: vertex i < 1200 has children (tree of i+1, leaf).
+        t = gessel_forward(StirlingPermutation.from_word(range(1200, 0, -1)))
+        flipped = psi(t, 1199)
+        assert serialize(flipped) == (
+            "".join(f"({v} " for v in range(1, 1199))
+            + "(1199 * (1200 * *))" + " *)" * 1198)
+        assert serialize(toggle(flipped, 1199)) == serialize(t)
+        assert serialize(psi(t, 1200)) == serialize(t)
+
     def test_flips_unbalanced_y(self):
         assert serialize(psi(parse_tree(SEG_TREE), 2)) == FLIPPED_TREE
 

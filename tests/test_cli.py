@@ -74,6 +74,25 @@ class TestTreePerm:
         assert code == 2
         assert "error:" in err
 
+    def test_deep_chain_roundtrip(self, capsys):
+        word = " ".join(str(v) for v in range(1, 1201))
+        code, out, _ = run(capsys, "tree", "--perm", word)
+        assert code == 0
+        tree = out.strip()
+        assert tree.startswith("(1 * (2 * (3 * ") and tree.endswith("(1200 * *)" + ")" * 1199)
+        code, out, _ = run(capsys, "perm", "--tree", tree)
+        assert code == 0
+        assert out.strip() == word
+
+    def test_deep_chain_prune(self, capsys):
+        tree = "".join(f"({v} * " for v in range(1, 1200)) + "(1200 * *)" + ")" * 1199
+        code, out, _ = run(capsys, "prune", "--tree", tree)
+        assert code == 0
+        data = json.loads(out)
+        assert data["pruned"] == (
+            "".join(f"({v}:v " for v in range(1, 1200)) + "(1200:u)" + ")" * 1199)
+        assert data["weight"] == {"u": 1, "v": 1199}
+
 
 class TestPoly:
     def test_routes_agree(self, capsys):

@@ -16,7 +16,7 @@ from gesselgamma import (
     run_campaign,
     verify,
 )
-from gesselgamma.harness import CheckDef
+from gesselgamma.harness import CheckDef, pool_workers
 
 SMALL = [Multiset((1,)), Multiset((2,)), Multiset((2, 2)), Multiset((2, 1, 2))]
 
@@ -96,6 +96,15 @@ class TestRunCampaign:
         assert serial.to_json_dict(include_timing=False) == parallel.to_json_dict(
             include_timing=False
         )
+
+    def test_pool_workers_is_clamped(self):
+        # Pure arithmetic: no pool is started here.
+        assert pool_workers(10 ** 9, 2, 1920) == 2
+        assert pool_workers(10 ** 9, 10 ** 6, 3) == 3
+        assert pool_workers(2, 64, 1920) == 2
+        assert pool_workers(0, 2, 1920) == 0
+        assert pool_workers(4, 2, 0) == 0
+        assert pool_workers(1, 2, 1920) == 1
 
     def test_failing_check_is_reported_with_counterexample(self):
         def always_fails(m):

@@ -1,0 +1,62 @@
+"""The fast per-word kernels against their slow reference versions.
+
+Every word of the default campaign family is run through both paths; the
+results must be equal, and dicts must list their keys in the same order.
+"""
+
+import ast
+
+import reference_kernels as ref
+from oracles import boundary_asc_des
+
+from gesselgamma import (
+    asc_des_plat,
+    default_campaign_family,
+    enumerate_stirling,
+    gessel_forward,
+    gessel_inverse,
+    is_canonical,
+    leaf_census,
+    statistics,
+)
+
+
+def test_oracles_stay_independent_of_the_package():
+    import oracles
+
+    tree = ast.parse(open(oracles.__file__).read())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported and not any(name.startswith("gesselgamma") for name in imported)
+
+
+def test_fast_kernels_match_the_reference_on_the_default_family():
+    words = 0
+    for m in default_campaign_family():
+        for s in enumerate_stirling(m):
+            words += 1
+            prof = statistics(s)
+            want = ref.statistics(s)
+            assert prof == want, s
+            assert list(prof.plat_by_j.items()) == list(want.plat_by_j.items()), s
+            triple = asc_des_plat(s.word)
+            assert triple == prof.triple, s
+            assert triple[:2] == boundary_asc_des(s.word), s
+
+            t = gessel_forward(s)
+            assert t == ref.gessel_forward(s), s
+            assert gessel_inverse(t) == ref.gessel_inverse(t) == s
+
+            census = leaf_census(t)
+            want_census = ref.leaf_census(t)
+            assert census == want_census, s
+            assert list(census.per_vertex.items()) == list(want_census.per_vertex.items()), s
+            assert list(census.zleaf_by_j.items()) == list(want_census.zleaf_by_j.items()), s
+            assert is_canonical(t) is ref.is_canonical(t), s
+    assert words == 25960
+
+
+def test_asc_des_plat_of_the_empty_word():
+    assert asc_des_plat(()) == (0, 0, 0)

@@ -239,6 +239,7 @@ class TestParse:
         "(1 * *))",          # trailing
         "1 * *",             # no parens
         "(x * *)",           # bad label
+        "(\u00b2 * *)",      # a digit character that is not a decimal
         "()",                # no label
         "",                  # empty
         "(1 * *) *",         # trailing child
