@@ -35,6 +35,7 @@ from .errors import (
     FamilyTooLargeError,
     GammaExtractionError,
     NotCanonicalError,
+    OrbitTooLargeError,
     ParseError,
     TreeValidationError,
 )

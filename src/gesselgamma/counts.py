@@ -9,6 +9,8 @@ z-exponent i, the second the xy-exponent j.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .action import enumerate_canonical, is_canonical_ternary
 from .errors import DomainError
 from .multiset import Multiset
@@ -25,9 +27,13 @@ def c_polynomial_enum(m: Multiset) -> Poly3:
     """
     if m.n == 0:
         return Poly3.variable("x", XYZ)
+    return triple_polynomial(asc_des_plat(s.word) for s in enumerate_stirling(m))
+
+
+def triple_polynomial(triples: Iterable[tuple[int, int, int]]) -> Poly3:
+    """Sum of x^asc y^des z^plat over the given (asc, des, plat) triples."""
     terms: dict[tuple[int, int, int], int] = {}
-    for s in enumerate_stirling(m):
-        e = asc_des_plat(s.word)
+    for e in triples:
         terms[e] = terms.get(e, 0) + 1
     return Poly3(XYZ, terms)
 

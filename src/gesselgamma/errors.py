@@ -61,3 +61,14 @@ class FamilyTooLargeError(RuntimeError):
         super().__init__(
             f"family too large: {cost} Stirling permutations requested, cap is {cap}"
         )
+
+
+class OrbitTooLargeError(FamilyTooLargeError):
+    """Raised when a flip orbit would have more members than the cap allows."""
+
+    def __init__(self, uxleaf: int, cap: int):
+        super().__init__(2 ** uxleaf, cap)
+        self.uxleaf = uxleaf
+
+    def __str__(self) -> str:
+        return f"orbit too large: 2^{self.uxleaf} trees requested, cap is {self.cap}"

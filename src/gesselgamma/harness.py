@@ -2,9 +2,13 @@
 
 Each check exhaustively tests one identity on one multiset at a time and
 reports a counterexample payload on failure (the multiset, the offending
-permutation or tree, and both sides of the failed equality).  Campaigns
-run a check over a family of multisets, optionally in parallel, and
-refuse families whose total permutation count exceeds a budget.
+permutation or tree, and both sides of the failed equality).  A campaign
+runs multiset by multiset: the words, trees and enumerated polynomial of
+a multiset are built once, in a shared context that every check reads,
+and dropped before the next multiset.  The independent routes the checks
+compare against still compute on their own.  Campaigns can hand whole
+multisets to a process pool, and refuse families whose total permutation
+count exceeds a budget.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
@@ -20,7 +25,6 @@ from .action import (
     BalanceStatus,
     balance_report,
     canonical_representative,
-    enumerate_canonical,
     is_canonical,
     is_canonical_ternary,
     orbit,
@@ -32,6 +36,7 @@ from .counts import (
     gamma_count_perms,
     gamma_count_ternary,
     gamma_count_trees,
+    triple_polynomial,
 )
 from .errors import DomainError, FamilyTooLargeError
 from .grammar import c_polynomial_grammar, gamma_polynomial_grammar
@@ -53,6 +58,7 @@ from .stirling import (
     statistics,
 )
 from .trees import (
+    GesselTree,
     first_last_occurrence_flags,
     gessel_forward,
     gessel_inverse,
@@ -118,8 +124,60 @@ def _fail(m: Multiset, detail: str, **extra) -> Failure:
     return payload
 
 
-def _gamma_via_extract(m: Multiset) -> GammaTable:
-    return gamma_extract(c_polynomial_enum(m), m.K)
+class MultisetContext:
+    """What the checks of one multiset share, each part built on first use.
+
+    ``perms`` are the Stirling permutations in enumeration order and
+    ``trees[k]`` is the Gessel tree of ``perms[k]``; ``triples[k]`` is its
+    ``(asc, des, plat)``.  ``c_polynomial`` sums those triples (``x`` for the
+    empty multiset, like ``c_polynomial_enum``), ``gamma`` is its extracted
+    table and ``mma`` the descent-plateau-free table of a doubled multiset.
+    Per-word profiles and leaf censuses are recomputed by the checks that
+    need them: kept for 2^6 they would hold tens of MiB.
+    """
+
+    def __init__(self, m: Multiset):
+        self.multiset = m
+
+    @cached_property
+    def perms(self) -> list[StirlingPermutation]:
+        return list(enumerate_stirling(self.multiset))
+
+    @cached_property
+    def trees(self) -> list[GesselTree]:
+        return [gessel_forward(s) for s in self.perms]
+
+    @cached_property
+    def triples(self) -> list[tuple[int, int, int]]:
+        return [asc_des_plat(s.word) for s in self.perms]
+
+    @cached_property
+    def c_polynomial(self) -> Poly3:
+        if self.multiset.n == 0:
+            return Poly3.variable("x", XYZ)
+        return triple_polynomial(self.triples)
+
+    @cached_property
+    def gamma(self) -> GammaTable:
+        return gamma_extract(self.c_polynomial, self.multiset.K)
+
+    @cached_property
+    def mma(self) -> GammaTable:
+        return gamma_count_mma(self.multiset.n)
+
+
+# The context of the multiset a campaign task is checking, if any.  It is
+# set and emptied by _run_multiset, so at most one multiset's words and
+# trees are held at a time.
+_current: MultisetContext | None = None
+
+
+def _context(m: Multiset) -> MultisetContext:
+    """The shared context of m: the campaign's one if it is checking m, else
+    a fresh one that lives only as long as its caller keeps it."""
+    if _current is not None and _current.multiset == m:
+        return _current
+    return MultisetContext(m)
 
 
 def _table_mismatch(m: Multiset, what: str, lhs: GammaTable, rhs: GammaTable) -> list[Failure]:
@@ -135,10 +193,9 @@ def _poly_mismatch(m: Multiset, what: str, lhs: Poly3, rhs: Poly3) -> list[Failu
 
 
 def _check_roundtrip(m: Multiset) -> list[Failure]:
+    ctx = _context(m)
     seen: set[str] = set()
-    count = 0
-    for s in enumerate_stirling(m):
-        t = gessel_forward(s)
+    for s, t in zip(ctx.perms, ctx.trees):
         back = gessel_inverse(t)
         if back.word != s.word:
             return [_fail(m, "word -> tree -> word is not the identity",
@@ -148,11 +205,11 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
         if t2 != t:
             return [_fail(m, "serialize -> parse is not the identity",
                           sigma=str(s), tree=text)]
-        if serialize(gessel_forward(gessel_inverse(t))) != text:
+        if serialize(gessel_forward(back)) != text:
             return [_fail(m, "tree -> word -> tree is not the identity",
                           sigma=str(s), tree=text)]
         seen.add(text)
-        count += 1
+    count = len(ctx.perms)
     if len(seen) != count:
         return [_fail(m, "correspondence is not injective",
                       lhs=count, rhs=len(seen))]
@@ -164,9 +221,9 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
 
 
 def _check_p21(m: Multiset) -> list[Failure]:
-    for s in enumerate_stirling(m):
-        triple = asc_des_plat(s.word)
-        census = leaf_census(gessel_forward(s))
+    ctx = _context(m)
+    for s, t, triple in zip(ctx.perms, ctx.trees, ctx.triples):
+        census = leaf_census(t)
         if triple != census.triple:
             return [_fail(m, "(asc, des, plat) differs from (x, y, z) leaf counts",
                           sigma=str(s), lhs=list(triple), rhs=list(census.triple))]
@@ -174,9 +231,10 @@ def _check_p21(m: Multiset) -> list[Failure]:
 
 
 def _check_jkp(m: Multiset) -> list[Failure]:
-    for s in enumerate_stirling(m):
+    ctx = _context(m)
+    for s, t in zip(ctx.perms, ctx.trees):
         prof = statistics(s)
-        census = leaf_census(gessel_forward(s))
+        census = leaf_census(t)
         if prof.plat_by_j != census.zleaf_by_j:
             return [_fail(m, "plateaux by occurrence index differ from z-leaves by position",
                           sigma=str(s), lhs=prof.plat_by_j, rhs=census.zleaf_by_j)]
@@ -184,8 +242,9 @@ def _check_jkp(m: Multiset) -> list[Failure]:
 
 
 def _check_p22(m: Multiset) -> list[Failure]:
-    for s in enumerate_stirling(m):
-        census = leaf_census(gessel_forward(s))
+    ctx = _context(m)
+    for s, t in zip(ctx.perms, ctx.trees):
+        census = leaf_census(t)
         for i in range(1, m.n + 1):
             flags = first_last_occurrence_flags(s, i)
             has_x, has_y, _ = census.per_vertex[i]
@@ -197,21 +256,24 @@ def _check_p22(m: Multiset) -> list[Failure]:
 
 def _check_t31(m: Multiset) -> list[Failure]:
     return _table_mismatch(m, "extracted gamma table differs from canonical-tree counts",
-                           _gamma_via_extract(m), gamma_count_trees(m))
+                           _context(m).gamma, gamma_count_trees(m))
 
 
 def _check_t41(m: Multiset) -> list[Failure]:
     return _poly_mismatch(m, "derivative chain differs from the enumerated polynomial",
-                          c_polynomial_grammar(m), c_polynomial_enum(m))
+                          c_polynomial_grammar(m), _context(m).c_polynomial)
 
 
 def _check_t43(m: Multiset) -> list[Failure]:
+    ctx = _context(m)
     total = Poly3.zero(UVZ)
-    for t in enumerate_canonical(m):
+    for t in ctx.trees:
+        if not is_canonical(t):
+            continue
         p = prune(t)
         u, v = p.weight()
         total = total + Poly3.monomial((u, v, p.zleaf), 1, UVZ)
-    expected = gamma_table_to_uvz(_gamma_via_extract(m))
+    expected = gamma_table_to_uvz(ctx.gamma)
     return _poly_mismatch(m, "pruned-tree weights do not sum to the gamma polynomial",
                           total, expected)
 
@@ -219,18 +281,19 @@ def _check_t43(m: Multiset) -> list[Failure]:
 def _check_t44(m: Multiset) -> list[Failure]:
     return _poly_mismatch(m, "uvz derivative chain differs from the extracted gamma polynomial",
                           gamma_polynomial_grammar(m),
-                          gamma_table_to_uvz(_gamma_via_extract(m)))
+                          gamma_table_to_uvz(_context(m).gamma))
 
 
 def _check_t52(m: Multiset) -> list[Failure]:
     return _table_mismatch(m, "extracted gamma table differs from double-fall-free counts",
-                           _gamma_via_extract(m), gamma_count_perms(m))
+                           _context(m).gamma, gamma_count_perms(m))
 
 
 def _check_p51(m: Multiset) -> list[Failure]:
-    for s in enumerate_stirling(m):
+    ctx = _context(m)
+    for s, t in zip(ctx.perms, ctx.trees):
         prof = statistics(s)
-        report = balance_report(gessel_forward(s))
+        report = balance_report(t)
         unbalanced_y = set(report.vertices_with(BalanceStatus.UNBALANCED_Y))
         dfall_values = {s.word[i - 1] for i in prof.dfall_positions}
         if dfall_values != unbalanced_y or len(prof.dfall_positions) != len(unbalanced_y):
@@ -246,19 +309,20 @@ def _check_p51(m: Multiset) -> list[Failure]:
 
 
 def _check_t61(m: Multiset) -> list[Failure]:
+    ctx = _context(m)
     return _table_mismatch(m, "extracted gamma table differs from descent-plateau-free counts",
-                           _gamma_via_extract(m), gamma_count_mma(m.n))
+                           ctx.gamma, ctx.mma)
 
 
 def _check_t62(m: Multiset) -> list[Failure]:
     return _table_mismatch(m, "descent-plateau-free counts differ from canonical ternary trees",
-                           gamma_count_mma(m.n), gamma_count_ternary(m.n))
+                           _context(m).mma, gamma_count_ternary(m.n))
 
 
 def _check_p63(m: Multiset) -> list[Failure]:
-    for s in enumerate_stirling(m):
+    ctx = _context(m)
+    for s, t in zip(ctx.perms, ctx.trees):
         prof = statistics(s)
-        t = gessel_forward(s)
         census = leaf_census(t)
         z_without_x = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and not hx}
         x_with_z = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and hx}
@@ -277,27 +341,31 @@ def _check_p63(m: Multiset) -> list[Failure]:
 
 
 def _check_sym_xy(m: Multiset) -> list[Failure]:
-    p = c_polynomial_enum(m)
+    p = _context(m).c_polynomial
     if not is_symmetric(p, ("x", "y")):
         return [_fail(m, "polynomial is not symmetric in x, y", lhs=p.to_json_dict())]
     return []
 
 
 def _check_sym_xyz(m: Multiset) -> list[Failure]:
-    p = c_polynomial_enum(m)
+    p = _context(m).c_polynomial
     if not is_symmetric(p, ("x", "y", "z")):
         return [_fail(m, "polynomial is not symmetric in x, y, z", lhs=p.to_json_dict())]
     return []
 
 
 def _check_orbit(m: Multiset) -> list[Failure]:
-    groups: dict[str, list] = {}
-    for s in enumerate_stirling(m):
-        t = gessel_forward(s)
-        groups.setdefault(serialize(canonical_representative(t)), []).append(t)
+    ctx = _context(m)
+    trees = ctx.trees
+    groups: dict[str, list[int]] = {}
+    for k, t in enumerate(trees):
+        groups.setdefault(serialize(canonical_representative(t)), []).append(k)
+    x = Poly3.variable("x", XYZ)
+    y = Poly3.variable("y", XYZ)
     total = Poly3.zero(XYZ)
     for canon_text in sorted(groups):
-        members = groups[canon_text]
+        indices = groups[canon_text]
+        members = [trees[k] for k in indices]
         canon = parse_tree(canon_text)
         if not is_canonical(canon):
             return [_fail(m, "orbit representative is not canonical", tree=canon_text)]
@@ -317,21 +385,18 @@ def _check_orbit(m: Multiset) -> list[Failure]:
             return [_fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
                           tree=canon_text, lhs=report.uxleaf,
                           rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)]
-        x = Poly3.variable("x", XYZ)
-        y = Poly3.variable("y", XYZ)
         expected = ((x * y) ** census.yleaf) * ((x + y) ** report.uxleaf) \
             * Poly3.monomial((0, 0, census.zleaf), 1, XYZ)
-        actual = Poly3.zero(XYZ)
-        for t in members:
-            triple = asc_des_plat(gessel_inverse(t).word)
-            actual = actual + Poly3.monomial(triple, 1, XYZ)
+        # Each member is the tree of the word it was built from, so the
+        # word's triple is the member's monomial.
+        actual = triple_polynomial(ctx.triples[k] for k in indices)
         if actual != expected:
             return [_fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
                           tree=canon_text, lhs=actual.to_json_dict(),
                           rhs=expected.to_json_dict())]
         total = total + actual
     return _poly_mismatch(m, "orbit sums do not add up to the full polynomial",
-                          total, c_polynomial_enum(m))
+                          total, ctx.c_polynomial)
 
 
 def _doubled_only(m: Multiset) -> bool:
@@ -465,11 +530,9 @@ class CampaignReport:
         }
 
 
-def _run_cell(args: tuple[str, str]) -> dict:
-    """One (check, multiset) cell; module-level so process pools can pickle it."""
-    check_id, spec = args
+def _run_cell(check_id: str, m: Multiset) -> dict:
+    """One (check, multiset) cell, timed; a crash counts as a failure."""
     cd = CHECKS[check_id]
-    m = Multiset.parse(spec)
     start = time.perf_counter()
     if cd.applies is not None and not cd.applies(m):
         out = {"status": "SKIP", "detail": "check applies to doubled multisets only"}
@@ -477,7 +540,7 @@ def _run_cell(args: tuple[str, str]) -> dict:
         try:
             failures = cd.run(m)
         except Exception as exc:  # a crash is a verification failure, not a harness abort
-            failures = [{"multiset": spec, "detail": f"exception: {exc!r}"}]
+            failures = [{"multiset": m.spec(), "detail": f"exception: {exc!r}"}]
         if failures:
             out = {"status": "FAIL", "detail": failures[0].get("detail"),
                    "counterexample": failures[0]}
@@ -487,12 +550,28 @@ def _run_cell(args: tuple[str, str]) -> dict:
     return out
 
 
-def pool_workers(jobs: int, cpus: int, cells: int) -> int:
-    """Worker processes for a campaign: no more than asked for, CPUs or cells.
+def _run_multiset(args: tuple[tuple[str, ...], str]) -> list[dict]:
+    """Every given check on one multiset, in order, over one shared context.
 
-    A result below 2 means the cells run in-process.
+    Module-level so process pools can pickle it; the context is dropped
+    when the last check is done, whatever happened.
     """
-    return min(jobs, cpus, cells)
+    global _current
+    check_ids, spec = args
+    m = Multiset.parse(spec)
+    _current = MultisetContext(m)
+    try:
+        return [_run_cell(cid, m) for cid in check_ids]
+    finally:
+        _current = None
+
+
+def pool_workers(jobs: int, cpus: int, tasks: int) -> int:
+    """Worker processes for a campaign: no more than asked for, CPUs or tasks.
+
+    A result below 2 means the tasks run in-process.
+    """
+    return min(jobs, cpus, tasks)
 
 
 def run_campaign(
@@ -502,6 +581,13 @@ def run_campaign(
     cap: int = DEFAULT_COST_CAP,
     jobs: int = 1,
 ) -> CampaignReport:
+    """Run every check over every member, one multiset at a time.
+
+    A task is one multiset with all its checks, so the words and trees are
+    built once per multiset; with ``jobs > 1`` whole tasks go to a process
+    pool, largest first.  The report lists outcomes check by check, in the
+    order of ``check_ids`` and then of ``members``.
+    """
     for cid in check_ids:
         if cid not in CHECKS:
             raise DomainError(
@@ -510,33 +596,27 @@ def run_campaign(
     if cost > cap:
         raise FamilyTooLargeError(cost, cap)
     specs = [m.spec() for m in members]
-    cells = [(cid, spec) for cid in check_ids for spec in specs]
-    workers = pool_workers(jobs, os.cpu_count() or 1, len(cells))
+    ids = tuple(check_ids)
+    # Largest first, so that no big multiset starts last and runs alone.
+    order = sorted(range(len(members)), key=lambda k: -count_stirling(members[k]))
+    tasks = [(ids, specs[k]) for k in order]
+    workers = pool_workers(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=4))
+            done = list(pool.map(_run_multiset, tasks))
     else:
-        results = [_run_cell(cell) for cell in cells]
+        done = [_run_multiset(task) for task in tasks]
+    cells_of = dict(zip(order, done))
     reports = []
-    idx = 0
-    for cid in check_ids:
-        outcomes = []
-        elapsed = 0.0
-        for spec in specs:
-            r = results[idx]
-            idx += 1
-            elapsed += r.get("elapsed_ms", 0.0)
-            outcomes.append(CheckOutcome(
-                multiset=spec,
-                status=r["status"],
-                detail=r.get("detail"),
-                counterexample=r.get("counterexample"),
-            ))
+    for c, cid in enumerate(ids):
+        cells = [cells_of[k][c] for k in range(len(members))]
         reports.append(CheckReport(
             check=cid,
             description=CHECKS[cid].description,
-            outcomes=outcomes,
-            elapsed_ms=elapsed,
+            outcomes=[CheckOutcome(multiset=spec, status=r["status"], detail=r.get("detail"),
+                                   counterexample=r.get("counterexample"))
+                      for spec, r in zip(specs, cells)],
+            elapsed_ms=sum(r["elapsed_ms"] for r in cells),
         ))
     return CampaignReport(reports=reports, multisets=specs, cost=cost)
 

@@ -34,10 +34,21 @@ class Leaf:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Internal:
+    """A labelled vertex.  ``==`` and ``hash`` compare the subtree's preorder
+    listing, which is built without recursion, so they work at any depth."""
+
     label: int
     children: tuple["Node", ...]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Internal:
+            return NotImplemented
+        return self is other or _preorder_key(self) == _preorder_key(other)
+
+    def __hash__(self) -> int:
+        return hash(_preorder_key(self))
 
 
 Node = Union[Leaf, Internal]
@@ -75,6 +86,24 @@ class LeafCensus:
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.xleaf, self.yleaf, self.zleaf)
+
+
+def _preorder_key(node: Node) -> tuple:
+    """The vertices below (and at) a node in preorder: an internal vertex as
+    its label and child count, a leaf as None.  Two nodes have the same key
+    exactly when they are the same tree."""
+    out: list = []
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if type(x) is Internal:
+            children = x.children
+            out.append(x.label)
+            out.append(len(children))
+            stack.extend(children[::-1])
+        else:
+            out.append(None)
+    return tuple(out)
 
 
 def internal_vertices(node: Node) -> Iterator[Internal]:

@@ -157,6 +157,33 @@ class TestOrbit:
         assert data["size"] == 1
         assert data["canonical"] == "(1 * (2 * * *) *)"
 
+    def test_deep_balanced_chain_has_one_member(self, capsys):
+        word = " ".join(str(v) for v in [*range(1, 601), *range(600, 0, -1)])
+        code, out, _ = run(capsys, "orbit", "--perm", word)
+        assert code == 0
+        data = json.loads(out)
+        assert data["size"] == 1
+        assert data["members"][0]["perm"] == word
+
+    def test_deep_chain_is_refused_at_the_default_cap(self, capsys):
+        # 1 199 unbalanced-x vertices: 2^1199 members, refused before any is built.
+        word = " ".join(str(v) for v in range(1, 1201))
+        code, out, err = run(capsys, "orbit", "--perm", word)
+        assert code == 2
+        assert out == ""
+        assert err == "refused: orbit too large: 2^1199 trees requested, cap is 1000000\n"
+
+    def test_cap_refusal(self, capsys):
+        word = " ".join(str(v) for v in range(1, 21))
+        code, _, err = run(capsys, "orbit", "--perm", word, "--cap", "1000")
+        assert code == 2
+        assert err == "refused: orbit too large: 2^19 trees requested, cap is 1000\n"
+
+    def test_cap_admits_an_orbit_of_exactly_its_size(self, capsys):
+        code, out, _ = run(capsys, "orbit", "--perm", "1122", "--cap", "2")
+        assert code == 0
+        assert json.loads(out)["size"] == 2
+
 
 class TestPrune:
     def test_canonical_tree_has_weight(self, capsys):

@@ -1,5 +1,6 @@
 """Campaign harness: families, check execution, reports, golden examples."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from gesselgamma import (
     run_campaign,
     verify,
 )
+from gesselgamma import harness
 from gesselgamma.harness import CheckDef, pool_workers
 
 SMALL = [Multiset((1,)), Multiset((2,)), Multiset((2, 2)), Multiset((2, 1, 2))]
@@ -153,6 +155,109 @@ class TestRunCampaign:
     def test_verify_defaults_to_the_campaign_family(self):
         report = verify("T3.1", None, cap=10 ** 6)
         assert report.multisets == [m.spec() for m in default_campaign_family()]
+
+
+# SHA-256 of verify("all") over default_campaign_family() with jobs=1, as
+# canonical JSON (sorted keys, no spaces) of to_json_dict(include_timing=False).
+CAMPAIGN_DIGEST = "3b6e2a45520a423748cacda575b4e8f9bf0af17e2999d115cc48964298bf3f7c"
+
+PER_WORD_CHECKS = ["ROUNDTRIP", "P2.1", "JKP-ZJ", "P2.2", "P5.1", "P6.3", "ORBIT"]
+MIXED = [Multiset((1,)), Multiset((2, 2)), Multiset((1, 1, 1, 1)), Multiset((2, 1, 2)),
+         Multiset((2, 2, 2)), Multiset((3, 1))]
+
+
+def _canonical_digest(data) -> str:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCampaignOutput:
+    def test_default_campaign_report_is_unchanged(self):
+        report = verify("all", default_campaign_family(), jobs=1)
+        assert _canonical_digest(report.to_json_dict(include_timing=False)) == CAMPAIGN_DIGEST
+
+    def test_two_jobs_give_the_serial_report(self):
+        serial = verify("all", MIXED, jobs=1)
+        parallel = verify("all", MIXED, jobs=2)
+        assert serial.to_json_dict(include_timing=False) == parallel.to_json_dict(
+            include_timing=False)
+
+    def test_failing_check_keeps_check_major_order(self):
+        def always_fails(m):
+            return [{"multiset": m.spec(), "detail": f"forced failure on {m.spec()}"}]
+
+        CHECKS["X-FAIL"] = CheckDef("always fails", always_fails)
+        try:
+            report = run_campaign(["P2.1", "X-FAIL", "ROUNDTRIP"], MIXED)
+        finally:
+            del CHECKS["X-FAIL"]
+        specs = [m.spec() for m in MIXED]
+        assert [r.check for r in report.reports] == ["P2.1", "X-FAIL", "ROUNDTRIP"]
+        assert all([o.multiset for o in r.outcomes] == specs for r in report.reports)
+        failing = report.reports[1]
+        assert [o.status for o in failing.outcomes] == ["FAIL"] * len(MIXED)
+        assert [o.detail for o in failing.outcomes] == [
+            f"forced failure on {spec}" for spec in specs]
+        assert report.reports[0].passed and report.reports[2].passed
+
+
+class TestSharedContext:
+    def test_each_multiset_is_enumerated_once(self, monkeypatch):
+        calls = []
+        original = harness.enumerate_stirling
+
+        def counting(m):
+            calls.append(m.spec())
+            return original(m)
+
+        monkeypatch.setattr(harness, "enumerate_stirling", counting)
+        report = run_campaign(PER_WORD_CHECKS, MIXED)
+        assert report.passed
+        assert sorted(calls) == sorted(m.spec() for m in MIXED)
+
+    def test_checks_of_a_multiset_share_one_context(self):
+        seen = []
+
+        def record(m):
+            seen.append((m.spec(), id(harness._context(m))))
+            return []
+
+        CHECKS["X-A"] = CheckDef("records its context", record)
+        CHECKS["X-B"] = CheckDef("records its context", record)
+        try:
+            run_campaign(["X-A", "X-B"], MIXED)
+        finally:
+            del CHECKS["X-A"], CHECKS["X-B"]
+        # Multiset by multiset, largest first; one context per multiset.
+        by_size = sorted(MIXED, key=lambda m: -family_cost([m]))
+        assert [spec for spec, _ in seen] == [m.spec() for m in by_size for _ in "AB"]
+        assert all(seen[i][1] == seen[i + 1][1] for i in range(0, len(seen), 2))
+        assert harness._current is None
+
+    def test_context_is_released_after_a_campaign(self):
+        run_campaign(PER_WORD_CHECKS, MIXED)
+        assert harness._current is None
+
+    def test_context_is_released_when_a_check_raises(self):
+        def crashes(m):
+            assert harness._current is not None
+            raise RuntimeError("boom")
+
+        CHECKS["X-CRASH"] = CheckDef("always crashes", crashes)
+        try:
+            report = run_campaign(["P2.1", "X-CRASH"], MIXED)
+        finally:
+            del CHECKS["X-CRASH"]
+        assert harness._current is None
+        assert [o.status for o in report.reports[1].outcomes] == ["FAIL"] * len(MIXED)
+
+    def test_context_outside_a_campaign_is_not_kept(self):
+        m = Multiset((2, 2))
+        ctx = harness._context(m)
+        assert harness._current is None
+        assert len(ctx.perms) == len(ctx.trees) == len(ctx.triples) == 3
+        assert ctx.c_polynomial.terms == {(1, 2, 2): 1, (2, 1, 2): 1, (2, 2, 1): 1}
+        assert harness._context(Multiset(())).c_polynomial.terms == {(1, 0, 0): 1}
 
 
 class TestGolden:

@@ -266,3 +266,27 @@ class TestParse:
             for s in enumerate_stirling(m):
                 t = gessel_forward(s)
                 assert parse_tree(serialize(t)) == t
+
+    def test_deep_chain_equality_and_hash(self):
+        word = tuple(range(1, 1201)) + tuple(range(1200, 0, -1))
+        t = gessel_forward(StirlingPermutation.from_word(word))
+        back = parse_tree(serialize(t))
+        assert back is not t and back.root is not t.root
+        assert back == t
+        assert hash(back) == hash(t)
+        assert len({t, back}) == 1
+
+    def test_equality_tells_every_tree_apart(self):
+        for m in small_family(max_n=3, max_k=2, max_total=6):
+            trees = [gessel_forward(s) for s in enumerate_stirling(m)]
+            copies = [parse_tree(serialize(t)) for t in trees]
+            assert len(set(trees)) == len(trees)
+            assert set(trees) == set(copies)
+            assert all(hash(a) == hash(b) for a, b in zip(trees, copies))
+
+    def test_equality_compares_the_multiset_and_plane_order(self):
+        t = parse_tree("(1 * (2 * *))")
+        assert t != GesselTree(t.root, Multiset((1, 2)))
+        assert t != parse_tree("(1 (2 * *) *)")
+        assert Internal(1, (LEAF, LEAF)) != LEAF
+        assert Internal(1, (LEAF, LEAF)) == Internal(1, (Leaf(), Leaf()))
