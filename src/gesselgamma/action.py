@@ -25,7 +25,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterator
 
-from .errors import DomainError, NotCanonicalError
+from .errors import DomainError, NotCanonicalError, OrbitTooLargeError
 from .multiset import Multiset
 from .stirling import enumerate_stirling
 from .trees import (
@@ -36,6 +36,10 @@ from .trees import (
     leaf_census,
     render_tree,
 )
+
+# Members x K: the letters an orbit's members spell.  Building, hashing and
+# printing a member each cost O(K), so this bounds the work of ``orbit``.
+ORBIT_COST_CAP = 250_000
 
 
 class BalanceStatus(str, Enum):
@@ -159,9 +163,16 @@ def canonical_representative(t: GesselTree) -> GesselTree:
 
 
 def orbit(t: GesselTree) -> frozenset[GesselTree]:
-    """The orbit of t: all subset-flips of the canonical form's unbalanced-x vertices."""
+    """The orbit of t: all subset-flips of the canonical form's unbalanced-x vertices.
+
+    Raises OrbitTooLargeError, before building any member, when the
+    2^len(free) members of K letters exceed ORBIT_COST_CAP letters.
+    """
     canon = canonical_representative(t)
     free = balance_report(canon).vertices_with(BalanceStatus.UNBALANCED_X)
+    K = t.multiset.K
+    if 2 ** len(free) * K > ORBIT_COST_CAP:
+        raise OrbitTooLargeError(len(free), K, ORBIT_COST_CAP)
     members = []
     for r in range(len(free) + 1):
         for subset in combinations(free, r):

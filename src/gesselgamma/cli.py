@@ -10,15 +10,7 @@ import argparse
 import json
 import sys
 
-from .action import (
-    TYPE_Y,
-    balance_report,
-    canonical_representative,
-    is_canonical,
-    orbit,
-    prune,
-    serialize_pruned,
-)
+from .action import TYPE_Y, is_canonical, orbit, prune, serialize_pruned
 from .counts import (
     c_polynomial_enum,
     gamma_count_mma,
@@ -30,7 +22,6 @@ from .errors import (
     DomainError,
     FamilyTooLargeError,
     GammaExtractionError,
-    OrbitTooLargeError,
     ParseError,
     TreeValidationError,
 )
@@ -97,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="the flip orbit of a permutation's tree")
     p.add_argument("--perm", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_COST_CAP,
-                   help="refuse orbits with more members than this")
 
     p = sub.add_parser("prune", help="prune a tree and report its (u, v)-weight")
     p.add_argument("--tree", required=True)
@@ -197,12 +186,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_orbit(args) -> int:
     s = StirlingPermutation.from_word(parse_word(args.perm))
-    tree = gessel_forward(s)
-    # The orbit has 2^uxleaf members; count them before building any.
-    uxleaf = balance_report(canonical_representative(tree)).uxleaf
-    if 2 ** uxleaf > args.cap:
-        raise OrbitTooLargeError(uxleaf, args.cap)
-    members = orbit(tree)
+    members = orbit(gessel_forward(s))
     canonical = None
     rows = []
     for t in members:

@@ -64,11 +64,22 @@ class FamilyTooLargeError(RuntimeError):
 
 
 class OrbitTooLargeError(FamilyTooLargeError):
-    """Raised when a flip orbit would have more members than the cap allows."""
+    """Raised when a flip orbit's members would spell more letters than the cap allows.
 
-    def __init__(self, uxleaf: int, cap: int):
-        super().__init__(2 ** uxleaf, cap)
+    The orbit has 2^uxleaf members of K letters each.  The message keeps the
+    power form, because 2^uxleaf can be too long to print as a decimal.
+    """
+
+    def __init__(self, uxleaf: int, K: int, cap: int):
         self.uxleaf = uxleaf
+        self.K = K
+        self.cap = cap
+        RuntimeError.__init__(
+            self,
+            f"orbit too large: 2^{uxleaf} trees of {K} letters requested, "
+            f"cap is {cap} letters",
+        )
 
-    def __str__(self) -> str:
-        return f"orbit too large: 2^{self.uxleaf} trees requested, cap is {self.cap}"
+    @property
+    def cost(self) -> int:
+        return 2 ** self.uxleaf * self.K

@@ -531,7 +531,10 @@ class CampaignReport:
 
 
 def _run_cell(check_id: str, m: Multiset) -> dict:
-    """One (check, multiset) cell, timed; a crash counts as a failure."""
+    """One (check, multiset) cell, timed; a crash counts as a failure.
+
+    The time includes any shared-context data this check is first to need.
+    """
     cd = CHECKS[check_id]
     start = time.perf_counter()
     if cd.applies is not None and not cd.applies(m):

@@ -6,11 +6,14 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from gesselgamma import action
+
 from gesselgamma import (
     BalanceStatus,
     DomainError,
     Multiset,
     NotCanonicalError,
+    OrbitTooLargeError,
     StirlingPermutation,
     balance_report,
     canonical_representative,
@@ -216,6 +219,16 @@ class TestOrbit:
                 size = len(orbit(t))
                 report = balance_report(t)
                 assert size == 2 ** report.uxleaf
+
+    def test_cost_cap_bounds_members_times_letters(self, monkeypatch):
+        # (1 * * (2 * * *)) has 2 members of 4 letters: 8 letters in all.
+        t = tree_of((1, 1, 2, 2))
+        monkeypatch.setattr(action, "ORBIT_COST_CAP", 8)
+        assert len(orbit(t)) == 2
+        monkeypatch.setattr(action, "ORBIT_COST_CAP", 7)
+        with pytest.raises(OrbitTooLargeError) as info:
+            orbit(t)
+        assert (info.value.uxleaf, info.value.K, info.value.cost) == (1, 4, 8)
 
 
 class TestTernary:
