@@ -44,6 +44,7 @@ from .grammar import (
     c_polynomial_grammar,
     change_of_variables_check,
     derive,
+    derive_chain,
     gamma_polynomial_grammar,
     substitute_uv,
     uvz_rules,

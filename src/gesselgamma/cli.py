@@ -27,9 +27,10 @@ from .errors import (
 )
 from .grammar import (
     c_polynomial_grammar,
-    derive,
+    derive_chain,
     gamma_polynomial_grammar,
     uvz_rules,
+    uvz_seed,
     xyz_rules,
 )
 from .harness import (
@@ -42,7 +43,6 @@ from .harness import (
 )
 from .multiset import Multiset
 from .poly import (
-    UVZ,
     XYZ,
     Poly3,
     gamma_extract,
@@ -165,9 +165,6 @@ def _cmd_poly(args) -> int:
 
 def _cmd_gamma(args) -> int:
     m = Multiset.parse(args.multiset)
-    if args.via in ("mma", "ternary") and not m.is_uniform(2):
-        raise DomainError(
-            f"--via {args.via} needs a doubled multiset 2,2,...,2, got {m.spec()!r}")
     if args.via == "extract":
         table = gamma_extract(c_polynomial_enum(m), m.K)
     elif args.via == "grammar":
@@ -177,9 +174,9 @@ def _cmd_gamma(args) -> int:
     elif args.via == "perms":
         table = gamma_count_perms(m)
     elif args.via == "mma":
-        table = gamma_count_mma(m.n)
+        table = gamma_count_mma(m)
     else:
-        table = gamma_count_ternary(m.n)
+        table = gamma_count_ternary(m)
     print(table.to_json())
     return 0
 
@@ -223,16 +220,13 @@ def _cmd_grammar_derive(args) -> int:
     if not kseq or any(k < 1 for k in kseq):
         raise ParseError(f"--k-seq needs positive multiplicities, got {args.k_seq!r}")
     if args.rules == "xyz":
-        p = Poly3.variable("x", XYZ)
-        for k in kseq:
-            p = derive(p, xyz_rules(k))
-            print(p.to_json())
+        steps = derive_chain(Poly3.variable("x", XYZ), map(xyz_rules, kseq))
     else:
-        p = Poly3.monomial((1, 0, kseq[0] - 1), 1, UVZ)
+        seed = uvz_seed(kseq[0])
+        print(seed.to_json())
+        steps = derive_chain(seed, map(uvz_rules, kseq[1:]))
+    for p in steps:
         print(p.to_json())
-        for k in kseq[1:]:
-            p = derive(p, uvz_rules(k))
-            print(p.to_json())
     return 0
 
 

@@ -63,18 +63,22 @@ def gamma_count_perms(m: Multiset) -> GammaTable:
     return GammaTable(m.K, entries, multiset=m)
 
 
-def gamma_count_mma(n: int) -> GammaTable:
-    """Over {1^2, ..., n^2}: gamma_{i,j} = descent-plateau-free permutations
-    with i descents and j ascent-plateaux.
+def _require_doubled(m: Multiset, route: str) -> None:
+    if not m.is_uniform(2):
+        raise DomainError(
+            f"the {route} route needs a doubled multiset 2,2,...,2, got {m.spec()!r}")
+
+
+def gamma_count_mma(m: Multiset) -> GammaTable:
+    """Over a doubled multiset {1^2, ..., n^2}: gamma_{i,j} = descent-plateau-free
+    permutations with i descents and j ascent-plateaux.
 
     Note the key order: on this route the z-exponent is carried by the
     descent count and the xy-exponent by the ascent-plateau count.  The
     doubled pair {1^2, 2^2} cannot tell the two orders apart (its table is
     symmetric in i and j) but {1^2, 2^2, 3^2} can, and fixes this one.
     """
-    if n < 1:
-        raise DomainError("gamma tables are defined for n >= 1")
-    m = Multiset.uniform(n, 2)
+    _require_doubled(m, "mma")
     entries: dict[tuple[int, int], int] = {}
     for s in enumerate_stirling(m):
         prof = statistics(s)
@@ -84,17 +88,16 @@ def gamma_count_mma(n: int) -> GammaTable:
     return GammaTable(m.K, entries, multiset=m)
 
 
-def gamma_count_ternary(n: int) -> GammaTable:
-    """Over {1^2, ..., n^2}: gamma_{i,j} = canonical ternary trees with
-    i y-leaves and j vertices carrying both an x-leaf and a z-leaf.
+def gamma_count_ternary(m: Multiset) -> GammaTable:
+    """Over a doubled multiset {1^2, ..., n^2}: gamma_{i,j} = canonical
+    ternary trees with i y-leaves and j vertices carrying both an x-leaf
+    and a z-leaf.
 
     Canonical here means no vertex has a z-leaf without an x-leaf; the
     trees counted are plane ternary increasing trees, i.e. exactly the
     Gessel trees of the doubled multiset.
     """
-    if n < 1:
-        raise DomainError("gamma tables are defined for n >= 1")
-    m = Multiset.uniform(n, 2)
+    _require_doubled(m, "ternary")
     entries: dict[tuple[int, int], int] = {}
     for s in enumerate_stirling(m):
         t = gessel_forward(s)

@@ -16,11 +16,11 @@ seed u z^(k_1 - 1) builds its gamma polynomial directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from typing import Iterable, Iterator
 
 from .errors import DomainError, GammaExtractionError
 from .multiset import Multiset
-from .poly import UVZ, XYZ, Exponent, Poly3, is_symmetric
+from .poly import UVZ, XYZ, Exponent, Poly3, is_symmetric, peel_slice
 
 
 @dataclass(frozen=True)
@@ -51,38 +51,66 @@ def uvz_rules(k: int) -> GrammarRuleSet:
     })
 
 
+def shift_table(rules: GrammarRuleSet) -> tuple[tuple[int, int, int, int, int], ...]:
+    """One (idx, da, db, dc, coeff) row per monomial of each variable's rule.
+
+    ``idx`` is the variable's position.  The shift (da, db, dc) is the
+    rule monomial's exponent minus the unit vector of that variable: what
+    d/dv followed by multiplication by the rule adds to a term's exponent.
+    """
+    rows = []
+    for idx, name in enumerate(rules.vars):
+        for e, coeff in rules.rule(name).terms.items():
+            shift = list(e)
+            shift[idx] -= 1
+            rows.append((idx, shift[0], shift[1], shift[2], coeff))
+    return tuple(rows)
+
+
 def derive(p: Poly3, rules: GrammarRuleSet) -> Poly3:
-    """Apply the formal derivative once: Leibniz across each monomial."""
+    """Apply the formal derivative once: Leibniz across each monomial.
+
+    A term k x^a y^b z^c meets every shift-table row whose variable has a
+    nonzero exponent e in it, and adds k * e * coeff at the term's exponent
+    plus the row's shift.  Cancelled terms are dropped once, at the end.
+    """
     if p.vars != rules.vars:
         raise DomainError(
             f"polynomial is over {p.vars} but the rules are over {rules.vars}")
-    rule_terms = [
-        (idx, rules.rule(name).terms) for idx, name in enumerate(rules.vars)
-    ]
+    rows = shift_table(rules)
     out: dict[Exponent, int] = {}
-    for e, c in p.terms.items():
-        for idx, rterms in rule_terms:
+    get = out.get
+    for e, coeff in p.terms.items():
+        a, b, c = e
+        for idx, da, db, dc, rc in rows:
             mult = e[idx]
-            if not mult:
-                continue
-            base = list(e)
-            base[idx] -= 1
-            for re, rc in rterms.items():
-                key = (base[0] + re[0], base[1] + re[1], base[2] + re[2])
-                s = out.get(key, 0) + c * mult * rc
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return Poly3(p.vars, out)
+            if mult:
+                key = (a + da, b + db, c + dc)
+                out[key] = get(key, 0) + coeff * (mult * rc)
+    if 0 in out.values():
+        out = {e: s for e, s in out.items() if s}
+    return Poly3._wrap(p.vars, out)
+
+
+def derive_chain(seed: Poly3, rule_sets: Iterable[GrammarRuleSet]) -> Iterator[Poly3]:
+    """Derive the seed by each rule set in turn, yielding every step."""
+    p = seed
+    for rules in rule_sets:
+        p = derive(p, rules)
+        yield p
 
 
 def c_polynomial_grammar(m: Multiset) -> Poly3:
     """Build the ascent/descent/plateau polynomial by the derivative chain."""
     p = Poly3.variable("x", XYZ)
-    for k in m.mults:
-        p = derive(p, xyz_rules(k))
+    for p in derive_chain(p, map(xyz_rules, m.mults)):
+        pass
     return p
+
+
+def uvz_seed(k: int) -> Poly3:
+    """The seed u z^(k - 1) of the uvz chain whose first multiplicity is k."""
+    return Poly3.monomial((1, 0, k - 1), 1, UVZ)
 
 
 def gamma_polynomial_grammar(m: Multiset) -> Poly3:
@@ -93,9 +121,9 @@ def gamma_polynomial_grammar(m: Multiset) -> Poly3:
     """
     if m.n == 0:
         raise DomainError("the gamma polynomial is defined for nonempty multisets")
-    p = Poly3.monomial((1, 0, m.mults[0] - 1), 1, UVZ)
-    for k in m.mults[1:]:
-        p = derive(p, uvz_rules(k))
+    p = uvz_seed(m.mults[0])
+    for p in derive_chain(p, map(uvz_rules, m.mults[1:])):
+        pass
     return p
 
 
@@ -127,6 +155,7 @@ def change_of_variables_check(p: Poly3, signed: bool = False) -> Poly3:
         raise GammaExtractionError(
             f"polynomial is not symmetric in {p.vars[0]}, {p.vars[1]}")
     out: dict[Exponent, int] = {}
+    nonpositive = None if signed else "peeled coefficient is not positive"
     for i, slice_terms in sorted(p.z_slices().items()):
         degrees = {a + b for (a, b) in slice_terms}
         if len(degrees) > 1:
@@ -135,19 +164,6 @@ def change_of_variables_check(p: Poly3, signed: bool = False) -> Poly3:
         if not degrees:
             continue
         d = degrees.pop()
-        work = dict(slice_terms)
-        while work:
-            j = min(a for (a, _) in work)
-            g = work[(j, d - j)]
-            if not signed and g <= 0:
-                raise GammaExtractionError(
-                    "peeled coefficient is not positive", i=i, j=j, value=g)
+        for j, g in peel_slice(slice_terms, d, i, nonpositive):
             out[(j, d - 2 * j, i)] = g
-            for t in range(d - 2 * j + 1):
-                e = (j + t, d - j - t)
-                s = work.get(e, 0) - g * comb(d - 2 * j, t)
-                if s:
-                    work[e] = s
-                elif e in work:
-                    del work[e]
-    return Poly3(UVZ, out)
+    return Poly3._wrap(UVZ, out)

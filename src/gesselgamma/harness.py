@@ -163,7 +163,7 @@ class MultisetContext:
 
     @cached_property
     def mma(self) -> GammaTable:
-        return gamma_count_mma(self.multiset.n)
+        return gamma_count_mma(self.multiset)
 
 
 # The context of the multiset a campaign task is checking, if any.  It is
@@ -193,6 +193,10 @@ def _poly_mismatch(m: Multiset, what: str, lhs: Poly3, rhs: Poly3) -> list[Failu
 
 
 def _check_roundtrip(m: Multiset) -> list[Failure]:
+    # tree -> word -> tree needs no pass of its own: the trees are
+    # gessel_forward of the words, so once word -> tree -> word is the
+    # identity, rebuilding a tree from its word gives back the same tree.
+    # Bijectivity rests on that identity, injectivity and the count.
     ctx = _context(m)
     seen: set[str] = set()
     for s, t in zip(ctx.perms, ctx.trees):
@@ -204,9 +208,6 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
         t2 = parse_tree(text)
         if t2 != t:
             return [_fail(m, "serialize -> parse is not the identity",
-                          sigma=str(s), tree=text)]
-        if serialize(gessel_forward(back)) != text:
-            return [_fail(m, "tree -> word -> tree is not the identity",
                           sigma=str(s), tree=text)]
         seen.add(text)
     count = len(ctx.perms)
@@ -316,7 +317,7 @@ def _check_t61(m: Multiset) -> list[Failure]:
 
 def _check_t62(m: Multiset) -> list[Failure]:
     return _table_mismatch(m, "descent-plateau-free counts differ from canonical ternary trees",
-                           _context(m).mma, gamma_count_ternary(m.n))
+                           _context(m).mma, gamma_count_ternary(m))
 
 
 def _check_p63(m: Multiset) -> list[Failure]:

@@ -15,7 +15,6 @@ its coefficient is forced, subtracted, and the slice shrinks.
 from __future__ import annotations
 
 import json
-from math import comb
 
 from .errors import GammaExtractionError, ParseError
 from .multiset import Multiset
@@ -42,6 +41,18 @@ class Poly3:
                     self.terms[(e[0], e[1], e[2])] = c
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, vars: tuple[str, str, str], terms: dict[Exponent, int]) -> Poly3:
+        """Adopt a term dict the package built itself, without copying it.
+
+        The caller guarantees 3-tuple exponents, no zero coefficients, and
+        that nothing else keeps a reference to ``terms``.
+        """
+        p = cls.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, vars: tuple[str, str, str] = XYZ) -> Poly3:
@@ -278,6 +289,36 @@ class GammaTable:
         return "\n".join(["i,j,g", *rows]) + "\n"
 
 
+def peel_slice(row: dict[tuple[int, int], int], d: int, i: int,
+               nonpositive: str | None) -> list[tuple[int, int]]:
+    """Peel one z-slice against (xy)^j (x+y)^(d-2j); return its nonzero (j, g).
+
+    ``row`` maps (a, b) to the coefficient of x^a y^b; it must be
+    nonempty, symmetric and homogeneous of degree d, which the callers
+    check.  A symmetric row minus a symmetric basis element stays
+    symmetric, so only the lower half a <= d/2 is read and updated, and no
+    residue can remain past j = d/2.  When ``nonpositive`` is given, a
+    peeled g <= 0 raises GammaExtractionError with that reason.
+    """
+    lo = min(a for a, _ in row)
+    h = d // 2
+    work = [row.get((a, d - a), 0) for a in range(lo, h + 1)]
+    peeled = []
+    for k, g in enumerate(work):
+        if not g:
+            continue
+        j = lo + k
+        if nonpositive is not None and g <= 0:
+            raise GammaExtractionError(nonpositive, i=i, j=j, value=g)
+        peeled.append((j, g))
+        n = d - 2 * j
+        b = 1
+        for t in range(1, h - j + 1):
+            b = b * (n - t + 1) // t
+            work[k + t] -= g * b
+    return peeled
+
+
 def gamma_extract(p: Poly3, K: int) -> GammaTable:
     """Peel p against the basis (xy)^j (x+y)^(K+1-i-2j) z^i.
 
@@ -301,24 +342,8 @@ def gamma_extract(p: Poly3, K: int) -> GammaTable:
                 raise GammaExtractionError(
                     f"z-slice is not homogeneous of degree K+1-i={d}: "
                     f"term has x,y-degree {a + b}", i=i, value=c)
-        work = dict(slice_terms)
-        while work:
-            j = min(a for (a, _) in work)
-            g = work[(j, d - j)]
-            if 2 * j > d:
-                raise GammaExtractionError(
-                    "residue remains beyond j_max=floor((K+1-i)/2)", i=i, j=j, value=g)
-            if g <= 0:
-                raise GammaExtractionError(
-                    "peeled gamma coefficient is not positive", i=i, j=j, value=g)
+        for j, g in peel_slice(slice_terms, d, i, "peeled gamma coefficient is not positive"):
             entries[(i, j)] = g
-            for t in range(d - 2 * j + 1):
-                e = (j + t, d - j - t)
-                s = work.get(e, 0) - g * comb(d - 2 * j, t)
-                if s:
-                    work[e] = s
-                elif e in work:
-                    del work[e]
     return GammaTable(K, entries)
 
 

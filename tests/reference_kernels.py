@@ -1,18 +1,29 @@
-"""Slow reference versions of the per-word kernels.
+"""Slow reference versions of the per-word and polynomial kernels.
 
 These are the original, straightforward bodies of ``stirling.statistics``,
 ``trees.gessel_forward``, ``trees.gessel_inverse``, ``trees.leaf_census``
 and ``action.is_canonical``: position sets built by comprehension, the
 tree built by recursive splitting at the minimum, and canonicity read off
-the full leaf census.  The fast kernels in the package must agree with
-them exactly, dict key order included.  Only the package's data classes
-are imported; no function of the package is called.
+the full leaf census.  The fast per-word kernels in the package must agree
+with them exactly, dict key order included.
+
+``derive``, ``gamma_extract`` and ``change_of_variables_check`` are the
+generic Leibniz loop and the full-row peel the grammar tier started from;
+the package's shift-table derivative and half-row peel must give equal
+polynomials and tables, and raise the same errors.
+
+Only the package's data classes are imported; no function of the package
+is called.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
+from gesselgamma.errors import GammaExtractionError
+from gesselgamma.grammar import GrammarRuleSet
+from gesselgamma.poly import GammaTable, Poly3
 from gesselgamma.stirling import StatProfile, StirlingPermutation
 from gesselgamma.trees import LEAF, GesselTree, Internal, Leaf, LeafCensus, Node
 
@@ -136,3 +147,106 @@ def is_canonical(t: GesselTree) -> bool:
     """No unbalanced-y vertex, read off the full census."""
     return not any(has_y and not has_x
                    for has_x, has_y, _ in leaf_census(t).per_vertex.values())
+
+
+def derive(p: Poly3, rules: GrammarRuleSet) -> Poly3:
+    """The generic Leibniz loop: copy each exponent, drop zeros on every add."""
+    assert p.vars == rules.vars
+    rule_terms = [
+        (idx, rules.rules[name].terms) for idx, name in enumerate(rules.vars)
+    ]
+    out: dict[tuple[int, int, int], int] = {}
+    for e, c in p.terms.items():
+        for idx, rterms in rule_terms:
+            mult = e[idx]
+            if not mult:
+                continue
+            base = list(e)
+            base[idx] -= 1
+            for re, rc in rterms.items():
+                key = (base[0] + re[0], base[1] + re[1], base[2] + re[2])
+                s = out.get(key, 0) + c * mult * rc
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
+    return Poly3(p.vars, out)
+
+
+def _symmetric(p: Poly3) -> bool:
+    return all(p.terms.get((b, a, i), 0) == c for (a, b, i), c in p.terms.items())
+
+
+def _z_slices(p: Poly3) -> dict[int, dict[tuple[int, int], int]]:
+    slices: dict[int, dict[tuple[int, int], int]] = {}
+    for (a, b, i), c in p.terms.items():
+        slices.setdefault(i, {})[(a, b)] = c
+    return slices
+
+
+def _peel_full_row(work: dict[tuple[int, int], int], d: int, i: int,
+                   on_peel) -> None:
+    """Peel the whole row, both halves, at the minimal x-exponent each time."""
+    while work:
+        j = min(a for (a, _) in work)
+        g = work[(j, d - j)]
+        on_peel(j, g)
+        for t in range(d - 2 * j + 1):
+            e = (j + t, d - j - t)
+            s = work.get(e, 0) - g * comb(d - 2 * j, t)
+            if s:
+                work[e] = s
+            elif e in work:
+                del work[e]
+
+
+def gamma_extract(p: Poly3, K: int) -> GammaTable:
+    sym_pair = p.vars[:2]
+    if not _symmetric(p):
+        for (a, b, i), c in sorted(p.terms.items()):
+            if p.terms.get((b, a, i), 0) != c:
+                raise GammaExtractionError(
+                    f"polynomial is not symmetric in {sym_pair[0]}, {sym_pair[1]}",
+                    i=i, value=(a, b))
+    entries: dict[tuple[int, int], int] = {}
+    for i, slice_terms in sorted(_z_slices(p).items()):
+        d = K + 1 - i
+        for (a, b), c in sorted(slice_terms.items()):
+            if a + b != d:
+                raise GammaExtractionError(
+                    f"z-slice is not homogeneous of degree K+1-i={d}: "
+                    f"term has x,y-degree {a + b}", i=i, value=c)
+
+        def on_peel(j, g, i=i, d=d):
+            if 2 * j > d:
+                raise GammaExtractionError(
+                    "residue remains beyond j_max=floor((K+1-i)/2)", i=i, j=j, value=g)
+            if g <= 0:
+                raise GammaExtractionError(
+                    "peeled gamma coefficient is not positive", i=i, j=j, value=g)
+            entries[(i, j)] = g
+
+        _peel_full_row(dict(slice_terms), d, i, on_peel)
+    return GammaTable(K, entries)
+
+
+def change_of_variables_check(p: Poly3, signed: bool = False) -> Poly3:
+    if not _symmetric(p):
+        raise GammaExtractionError(
+            f"polynomial is not symmetric in {p.vars[0]}, {p.vars[1]}")
+    out: dict[tuple[int, int, int], int] = {}
+    for i, slice_terms in sorted(_z_slices(p).items()):
+        degrees = {a + b for (a, b) in slice_terms}
+        if len(degrees) > 1:
+            raise GammaExtractionError(
+                "z-slice is not homogeneous in the first two variables", i=i)
+        d = degrees.pop()
+
+        def on_peel(j, g, i=i, d=d):
+            if not signed and g <= 0:
+                raise GammaExtractionError(
+                    "peeled coefficient is not positive", i=i, j=j, value=g)
+            out[(j, d - 2 * j, i)] = g
+
+        _peel_full_row(dict(slice_terms), d, i, on_peel)
+    return Poly3(("u", "v", "z"), out)

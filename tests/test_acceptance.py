@@ -141,8 +141,8 @@ def test_criterion_07_mma_closure():
         for n in range(1, 6):
             m = Multiset.uniform(n, 2)
             table = gamma_extract(c_polynomial_enum(m), m.K)
-            assert gamma_count_mma(n) == table
-            assert gamma_count_ternary(n) == table
+            assert gamma_count_mma(m) == table
+            assert gamma_count_ternary(m) == table
             for s in enumerate_stirling(m):
                 prof = statistics(s)
                 t = gessel_forward(s)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gesselgamma import Multiset, gamma_polynomial_grammar
 from gesselgamma.cli import main
 from gesselgamma.harness import CHECKS, CheckDef
 
@@ -215,6 +216,23 @@ class TestGrammarDerive:
             for entry in json.loads(out_gamma)["entries"]
         }
         assert got == expected
+
+    @pytest.mark.parametrize("spec", ["1", "3", "2,1,3", "1,1,1,1,1", "4,2,3,1,2"])
+    def test_xyz_last_line_is_poly_via_grammar(self, capsys, spec):
+        code, out, _ = run(capsys, "grammar-derive", "--rules", "xyz", "--k-seq", spec)
+        assert code == 0
+        lines = out.split("\n")
+        _, out_poly, _ = run(capsys, "poly", "--multiset", spec, "--via", "grammar")
+        assert lines[-1] == "" and len(lines) == len(spec.split(",")) + 1
+        assert lines[-2] + "\n" == out_poly
+
+    @pytest.mark.parametrize("spec", ["1", "3", "2,1,3", "1,1,1,1,1", "4,2,3,1,2"])
+    def test_uvz_last_line_is_the_gamma_polynomial(self, capsys, spec):
+        code, out, _ = run(capsys, "grammar-derive", "--rules", "uvz", "--k-seq", spec)
+        assert code == 0
+        lines = out.rstrip("\n").split("\n")
+        assert len(lines) == len(spec.split(","))
+        assert lines[-1] == gamma_polynomial_grammar(Multiset.parse(spec)).to_json()
 
     def test_bad_k_seq(self, capsys):
         for bad in ("", "0", "2,x"):

@@ -85,19 +85,20 @@ class TestGammaRoutes:
         m = Multiset((2, 2))
         assert gamma_count_trees(m).entries == expected
         assert gamma_count_perms(m).entries == expected
-        assert gamma_count_mma(2).entries == expected
-        assert gamma_count_ternary(2).entries == expected
+        assert gamma_count_mma(m).entries == expected
+        assert gamma_count_ternary(m).entries == expected
 
     def test_mma_key_order_on_three_values(self):
         # {1^2, 2^2} is symmetric in (i, j) and cannot pin the key order down;
         # {1^2, 2^2, 3^2} is not, and this table does
-        assert gamma_count_mma(3).entries == {
+        assert gamma_count_mma(Multiset.uniform(3, 2)).entries == {
             (1, 3): 1, (2, 2): 4, (3, 1): 1, (3, 2): 2,
         }
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mma_agrees_with_ternary(self, n):
-        assert gamma_count_mma(n) == gamma_count_ternary(n)
+        m = Multiset.uniform(n, 2)
+        assert gamma_count_mma(m) == gamma_count_ternary(m)
 
     def test_all_routes_agree_with_extraction(self):
         for m in small_family():
@@ -109,8 +110,8 @@ class TestGammaRoutes:
     def test_doubled_routes_agree_with_extraction(self, n):
         m = Multiset.uniform(n, 2)
         table = gamma_extract(c_polynomial_enum(m), m.K)
-        assert gamma_count_mma(n) == table
-        assert gamma_count_ternary(n) == table
+        assert gamma_count_mma(m) == table
+        assert gamma_count_ternary(m) == table
 
     def test_tables_carry_their_multiset(self):
         m = Multiset((2, 1))
@@ -122,10 +123,11 @@ class TestGammaRoutes:
             gamma_count_trees(Multiset(()))
         with pytest.raises(DomainError):
             gamma_count_perms(Multiset(()))
-        with pytest.raises(DomainError):
-            gamma_count_mma(0)
-        with pytest.raises(DomainError):
-            gamma_count_ternary(0)
+        for m in (Multiset(()), Multiset((2, 1)), Multiset((1, 1))):
+            with pytest.raises(DomainError, match="doubled"):
+                gamma_count_mma(m)
+            with pytest.raises(DomainError, match="doubled"):
+                gamma_count_ternary(m)
 
     def test_gamma_mass_counts_canonical_members(self):
         # each gamma entry counts whole orbits once

@@ -11,6 +11,7 @@ from gesselgamma import (
     FamilySpec,
     FamilyTooLargeError,
     Multiset,
+    StirlingPermutation,
     default_campaign_family,
     family_cost,
     golden_examples,
@@ -62,6 +63,19 @@ class TestRunCampaign:
         (check,) = report.reports
         assert check.check == "ROUNDTRIP"
         assert check.counts() == {"pass": 4, "fail": 0, "skip": 0}
+
+    def test_roundtrip_fails_on_a_wrong_inverse(self, monkeypatch):
+        original = harness.gessel_inverse
+
+        def reversed_word(t):
+            s = original(t)
+            return StirlingPermutation(s.word[::-1], s.multiset)
+
+        monkeypatch.setattr(harness, "gessel_inverse", reversed_word)
+        report = run_campaign(["ROUNDTRIP"], [Multiset((2, 2)), Multiset((1, 2))])
+        outcomes = report.reports[0].outcomes
+        assert [o.status for o in outcomes] == ["FAIL", "FAIL"]
+        assert all("word -> tree -> word" in o.detail for o in outcomes)
 
     def test_all_has_sixteen_checks(self):
         report = verify("all", SMALL)
