@@ -24,6 +24,7 @@ from .action import (
     toggle,
 )
 from .counts import (
+    GAMMA_ROUTES,
     c_polynomial_enum,
     gamma_count_mma,
     gamma_count_perms,

@@ -33,6 +33,7 @@ from .trees import (
     Internal,
     Leaf,
     Node,
+    gessel_forward,
     leaf_census,
     render_tree,
 )
@@ -185,8 +186,6 @@ def orbit(t: GesselTree) -> frozenset[GesselTree]:
 
 def enumerate_canonical(m: Multiset) -> Iterator[GesselTree]:
     """All canonical Gessel trees over m, by filtering the permutation stream."""
-    from .trees import gessel_forward
-
     for s in enumerate_stirling(m):
         t = gessel_forward(s)
         if is_canonical(t):

@@ -11,13 +11,7 @@ import json
 import sys
 
 from .action import TYPE_Y, is_canonical, orbit, prune, serialize_pruned
-from .counts import (
-    c_polynomial_enum,
-    gamma_count_mma,
-    gamma_count_perms,
-    gamma_count_ternary,
-    gamma_count_trees,
-)
+from .counts import GAMMA_ROUTES, c_polynomial_enum
 from .errors import (
     DomainError,
     FamilyTooLargeError,
@@ -28,7 +22,6 @@ from .errors import (
 from .grammar import (
     c_polynomial_grammar,
     derive_chain,
-    gamma_polynomial_grammar,
     uvz_rules,
     uvz_seed,
     xyz_rules,
@@ -42,14 +35,10 @@ from .harness import (
     verify,
 )
 from .multiset import Multiset
-from .poly import (
-    XYZ,
-    Poly3,
-    gamma_extract,
-    gamma_table_from_uvz,
-)
+from .poly import XYZ, Poly3
 from .stirling import (
     StirlingPermutation,
+    count_stirling,
     enumerate_stirling,
     parse_word,
     statistics,
@@ -83,8 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="the gamma table of a multiset, by any route")
     p.add_argument("--multiset", required=True)
-    p.add_argument("--via", required=True,
-                   choices=["extract", "grammar", "trees", "perms", "mma", "ternary"])
+    p.add_argument("--via", required=True, choices=list(GAMMA_ROUTES))
 
     p = sub.add_parser("orbit", help="the flip orbit of a permutation's tree")
     p.add_argument("--perm", required=True)
@@ -114,8 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_enumeration(m: Multiset, via: str = "enum") -> None:
+    """Refuse, before listing a word, a route that would list more words of m
+    than the default cost cap; the grammar routes list none."""
+    if via != "grammar" and (count := count_stirling(m)) > DEFAULT_COST_CAP:
+        raise FamilyTooLargeError(count, DEFAULT_COST_CAP)
+
+
 def _cmd_enumerate(args) -> int:
     m = Multiset.parse(args.multiset)
+    _refuse_enumeration(m)
     rows = []
     for s in enumerate_stirling(m):
         if args.stats:
@@ -155,6 +151,7 @@ def _cmd_perm(args) -> int:
 
 def _cmd_poly(args) -> int:
     m = Multiset.parse(args.multiset)
+    _refuse_enumeration(m, args.via)
     p = c_polynomial_enum(m) if args.via == "enum" else c_polynomial_grammar(m)
     if args.format == "json":
         print(p.to_json())
@@ -165,19 +162,8 @@ def _cmd_poly(args) -> int:
 
 def _cmd_gamma(args) -> int:
     m = Multiset.parse(args.multiset)
-    if args.via == "extract":
-        table = gamma_extract(c_polynomial_enum(m), m.K)
-    elif args.via == "grammar":
-        table = gamma_table_from_uvz(gamma_polynomial_grammar(m), m.K)
-    elif args.via == "trees":
-        table = gamma_count_trees(m)
-    elif args.via == "perms":
-        table = gamma_count_perms(m)
-    elif args.via == "mma":
-        table = gamma_count_mma(m)
-    else:
-        table = gamma_count_ternary(m)
-    print(table.to_json())
+    _refuse_enumeration(m, args.via)
+    print(GAMMA_ROUTES[args.via](m).to_json())
     return 0
 
 

@@ -5,18 +5,24 @@ statistic pair, providing counting-side counterparts to the algebraic
 routes (grammar derivatives, basis extraction).  All tables share the
 indexing of the basis (xy)^j (x+y)^(K+1-i-2j) z^i: the first key is the
 z-exponent i, the second the xy-exponent j.
+
+``GAMMA_ROUTES`` names every route to a multiset's gamma table, counting
+and algebraic alike; the command line, the harness's agreement checks and
+the tests all read it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import Counter
+from typing import Callable, Iterable
 
 from .action import enumerate_canonical, is_canonical_ternary
 from .errors import DomainError
+from .grammar import gamma_polynomial_grammar
 from .multiset import Multiset
-from .poly import XYZ, GammaTable, Poly3
+from .poly import XYZ, GammaTable, Poly3, gamma_extract, gamma_table_from_uvz
 from .stirling import asc_des_plat, enumerate_stirling, statistics
-from .trees import gessel_forward, leaf_census
+from .trees import GesselTree, gessel_forward, leaf_census
 
 
 def c_polynomial_enum(m: Multiset) -> Poly3:
@@ -32,35 +38,28 @@ def c_polynomial_enum(m: Multiset) -> Poly3:
 
 def triple_polynomial(triples: Iterable[tuple[int, int, int]]) -> Poly3:
     """Sum of x^asc y^des z^plat over the given (asc, des, plat) triples."""
-    terms: dict[tuple[int, int, int], int] = {}
-    for e in triples:
-        terms[e] = terms.get(e, 0) + 1
-    return Poly3(XYZ, terms)
+    return Poly3(XYZ, Counter(triples))
+
+
+def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:
+    """The gamma table of m whose entry (i, j) counts the keys equal to (i, j)."""
+    return GammaTable(m.K, Counter(keys), multiset=m)
 
 
 def gamma_count_trees(m: Multiset) -> GammaTable:
     """gamma_{i,j} = canonical trees with i z-leaves and j y-leaves."""
     if m.n == 0:
         raise DomainError("gamma tables are defined for nonempty multisets")
-    entries: dict[tuple[int, int], int] = {}
-    for t in enumerate_canonical(m):
-        census = leaf_census(t)
-        key = (census.zleaf, census.yleaf)
-        entries[key] = entries.get(key, 0) + 1
-    return GammaTable(m.K, entries, multiset=m)
+    censuses = map(leaf_census, enumerate_canonical(m))
+    return _tally(m, ((c.zleaf, c.yleaf) for c in censuses))
 
 
 def gamma_count_perms(m: Multiset) -> GammaTable:
     """gamma_{i,j} = double-fall-free permutations with i plateaux and j descents."""
     if m.n == 0:
         raise DomainError("gamma tables are defined for nonempty multisets")
-    entries: dict[tuple[int, int], int] = {}
-    for s in enumerate_stirling(m):
-        prof = statistics(s)
-        if prof.dfall == 0:
-            key = (prof.plat, prof.des)
-            entries[key] = entries.get(key, 0) + 1
-    return GammaTable(m.K, entries, multiset=m)
+    profiles = map(statistics, enumerate_stirling(m))
+    return _tally(m, ((p.plat, p.des) for p in profiles if p.dfall == 0))
 
 
 def _require_doubled(m: Multiset, route: str) -> None:
@@ -79,13 +78,17 @@ def gamma_count_mma(m: Multiset) -> GammaTable:
     symmetric in i and j) but {1^2, 2^2, 3^2} can, and fixes this one.
     """
     _require_doubled(m, "mma")
-    entries: dict[tuple[int, int], int] = {}
-    for s in enumerate_stirling(m):
-        prof = statistics(s)
-        if prof.dplat == 0:
-            key = (prof.des, prof.aplat)
-            entries[key] = entries.get(key, 0) + 1
-    return GammaTable(m.K, entries, multiset=m)
+    profiles = map(statistics, enumerate_stirling(m))
+    return _tally(m, ((p.des, p.aplat) for p in profiles if p.dplat == 0))
+
+
+def _ternary_key(t: GesselTree) -> tuple[int, int]:
+    """(y-leaves, vertices with both an x-leaf and a z-leaf) of a ternary tree."""
+    census = leaf_census(t)
+    both_xz = sum(
+        1 for has_x, _, z_count in census.per_vertex.values() if has_x and z_count
+    )
+    return census.yleaf, both_xz
 
 
 def gamma_count_ternary(m: Multiset) -> GammaTable:
@@ -98,15 +101,18 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
     Gessel trees of the doubled multiset.
     """
     _require_doubled(m, "ternary")
-    entries: dict[tuple[int, int], int] = {}
-    for s in enumerate_stirling(m):
-        t = gessel_forward(s)
-        if not is_canonical_ternary(t):
-            continue
-        census = leaf_census(t)
-        both_xz = sum(
-            1 for has_x, _, z_count in census.per_vertex.values() if has_x and z_count
-        )
-        key = (census.yleaf, both_xz)
-        entries[key] = entries.get(key, 0) + 1
-    return GammaTable(m.K, entries, multiset=m)
+    trees = map(gessel_forward, enumerate_stirling(m))
+    return _tally(m, (_ternary_key(t) for t in trees if is_canonical_ternary(t)))
+
+
+# Each entry looks its function up in this module when called, and holds
+# no function object, so a name rebound here (by a tracer or a test) is
+# the one that runs.  The order is the order the command line lists.
+GAMMA_ROUTES: dict[str, Callable[[Multiset], GammaTable]] = {
+    "extract": lambda m: gamma_extract(c_polynomial_enum(m), m.K),
+    "grammar": lambda m: gamma_table_from_uvz(gamma_polynomial_grammar(m), m.K),
+    "trees": lambda m: gamma_count_trees(m),
+    "perms": lambda m: gamma_count_perms(m),
+    "mma": lambda m: gamma_count_mma(m),
+    "ternary": lambda m: gamma_count_ternary(m),
+}

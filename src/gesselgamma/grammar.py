@@ -20,7 +20,8 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, GammaExtractionError
 from .multiset import Multiset
-from .poly import UVZ, XYZ, Exponent, Poly3, is_symmetric, peel_slice
+# substitute_uv is defined in poly, next to gamma_reconstruct, and kept public here.
+from .poly import UVZ, XYZ, Exponent, Poly3, is_symmetric, peel_slice, substitute_uv
 
 
 @dataclass(frozen=True)
@@ -125,20 +126,6 @@ def gamma_polynomial_grammar(m: Multiset) -> Poly3:
     for p in derive_chain(p, map(uvz_rules, m.mults[1:])):
         pass
     return p
-
-
-def substitute_uv(p: Poly3) -> Poly3:
-    """Expand a (u, v, z) polynomial through u -> xy, v -> x + y."""
-    if p.vars != UVZ:
-        raise DomainError(f"expected a polynomial over {UVZ}, got {p.vars}")
-    x = Poly3.variable("x", XYZ)
-    y = Poly3.variable("y", XYZ)
-    xy = x * y
-    xpy = x + y
-    out = Poly3.zero(XYZ)
-    for (a, b, i), c in p.terms.items():
-        out = out + (xy ** a) * (xpy ** b) * Poly3.monomial((0, 0, i), c, XYZ)
-    return out
 
 
 def change_of_variables_check(p: Poly3, signed: bool = False) -> Poly3:

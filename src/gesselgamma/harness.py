@@ -30,14 +30,7 @@ from .action import (
     orbit,
     prune,
 )
-from .counts import (
-    c_polynomial_enum,
-    gamma_count_mma,
-    gamma_count_perms,
-    gamma_count_ternary,
-    gamma_count_trees,
-    triple_polynomial,
-)
+from .counts import GAMMA_ROUTES, c_polynomial_enum, triple_polynomial
 from .errors import DomainError, FamilyTooLargeError
 from .grammar import c_polynomial_grammar, gamma_polynomial_grammar
 from .multiset import Multiset
@@ -130,14 +123,16 @@ class MultisetContext:
     ``perms`` are the Stirling permutations in enumeration order and
     ``trees[k]`` is the Gessel tree of ``perms[k]``; ``triples[k]`` is its
     ``(asc, des, plat)``.  ``c_polynomial`` sums those triples (``x`` for the
-    empty multiset, like ``c_polynomial_enum``), ``gamma`` is its extracted
-    table and ``mma`` the descent-plateau-free table of a doubled multiset.
+    empty multiset, like ``c_polynomial_enum``) and ``gamma`` is its
+    extracted table; ``route(name)`` is the table by a ``GAMMA_ROUTES``
+    route, computed once, and for ``extract`` it is ``gamma``.
     Per-word profiles and leaf censuses are recomputed by the checks that
     need them: kept for 2^6 they would hold tens of MiB.
     """
 
     def __init__(self, m: Multiset):
         self.multiset = m
+        self._routes: dict[str, GammaTable] = {}
 
     @cached_property
     def perms(self) -> list[StirlingPermutation]:
@@ -161,9 +156,12 @@ class MultisetContext:
     def gamma(self) -> GammaTable:
         return gamma_extract(self.c_polynomial, self.multiset.K)
 
-    @cached_property
-    def mma(self) -> GammaTable:
-        return gamma_count_mma(self.multiset)
+    def route(self, name: str) -> GammaTable:
+        if name == "extract":
+            return self.gamma
+        if name not in self._routes:
+            self._routes[name] = GAMMA_ROUTES[name](self.multiset)
+        return self._routes[name]
 
 
 # The context of the multiset a campaign task is checking, if any.  It is
@@ -180,16 +178,19 @@ def _context(m: Multiset) -> MultisetContext:
     return MultisetContext(m)
 
 
-def _table_mismatch(m: Multiset, what: str, lhs: GammaTable, rhs: GammaTable) -> list[Failure]:
+def _mismatch(m: Multiset, what: str, lhs: Poly3 | GammaTable,
+              rhs: Poly3 | GammaTable) -> list[Failure]:
     if lhs == rhs:
         return []
     return [_fail(m, what, lhs=lhs.to_json_dict(), rhs=rhs.to_json_dict())]
 
 
-def _poly_mismatch(m: Multiset, what: str, lhs: Poly3, rhs: Poly3) -> list[Failure]:
-    if lhs == rhs:
-        return []
-    return [_fail(m, what, lhs=lhs.to_json_dict(), rhs=rhs.to_json_dict())]
+def _agreement(lhs: str, rhs: str, what: str) -> Callable[[Multiset], list[Failure]]:
+    """A check that the gamma tables of two ``GAMMA_ROUTES`` routes are equal."""
+    def run(m: Multiset) -> list[Failure]:
+        ctx = _context(m)
+        return _mismatch(m, what, ctx.route(lhs), ctx.route(rhs))
+    return run
 
 
 def _check_roundtrip(m: Multiset) -> list[Failure]:
@@ -255,14 +256,9 @@ def _check_p22(m: Multiset) -> list[Failure]:
     return []
 
 
-def _check_t31(m: Multiset) -> list[Failure]:
-    return _table_mismatch(m, "extracted gamma table differs from canonical-tree counts",
-                           _context(m).gamma, gamma_count_trees(m))
-
-
 def _check_t41(m: Multiset) -> list[Failure]:
-    return _poly_mismatch(m, "derivative chain differs from the enumerated polynomial",
-                          c_polynomial_grammar(m), _context(m).c_polynomial)
+    return _mismatch(m, "derivative chain differs from the enumerated polynomial",
+                     c_polynomial_grammar(m), _context(m).c_polynomial)
 
 
 def _check_t43(m: Multiset) -> list[Failure]:
@@ -275,19 +271,14 @@ def _check_t43(m: Multiset) -> list[Failure]:
         u, v = p.weight()
         total = total + Poly3.monomial((u, v, p.zleaf), 1, UVZ)
     expected = gamma_table_to_uvz(ctx.gamma)
-    return _poly_mismatch(m, "pruned-tree weights do not sum to the gamma polynomial",
-                          total, expected)
+    return _mismatch(m, "pruned-tree weights do not sum to the gamma polynomial",
+                     total, expected)
 
 
 def _check_t44(m: Multiset) -> list[Failure]:
-    return _poly_mismatch(m, "uvz derivative chain differs from the extracted gamma polynomial",
-                          gamma_polynomial_grammar(m),
-                          gamma_table_to_uvz(_context(m).gamma))
-
-
-def _check_t52(m: Multiset) -> list[Failure]:
-    return _table_mismatch(m, "extracted gamma table differs from double-fall-free counts",
-                           _context(m).gamma, gamma_count_perms(m))
+    return _mismatch(m, "uvz derivative chain differs from the extracted gamma polynomial",
+                     gamma_polynomial_grammar(m),
+                     gamma_table_to_uvz(_context(m).gamma))
 
 
 def _check_p51(m: Multiset) -> list[Failure]:
@@ -307,17 +298,6 @@ def _check_p51(m: Multiset) -> list[Failure]:
                 return [_fail(m, f"double fall at {i} is not the last occurrence of {v}",
                               sigma=str(s))]
     return []
-
-
-def _check_t61(m: Multiset) -> list[Failure]:
-    ctx = _context(m)
-    return _table_mismatch(m, "extracted gamma table differs from descent-plateau-free counts",
-                           ctx.gamma, ctx.mma)
-
-
-def _check_t62(m: Multiset) -> list[Failure]:
-    return _table_mismatch(m, "descent-plateau-free counts differ from canonical ternary trees",
-                           _context(m).mma, gamma_count_ternary(m))
 
 
 def _check_p63(m: Multiset) -> list[Failure]:
@@ -396,19 +376,15 @@ def _check_orbit(m: Multiset) -> list[Failure]:
                           tree=canon_text, lhs=actual.to_json_dict(),
                           rhs=expected.to_json_dict())]
         total = total + actual
-    return _poly_mismatch(m, "orbit sums do not add up to the full polynomial",
-                          total, ctx.c_polynomial)
-
-
-def _doubled_only(m: Multiset) -> bool:
-    return m.is_uniform(2)
+    return _mismatch(m, "orbit sums do not add up to the full polynomial",
+                     total, ctx.c_polynomial)
 
 
 @dataclass(frozen=True)
 class CheckDef:
     description: str
     run: Callable[[Multiset], list[Failure]]
-    applies: Callable[[Multiset], bool] | None = None
+    doubled_only: bool = False
 
 
 CHECKS: dict[str, CheckDef] = {
@@ -426,7 +402,8 @@ CHECKS: dict[str, CheckDef] = {
         _check_p22),
     "T3.1": CheckDef(
         "extracted gamma table equals canonical-tree counts by (z-leaves, y-leaves)",
-        _check_t31),
+        _agreement("extract", "trees",
+                   "extracted gamma table differs from canonical-tree counts")),
     "T4.1": CheckDef(
         "the xyz derivative chain rebuilds the enumerated (asc, des, plat) polynomial",
         _check_t41),
@@ -438,25 +415,30 @@ CHECKS: dict[str, CheckDef] = {
         _check_t44),
     "T5.2": CheckDef(
         "extracted gamma table equals double-fall-free counts by (plateaux, descents)",
-        _check_t52),
+        _agreement("extract", "perms",
+                   "extracted gamma table differs from double-fall-free counts")),
     "P5.1": CheckDef(
         "double-fall positions map onto the unbalanced-y vertices",
         _check_p51),
     "T6.1": CheckDef(
         "extracted gamma table equals descent-plateau-free counts (doubled multisets)",
-        _check_t61, _doubled_only),
+        _agreement("extract", "mma",
+                   "extracted gamma table differs from descent-plateau-free counts"),
+        doubled_only=True),
     "T6.2": CheckDef(
         "descent-plateau-free counts equal canonical ternary tree counts (doubled multisets)",
-        _check_t62, _doubled_only),
+        _agreement("mma", "ternary",
+                   "descent-plateau-free counts differ from canonical ternary trees"),
+        doubled_only=True),
     "P6.3": CheckDef(
         "descent-plateaux map to z-without-x vertices, ascent-plateaux to x-with-z vertices (doubled multisets)",
-        _check_p63, _doubled_only),
+        _check_p63, doubled_only=True),
     "SYM-XY": CheckDef(
         "the (asc, des, plat) polynomial is symmetric in x and y",
         _check_sym_xy),
     "SYM-XYZ": CheckDef(
         "for doubled multisets the polynomial is symmetric in x, y and z",
-        _check_sym_xyz, _doubled_only),
+        _check_sym_xyz, doubled_only=True),
     "ORBIT": CheckDef(
         "orbits have one canonical member, size 2^ux, and monomial sum (xy)^y (x+y)^ux z^z",
         _check_orbit),
@@ -538,7 +520,7 @@ def _run_cell(check_id: str, m: Multiset) -> dict:
     """
     cd = CHECKS[check_id]
     start = time.perf_counter()
-    if cd.applies is not None and not cd.applies(m):
+    if cd.doubled_only and not m.is_uniform(2):
         out = {"status": "SKIP", "detail": "check applies to doubled multisets only"}
     else:
         try:
@@ -691,7 +673,7 @@ def golden_examples() -> GoldenReport:
 
     from .action import psi, serialize_pruned
     from .grammar import derive, uvz_rules, xyz_rules
-    from .trees import gessel_decomposition, first_last_occurrence_flags, segment_word
+    from .trees import gessel_decomposition, segment_word
 
     s1 = StirlingPermutation.from_word(_BIG_WORD)
     t1 = gessel_forward(s1)

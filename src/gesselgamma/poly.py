@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import GammaExtractionError, ParseError
+from .errors import DomainError, GammaExtractionError, ParseError
 from .multiset import Multiset
 
 XYZ = ("x", "y", "z")
@@ -347,26 +347,35 @@ def gamma_extract(p: Poly3, K: int) -> GammaTable:
     return GammaTable(K, entries)
 
 
-def gamma_reconstruct(table: GammaTable, vars: tuple[str, str, str] = XYZ) -> Poly3:
+def substitute_uv(p: Poly3) -> Poly3:
+    """Expand a (u, v, z) polynomial through u -> xy, v -> x + y.
+
+    Each term c u^a v^b z^i adds c C(b, t) x^(a+t) y^(a+b-t) z^i for
+    t = 0..b into one term dict; cancelled terms are dropped at the end.
+    """
+    if p.vars != UVZ:
+        raise DomainError(f"expected a polynomial over {UVZ}, got {p.vars}")
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for (a, b, i), c in p.terms.items():
+        for t in range(b + 1):
+            key = (a + t, a + b - t, i)
+            out[key] = get(key, 0) + c
+            c = c * (b - t) // (t + 1)
+    if 0 in out.values():
+        out = {e: s for e, s in out.items() if s}
+    return Poly3._wrap(XYZ, out)
+
+
+def gamma_reconstruct(table: GammaTable) -> Poly3:
     """Sum of gamma_{i,j} (xy)^j (x+y)^(K+1-i-2j) z^i."""
-    x = Poly3.variable(vars[0], vars)
-    y = Poly3.variable(vars[1], vars)
-    xy = x * y
-    xpy = x + y
-    out = Poly3.zero(vars)
-    for (i, j), g in table.sorted_entries():
-        e = table.K + 1 - i - 2 * j
-        if e < 0:
-            raise GammaExtractionError(
-                "table entry outside the basis range", i=i, j=j, value=g)
-        out = out + (xy ** j) * (xpy ** e) * Poly3.monomial((0, 0, i), g, vars)
-    return out
+    return substitute_uv(gamma_table_to_uvz(table))
 
 
 def gamma_table_to_uvz(table: GammaTable) -> Poly3:
     """The same data as a polynomial: sum of gamma_{i,j} u^j v^(K+1-i-2j) z^i."""
     terms: dict[Exponent, int] = {}
-    for (i, j), g in table.entries.items():
+    for (i, j), g in table.sorted_entries():
         e = table.K + 1 - i - 2 * j
         if e < 0:
             raise GammaExtractionError(

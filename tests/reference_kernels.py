@@ -10,7 +10,9 @@ with them exactly, dict key order included.
 ``derive``, ``gamma_extract`` and ``change_of_variables_check`` are the
 generic Leibniz loop and the full-row peel the grammar tier started from;
 the package's shift-table derivative and half-row peel must give equal
-polynomials and tables, and raise the same errors.
+polynomials and tables, and raise the same errors.  ``substitute_uv`` and
+``gamma_reconstruct`` rebuild the running sum term by term out of powers
+of xy and x + y; the package's one-pass binomial expansion must match them.
 
 Only the package's data classes are imported; no function of the package
 is called.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
-from gesselgamma.errors import GammaExtractionError
+from gesselgamma.errors import DomainError, GammaExtractionError
 from gesselgamma.grammar import GrammarRuleSet
 from gesselgamma.poly import GammaTable, Poly3
 from gesselgamma.stirling import StatProfile, StirlingPermutation
@@ -250,3 +252,33 @@ def change_of_variables_check(p: Poly3, signed: bool = False) -> Poly3:
 
         _peel_full_row(dict(slice_terms), d, i, on_peel)
     return Poly3(("u", "v", "z"), out)
+
+
+def substitute_uv(p: Poly3) -> Poly3:
+    """Expand a (u, v, z) polynomial through u -> xy, v -> x + y."""
+    if p.vars != ("u", "v", "z"):
+        raise DomainError(f"expected a polynomial over {('u', 'v', 'z')}, got {p.vars}")
+    x = Poly3.variable("x")
+    y = Poly3.variable("y")
+    xy = x * y
+    xpy = x + y
+    out = Poly3.zero()
+    for (a, b, i), c in p.terms.items():
+        out = out + (xy ** a) * (xpy ** b) * Poly3.monomial((0, 0, i), c)
+    return out
+
+
+def gamma_reconstruct(table: GammaTable) -> Poly3:
+    """Sum of gamma_{i,j} (xy)^j (x+y)^(K+1-i-2j) z^i."""
+    x = Poly3.variable("x")
+    y = Poly3.variable("y")
+    xy = x * y
+    xpy = x + y
+    out = Poly3.zero()
+    for (i, j), g in table.sorted_entries():
+        e = table.K + 1 - i - 2 * j
+        if e < 0:
+            raise GammaExtractionError(
+                "table entry outside the basis range", i=i, j=j, value=g)
+        out = out + (xy ** j) * (xpy ** e) * Poly3.monomial((0, 0, i), g)
+    return out

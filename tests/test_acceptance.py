@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 from gesselgamma import (
     FamilySpec,
+    GAMMA_ROUTES,
     GammaTable,
     Multiset,
     Poly3,
@@ -24,9 +25,7 @@ from gesselgamma import (
     enumerate_stirling,
     first_last_occurrence_flags,
     gamma_count_mma,
-    gamma_count_perms,
     gamma_count_ternary,
-    gamma_count_trees,
     gamma_extract,
     gamma_polynomial_grammar,
     gamma_reconstruct,
@@ -106,8 +105,10 @@ def test_criterion_04_gamma_routes():
     with criterion(4, "gamma-routes", budget=120):
         for m in with_doubled(BOUNDED, 5):
             table = gamma_extract(c_polynomial_enum(m), m.K)
-            assert gamma_count_trees(m) == table
-            assert gamma_count_perms(m) == table
+            for name, route in GAMMA_ROUTES.items():
+                if name in ("mma", "ternary") and not m.is_uniform(2):
+                    continue
+                assert route(m) == table, (name, m.spec())
 
 
 def test_criterion_05_grammar_chains():

@@ -1,10 +1,12 @@
 """End-to-end command-line tests driving main() directly."""
 
 import json
+import sys
+import time
 
 import pytest
 
-from gesselgamma import Multiset, gamma_polynomial_grammar
+from gesselgamma import GAMMA_ROUTES, Multiset, enumerate_stirling, gamma_polynomial_grammar
 from gesselgamma.cli import main
 from gesselgamma.harness import CHECKS, CheckDef
 
@@ -138,6 +140,44 @@ class TestGamma:
                 {"i": 2, "j": 2, "g": 2},
             ],
         }
+
+
+# 34 459 425 words, far past the default cost cap of 10^6
+BIG = "2,2,2,2,2,2,2,2,2"
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Make every package binding of enumerate_stirling fail at once, so a
+    missing refusal fails the test instead of listing millions of words."""
+    def refuse(m):
+        raise AssertionError(f"enumerated {m.spec()}")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gesselgamma") and getattr(mod, "enumerate_stirling", None) \
+                is enumerate_stirling:
+            monkeypatch.setattr(mod, "enumerate_stirling", refuse)
+
+
+class TestEnumerationCap:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--multiset", BIG],
+        ["poly", "--multiset", BIG, "--via", "enum"],
+    ] + [["gamma", "--multiset", BIG, "--via", via] for via in GAMMA_ROUTES if via != "grammar"])
+    def test_enumerating_commands_are_refused(self, capsys, no_enumeration, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == ("refused: family too large: 34459425 Stirling permutations "
+                       "requested, cap is 1000000\n")
+
+    @pytest.mark.parametrize("command", ["poly", "gamma"])
+    def test_grammar_routes_are_not_refused(self, capsys, no_enumeration, command):
+        code, out, _ = run(capsys, command, "--multiset", BIG, "--via", "grammar")
+        assert code == 0
+        assert json.loads(out)
 
 
 class TestOrbit:

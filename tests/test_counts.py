@@ -1,11 +1,13 @@
 """Counting routes: the trivariate polynomial and the four gamma tabulations."""
 
+import argparse
 from itertools import product
 
 import pytest
 
 from gesselgamma import (
     DomainError,
+    GAMMA_ROUTES,
     Multiset,
     Poly3,
     c_polynomial_enum,
@@ -16,6 +18,7 @@ from gesselgamma import (
     gamma_count_trees,
     gamma_extract,
 )
+from gesselgamma import cli, counts
 from oracles import bivariate_eulerian, eulerian_row
 
 
@@ -135,3 +138,37 @@ class TestGammaRoutes:
             total = sum(gamma_count_trees(m).entries.values())
             assert total == sum(gamma_count_perms(m).entries.values())
             assert total <= count_stirling(m)
+
+
+def via_choices(command):
+    """The --via choices the command-line parser offers for a command."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (via,) = [a for a in sub.choices[command]._actions if a.dest == "via"]
+    return via.choices
+
+
+class TestRouteRegistry:
+    def test_six_routes_in_order(self):
+        assert list(GAMMA_ROUTES) == ["extract", "grammar", "trees", "perms", "mma", "ternary"]
+
+    def test_gamma_via_choices_are_the_registry(self):
+        assert via_choices("gamma") == list(GAMMA_ROUTES)
+
+    @pytest.mark.parametrize("route, name", [
+        ("trees", "gamma_count_trees"), ("perms", "gamma_count_perms"),
+        ("mma", "gamma_count_mma"), ("ternary", "gamma_count_ternary"),
+        ("extract", "c_polynomial_enum"), ("extract", "gamma_extract"),
+        ("grammar", "gamma_polynomial_grammar"), ("grammar", "gamma_table_from_uvz"),
+    ])
+    def test_routes_look_their_functions_up_when_called(self, monkeypatch, route, name):
+        # A tracer rebinds module names, so a route must not hold a function.
+        class Called(Exception):
+            pass
+
+        def stand_in(*args):
+            raise Called(name)
+
+        monkeypatch.setattr(counts, name, stand_in)
+        with pytest.raises(Called):
+            GAMMA_ROUTES[route](Multiset((2, 2)))

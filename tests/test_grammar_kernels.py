@@ -11,6 +11,7 @@ import importlib
 import inspect
 from itertools import product
 
+import pytest
 import reference_kernels as ref
 from hypothesis import given, strategies as st
 
@@ -23,8 +24,14 @@ from gesselgamma import (
     c_polynomial_grammar,
     change_of_variables_check,
     derive,
+    DomainError,
+    FamilySpec,
+    GammaTable,
     gamma_extract,
     gamma_polynomial_grammar,
+    gamma_reconstruct,
+    gamma_table_from_uvz,
+    substitute_uv,
     uvz_rules,
     xyz_rules,
 )
@@ -191,3 +198,57 @@ class TestPeel:
         assert outcome(gamma_extract, p, 1) == outcome(ref.gamma_extract, p, 1)
         assert (outcome(change_of_variables_check, p, signed=True)
                 == outcome(ref.change_of_variables_check, p, signed=True))
+
+
+uvz_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 3)),
+    coeffs, max_size=8).map(lambda terms: Poly3(UVZ, terms))
+
+
+@st.composite
+def signed_tables(draw):
+    """A table of signed entries, all inside the basis range of its K."""
+    K = draw(st.integers(0, 8))
+    keys = st.integers(0, K + 1).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(0, (K + 1 - i) // 2)))
+    return GammaTable(K, draw(st.dictionaries(keys, coeffs, max_size=6)))
+
+
+class TestUvExpansion:
+    def test_bounded_family_matches_reference(self):
+        for m in FamilySpec().members():
+            q = gamma_polynomial_grammar(m)
+            assert substitute_uv(q) == ref.substitute_uv(q), m
+            table = gamma_table_from_uvz(q, m.K)
+            assert gamma_reconstruct(table) == ref.gamma_reconstruct(table), m
+
+    @given(uvz_polys)
+    def test_signed_polynomials_match_reference(self, q):
+        got = substitute_uv(q)
+        assert got == ref.substitute_uv(q)
+        assert all(got.terms.values())
+
+    @given(signed_tables())
+    def test_signed_tables_match_reference(self, table):
+        got = gamma_reconstruct(table)
+        assert got == ref.gamma_reconstruct(table)
+        assert all(got.terms.values())
+
+    def test_cancelled_terms_are_not_stored(self):
+        U, V = Poly3.variable("u", UVZ), Poly3.variable("v", UVZ)
+        got = substitute_uv(V ** 2 - 2 * U)
+        assert got.terms == {(2, 0, 0): 1, (0, 2, 0): 1}
+        assert got == ref.substitute_uv(V ** 2 - 2 * U)
+        got = substitute_uv(V ** 3 * U - 3 * U ** 2 * V)
+        assert got.terms == {(4, 1, 0): 1, (1, 4, 0): 1}
+        assert substitute_uv(Poly3.zero(UVZ)).terms == {}
+
+    def test_errors_match_reference(self):
+        for f in (substitute_uv, ref.substitute_uv):
+            with pytest.raises(DomainError, match=r"expected a polynomial over \('u', 'v', 'z'\)"):
+                f(X)
+        for table in (GammaTable(2, {(0, 2): 1}), GammaTable(2, {(1, 2): 3, (0, 2): 1})):
+            got = outcome(gamma_reconstruct, table)
+            assert got[0] == "error"
+            assert got == outcome(ref.gamma_reconstruct, table)
+            assert got[3:] == ("table entry outside the basis range", 0, 2, 1)

@@ -10,6 +10,7 @@ from gesselgamma import (
     DomainError,
     FamilySpec,
     FamilyTooLargeError,
+    GammaTable,
     Multiset,
     StirlingPermutation,
     default_campaign_family,
@@ -18,7 +19,7 @@ from gesselgamma import (
     run_campaign,
     verify,
 )
-from gesselgamma import harness
+from gesselgamma import counts, harness
 from gesselgamma.harness import CheckDef, pool_workers
 
 SMALL = [Multiset((1,)), Multiset((2,)), Multiset((2, 2)), Multiset((2, 1, 2))]
@@ -91,6 +92,33 @@ class TestRunCampaign:
         skip = next(o for o in check.outcomes if o.status == "SKIP")
         assert "doubled" in skip.detail
         assert check.passed  # skips do not fail a campaign
+
+    def test_doubled_only_flag(self):
+        assert {cid for cid, cd in CHECKS.items() if cd.doubled_only} == {
+            "T6.1", "T6.2", "P6.3", "SYM-XYZ"}
+        CHECKS["X-DOUBLED"] = CheckDef("passes", lambda m: [], doubled_only=True)
+        try:
+            (check,) = verify("X-DOUBLED", [Multiset((2, 1)), Multiset((2, 2))]).reports
+        finally:
+            del CHECKS["X-DOUBLED"]
+        assert [o.to_json_dict() for o in check.outcomes] == [
+            {"multiset": "2,1", "status": "SKIP",
+             "detail": "check applies to doubled multisets only"},
+            {"multiset": "2,2", "status": "PASS"},
+        ]
+
+    @pytest.mark.parametrize("check_id, route", [
+        ("T3.1", "gamma_count_trees"), ("T5.2", "gamma_count_perms"),
+        ("T6.1", "gamma_count_mma"), ("T6.2", "gamma_count_ternary"),
+    ])
+    def test_agreement_checks_read_the_route_registry(self, monkeypatch, check_id, route):
+        wrong = GammaTable(6, {(0, 1): 1})
+        monkeypatch.setattr(counts, route, lambda m: wrong)
+        (check,) = verify(check_id, [Multiset((2, 2, 2))]).reports
+        (outcome,) = check.outcomes
+        assert outcome.status == "FAIL"
+        assert wrong.to_json_dict() in (outcome.counterexample["lhs"],
+                                        outcome.counterexample["rhs"])
 
     def test_unknown_check_id(self):
         with pytest.raises(DomainError) as exc:
@@ -264,6 +292,25 @@ class TestSharedContext:
             del CHECKS["X-CRASH"]
         assert harness._current is None
         assert [o.status for o in report.reports[1].outcomes] == ["FAIL"] * len(MIXED)
+
+    def test_mma_table_is_shared_by_t61_and_t62(self, monkeypatch):
+        calls = []
+        original = counts.gamma_count_mma
+
+        def counting(m):
+            calls.append(m.spec())
+            return original(m)
+
+        monkeypatch.setattr(counts, "gamma_count_mma", counting)
+        report = run_campaign(["T6.1", "T6.2"], [Multiset.uniform(3, 2), Multiset((2, 1))])
+        assert report.passed
+        assert calls == ["2,2,2"]
+
+    def test_extract_route_is_the_context_gamma(self):
+        ctx = harness._context(Multiset((2, 1, 2)))
+        assert ctx.route("extract") is ctx.gamma
+        assert ctx.route("trees") is ctx.route("trees")
+        assert ctx.route("trees") == ctx.gamma
 
     def test_context_outside_a_campaign_is_not_kept(self):
         m = Multiset((2, 2))
