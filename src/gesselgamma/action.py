@@ -32,6 +32,7 @@ from .trees import (
     GesselTree,
     Internal,
     Leaf,
+    LeafCensus,
     Node,
     gessel_forward,
     leaf_census,
@@ -72,19 +73,21 @@ _STATUS_BY_FLAGS = {
 
 
 def balance_report(t: GesselTree) -> BalanceReport:
-    census = leaf_census(t)
+    return balance_from_census(leaf_census(t))
+
+
+def balance_from_census(census: LeafCensus) -> BalanceReport:
+    """The balance report of the tree whose leaf census this is."""
     status = {
         label: _STATUS_BY_FLAGS[(has_x, has_y)]
         for label, (has_x, has_y, _) in census.per_vertex.items()
     }
-    counts = {st: 0 for st in BalanceStatus}
-    for st in status.values():
-        counts[st] += 1
+    statuses = list(status.values())
     return BalanceReport(
         status=status,
-        uxleaf=counts[BalanceStatus.UNBALANCED_X],
-        bxleaf=counts[BalanceStatus.BALANCED],
-        uyleaf=counts[BalanceStatus.UNBALANCED_Y],
+        uxleaf=statuses.count(BalanceStatus.UNBALANCED_X),
+        bxleaf=statuses.count(BalanceStatus.BALANCED),
+        uyleaf=statuses.count(BalanceStatus.UNBALANCED_Y),
     )
 
 
@@ -197,7 +200,12 @@ def is_canonical_ternary(t: GesselTree) -> bool:
     if not t.multiset.is_uniform(2):
         raise DomainError(
             f"canonical ternary trees live over 2,2,...,2 multisets, not {{{t.multiset}}}")
-    for has_x, _, z_count in leaf_census(t).per_vertex.values():
+    return ternary_from_census(leaf_census(t))
+
+
+def ternary_from_census(census: LeafCensus) -> bool:
+    """Whether the tree whose leaf census this is has no z-leaf without an x-leaf."""
+    for has_x, _, z_count in census.per_vertex.values():
         if z_count and not has_x:
             return False
     return True

@@ -41,6 +41,13 @@ def triple_polynomial(triples: Iterable[tuple[int, int, int]]) -> Poly3:
     return Poly3(XYZ, Counter(triples))
 
 
+def _nonempty(m: Multiset) -> Multiset:
+    """m itself; the empty multiset has no gamma table and is refused."""
+    if m.n == 0:
+        raise DomainError("gamma tables are defined for nonempty multisets")
+    return m
+
+
 def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:
     """The gamma table of m whose entry (i, j) counts the keys equal to (i, j)."""
     return GammaTable(m.K, Counter(keys), multiset=m)
@@ -48,17 +55,13 @@ def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:
 
 def gamma_count_trees(m: Multiset) -> GammaTable:
     """gamma_{i,j} = canonical trees with i z-leaves and j y-leaves."""
-    if m.n == 0:
-        raise DomainError("gamma tables are defined for nonempty multisets")
-    censuses = map(leaf_census, enumerate_canonical(m))
+    censuses = map(leaf_census, enumerate_canonical(_nonempty(m)))
     return _tally(m, ((c.zleaf, c.yleaf) for c in censuses))
 
 
 def gamma_count_perms(m: Multiset) -> GammaTable:
     """gamma_{i,j} = double-fall-free permutations with i plateaux and j descents."""
-    if m.n == 0:
-        raise DomainError("gamma tables are defined for nonempty multisets")
-    profiles = map(statistics, enumerate_stirling(m))
+    profiles = map(statistics, enumerate_stirling(_nonempty(m)))
     return _tally(m, ((p.plat, p.des) for p in profiles if p.dfall == 0))
 
 
@@ -109,7 +112,7 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
 # no function object, so a name rebound here (by a tracer or a test) is
 # the one that runs.  The order is the order the command line lists.
 GAMMA_ROUTES: dict[str, Callable[[Multiset], GammaTable]] = {
-    "extract": lambda m: gamma_extract(c_polynomial_enum(m), m.K),
+    "extract": lambda m: gamma_extract(c_polynomial_enum(_nonempty(m)), m.K),
     "grammar": lambda m: gamma_table_from_uvz(gamma_polynomial_grammar(m), m.K),
     "trees": lambda m: gamma_count_trees(m),
     "perms": lambda m: gamma_count_perms(m),

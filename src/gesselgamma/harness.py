@@ -5,8 +5,9 @@ reports a counterexample payload on failure (the multiset, the offending
 permutation or tree, and both sides of the failed equality).  A campaign
 runs multiset by multiset: the words, trees and enumerated polynomial of
 a multiset are built once, in a shared context that every check reads,
-and dropped before the next multiset.  The independent routes the checks
-compare against still compute on their own.  Campaigns can hand whole
+and dropped before the next multiset.  The per-word checks run together,
+in one pass over the words.  The independent routes the checks compare
+against still compute on their own.  Campaigns can hand whole
 multisets to a process pool, and refuse families whose total permutation
 count exceeds a budget.
 """
@@ -17,18 +18,19 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cached_property, partial
 from typing import Callable
 
 from .action import (
     BalanceStatus,
+    balance_from_census,
     balance_report,
     canonical_representative,
     is_canonical,
     is_canonical_ternary,
     orbit,
     prune,
+    ternary_from_census,
 )
 from .counts import GAMMA_ROUTES, c_polynomial_enum, triple_polynomial
 from .errors import DomainError, FamilyTooLargeError
@@ -42,8 +44,10 @@ from .poly import (
     gamma_extract,
     gamma_table_to_uvz,
     is_symmetric,
+    substitute_uv,
 )
 from .stirling import (
+    StatProfile,
     StirlingPermutation,
     asc_des_plat,
     count_stirling,
@@ -52,11 +56,13 @@ from .stirling import (
 )
 from .trees import (
     GesselTree,
+    LeafCensus,
     first_last_occurrence_flags,
     gessel_forward,
     gessel_inverse,
     leaf_census,
     parse_tree,
+    preorder_key,
     serialize,
 )
 
@@ -72,7 +78,8 @@ class FamilySpec:
     """A family of multisets: either an explicit list or bound-generated.
 
     Bound generation takes every multiplicity vector with 1 <= n <= max_n,
-    1 <= k_i <= max_k and K <= max_total, ordered lexicographically.
+    1 <= k_i <= max_k and K <= max_total, ordered lexicographically.  It
+    visits no vector beyond the bounds, so its time follows the family's size.
     """
 
     max_n: int = 4
@@ -83,12 +90,17 @@ class FamilySpec:
     def members(self) -> list[Multiset]:
         if self.explicit is not None:
             return sorted(set(self.explicit), key=lambda m: m.mults)
+        # Depth first, smallest part first: each vector comes before its
+        # extensions and after every smaller vector, which is lexicographic.
         out = []
-        for n in range(1, self.max_n + 1):
-            for mults in product(range(1, self.max_k + 1), repeat=n):
-                if sum(mults) <= self.max_total:
-                    out.append(Multiset(mults))
-        out.sort(key=lambda m: m.mults)
+        stack: list[tuple[int, ...]] = [()]
+        while stack:
+            mults = stack.pop()
+            if mults:
+                out.append(Multiset(mults))
+            if len(mults) < self.max_n:
+                room = min(self.max_k, self.max_total - sum(mults))
+                stack.extend(mults + (k,) for k in range(room, 0, -1))
         return out
 
 
@@ -126,13 +138,16 @@ class MultisetContext:
     empty multiset, like ``c_polynomial_enum``) and ``gamma`` is its
     extracted table; ``route(name)`` is the table by a ``GAMMA_ROUTES``
     route, computed once, and for ``extract`` it is ``gamma``.
-    Per-word profiles and leaf censuses are recomputed by the checks that
-    need them: kept for 2^6 they would hold tens of MiB.
+    ``word_failures`` runs the per-word ones of ``check_ids`` in one pass.
+    A word's profile and leaf census are dropped after the word: kept for
+    2^6 they would hold tens of MiB.
     """
 
-    def __init__(self, m: Multiset):
+    def __init__(self, m: Multiset, check_ids: tuple[str, ...] = ()):
         self.multiset = m
+        self.check_ids = check_ids
         self._routes: dict[str, GammaTable] = {}
+        self._word_results: dict[str, Failure | Exception | None] = {}
 
     @cached_property
     def perms(self) -> list[StirlingPermutation]:
@@ -162,6 +177,57 @@ class MultisetContext:
         if name not in self._routes:
             self._routes[name] = GAMMA_ROUTES[name](self.multiset)
         return self._routes[name]
+
+    def word_failures(self, check_id: str) -> list[Failure]:
+        """A per-word check's failures; what the check raised is re-raised.
+
+        The first per-word check asked for runs, in one pass over the words,
+        every per-word check of this context that applies to its multiset.
+        Each check stops at its own first failure or exception.
+        """
+        if check_id not in self._word_results:
+            m = self.multiset
+            ids = [c for c in self.check_ids if c in _WORD_CHECKS and CHECKS[c].applies_to(m)]
+            active = {cid: _WORD_CHECKS[cid] for cid in [check_id, *ids]}
+            results = dict.fromkeys(active)
+            for k in range(len(self.perms)):
+                w = WordRecord(self, k)
+                for cid, check in list(active.items()):
+                    try:
+                        results[cid] = check(m, w)
+                    except Exception as exc:  # a crash fails this check only
+                        results[cid] = exc
+                    if results[cid] is not None:
+                        del active[cid]
+            self._word_results.update(results)
+        result = self._word_results[check_id]
+        if isinstance(result, Exception):
+            raise result
+        return [] if result is None else [result]
+
+
+class WordRecord:
+    """One word of a context and its tree, as the per-word checks read them.
+
+    The profile and the leaf census are built on first use, so each runs
+    once per word, and only for a check that reads it.
+    """
+
+    def __init__(self, ctx: MultisetContext, k: int):
+        self.ctx, self.k = ctx, k
+        self.s, self.t = ctx.perms[k], ctx.trees[k]
+
+    @cached_property
+    def profile(self) -> StatProfile:
+        return statistics(self.s)
+
+    @cached_property
+    def census(self) -> LeafCensus:
+        return leaf_census(self.t)
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        return self.ctx.triples[self.k]
 
 
 # The context of the multiset a campaign task is checking, if any.  It is
@@ -222,38 +288,34 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
     return []
 
 
-def _check_p21(m: Multiset) -> list[Failure]:
-    ctx = _context(m)
-    for s, t, triple in zip(ctx.perms, ctx.trees, ctx.triples):
-        census = leaf_census(t)
-        if triple != census.triple:
-            return [_fail(m, "(asc, des, plat) differs from (x, y, z) leaf counts",
-                          sigma=str(s), lhs=list(triple), rhs=list(census.triple))]
-    return []
+# The per-word checks: each reads one word's record and returns its
+# failure, or None.
+
+def _check_p21(m: Multiset, w: WordRecord) -> Failure | None:
+    triple, census = w.triple, w.census
+    if triple != census.triple:
+        return _fail(m, "(asc, des, plat) differs from (x, y, z) leaf counts",
+                     sigma=str(w.s), lhs=list(triple), rhs=list(census.triple))
+    return None
 
 
-def _check_jkp(m: Multiset) -> list[Failure]:
-    ctx = _context(m)
-    for s, t in zip(ctx.perms, ctx.trees):
-        prof = statistics(s)
-        census = leaf_census(t)
-        if prof.plat_by_j != census.zleaf_by_j:
-            return [_fail(m, "plateaux by occurrence index differ from z-leaves by position",
-                          sigma=str(s), lhs=prof.plat_by_j, rhs=census.zleaf_by_j)]
-    return []
+def _check_jkp(m: Multiset, w: WordRecord) -> Failure | None:
+    prof, census = w.profile, w.census
+    if prof.plat_by_j != census.zleaf_by_j:
+        return _fail(m, "plateaux by occurrence index differ from z-leaves by position",
+                     sigma=str(w.s), lhs=prof.plat_by_j, rhs=census.zleaf_by_j)
+    return None
 
 
-def _check_p22(m: Multiset) -> list[Failure]:
-    ctx = _context(m)
-    for s, t in zip(ctx.perms, ctx.trees):
-        census = leaf_census(t)
-        for i in range(1, m.n + 1):
-            flags = first_last_occurrence_flags(s, i)
-            has_x, has_y, _ = census.per_vertex[i]
-            if flags != (has_x, has_y):
-                return [_fail(m, f"occurrence flags of value {i} differ from leaf flags",
-                              sigma=str(s), lhs=list(flags), rhs=[has_x, has_y])]
-    return []
+def _check_p22(m: Multiset, w: WordRecord) -> Failure | None:
+    s, per_vertex = w.s, w.census.per_vertex
+    for i in range(1, m.n + 1):
+        flags = first_last_occurrence_flags(s, i)
+        has_x, has_y, _ = per_vertex[i]
+        if flags != (has_x, has_y):
+            return _fail(m, f"occurrence flags of value {i} differ from leaf flags",
+                         sigma=str(s), lhs=list(flags), rhs=[has_x, has_y])
+    return None
 
 
 def _check_t41(m: Multiset) -> list[Failure]:
@@ -281,44 +343,49 @@ def _check_t44(m: Multiset) -> list[Failure]:
                      gamma_table_to_uvz(_context(m).gamma))
 
 
-def _check_p51(m: Multiset) -> list[Failure]:
-    ctx = _context(m)
-    for s, t in zip(ctx.perms, ctx.trees):
-        prof = statistics(s)
-        report = balance_report(t)
-        unbalanced_y = set(report.vertices_with(BalanceStatus.UNBALANCED_Y))
-        dfall_values = {s.word[i - 1] for i in prof.dfall_positions}
-        if dfall_values != unbalanced_y or len(prof.dfall_positions) != len(unbalanced_y):
-            return [_fail(m, "double-fall values differ from unbalanced-y vertices",
-                          sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))]
-        for i in prof.dfall_positions:
-            v = s.word[i - 1]
-            last = max(p for p, w in enumerate(s.word, start=1) if w == v)
-            if i != last:
-                return [_fail(m, f"double fall at {i} is not the last occurrence of {v}",
-                              sigma=str(s))]
-    return []
+def _check_p51(m: Multiset, w: WordRecord) -> Failure | None:
+    s, prof = w.s, w.profile
+    report = balance_from_census(w.census)
+    unbalanced_y = set(report.vertices_with(BalanceStatus.UNBALANCED_Y))
+    dfall_values = {s.word[i - 1] for i in prof.dfall_positions}
+    if dfall_values != unbalanced_y or len(prof.dfall_positions) != len(unbalanced_y):
+        return _fail(m, "double-fall values differ from unbalanced-y vertices",
+                     sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))
+    for i in prof.dfall_positions:
+        v = s.word[i - 1]
+        last = max(p for p, u in enumerate(s.word, start=1) if u == v)
+        if i != last:
+            return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
+                         sigma=str(s))
+    return None
 
 
-def _check_p63(m: Multiset) -> list[Failure]:
-    ctx = _context(m)
-    for s, t in zip(ctx.perms, ctx.trees):
-        prof = statistics(s)
-        census = leaf_census(t)
-        z_without_x = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and not hx}
-        x_with_z = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and hx}
-        dplat_values = {s.word[i - 1] for i in prof.dplat_positions}
-        aplat_values = {s.word[i - 1] for i in prof.aplat_positions}
-        if dplat_values != z_without_x or len(prof.dplat_positions) != len(z_without_x):
-            return [_fail(m, "descent-plateau values differ from z-without-x vertices",
-                          sigma=str(s), lhs=sorted(dplat_values), rhs=sorted(z_without_x))]
-        if aplat_values != x_with_z or len(prof.aplat_positions) != len(x_with_z):
-            return [_fail(m, "ascent-plateau values differ from x-with-z vertices",
-                          sigma=str(s), lhs=sorted(aplat_values), rhs=sorted(x_with_z))]
-        if (prof.dplat == 0) != is_canonical_ternary(t):
-            return [_fail(m, "descent-plateau-freeness differs from ternary canonicity",
-                          sigma=str(s))]
-    return []
+def _check_p63(m: Multiset, w: WordRecord) -> Failure | None:
+    s, prof, census = w.s, w.profile, w.census
+    z_without_x = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and not hx}
+    x_with_z = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and hx}
+    dplat_values = {s.word[i - 1] for i in prof.dplat_positions}
+    aplat_values = {s.word[i - 1] for i in prof.aplat_positions}
+    if dplat_values != z_without_x or len(prof.dplat_positions) != len(z_without_x):
+        return _fail(m, "descent-plateau values differ from z-without-x vertices",
+                     sigma=str(s), lhs=sorted(dplat_values), rhs=sorted(z_without_x))
+    if aplat_values != x_with_z or len(prof.aplat_positions) != len(x_with_z):
+        return _fail(m, "ascent-plateau values differ from x-with-z vertices",
+                     sigma=str(s), lhs=sorted(aplat_values), rhs=sorted(x_with_z))
+    if (prof.dplat == 0) != ternary_from_census(census):
+        return _fail(m, "descent-plateau-freeness differs from ternary canonicity",
+                     sigma=str(s))
+    return None
+
+
+_WORD_CHECKS: dict[str, Callable[[Multiset, WordRecord], Failure | None]] = {
+    "P2.1": _check_p21, "JKP-ZJ": _check_jkp, "P2.2": _check_p22,
+    "P5.1": _check_p51, "P6.3": _check_p63,
+}
+
+
+def _word_check(check_id: str, m: Multiset) -> list[Failure]:
+    return _context(m).word_failures(check_id)
 
 
 def _check_sym_xy(m: Multiset) -> list[Failure]:
@@ -338,36 +405,38 @@ def _check_sym_xyz(m: Multiset) -> list[Failure]:
 def _check_orbit(m: Multiset) -> list[Failure]:
     ctx = _context(m)
     trees = ctx.trees
-    groups: dict[str, list[int]] = {}
+    # Classes by their representative's preorder key, which like its text
+    # tells trees apart; each class keeps its first member's representative.
+    groups: dict[tuple, tuple[GesselTree, list[int]]] = {}
     for k, t in enumerate(trees):
-        groups.setdefault(serialize(canonical_representative(t)), []).append(k)
-    x = Poly3.variable("x", XYZ)
-    y = Poly3.variable("y", XYZ)
+        canon = canonical_representative(t)
+        groups.setdefault(preorder_key(canon.root), (canon, []))[1].append(k)
+    # Distinct trees have distinct texts, so no two texts tie in the sort.
+    classes = sorted((serialize(canon), canon, indices) for canon, indices in groups.values())
+    del groups  # its keys are not needed past here
     total = Poly3.zero(XYZ)
-    for canon_text in sorted(groups):
-        indices = groups[canon_text]
+    for canon_text, canon, indices in classes:
         members = [trees[k] for k in indices]
-        canon = parse_tree(canon_text)
         if not is_canonical(canon):
             return [_fail(m, "orbit representative is not canonical", tree=canon_text)]
         canonical_members = [t for t in members if is_canonical(t)]
         if len(canonical_members) != 1:
             return [_fail(m, f"orbit has {len(canonical_members)} canonical members, expected 1",
                           tree=canon_text)]
-        if orbit(members[0]) != frozenset(members):
+        keys = {preorder_key(t.root) for t in members}
+        if {preorder_key(t.root) for t in orbit(members[0])} != keys:
             return [_fail(m, "orbit closure differs from the canonical-representative class",
                           tree=canon_text)]
-        report = balance_report(canon)
-        if len(members) != 2 ** report.uxleaf:
-            return [_fail(m, "orbit size is not 2^(unbalanced-x vertices)",
-                          tree=canon_text, lhs=len(members), rhs=2 ** report.uxleaf)]
         census = leaf_census(canon)
-        if report.uxleaf != m.K + 1 - census.zleaf - 2 * census.yleaf:
+        ux = balance_from_census(census).uxleaf
+        if len(members) != 2 ** ux:
+            return [_fail(m, "orbit size is not 2^(unbalanced-x vertices)",
+                          tree=canon_text, lhs=len(members), rhs=2 ** ux)]
+        if ux != m.K + 1 - census.zleaf - 2 * census.yleaf:
             return [_fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
-                          tree=canon_text, lhs=report.uxleaf,
+                          tree=canon_text, lhs=ux,
                           rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)]
-        expected = ((x * y) ** census.yleaf) * ((x + y) ** report.uxleaf) \
-            * Poly3.monomial((0, 0, census.zleaf), 1, XYZ)
+        expected = substitute_uv(Poly3.monomial((census.yleaf, ux, census.zleaf), 1, UVZ))
         # Each member is the tree of the word it was built from, so the
         # word's triple is the member's monomial.
         actual = triple_polynomial(ctx.triples[k] for k in indices)
@@ -386,6 +455,9 @@ class CheckDef:
     run: Callable[[Multiset], list[Failure]]
     doubled_only: bool = False
 
+    def applies_to(self, m: Multiset) -> bool:
+        return not self.doubled_only or m.is_uniform(2)
+
 
 CHECKS: dict[str, CheckDef] = {
     "ROUNDTRIP": CheckDef(
@@ -393,13 +465,13 @@ CHECKS: dict[str, CheckDef] = {
         _check_roundtrip),
     "P2.1": CheckDef(
         "(asc, des, plat) equals (x-leaf, y-leaf, z-leaf) counts under the correspondence",
-        _check_p21),
+        partial(_word_check, "P2.1")),
     "JKP-ZJ": CheckDef(
         "plateaux keyed by occurrence index match z-leaves keyed by child position",
-        _check_jkp),
+        partial(_word_check, "JKP-ZJ")),
     "P2.2": CheckDef(
         "vertex i has an x-leaf iff the first i tops an ascent, a y-leaf iff the last i tops a descent",
-        _check_p22),
+        partial(_word_check, "P2.2")),
     "T3.1": CheckDef(
         "extracted gamma table equals canonical-tree counts by (z-leaves, y-leaves)",
         _agreement("extract", "trees",
@@ -419,7 +491,7 @@ CHECKS: dict[str, CheckDef] = {
                    "extracted gamma table differs from double-fall-free counts")),
     "P5.1": CheckDef(
         "double-fall positions map onto the unbalanced-y vertices",
-        _check_p51),
+        partial(_word_check, "P5.1")),
     "T6.1": CheckDef(
         "extracted gamma table equals descent-plateau-free counts (doubled multisets)",
         _agreement("extract", "mma",
@@ -432,7 +504,7 @@ CHECKS: dict[str, CheckDef] = {
         doubled_only=True),
     "P6.3": CheckDef(
         "descent-plateaux map to z-without-x vertices, ascent-plateaux to x-with-z vertices (doubled multisets)",
-        _check_p63, doubled_only=True),
+        partial(_word_check, "P6.3"), doubled_only=True),
     "SYM-XY": CheckDef(
         "the (asc, des, plat) polynomial is symmetric in x and y",
         _check_sym_xy),
@@ -516,11 +588,12 @@ class CampaignReport:
 def _run_cell(check_id: str, m: Multiset) -> dict:
     """One (check, multiset) cell, timed; a crash counts as a failure.
 
-    The time includes any shared-context data this check is first to need.
+    The time includes any shared-context data this check is first to need,
+    and for the first per-word check of a task the pass over the words.
     """
     cd = CHECKS[check_id]
     start = time.perf_counter()
-    if cd.doubled_only and not m.is_uniform(2):
+    if not cd.applies_to(m):
         out = {"status": "SKIP", "detail": "check applies to doubled multisets only"}
     else:
         try:
@@ -545,7 +618,7 @@ def _run_multiset(args: tuple[tuple[str, ...], str]) -> list[dict]:
     global _current
     check_ids, spec = args
     m = Multiset.parse(spec)
-    _current = MultisetContext(m)
+    _current = MultisetContext(m, check_ids)
     try:
         return [_run_cell(cid, m) for cid in check_ids]
     finally:

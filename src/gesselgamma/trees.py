@@ -45,10 +45,10 @@ class Internal:
     def __eq__(self, other: object) -> bool:
         if type(other) is not Internal:
             return NotImplemented
-        return self is other or _preorder_key(self) == _preorder_key(other)
+        return self is other or preorder_key(self) == preorder_key(other)
 
     def __hash__(self) -> int:
-        return hash(_preorder_key(self))
+        return hash(preorder_key(self))
 
 
 Node = Union[Leaf, Internal]
@@ -88,7 +88,7 @@ class LeafCensus:
         return (self.xleaf, self.yleaf, self.zleaf)
 
 
-def _preorder_key(node: Node) -> tuple:
+def preorder_key(node: Node) -> tuple:
     """The vertices below (and at) a node in preorder: an internal vertex as
     its label and child count, a leaf as None.  Two nodes have the same key
     exactly when they are the same tree."""

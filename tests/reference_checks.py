@@ -1,0 +1,185 @@
+"""The per-word checks and ORBIT as the harness ran them one by one.
+
+These are the earlier bodies of ``harness._check_p21``, ``_check_jkp``,
+``_check_p22``, ``_check_p51``, ``_check_p63`` and ``_check_orbit``: each
+per-word check walks every word on its own and rebuilds the statistics,
+leaf census and balance report it reads, and ORBIT groups the trees by
+serialized text, parses each class's text back and compares orbits as
+sets of trees.  The harness's one pass over the words and its text-free
+ORBIT must report the same outcomes, first failure included.
+
+Like the harness, these checks call the package's kernels, so a test can
+corrupt a kernel under both.  They never import ``gesselgamma.harness``,
+so they cannot call the code they are the reference for.
+"""
+
+from __future__ import annotations
+
+from gesselgamma.action import (
+    BalanceStatus,
+    balance_report,
+    canonical_representative,
+    is_canonical,
+    is_canonical_ternary,
+    orbit,
+)
+from gesselgamma.counts import triple_polynomial
+from gesselgamma.multiset import Multiset
+from gesselgamma.poly import XYZ, Poly3
+from gesselgamma.stirling import asc_des_plat, enumerate_stirling, statistics
+from gesselgamma.trees import (
+    first_last_occurrence_flags,
+    gessel_forward,
+    leaf_census,
+    parse_tree,
+    serialize,
+)
+
+Failure = dict
+
+
+class Context:
+    """The words, trees, triples and polynomial of one multiset."""
+
+    def __init__(self, m: Multiset):
+        self.multiset = m
+        self.perms = list(enumerate_stirling(m))
+        self.trees = [gessel_forward(s) for s in self.perms]
+        self.triples = [asc_des_plat(s.word) for s in self.perms]
+        if m.n == 0:
+            self.c_polynomial = Poly3.variable("x", XYZ)
+        else:
+            self.c_polynomial = triple_polynomial(self.triples)
+
+
+def _fail(m: Multiset, detail: str, **extra) -> Failure:
+    payload = {"multiset": m.spec(), "detail": detail}
+    payload.update(extra)
+    return payload
+
+
+def _mismatch(m, what, lhs, rhs) -> list[Failure]:
+    if lhs == rhs:
+        return []
+    return [_fail(m, what, lhs=lhs.to_json_dict(), rhs=rhs.to_json_dict())]
+
+
+def check_p21(m: Multiset, ctx: Context) -> list[Failure]:
+    for s, t, triple in zip(ctx.perms, ctx.trees, ctx.triples):
+        census = leaf_census(t)
+        if triple != census.triple:
+            return [_fail(m, "(asc, des, plat) differs from (x, y, z) leaf counts",
+                          sigma=str(s), lhs=list(triple), rhs=list(census.triple))]
+    return []
+
+
+def check_jkp(m: Multiset, ctx: Context) -> list[Failure]:
+    for s, t in zip(ctx.perms, ctx.trees):
+        prof = statistics(s)
+        census = leaf_census(t)
+        if prof.plat_by_j != census.zleaf_by_j:
+            return [_fail(m, "plateaux by occurrence index differ from z-leaves by position",
+                          sigma=str(s), lhs=prof.plat_by_j, rhs=census.zleaf_by_j)]
+    return []
+
+
+def check_p22(m: Multiset, ctx: Context) -> list[Failure]:
+    for s, t in zip(ctx.perms, ctx.trees):
+        census = leaf_census(t)
+        for i in range(1, m.n + 1):
+            flags = first_last_occurrence_flags(s, i)
+            has_x, has_y, _ = census.per_vertex[i]
+            if flags != (has_x, has_y):
+                return [_fail(m, f"occurrence flags of value {i} differ from leaf flags",
+                              sigma=str(s), lhs=list(flags), rhs=[has_x, has_y])]
+    return []
+
+
+def check_p51(m: Multiset, ctx: Context) -> list[Failure]:
+    for s, t in zip(ctx.perms, ctx.trees):
+        prof = statistics(s)
+        report = balance_report(t)
+        unbalanced_y = set(report.vertices_with(BalanceStatus.UNBALANCED_Y))
+        dfall_values = {s.word[i - 1] for i in prof.dfall_positions}
+        if dfall_values != unbalanced_y or len(prof.dfall_positions) != len(unbalanced_y):
+            return [_fail(m, "double-fall values differ from unbalanced-y vertices",
+                          sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))]
+        for i in prof.dfall_positions:
+            v = s.word[i - 1]
+            last = max(p for p, w in enumerate(s.word, start=1) if w == v)
+            if i != last:
+                return [_fail(m, f"double fall at {i} is not the last occurrence of {v}",
+                              sigma=str(s))]
+    return []
+
+
+def check_p63(m: Multiset, ctx: Context) -> list[Failure]:
+    for s, t in zip(ctx.perms, ctx.trees):
+        prof = statistics(s)
+        census = leaf_census(t)
+        z_without_x = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and not hx}
+        x_with_z = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and hx}
+        dplat_values = {s.word[i - 1] for i in prof.dplat_positions}
+        aplat_values = {s.word[i - 1] for i in prof.aplat_positions}
+        if dplat_values != z_without_x or len(prof.dplat_positions) != len(z_without_x):
+            return [_fail(m, "descent-plateau values differ from z-without-x vertices",
+                          sigma=str(s), lhs=sorted(dplat_values), rhs=sorted(z_without_x))]
+        if aplat_values != x_with_z or len(prof.aplat_positions) != len(x_with_z):
+            return [_fail(m, "ascent-plateau values differ from x-with-z vertices",
+                          sigma=str(s), lhs=sorted(aplat_values), rhs=sorted(x_with_z))]
+        if (prof.dplat == 0) != is_canonical_ternary(t):
+            return [_fail(m, "descent-plateau-freeness differs from ternary canonicity",
+                          sigma=str(s))]
+    return []
+
+
+def check_orbit(m: Multiset, ctx: Context) -> list[Failure]:
+    trees = ctx.trees
+    groups: dict[str, list[int]] = {}
+    for k, t in enumerate(trees):
+        groups.setdefault(serialize(canonical_representative(t)), []).append(k)
+    x = Poly3.variable("x", XYZ)
+    y = Poly3.variable("y", XYZ)
+    total = Poly3.zero(XYZ)
+    for canon_text in sorted(groups):
+        indices = groups[canon_text]
+        members = [trees[k] for k in indices]
+        canon = parse_tree(canon_text)
+        if not is_canonical(canon):
+            return [_fail(m, "orbit representative is not canonical", tree=canon_text)]
+        canonical_members = [t for t in members if is_canonical(t)]
+        if len(canonical_members) != 1:
+            return [_fail(m, f"orbit has {len(canonical_members)} canonical members, expected 1",
+                          tree=canon_text)]
+        if orbit(members[0]) != frozenset(members):
+            return [_fail(m, "orbit closure differs from the canonical-representative class",
+                          tree=canon_text)]
+        report = balance_report(canon)
+        if len(members) != 2 ** report.uxleaf:
+            return [_fail(m, "orbit size is not 2^(unbalanced-x vertices)",
+                          tree=canon_text, lhs=len(members), rhs=2 ** report.uxleaf)]
+        census = leaf_census(canon)
+        if report.uxleaf != m.K + 1 - census.zleaf - 2 * census.yleaf:
+            return [_fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
+                          tree=canon_text, lhs=report.uxleaf,
+                          rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)]
+        expected = ((x * y) ** census.yleaf) * ((x + y) ** report.uxleaf) \
+            * Poly3.monomial((0, 0, census.zleaf), 1, XYZ)
+        actual = triple_polynomial(ctx.triples[k] for k in indices)
+        if actual != expected:
+            return [_fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
+                          tree=canon_text, lhs=actual.to_json_dict(),
+                          rhs=expected.to_json_dict())]
+        total = total + actual
+    return _mismatch(m, "orbit sums do not add up to the full polynomial",
+                     total, ctx.c_polynomial)
+
+
+CHECKS = {
+    "P2.1": check_p21,
+    "JKP-ZJ": check_jkp,
+    "P2.2": check_p22,
+    "P5.1": check_p51,
+    "P6.3": check_p63,
+    "ORBIT": check_orbit,
+}

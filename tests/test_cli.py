@@ -129,6 +129,15 @@ class TestGamma:
             assert code == 2
             assert "doubled" in err
 
+    @pytest.mark.parametrize("via", list(GAMMA_ROUTES))
+    def test_every_route_refuses_the_empty_multiset(self, capsys, via):
+        code, out, err = run(capsys, "gamma", "--multiset", "", "--via", via)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if via in ("extract", "trees", "perms"):
+            assert err == "error: gamma tables are defined for nonempty multisets\n"
+
     def test_grammar_route_on_mixed(self, capsys):
         code, out, _ = run(capsys, "gamma", "--multiset", "2,1,2", "--via", "grammar")
         assert code == 0
@@ -296,6 +305,14 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["family"]["multisets"] == ["1", "1,1", "1,2", "2", "2,1", "2,2"]
+
+    def test_long_length_bound_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--check", "SYM-XY",
+                           "--max-n", "30", "--max-k", "3", "--max-K", "10")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("refused: family too large")
 
     def test_conflicting_family_options(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "P2.1",

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import time
+from itertools import product
 
 import pytest
 
@@ -31,6 +33,24 @@ class TestFamilies:
         assert [m.mults for m in spec.members()] == [
             (1,), (1, 1), (1, 2), (2,), (2, 1), (2, 2),
         ]
+
+    @pytest.mark.parametrize("max_n, max_k, max_total", [
+        (0, 3, 5), (3, 0, 5), (3, 3, 0), (1, 1, 1), (2, 4, 3), (3, 3, 6), (4, 3, 10),
+        (5, 2, 7), (6, 1, 4),
+    ])
+    def test_bounded_members_equal_the_brute_force_list(self, max_n, max_k, max_total):
+        want = sorted(mults for n in range(1, max_n + 1)
+                      for mults in product(range(1, max_k + 1), repeat=n)
+                      if sum(mults) <= max_total)
+        spec = FamilySpec(max_n=max_n, max_k=max_k, max_total=max_total)
+        assert [m.mults for m in spec.members()] == want
+
+    def test_bounded_members_cost_the_family_not_the_length_bound(self):
+        start = time.perf_counter()
+        members = FamilySpec(max_n=30, max_k=3, max_total=10).members()
+        assert time.perf_counter() - start < 1
+        assert len(members) == 599
+        assert members == FamilySpec(max_n=10, max_k=3, max_total=10).members()
 
     def test_total_bound_trims(self):
         spec = FamilySpec(max_n=2, max_k=3, max_total=4)

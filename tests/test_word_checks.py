@@ -1,0 +1,246 @@
+"""The per-word checks' one pass over the words, and ORBIT, against the
+check bodies they replaced (``reference_checks``), with correct kernels
+and with corrupted ones."""
+
+import ast
+import sys
+
+import pytest
+
+import reference_checks as ref
+
+from gesselgamma import Multiset, default_campaign_family, harness
+from gesselgamma.action import (
+    BalanceReport,
+    BalanceStatus,
+    balance_report,
+    canonical_representative,
+    is_canonical,
+    orbit,
+    toggle,
+)
+from gesselgamma.harness import CHECKS, CheckOutcome, run_campaign
+from gesselgamma.stirling import StatProfile, statistics
+from gesselgamma.trees import LeafCensus, first_last_occurrence_flags, leaf_census
+
+WORD_IDS = ["P2.1", "JKP-ZJ", "P2.2", "P5.1", "P6.3"]
+IDS = WORD_IDS + ["ORBIT"]
+FAULT_FAMILY = sorted(
+    {Multiset(mults) for mults in [(1,), (2,), (1, 1), (2, 2), (1, 2, 1), (2, 1, 2),
+                                   (3, 1, 2), (1, 1, 1, 1), (2, 2, 2), (2, 2, 2, 2),
+                                   (3, 3, 3), (1, 3, 2, 1)]},
+    key=lambda m: m.mults)
+
+
+def reference_outcomes(ids, members):
+    """Outcome JSON per check id, cell by cell as the harness reports them."""
+    out = {cid: [] for cid in ids}
+    for m in members:
+        ctx = ref.Context(m)
+        for cid in ids:
+            if not CHECKS[cid].applies_to(m):
+                outcome = CheckOutcome(m.spec(), "SKIP", "check applies to doubled multisets only")
+            else:
+                try:
+                    failures = ref.CHECKS[cid](m, ctx)
+                except Exception as exc:
+                    failures = [{"multiset": m.spec(), "detail": f"exception: {exc!r}"}]
+                outcome = (CheckOutcome(m.spec(), "FAIL", failures[0].get("detail"), failures[0])
+                           if failures else CheckOutcome(m.spec(), "PASS"))
+            out[cid].append(outcome.to_json_dict())
+    return out
+
+
+def harness_outcomes(ids, members):
+    report = run_campaign(ids, members)
+    return {r.check: [o.to_json_dict() for o in r.outcomes] for r in report.reports}
+
+
+def rebind_everywhere(monkeypatch, original, fake):
+    """Rebind every package and reference binding of a kernel to ``fake``."""
+    modules = [mod for name, mod in sys.modules.items()
+               if name.startswith("gesselgamma") or name == ref.__name__]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, fake)
+
+
+def census_without_root_y(t):
+    """Hides the y-leaf of vertex 1."""
+    c = leaf_census(t)
+    if not c.per_vertex.get(1, (False, False, 0))[1]:
+        return c
+    has_x, _, z_count = c.per_vertex[1]
+    return LeafCensus(c.xleaf, c.yleaf - 1, c.zleaf, c.zleaf_by_j,
+                      c.per_vertex | {1: (has_x, False, z_count)})
+
+
+def census_with_a_z_leaf_moved(t):
+    """Moves one z-leaf of the largest vertex to the vertex below it in label order."""
+    c = leaf_census(t)
+    n = len(c.per_vertex)
+    if n < 2 or not c.per_vertex[n][2]:
+        return c
+    hx, hy, zc = c.per_vertex[n]
+    lx, ly, lz = c.per_vertex[n - 1]
+    per_vertex = c.per_vertex | {n: (hx, hy, zc - 1), n - 1: (lx, ly, lz + 1)}
+    by_j = dict(c.zleaf_by_j)
+    j = max(by_j)
+    by_j[j] -= 1
+    by_j[j + 1] = by_j.get(j + 1, 0) + 1
+    return LeafCensus(c.xleaf, c.yleaf, c.zleaf, {j: v for j, v in by_j.items() if v},
+                      per_vertex)
+
+
+def flags_with_last_y_flipped(s, i):
+    """Flips the y flag of the largest value when the word ends with it."""
+    has_x, has_y = first_last_occurrence_flags(s, i)
+    if i == s.multiset.n and s.word[-1] == i:
+        return has_x, not has_y
+    return has_x, has_y
+
+
+def representative_left_alone(t):
+    """Returns the tree itself when its root has an x-leaf."""
+    if type(t.root.children[0]) is not type(t.root):
+        return t
+    return canonical_representative(t)
+
+
+def representative_flipped_once(t):
+    """Flips the smallest unbalanced-x vertex of the true representative."""
+    canon = canonical_representative(t)
+    free = balance_report(canon).vertices_with(BalanceStatus.UNBALANCED_X)
+    return toggle(canon, free[0]) if free else canon
+
+
+def orbit_without_its_canonical_member(t):
+    """Drops the canonical member from every orbit of two or more trees."""
+    members = orbit(t)
+    if len(members) < 2:
+        return members
+    return frozenset(u for u in members if not is_canonical(u))
+
+
+def statistics_raising(s):
+    """Raises on every word that ends with its largest value."""
+    if s.multiset.n > 1 and s.word[-1] == s.multiset.n:
+        raise ValueError(f"no profile for {s}")
+    return statistics(s)
+
+
+FAULTS = [
+    (leaf_census, census_without_root_y),
+    (leaf_census, census_with_a_z_leaf_moved),
+    (first_last_occurrence_flags, flags_with_last_y_flipped),
+    (canonical_representative, representative_left_alone),
+    (canonical_representative, representative_flipped_once),
+    (orbit, orbit_without_its_canonical_member),
+    (statistics, statistics_raising),
+]
+
+
+def test_checks_match_the_reference_on_the_default_family():
+    family = default_campaign_family()
+    got = harness_outcomes(IDS, family)
+    assert got == reference_outcomes(IDS, family)
+    assert all(o["status"] != "FAIL" for outcomes in got.values() for o in outcomes)
+
+
+@pytest.mark.parametrize("original, fake", FAULTS, ids=[f.__name__ for _, f in FAULTS])
+def test_checks_match_the_reference_under_a_faulty_kernel(monkeypatch, original, fake):
+    rebind_everywhere(monkeypatch, original, fake)
+    got = harness_outcomes(IDS, FAULT_FAMILY)
+    assert got == reference_outcomes(IDS, FAULT_FAMILY)
+    failing = {cid for cid, outcomes in got.items()
+               if any(o["status"] == "FAIL" for o in outcomes)}
+    assert failing  # the fault shows, so the comparison covers a failure
+
+
+def test_a_raising_kernel_fails_only_the_checks_that_call_it(monkeypatch):
+    rebind_everywhere(monkeypatch, statistics, statistics_raising)
+    got = harness_outcomes(IDS, FAULT_FAMILY)
+    failing = {cid for cid, outcomes in got.items()
+               if any(o["status"] == "FAIL" for o in outcomes)}
+    assert failing == {"JKP-ZJ", "P5.1", "P6.3"}
+
+
+def test_reference_checks_never_import_the_harness():
+    tree = ast.parse(open(ref.__file__).read())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    ours = [name for name in modules if name.split(".")[0] == "gesselgamma"]
+    assert ours
+    # Only submodules: the package root re-exports the harness's names.
+    assert all(name.count(".") == 1 and name != "gesselgamma.harness" for name in ours)
+
+
+def counting(monkeypatch, original):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    rebind_everywhere(monkeypatch, original, counted)
+    return calls
+
+
+@pytest.mark.parametrize("check_id, unused", [
+    ("P2.1", [first_last_occurrence_flags, statistics]),
+    ("P2.2", [statistics]),
+])
+def test_one_check_runs_no_kernel_of_another(monkeypatch, check_id, unused):
+    calls = [counting(monkeypatch, f) for f in unused]
+    report = run_campaign([check_id], FAULT_FAMILY)
+    assert report.passed
+    assert all(c == [] for c in calls)
+
+
+def test_a_doubled_only_check_adds_no_work_on_other_multisets(monkeypatch):
+    profiles = counting(monkeypatch, statistics)
+    others = [m for m in FAULT_FAMILY if not m.is_uniform(2)]
+    assert run_campaign(["P2.1", "P6.3"], others).passed
+    assert profiles == []
+
+
+def test_each_word_gets_one_profile_and_one_census(monkeypatch):
+    profiles = counting(monkeypatch, statistics)
+    censuses = counting(monkeypatch, leaf_census)
+    members = [m for m in FAULT_FAMILY if m.is_uniform(2)]
+    assert run_campaign(WORD_IDS, members).passed
+    words = [str(s) for m in members for s in harness.enumerate_stirling(m)]
+    assert sorted(str(s) for (s,) in profiles) == sorted(words)
+    assert len(censuses) == len(words)
+
+
+def held_objects(obj):
+    """Every object reachable from obj through attributes, dicts, lists and tuples."""
+    seen = set()
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        yield x
+        if isinstance(x, dict):
+            stack.extend(x.keys())
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            stack.extend(x)
+        elif isinstance(x, harness.MultisetContext):
+            stack.extend(vars(x).values())
+
+
+def test_the_pass_leaves_no_profile_or_census_on_the_context():
+    m = Multiset.uniform(3, 2)
+    ctx = harness.MultisetContext(m, tuple(IDS))
+    for cid in WORD_IDS:
+        assert ctx.word_failures(cid) == []
+    kept = [type(x).__name__ for x in held_objects(ctx)
+            if isinstance(x, (StatProfile, LeafCensus, BalanceReport, harness.WordRecord))]
+    assert kept == []
