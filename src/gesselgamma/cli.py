@@ -7,6 +7,7 @@ verification run reports a failure, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,7 +47,10 @@ from .stirling import (
 from .trees import gessel_forward, gessel_inverse, parse_tree, serialize
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args`` keeps
+    no state between calls, and a build takes milliseconds."""
     parser = argparse.ArgumentParser(
         prog="gesselgamma",
         description="Stirling permutations, Gessel trees and gamma expansions, exactly.",

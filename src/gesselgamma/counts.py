@@ -6,6 +6,11 @@ routes (grammar derivatives, basis extraction).  All tables share the
 indexing of the basis (xy)^j (x+y)^(K+1-i-2j) z^i: the first key is the
 z-exponent i, the second the xy-exponent j.
 
+The perms, mma and ternary routes read only their own key off each word
+or tree, in one pass that stops at the first sign the object is not
+counted; the full ``statistics`` profile is left to the harness and
+``enumerate --stats``.
+
 ``GAMMA_ROUTES`` names every route to a multiset's gamma table, counting
 and algebraic alike; the command line, the harness's agreement checks and
 the tests all read it.
@@ -16,13 +21,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable
 
-from .action import enumerate_canonical, is_canonical_ternary
+from .action import enumerate_canonical
 from .errors import DomainError
 from .grammar import gamma_polynomial_grammar
 from .multiset import Multiset
 from .poly import XYZ, GammaTable, Poly3, gamma_extract, gamma_table_from_uvz
-from .stirling import asc_des_plat, enumerate_stirling, statistics
-from .trees import GesselTree, gessel_forward, leaf_census
+from .stirling import StirlingPermutation, asc_des_plat, enumerate_stirling
+from .trees import GesselTree, Leaf, gessel_forward, leaf_census
 
 
 def c_polynomial_enum(m: Multiset) -> Poly3:
@@ -48,9 +53,13 @@ def _nonempty(m: Multiset) -> Multiset:
     return m
 
 
-def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:
-    """The gamma table of m whose entry (i, j) counts the keys equal to (i, j)."""
-    return GammaTable(m.K, Counter(keys), multiset=m)
+def _tally(m: Multiset, keys: Iterable[tuple[int, int] | None]) -> GammaTable:
+    """The gamma table of m whose entry (i, j) counts the keys equal to (i, j).
+
+    A key of None marks an object the route does not count; every real key
+    is a nonempty tuple, so ``filter(None, ...)`` drops exactly the Nones.
+    """
+    return GammaTable(m.K, Counter(filter(None, keys)), multiset=m)
 
 
 def gamma_count_trees(m: Multiset) -> GammaTable:
@@ -59,16 +68,64 @@ def gamma_count_trees(m: Multiset) -> GammaTable:
     return _tally(m, ((c.zleaf, c.yleaf) for c in censuses))
 
 
+def _perms_key(s: StirlingPermutation) -> tuple[int, int] | None:
+    """``(plat, des)`` of a permutation with no double fall, else None.
+
+    As in :func:`asc_des_plat`, each step (sigma_{i-1}, sigma_i), the
+    closing step down to the boundary zero included, is an ascent, a plateau
+    or a descent at i-1.  That descent is a double fall unless the first
+    occurrence of sigma_{i-1} was entered by an ascent; and only a first
+    occurrence can be, since no smaller letter sits between two copies.
+    """
+    rose: set[int] = set()  # the values entered by an ascent so far
+    plat = des = 0
+    prev = 0
+    for cur in s.word:
+        if cur > prev:
+            rose.add(cur)
+        elif cur < prev:
+            if prev not in rose:
+                return None
+            des += 1
+        else:
+            plat += 1
+        prev = cur
+    if prev not in rose:
+        return None
+    return plat, des + 1
+
+
 def gamma_count_perms(m: Multiset) -> GammaTable:
     """gamma_{i,j} = double-fall-free permutations with i plateaux and j descents."""
-    profiles = map(statistics, enumerate_stirling(_nonempty(m)))
-    return _tally(m, ((p.plat, p.des) for p in profiles if p.dfall == 0))
+    return _tally(m, map(_perms_key, enumerate_stirling(_nonempty(m))))
 
 
 def _require_doubled(m: Multiset, route: str) -> None:
     if not m.is_uniform(2):
         raise DomainError(
             f"the {route} route needs a doubled multiset 2,2,...,2, got {m.spec()!r}")
+
+
+def _mma_key(s: StirlingPermutation) -> tuple[int, int] | None:
+    """``(des, aplat)`` of a permutation with no descent-plateau, else None.
+
+    A plateau sigma_i = sigma_{i+1} is an ascent- or descent-plateau by the
+    step (sigma_{i-1}, sigma_i) before it; the last letter is always a
+    descent, since the boundary zero follows it.
+    """
+    des = aplat = 0
+    before = prev = 0
+    for cur in s.word:
+        if cur == prev:
+            if before > prev:
+                return None
+            if before < prev:
+                aplat += 1
+        elif cur < prev:
+            des += 1
+        before = prev
+        prev = cur
+    return des + 1, aplat
 
 
 def gamma_count_mma(m: Multiset) -> GammaTable:
@@ -81,17 +138,33 @@ def gamma_count_mma(m: Multiset) -> GammaTable:
     symmetric in i and j) but {1^2, 2^2, 3^2} can, and fixes this one.
     """
     _require_doubled(m, "mma")
-    profiles = map(statistics, enumerate_stirling(m))
-    return _tally(m, ((p.des, p.aplat) for p in profiles if p.dplat == 0))
+    return _tally(m, map(_mma_key, enumerate_stirling(m)))
 
 
-def _ternary_key(t: GesselTree) -> tuple[int, int]:
-    """(y-leaves, vertices with both an x-leaf and a z-leaf) of a ternary tree."""
-    census = leaf_census(t)
-    both_xz = sum(
-        1 for has_x, _, z_count in census.per_vertex.values() if has_x and z_count
-    )
-    return census.yleaf, both_xz
+def _ternary_key(t: GesselTree) -> tuple[int, int] | None:
+    """(y-leaves, vertices with both an x-leaf and a z-leaf) of a canonical
+    ternary tree, else None.
+
+    Every vertex of a ternary tree has an x-, a z- and a y-slot, in that
+    order; the walk stops at the first z-leaf without an x-leaf.
+    """
+    yleaf = both_xz = 0
+    stack = [t.root]
+    while stack:
+        x, z, y = stack.pop().children
+        if type(z) is Leaf:
+            if type(x) is not Leaf:
+                return None
+            both_xz += 1
+        else:
+            stack.append(z)
+        if type(x) is not Leaf:
+            stack.append(x)
+        if type(y) is Leaf:
+            yleaf += 1
+        else:
+            stack.append(y)
+    return yleaf, both_xz
 
 
 def gamma_count_ternary(m: Multiset) -> GammaTable:
@@ -104,8 +177,7 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
     Gessel trees of the doubled multiset.
     """
     _require_doubled(m, "ternary")
-    trees = map(gessel_forward, enumerate_stirling(m))
-    return _tally(m, (_ternary_key(t) for t in trees if is_canonical_ternary(t)))
+    return _tally(m, map(_ternary_key, map(gessel_forward, enumerate_stirling(m))))
 
 
 # Each entry looks its function up in this module when called, and holds

@@ -250,10 +250,6 @@ def leaf_census(t: GesselTree) -> LeafCensus:
     return LeafCensus(xleaf, yleaf, zleaf, zleaf_by_j, per_vertex)
 
 
-def _positions(word: tuple[int, ...], i: int) -> list[int]:
-    return [p for p, v in enumerate(word, start=1) if v == i]
-
-
 def segment(s: StirlingPermutation, i: int) -> tuple[int, int]:
     """The i-segment as a 1-based inclusive index window (r, s).
 
@@ -266,8 +262,8 @@ def segment(s: StirlingPermutation, i: int) -> tuple[int, int]:
     if not 1 <= i <= s.multiset.n:
         raise DomainError(f"value {i} is not in the multiset {{{s.multiset}}}")
     w = s.word
-    pos = _positions(w, i)
-    r, t = pos[0], pos[-1]
+    r = w.index(i) + 1  # first and last occurrence of i, 1-based
+    t = len(w) - w[::-1].index(i)
     while r > 1 and w[r - 2] >= i:
         r -= 1
     while t < len(w) and w[t] >= i:
@@ -302,9 +298,9 @@ def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, b
     if not 1 <= i <= s.multiset.n:
         raise DomainError(f"value {i} is not in the multiset {{{s.multiset}}}")
     w = s.word
-    pos = _positions(w, i)
-    p, q = pos[0], pos[-1]
-    before = w[p - 2] if p >= 2 else 0
+    p = w.index(i)  # the first occurrence, 0-based: w[p - 1] is read before it
+    q = len(w) - w[::-1].index(i)  # the last, 1-based: w[q] is read after it
+    before = w[p - 1] if p else 0
     after = w[q] if q < len(w) else 0
     return (before < i, i > after)
 

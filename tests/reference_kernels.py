@@ -14,16 +14,26 @@ polynomials and tables, and raise the same errors.  ``substitute_uv`` and
 ``gamma_reconstruct`` rebuild the running sum term by term out of powers
 of xy and x + y; the package's one-pass binomial expansion must match them.
 
+``gamma_count_perms``, ``gamma_count_mma`` and ``gamma_count_ternary`` are
+the counting routes as they were before each got a one-pass key kernel:
+they read the full profile or leaf census of every object (the ternary
+route two censuses), and take the permutations as an argument, so the
+caller owns the enumeration and the domain checks.  ``segment`` and
+``first_last_occurrence_flags`` find the first and last occurrence of a
+value in a list of all its positions.
+
 Only the package's data classes are imported; no function of the package
 is called.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from gesselgamma.errors import DomainError, GammaExtractionError
+from gesselgamma.multiset import Multiset
 from gesselgamma.grammar import GrammarRuleSet
 from gesselgamma.poly import GammaTable, Poly3
 from gesselgamma.stirling import StatProfile, StirlingPermutation
@@ -149,6 +159,67 @@ def is_canonical(t: GesselTree) -> bool:
     """No unbalanced-y vertex, read off the full census."""
     return not any(has_y and not has_x
                    for has_x, has_y, _ in leaf_census(t).per_vertex.values())
+
+
+def _positions(word: tuple[int, ...], i: int) -> list[int]:
+    return [p for p, v in enumerate(word, start=1) if v == i]
+
+
+def segment(s: StirlingPermutation, i: int) -> tuple[int, int]:
+    if not 1 <= i <= s.multiset.n:
+        raise DomainError(f"value {i} is not in the multiset {{{s.multiset}}}")
+    w = s.word
+    pos = _positions(w, i)
+    r, t = pos[0], pos[-1]
+    while r > 1 and w[r - 2] >= i:
+        r -= 1
+    while t < len(w) and w[t] >= i:
+        t += 1
+    return (r, t)
+
+
+def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, bool]:
+    if not 1 <= i <= s.multiset.n:
+        raise DomainError(f"value {i} is not in the multiset {{{s.multiset}}}")
+    w = s.word
+    pos = _positions(w, i)
+    p, q = pos[0], pos[-1]
+    before = w[p - 2] if p >= 2 else 0
+    after = w[q] if q < len(w) else 0
+    return (before < i, i > after)
+
+
+def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:
+    return GammaTable(m.K, Counter(keys), multiset=m)
+
+
+def gamma_count_perms(m: Multiset, perms: Iterable[StirlingPermutation]) -> GammaTable:
+    profiles = map(statistics, perms)
+    return _tally(m, ((p.plat, p.des) for p in profiles if p.dfall == 0))
+
+
+def gamma_count_mma(m: Multiset, perms: Iterable[StirlingPermutation]) -> GammaTable:
+    profiles = map(statistics, perms)
+    return _tally(m, ((p.des, p.aplat) for p in profiles if p.dplat == 0))
+
+
+def is_canonical_ternary(t: GesselTree) -> bool:
+    """No z-leaf without an x-leaf, read off the full census."""
+    return not any(z_count and not has_x
+                   for has_x, _, z_count in leaf_census(t).per_vertex.values())
+
+
+def _ternary_key(t: GesselTree) -> tuple[int, int]:
+    census = leaf_census(t)
+    both_xz = sum(
+        1 for has_x, _, z_count in census.per_vertex.values() if has_x and z_count
+    )
+    return census.yleaf, both_xz
+
+
+def gamma_count_ternary(m: Multiset, perms: Iterable[StirlingPermutation]) -> GammaTable:
+    trees = map(gessel_forward, perms)
+    return _tally(m, (_ternary_key(t) for t in trees if is_canonical_ternary(t)))
 
 
 def derive(p: Poly3, rules: GrammarRuleSet) -> Poly3:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from gesselgamma import GAMMA_ROUTES, Multiset, enumerate_stirling, gamma_polynomial_grammar
+from gesselgamma import cli
 from gesselgamma.cli import main
 from gesselgamma.harness import CHECKS, CheckDef
 
@@ -356,3 +357,24 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+class TestParserCache:
+    CALLS = [
+        ["gamma", "--multiset", "2,2,2", "--via", "perms"],
+        ["gamma", "--multiset", "2,2", "--via", "nowhere"],
+        ["poly", "--multiset", "2,1,2", "--via", "enum"],
+        ["gamma", "--multiset", "2,2,2", "--via", "perms"],
+    ]
+
+    def test_one_parser_answers_as_fresh_ones_do(self, capsys, monkeypatch):
+        cli._build_parser.cache_clear()
+        cached = [run(capsys, *argv) for argv in self.CALLS]
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.CALLS) - 1)
+        assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+        assert cached[3] == cached[0]
+
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in self.CALLS]
+        assert cached == fresh

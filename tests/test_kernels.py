@@ -5,6 +5,8 @@ results must be equal, and dicts must list their keys in the same order.
 """
 
 import ast
+import importlib
+import inspect
 
 import reference_kernels as ref
 from oracles import boundary_asc_des
@@ -30,6 +32,16 @@ def test_oracles_stay_independent_of_the_package():
     imported += [node.module or "" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)]
     assert imported and not any(name.startswith("gesselgamma") for name in imported)
+
+
+def test_reference_kernels_import_no_package_function():
+    tree = ast.parse(open(ref.__file__).read())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("gesselgamma")
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        assert not inspect.isroutine(getattr(importlib.import_module(module), name)), name
 
 
 def test_fast_kernels_match_the_reference_on_the_default_family():

@@ -1,0 +1,86 @@
+"""The one-pass key kernels of the perms, mma and ternary routes, and the
+first/last-occurrence scans, against the full profiles and censuses and
+against the bodies they replaced (``reference_kernels``)."""
+
+import pytest
+
+import reference_kernels as ref
+from test_word_checks import counting
+
+from gesselgamma import (
+    GAMMA_ROUTES,
+    FamilySpec,
+    Multiset,
+    default_campaign_family,
+    enumerate_stirling,
+    first_last_occurrence_flags,
+    gessel_forward,
+    is_canonical_ternary,
+    leaf_census,
+    segment,
+    statistics,
+)
+from gesselgamma import counts
+
+DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 7)]
+
+
+def reference_table(route, m):
+    return getattr(ref, f"gamma_count_{route}")(m, enumerate_stirling(m)).to_json()
+
+
+def test_perms_route_matches_the_reference():
+    members = FamilySpec(5, 3, 11).members()
+    assert len(members) == 311
+    for m in members:
+        assert GAMMA_ROUTES["perms"](m).to_json() == reference_table("perms", m), m
+
+
+@pytest.mark.parametrize("route", ["perms", "mma", "ternary"])
+def test_doubled_routes_match_the_reference(route):
+    for m in DOUBLED:
+        assert GAMMA_ROUTES[route](m).to_json() == reference_table(route, m), m
+
+
+def test_keys_match_the_full_profile_and_census():
+    counted = {"perms": 0, "mma": 0, "ternary": 0}
+    for m in default_campaign_family():
+        doubled = m.is_uniform(2)
+        for s in enumerate_stirling(m):
+            prof = statistics(s)
+            key = counts._perms_key(s)
+            assert (key is None) == (prof.dfall > 0), s
+            assert key in (None, (prof.plat, prof.des)), s
+            key = counts._mma_key(s)
+            assert (key is None) == (prof.dplat > 0), s
+            assert key in (None, (prof.des, prof.aplat)), s
+            counted["perms"] += prof.dfall == 0
+            counted["mma"] += prof.dplat == 0
+            if doubled:
+                t = gessel_forward(s)
+                census = leaf_census(t)
+                both_xz = sum(1 for has_x, _, z in census.per_vertex.values() if has_x and z)
+                key = counts._ternary_key(t)
+                assert (key is None) == (not is_canonical_ternary(t)), s
+                assert key in (None, (census.yleaf, both_xz)), s
+                counted["ternary"] += key is not None
+    # every kernel both counts and refuses words of the family
+    assert all(0 < c < 25960 for c in counted.values()), counted
+
+
+@pytest.mark.parametrize("route, kernel", [
+    ("perms", statistics), ("mma", statistics), ("ternary", leaf_census),
+])
+def test_routes_take_no_full_profile_or_census(monkeypatch, route, kernel):
+    calls = counting(monkeypatch, kernel)
+    GAMMA_ROUTES[route](Multiset((2, 2, 2, 2)))
+    assert calls == []
+
+
+def test_occurrence_scans_match_the_reference():
+    for m in default_campaign_family():
+        for s in enumerate_stirling(m):
+            for i in range(1, m.n + 1):
+                assert first_last_occurrence_flags(s, i) == \
+                    ref.first_last_occurrence_flags(s, i), (s, i)
+                assert segment(s, i) == ref.segment(s, i), (s, i)
