@@ -27,14 +27,13 @@ from typing import Iterator
 
 from .errors import DomainError, NotCanonicalError, OrbitTooLargeError
 from .multiset import Multiset
-from .stirling import enumerate_stirling
 from .trees import (
+    LEAF,
     GesselTree,
     Internal,
     Leaf,
     LeafCensus,
     Node,
-    gessel_forward,
     leaf_census,
     render_tree,
 )
@@ -153,17 +152,34 @@ def is_canonical(t: GesselTree) -> bool:
 
 
 def canonical_representative(t: GesselTree) -> GesselTree:
-    """Flip every unbalanced-y vertex, in ascending label order.
+    """Flip every unbalanced-y vertex, in one bottom-up rebuild.
 
-    A flip at one vertex never changes another vertex's child list, so the
-    result does not depend on the order; ascending order is fixed to make
-    runs reproducible.
+    A flip at one vertex never changes whether another vertex's first and
+    last children are leaves, so every flip is decided on the input tree
+    and the result does not depend on their order.  Only the vertices at
+    or above a flip are copied; the result shares every other subtree with
+    the input, and is the input itself when nothing flips.
     """
-    report = balance_report(t)
-    root = t.root
-    for i in report.vertices_with(BalanceStatus.UNBALANCED_Y):
-        root = _swap_ends_at(root, i)
-    return GesselTree(root, t.multiset)
+    # In reversed preorder every vertex follows its children.
+    preorder: list[Internal] = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if type(v) is Internal:
+            preorder.append(v)
+            stack.extend(v.children)
+    copies: dict[int, Internal] = {}  # id of a vertex -> its copy, if it needs one
+    for v in reversed(preorder):
+        ch = v.children
+        flip = type(ch[-1]) is Leaf and type(ch[0]) is not Leaf
+        if flip or any(id(c) in copies for c in ch):
+            ch = [copies.get(id(c), c) for c in ch]
+            if flip:
+                ch[0], ch[-1] = ch[-1], ch[0]
+            copies[id(v)] = Internal(v.label, tuple(ch))
+    if id(t.root) not in copies:
+        return t
+    return GesselTree(copies[id(t.root)], t.multiset)
 
 
 def orbit(t: GesselTree) -> frozenset[GesselTree]:
@@ -187,12 +203,89 @@ def orbit(t: GesselTree) -> frozenset[GesselTree]:
     return frozenset(members)
 
 
+def placements(m: Multiset, watched: int) -> Iterator[list[list[int]]]:
+    """Every Gessel tree over m whose vertices all pass the ``watched`` test,
+    as a slot table.
+
+    ``table[v][p]`` is the vertex in child slot p of vertex v, or 0 for a
+    leaf; row 0 has one slot, which holds the root (0 over the empty
+    multiset).  Vertex i = 2..n goes into a free slot of a smaller vertex,
+    one of 1 + K_{i-1} choices: the tree reading of the count
+    prod(1 + K_{i-1}) of Stirling permutations.
+
+    A vertex is bad while its first slot is filled and its slot
+    ``watched`` (an index into its row, -1 for the last) is empty.  Only a
+    later vertex can mend a bad one, by filling its watched slot, and each
+    mends at most one, so a branch is cut as soon as more vertices are bad
+    than are left to place.  The trees yielded are those with no bad vertex.
+
+    One table is filled and emptied in place and yielded each time: read
+    it before asking for the next.
+    """
+    mults = m.mults
+    n = len(mults)
+    table = [[1 if n else 0]] + [[0] * (k + 1) for k in mults]
+    if n <= 1:
+        yield table
+        return
+    target = [0] + [watched % (k + 1) for k in mults]
+    # The slots of vertices 1..n in order; vertex i may take one of the
+    # first ``end[i]``, those of the vertices below it.
+    slots = [(v, p) for v in range(1, n + 1) for p in range(mults[v - 1] + 1)]
+    end = [0, 0]
+    for k in mults:
+        end.append(end[-1] + k + 1)
+    where = [0] * (n + 1)  # 1 + the index into slots of vertex i's slot, 0 if unplaced
+    gain = [0] * (n + 1)  # what placing vertex i added to the bad count
+    bad = 0
+    i = 2
+    while i > 1:
+        c = where[i]
+        if c:  # take vertex i out of its slot
+            v, p = slots[c - 1]
+            table[v][p] = 0
+            bad -= gain[i]
+        limit = n - i  # the vertices left to place after vertex i
+        while c < end[i]:
+            v, p = slots[c]
+            c += 1
+            row = table[v]
+            if row[p]:
+                continue
+            if p == 0:
+                delta = row[target[v]] == 0  # v turns bad
+            elif p == target[v]:
+                delta = -(row[0] != 0)  # v is mended
+            else:
+                delta = 0
+            if bad + delta <= limit:
+                row[p] = i
+                break
+        else:
+            where[i] = 0
+            i -= 1
+            continue
+        where[i] = c
+        gain[i] = delta
+        bad += delta
+        if i == n:
+            yield table
+        else:
+            i += 1
+
+
 def enumerate_canonical(m: Multiset) -> Iterator[GesselTree]:
-    """All canonical Gessel trees over m, by filtering the permutation stream."""
-    for s in enumerate_stirling(m):
-        t = gessel_forward(s)
-        if is_canonical(t):
-            yield t
+    """All canonical Gessel trees over m, built from their slot tables."""
+    for table in placements(m, -1):
+        yield GesselTree(tree_of_table(table), m)
+
+
+def tree_of_table(table: list[list[int]]) -> Node:
+    """The root of the tree a slot table of :func:`placements` describes."""
+    nodes: list[Node] = [LEAF] * len(table)
+    for v in range(len(table) - 1, 0, -1):
+        nodes[v] = Internal(v, tuple(nodes[c] for c in table[v]))
+    return nodes[table[0][0]]
 
 
 def is_canonical_ternary(t: GesselTree) -> bool:

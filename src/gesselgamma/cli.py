@@ -14,6 +14,7 @@ import sys
 from .action import TYPE_Y, is_canonical, orbit, prune, serialize_pruned
 from .counts import GAMMA_ROUTES, c_polynomial_enum
 from .errors import (
+    ChainTooLargeError,
     DomainError,
     FamilyTooLargeError,
     GammaExtractionError,
@@ -22,6 +23,7 @@ from .errors import (
 )
 from .grammar import (
     c_polynomial_grammar,
+    chain_cost,
     derive_chain,
     uvz_rules,
     uvz_seed,
@@ -45,6 +47,10 @@ from .stirling import (
     statistics,
 )
 from .trees import gessel_forward, gessel_inverse, parse_tree, serialize
+
+# The most grammar.chain_cost a command may ask for: {1^2, ..., 120^2}
+# (3.5 million, under a second) is admitted.
+GRAMMAR_COST_CAP = 5_000_000
 
 
 @functools.cache
@@ -107,9 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _refuse_enumeration(m: Multiset, via: str = "enum") -> None:
-    """Refuse, before listing a word, a route that would list more words of m
-    than the default cost cap; the grammar routes list none."""
-    if via != "grammar" and (count := count_stirling(m)) > DEFAULT_COST_CAP:
+    """Refuse, before listing a word or tree, a route that would list more
+    words or trees of m than the default cost cap; the grammar routes list
+    none, and are refused above GRAMMAR_COST_CAP instead."""
+    if via == "grammar":
+        if (cost := chain_cost(m)) > GRAMMAR_COST_CAP:
+            raise ChainTooLargeError(cost, GRAMMAR_COST_CAP)
+    elif (count := count_stirling(m)) > DEFAULT_COST_CAP:
         raise FamilyTooLargeError(count, DEFAULT_COST_CAP)
 
 
@@ -209,6 +219,7 @@ def _cmd_grammar_derive(args) -> int:
         raise ParseError(f"bad --k-seq {args.k_seq!r}: {exc}") from None
     if not kseq or any(k < 1 for k in kseq):
         raise ParseError(f"--k-seq needs positive multiplicities, got {args.k_seq!r}")
+    _refuse_enumeration(Multiset(tuple(kseq)), "grammar")
     if args.rules == "xyz":
         steps = derive_chain(Poly3.variable("x", XYZ), map(xyz_rules, kseq))
     else:

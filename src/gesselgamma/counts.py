@@ -6,10 +6,12 @@ routes (grammar derivatives, basis extraction).  All tables share the
 indexing of the basis (xy)^j (x+y)^(K+1-i-2j) z^i: the first key is the
 z-exponent i, the second the xy-exponent j.
 
-The perms, mma and ternary routes read only their own key off each word
-or tree, in one pass that stops at the first sign the object is not
-counted; the full ``statistics`` profile is left to the harness and
-``enumerate --stats``.
+The perms and mma routes read only their own key off each word, in one
+pass that stops at the first sign the word is not counted; the full
+``statistics`` profile is left to the harness and ``enumerate --stats``.
+The trees and ternary routes read no word: ``action.placements`` places
+the vertices of the canonical trees slot by slot, and each route reads
+its key off the slot table.
 
 ``GAMMA_ROUTES`` names every route to a multiset's gamma table, counting
 and algebraic alike; the command line, the harness's agreement checks and
@@ -19,15 +21,15 @@ the tests all read it.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from typing import Callable, Iterable
 
-from .action import enumerate_canonical
+from .action import placements
 from .errors import DomainError
 from .grammar import gamma_polynomial_grammar
 from .multiset import Multiset
 from .poly import XYZ, GammaTable, Poly3, gamma_extract, gamma_table_from_uvz
 from .stirling import StirlingPermutation, asc_des_plat, enumerate_stirling
-from .trees import GesselTree, Leaf, gessel_forward, leaf_census
 
 
 def c_polynomial_enum(m: Multiset) -> Poly3:
@@ -62,10 +64,19 @@ def _tally(m: Multiset, keys: Iterable[tuple[int, int] | None]) -> GammaTable:
     return GammaTable(m.K, Counter(filter(None, keys)), multiset=m)
 
 
+def _trees_key(table: list[list[int]]) -> tuple[int, int]:
+    """(z-leaves, y-leaves) of a slot table: its empty middle and last slots."""
+    zleaf = yleaf = 0
+    for row in islice(table, 1, None):
+        if not row[-1]:
+            yleaf += 1
+        zleaf += row[1:-1].count(0)
+    return zleaf, yleaf
+
+
 def gamma_count_trees(m: Multiset) -> GammaTable:
     """gamma_{i,j} = canonical trees with i z-leaves and j y-leaves."""
-    censuses = map(leaf_census, enumerate_canonical(_nonempty(m)))
-    return _tally(m, ((c.zleaf, c.yleaf) for c in censuses))
+    return _tally(m, map(_trees_key, placements(_nonempty(m), -1)))
 
 
 def _perms_key(s: StirlingPermutation) -> tuple[int, int] | None:
@@ -141,29 +152,15 @@ def gamma_count_mma(m: Multiset) -> GammaTable:
     return _tally(m, map(_mma_key, enumerate_stirling(m)))
 
 
-def _ternary_key(t: GesselTree) -> tuple[int, int] | None:
-    """(y-leaves, vertices with both an x-leaf and a z-leaf) of a canonical
-    ternary tree, else None.
-
-    Every vertex of a ternary tree has an x-, a z- and a y-slot, in that
-    order; the walk stops at the first z-leaf without an x-leaf.
-    """
+def _ternary_key(table: list[list[int]]) -> tuple[int, int]:
+    """(y-leaves, vertices with an x-leaf and a z-leaf) of a ternary slot table:
+    its empty last slots, and its vertices with empty first and middle slots."""
     yleaf = both_xz = 0
-    stack = [t.root]
-    while stack:
-        x, z, y = stack.pop().children
-        if type(z) is Leaf:
-            if type(x) is not Leaf:
-                return None
-            both_xz += 1
-        else:
-            stack.append(z)
-        if type(x) is not Leaf:
-            stack.append(x)
-        if type(y) is Leaf:
+    for x, z, y in islice(table, 1, None):
+        if not y:
             yleaf += 1
-        else:
-            stack.append(y)
+        if not x and not z:
+            both_xz += 1
     return yleaf, both_xz
 
 
@@ -174,10 +171,11 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
 
     Canonical here means no vertex has a z-leaf without an x-leaf; the
     trees counted are plane ternary increasing trees, i.e. exactly the
-    Gessel trees of the doubled multiset.
+    Gessel trees of the doubled multiset, placed with the middle slot
+    watched.
     """
     _require_doubled(m, "ternary")
-    return _tally(m, map(_ternary_key, map(gessel_forward, enumerate_stirling(m))))
+    return _tally(m, map(_ternary_key, placements(m, 1)))
 
 
 # Each entry looks its function up in this module when called, and holds

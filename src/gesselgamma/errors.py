@@ -83,3 +83,20 @@ class OrbitTooLargeError(FamilyTooLargeError):
     @property
     def cost(self) -> int:
         return 2 ** self.uxleaf * self.K
+
+
+class ChainTooLargeError(FamilyTooLargeError):
+    """Raised when a derivative chain would cost more than the cap allows.
+
+    The cost is ``grammar.chain_cost``: terms times rule monomials, summed
+    over the steps of the chain.
+    """
+
+    def __init__(self, cost: int, cap: int):
+        self.cost = cost
+        self.cap = cap
+        RuntimeError.__init__(
+            self,
+            f"derivative chain too large: {cost} term-rule products requested, "
+            f"cap is {cap}",
+        )

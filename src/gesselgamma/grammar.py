@@ -101,6 +101,22 @@ def derive_chain(seed: Poly3, rule_sets: Iterable[GrammarRuleSet]) -> Iterator[P
         yield p
 
 
+def chain_cost(m: Multiset) -> int:
+    """A bound on the work of m's xyz derivative chain: the sum over its
+    steps of terms times rule monomials.
+
+    Before the step by k_t the polynomial is homogeneous of degree K + 1 in
+    three variables, K = k_1 + ... + k_(t-1), so it has at most
+    (K + 2)(K + 3)/2 terms.  The uvz chain of m takes one step fewer, over
+    polynomials with fewer terms, so this bounds it too.
+    """
+    cost = K = 0
+    for k in m.mults:
+        cost += (K + 2) * (K + 3) // 2 * len(shift_table(xyz_rules(k)))
+        K += k
+    return cost
+
+
 def c_polynomial_grammar(m: Multiset) -> Poly3:
     """Build the ascent/descent/plateau polynomial by the derivative chain."""
     p = Poly3.variable("x", XYZ)

@@ -351,9 +351,10 @@ def _check_p51(m: Multiset, w: WordRecord) -> Failure | None:
     if dfall_values != unbalanced_y or len(prof.dfall_positions) != len(unbalanced_y):
         return _fail(m, "double-fall values differ from unbalanced-y vertices",
                      sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))
+    w = s.word
     for i in prof.dfall_positions:
-        v = s.word[i - 1]
-        last = max(p for p, u in enumerate(s.word, start=1) if u == v)
+        v = w[i - 1]
+        last = len(w) - w[::-1].index(v)  # the last occurrence of v, 1-based
         if i != last:
             return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
                          sigma=str(s))

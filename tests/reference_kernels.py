@@ -14,11 +14,15 @@ polynomials and tables, and raise the same errors.  ``substitute_uv`` and
 ``gamma_reconstruct`` rebuild the running sum term by term out of powers
 of xy and x + y; the package's one-pass binomial expansion must match them.
 
-``gamma_count_perms``, ``gamma_count_mma`` and ``gamma_count_ternary`` are
-the counting routes as they were before each got a one-pass key kernel:
-they read the full profile or leaf census of every object (the ternary
-route two censuses), and take the permutations as an argument, so the
-caller owns the enumeration and the domain checks.  ``segment`` and
+``gamma_count_perms`` and ``gamma_count_mma`` are the counting routes as
+they were before each got a one-pass key kernel: they read the full
+profile of every word.  ``gamma_count_trees`` and ``gamma_count_ternary``
+are the tree routes as they were before they placed vertices into slots:
+they build the tree of every word and keep the canonical ones, the trees
+route by the full census, the ternary route by a one-pass walk.  All
+four take the permutations as an argument, so the caller owns the
+enumeration and the domain checks.  ``canonical_representative`` flips
+one vertex at a time, each by a search and a copy of the path to it.  ``segment`` and
 ``first_last_occurrence_flags`` find the first and last occurrence of a
 value in a list of all its positions.
 
@@ -209,17 +213,70 @@ def is_canonical_ternary(t: GesselTree) -> bool:
                    for has_x, _, z_count in leaf_census(t).per_vertex.values())
 
 
-def _ternary_key(t: GesselTree) -> tuple[int, int]:
-    census = leaf_census(t)
-    both_xz = sum(
-        1 for has_x, _, z_count in census.per_vertex.values() if has_x and z_count
-    )
-    return census.yleaf, both_xz
+def gamma_count_trees(m: Multiset, perms: Iterable[StirlingPermutation]) -> GammaTable:
+    """The tree of every word, kept when canonical, keyed by its census."""
+    trees = (t for t in map(gessel_forward, perms) if is_canonical(t))
+    censuses = map(leaf_census, trees)
+    return _tally(m, ((c.zleaf, c.yleaf) for c in censuses))
+
+
+def _ternary_key(t: GesselTree) -> tuple[int, int] | None:
+    """(y-leaves, vertices with both an x-leaf and a z-leaf) of a canonical
+    ternary tree, else None, in one walk that stops at the first z-leaf
+    without an x-leaf."""
+    yleaf = both_xz = 0
+    stack = [t.root]
+    while stack:
+        x, z, y = stack.pop().children
+        if type(z) is Leaf:
+            if type(x) is not Leaf:
+                return None
+            both_xz += 1
+        else:
+            stack.append(z)
+        if type(x) is not Leaf:
+            stack.append(x)
+        if type(y) is Leaf:
+            yleaf += 1
+        else:
+            stack.append(y)
+    return yleaf, both_xz
 
 
 def gamma_count_ternary(m: Multiset, perms: Iterable[StirlingPermutation]) -> GammaTable:
-    trees = map(gessel_forward, perms)
-    return _tally(m, (_ternary_key(t) for t in trees if is_canonical_ternary(t)))
+    keys = map(_ternary_key, map(gessel_forward, perms))
+    return _tally(m, (key for key in keys if key is not None))
+
+
+def _swap_ends_at(node: Node, i: int) -> Node:
+    """Swap the first and last children of vertex i, rebuilding the path to it."""
+    stack: list[tuple[Node, tuple | None]] = [(node, None)]
+    while stack:
+        v, up = stack.pop()  # up: (parent, position in it, parent's up), or None
+        if type(v) is Internal:
+            if v.label == i:
+                break
+            stack.extend((c, (v, pos, up)) for pos, c in enumerate(v.children))
+    else:
+        return node
+    ch = list(v.children)
+    ch[0], ch[-1] = ch[-1], ch[0]
+    new = Internal(i, tuple(ch))
+    while up is not None:
+        parent, pos, up = up
+        ch = list(parent.children)
+        ch[pos] = new
+        new = Internal(parent.label, tuple(ch))
+    return new
+
+
+def canonical_representative(t: GesselTree) -> GesselTree:
+    """One search-and-path-copy flip per unbalanced-y vertex, ascending."""
+    per_vertex = leaf_census(t).per_vertex
+    root = t.root
+    for i in sorted(v for v, (has_x, has_y, _) in per_vertex.items() if has_y and not has_x):
+        root = _swap_ends_at(root, i)
+    return GesselTree(root, t.multiset)
 
 
 def derive(p: Poly3, rules: GrammarRuleSet) -> Poly3:

@@ -9,6 +9,7 @@ import pytest
 from gesselgamma import GAMMA_ROUTES, Multiset, enumerate_stirling, gamma_polynomial_grammar
 from gesselgamma import cli
 from gesselgamma.cli import main
+from gesselgamma.grammar import chain_cost
 from gesselgamma.harness import CHECKS, CheckDef
 
 
@@ -188,6 +189,49 @@ class TestEnumerationCap:
         code, out, _ = run(capsys, command, "--multiset", BIG, "--via", "grammar")
         assert code == 0
         assert json.loads(out)
+
+
+GRAMMAR_COMMANDS = [
+    ["gamma", "--via", "grammar", "--multiset"],
+    ["poly", "--via", "grammar", "--multiset"],
+    ["grammar-derive", "--rules", "xyz", "--k-seq"],
+    ["grammar-derive", "--rules", "uvz", "--k-seq"],
+]
+
+
+class TestGrammarCap:
+    def test_the_cap_admits_a_hundred_and_twenty_doubled_values(self):
+        assert chain_cost(Multiset.uniform(120, 2)) <= cli.GRAMMAR_COST_CAP
+
+    @pytest.mark.parametrize("argv", GRAMMAR_COMMANDS)
+    def test_a_thousand_doubled_values_are_refused_at_once(self, capsys, argv):
+        spec = ",".join(["2"] * 1000)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, spec)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == ("refused: derivative chain too large: 2004502500 term-rule "
+                       f"products requested, cap is {cli.GRAMMAR_COST_CAP}\n")
+
+    @pytest.mark.parametrize("argv", GRAMMAR_COMMANDS)
+    def test_the_cap_is_inclusive(self, capsys, monkeypatch, argv):
+        cost = chain_cost(Multiset((2, 1, 3)))
+        monkeypatch.setattr(cli, "GRAMMAR_COST_CAP", cost)
+        code, out, _ = run(capsys, *argv, "2,1,3")
+        assert code == 0
+        assert out
+        monkeypatch.setattr(cli, "GRAMMAR_COST_CAP", cost - 1)
+        code, out, err = run(capsys, *argv, "2,1,3")
+        assert code == 2
+        assert out == ""
+        assert err == (f"refused: derivative chain too large: {cost} term-rule "
+                       f"products requested, cap is {cost - 1}\n")
+
+    def test_chain_cost_sums_terms_times_rule_monomials(self):
+        # Before each step: 1, then 10 (degree 3), then 21 (degree 5) terms.
+        assert chain_cost(Multiset((2, 2, 1))) == 3 * (3 + 10 + 21)
+        assert chain_cost(Multiset(())) == 0
 
 
 class TestOrbit:

@@ -13,6 +13,7 @@ from oracles import boundary_asc_des
 
 from gesselgamma import (
     asc_des_plat,
+    canonical_representative,
     default_campaign_family,
     enumerate_stirling,
     gessel_forward,
@@ -67,6 +68,7 @@ def test_fast_kernels_match_the_reference_on_the_default_family():
             assert list(census.per_vertex.items()) == list(want_census.per_vertex.items()), s
             assert list(census.zleaf_by_j.items()) == list(want_census.zleaf_by_j.items()), s
             assert is_canonical(t) is ref.is_canonical(t), s
+            assert canonical_representative(t) == ref.canonical_representative(t), s
     assert words == 25960
 
 

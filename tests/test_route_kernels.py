@@ -1,6 +1,7 @@
-"""The one-pass key kernels of the perms, mma and ternary routes, and the
-first/last-occurrence scans, against the full profiles and censuses and
-against the bodies they replaced (``reference_kernels``)."""
+"""The one-pass key kernels of the perms and mma routes, the slot-table key
+of the ternary route, and the first/last-occurrence scans, against the full
+profiles and censuses and against the bodies they replaced
+(``reference_kernels``)."""
 
 import pytest
 
@@ -10,17 +11,17 @@ from test_word_checks import counting
 from gesselgamma import (
     GAMMA_ROUTES,
     FamilySpec,
+    GesselTree,
     Multiset,
     default_campaign_family,
     enumerate_stirling,
     first_last_occurrence_flags,
-    gessel_forward,
-    is_canonical_ternary,
     leaf_census,
     segment,
     statistics,
 )
 from gesselgamma import counts
+from gesselgamma.action import placements, tree_of_table
 
 DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 7)]
 
@@ -56,15 +57,13 @@ def test_keys_match_the_full_profile_and_census():
             assert key in (None, (prof.des, prof.aplat)), s
             counted["perms"] += prof.dfall == 0
             counted["mma"] += prof.dplat == 0
-            if doubled:
-                t = gessel_forward(s)
-                census = leaf_census(t)
+        if doubled:
+            for table in placements(m, 1):
+                census = leaf_census(GesselTree(tree_of_table(table), m))
                 both_xz = sum(1 for has_x, _, z in census.per_vertex.values() if has_x and z)
-                key = counts._ternary_key(t)
-                assert (key is None) == (not is_canonical_ternary(t)), s
-                assert key in (None, (census.yleaf, both_xz)), s
-                counted["ternary"] += key is not None
-    # every kernel both counts and refuses words of the family
+                assert counts._ternary_key(table) == (census.yleaf, both_xz), table
+                counted["ternary"] += 1
+    # every word kernel both counts and refuses words of the family
     assert all(0 < c < 25960 for c in counted.values()), counted
 
 
