@@ -82,6 +82,7 @@ from .stirling import (
     is_stirling,
     parse_word,
     statistics,
+    stirling_words,
 )
 from .trees import (
     GesselTree,

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from .action import TYPE_Y, is_canonical, orbit, prune, serialize_pruned
 from .counts import GAMMA_ROUTES, c_polynomial_enum
@@ -123,31 +124,47 @@ def _refuse_enumeration(m: Multiset, via: str = "enum") -> None:
         raise FamilyTooLargeError(count, DEFAULT_COST_CAP)
 
 
+# Rows ``enumerate --format json`` encodes with one ``json.dumps`` call; a
+# call per row made the command slower than the one dump of all rows.
+_ROW_BATCH = 1024
+
+
+def _word_row(s: StirlingPermutation, stats: bool) -> dict:
+    """One word of ``enumerate``, with its statistics under ``--stats``."""
+    row = {"word": list(s.word)}
+    if stats:
+        prof = statistics(s)
+        row.update({
+            "asc": prof.asc, "des": prof.des, "plat": prof.plat,
+            "plat_by_j": {str(j): c for j, c in sorted(prof.plat_by_j.items())},
+            "dfall": prof.dfall, "aplat": prof.aplat, "dplat": prof.dplat,
+        })
+    return row
+
+
 def _cmd_enumerate(args) -> int:
+    """Write each row as soon as it is built; the output is the text of one
+    ``json.dumps`` (or CSV table) of all rows, without holding them."""
     m = Multiset.parse(args.multiset)
     _refuse_enumeration(m)
-    rows = []
-    for s in enumerate_stirling(m):
-        if args.stats:
-            prof = statistics(s)
-            rows.append({
-                "word": list(s.word),
-                "asc": prof.asc, "des": prof.des, "plat": prof.plat,
-                "plat_by_j": {str(j): c for j, c in sorted(prof.plat_by_j.items())},
-                "dfall": prof.dfall, "aplat": prof.aplat, "dplat": prof.dplat,
-            })
-        else:
-            rows.append({"word": list(s.word)})
+    write = sys.stdout.write
+    rows = (_word_row(s, args.stats) for s in enumerate_stirling(m))
     if args.format == "json":
-        print(json.dumps({"multiset": list(m.mults), "count": len(rows), "words": rows}))
+        write(f'{{"multiset": {json.dumps(list(m.mults))}, '
+              f'"count": {count_stirling(m)}, "words": [')
+        sep = ""
+        while batch := list(islice(rows, _ROW_BATCH)):
+            write(sep + json.dumps(batch)[1:-1])  # the rows, without the brackets
+            sep = ", "
+        write("]}\n")
     else:
         cols = ["word"] + (["asc", "des", "plat", "dfall", "aplat", "dplat"]
                            if args.stats else [])
-        print(",".join(cols))
+        write(",".join(cols) + "\n")
         for row in rows:
             cells = [" ".join(str(v) for v in row["word"])]
             cells += [str(row[c]) for c in cols[1:]]
-            print(",".join(cells))
+            write(",".join(cells) + "\n")
     return 0
 
 

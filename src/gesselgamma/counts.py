@@ -6,9 +6,13 @@ routes (grammar derivatives, basis extraction).  All tables share the
 indexing of the basis (xy)^j (x+y)^(K+1-i-2j) z^i: the first key is the
 z-exponent i, the second the xy-exponent j.
 
-The perms and mma routes read only their own key off each word, in one
-pass that stops at the first sign the word is not counted; the full
-``statistics`` profile is left to the harness and ``enumerate --stats``.
+The enumerated polynomial and the perms and mma routes tally straight
+off ``stirling.stirling_words``: bare word tuples in insertion order,
+neither sorted nor wrapped in a ``StirlingPermutation``, with memory
+O(n K) whatever the number of words.  The perms and mma routes read only
+their own key off each word, in one pass that stops at the first sign
+the word is not counted; the full ``statistics`` profile is left to the
+harness and ``enumerate --stats``.
 The trees and ternary routes read no word: ``action.placements`` places
 the vertices of the canonical trees slot by slot, and each route reads
 its key off the slot table.
@@ -29,7 +33,7 @@ from .errors import DomainError
 from .grammar import gamma_polynomial_grammar
 from .multiset import Multiset
 from .poly import XYZ, GammaTable, Poly3, gamma_extract, gamma_table_from_uvz
-from .stirling import StirlingPermutation, asc_des_plat, enumerate_stirling
+from .stirling import asc_des_plat, stirling_words
 
 
 def c_polynomial_enum(m: Multiset) -> Poly3:
@@ -40,7 +44,7 @@ def c_polynomial_enum(m: Multiset) -> Poly3:
     """
     if m.n == 0:
         return Poly3.variable("x", XYZ)
-    return triple_polynomial(asc_des_plat(s.word) for s in enumerate_stirling(m))
+    return triple_polynomial(map(asc_des_plat, stirling_words(m)))
 
 
 def triple_polynomial(triples: Iterable[tuple[int, int, int]]) -> Poly3:
@@ -79,7 +83,7 @@ def gamma_count_trees(m: Multiset) -> GammaTable:
     return _tally(m, map(_trees_key, placements(_nonempty(m), -1)))
 
 
-def _perms_key(s: StirlingPermutation) -> tuple[int, int] | None:
+def _perms_key(word: tuple[int, ...]) -> tuple[int, int] | None:
     """``(plat, des)`` of a permutation with no double fall, else None.
 
     As in :func:`asc_des_plat`, each step (sigma_{i-1}, sigma_i), the
@@ -91,7 +95,7 @@ def _perms_key(s: StirlingPermutation) -> tuple[int, int] | None:
     rose: set[int] = set()  # the values entered by an ascent so far
     plat = des = 0
     prev = 0
-    for cur in s.word:
+    for cur in word:
         if cur > prev:
             rose.add(cur)
         elif cur < prev:
@@ -108,7 +112,7 @@ def _perms_key(s: StirlingPermutation) -> tuple[int, int] | None:
 
 def gamma_count_perms(m: Multiset) -> GammaTable:
     """gamma_{i,j} = double-fall-free permutations with i plateaux and j descents."""
-    return _tally(m, map(_perms_key, enumerate_stirling(_nonempty(m))))
+    return _tally(m, map(_perms_key, stirling_words(_nonempty(m))))
 
 
 def _require_doubled(m: Multiset, route: str) -> None:
@@ -117,7 +121,7 @@ def _require_doubled(m: Multiset, route: str) -> None:
             f"the {route} route needs a doubled multiset 2,2,...,2, got {m.spec()!r}")
 
 
-def _mma_key(s: StirlingPermutation) -> tuple[int, int] | None:
+def _mma_key(word: tuple[int, ...]) -> tuple[int, int] | None:
     """``(des, aplat)`` of a permutation with no descent-plateau, else None.
 
     A plateau sigma_i = sigma_{i+1} is an ascent- or descent-plateau by the
@@ -126,7 +130,7 @@ def _mma_key(s: StirlingPermutation) -> tuple[int, int] | None:
     """
     des = aplat = 0
     before = prev = 0
-    for cur in s.word:
+    for cur in word:
         if cur == prev:
             if before > prev:
                 return None
@@ -149,7 +153,7 @@ def gamma_count_mma(m: Multiset) -> GammaTable:
     symmetric in i and j) but {1^2, 2^2, 3^2} can, and fixes this one.
     """
     _require_doubled(m, "mma")
-    return _tally(m, map(_mma_key, enumerate_stirling(m)))
+    return _tally(m, map(_mma_key, stirling_words(m)))
 
 
 def _ternary_key(table: list[list[int]]) -> tuple[int, int]:

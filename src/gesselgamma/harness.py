@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -325,16 +326,16 @@ def _check_t41(m: Multiset) -> list[Failure]:
 
 def _check_t43(m: Multiset) -> list[Failure]:
     ctx = _context(m)
-    total = Poly3.zero(UVZ)
+    weights: Counter[tuple[int, int, int]] = Counter()
     for t in ctx.trees:
         if not is_canonical(t):
             continue
         p = prune(t)
         u, v = p.weight()
-        total = total + Poly3.monomial((u, v, p.zleaf), 1, UVZ)
+        weights[u, v, p.zleaf] += 1
     expected = gamma_table_to_uvz(ctx.gamma)
     return _mismatch(m, "pruned-tree weights do not sum to the gamma polynomial",
-                     total, expected)
+                     Poly3(UVZ, weights), expected)
 
 
 def _check_t44(m: Multiset) -> list[Failure]:
@@ -415,7 +416,7 @@ def _check_orbit(m: Multiset) -> list[Failure]:
     # Distinct trees have distinct texts, so no two texts tie in the sort.
     classes = sorted((serialize(canon), canon, indices) for canon, indices in groups.values())
     del groups  # its keys are not needed past here
-    total = Poly3.zero(XYZ)
+    total: Counter[tuple[int, int, int]] = Counter()
     for canon_text, canon, indices in classes:
         members = [trees[k] for k in indices]
         if not is_canonical(canon):
@@ -440,14 +441,15 @@ def _check_orbit(m: Multiset) -> list[Failure]:
         expected = substitute_uv(Poly3.monomial((census.yleaf, ux, census.zleaf), 1, UVZ))
         # Each member is the tree of the word it was built from, so the
         # word's triple is the member's monomial.
-        actual = triple_polynomial(ctx.triples[k] for k in indices)
+        triples = Counter(ctx.triples[k] for k in indices)
+        actual = Poly3(XYZ, triples)
         if actual != expected:
             return [_fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
                           tree=canon_text, lhs=actual.to_json_dict(),
                           rhs=expected.to_json_dict())]
-        total = total + actual
+        total.update(triples)
     return _mismatch(m, "orbit sums do not add up to the full polynomial",
-                     total, ctx.c_polynomial)
+                     Poly3(XYZ, total), ctx.c_polynomial)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ class Multiset:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not all(isinstance(k, int) and k >= 1 for k in self.mults):
+        # type(k) is int refuses bools, which would pass as 1 and 0 but
+        # render as "True" in spec()
+        if not all(type(k) is int and k >= 1 for k in self.mults):
             raise ParseError(f"multiplicities must be positive integers, got {self.mults!r}")
 
     @property

@@ -125,19 +125,33 @@ def count_stirling(multiset: Multiset) -> int:
     return total
 
 
-def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:
-    """All Stirling permutations of the multiset, in lexicographic order.
+def _insert_block(words: Iterator[tuple[int, ...]],
+                  block: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each word of ``words`` with ``block`` put into each of its gaps in turn."""
+    for w in words:
+        for gap in range(len(w) + 1):
+            yield w[:gap] + block + w[gap:]
+
+
+def stirling_words(multiset: Multiset) -> Iterator[tuple[int, ...]]:
+    """The bare words of all Stirling permutations of the multiset, each once.
 
     Words are built by inserting the block n^kn into each of the K'+1 gaps
     of every Stirling permutation of {1^k1, ..., (n-1)^k(n-1)}; distinct
-    gaps give distinct words, so this realises the counting product.
+    gaps give distinct words, so this realises the counting product.  One
+    generator per value inserts its block into the stream of the one
+    before, so the stream holds one partial word per value, O(n K) in
+    all, and yields in insertion order, not lexicographic order.
     """
-    words = [()]
+    words: Iterator[tuple[int, ...]] = iter([()])
     for value, k in enumerate(multiset.mults, start=1):
-        block = (value,) * k
-        words = [w[:gap] + block + w[gap:] for w in words for gap in range(len(w) + 1)]
-    words.sort()
-    for w in words:
+        words = _insert_block(words, (value,) * k)
+    return words
+
+
+def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:
+    """All Stirling permutations of the multiset, in lexicographic order."""
+    for w in sorted(stirling_words(multiset)):
         yield StirlingPermutation(w, multiset)
 
 

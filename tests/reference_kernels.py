@@ -26,6 +26,12 @@ one vertex at a time, each by a search and a copy of the path to it.  ``segment`
 ``first_last_occurrence_flags`` find the first and last occurrence of a
 value in a list of all its positions.
 
+``enumerate_stirling`` is the list-and-sort enumerator the package had
+before it streamed bare words: it builds every word of the multiset as a
+list, sorts it and wraps each word.  ``c_polynomial_enum`` counts the
+``(asc, des, plat)`` triples of the full profiles of the permutations it
+is given.
+
 Only the package's data classes are imported; no function of the package
 is called.
 """
@@ -39,9 +45,19 @@ from typing import Iterable, Iterator
 from gesselgamma.errors import DomainError, GammaExtractionError
 from gesselgamma.multiset import Multiset
 from gesselgamma.grammar import GrammarRuleSet
-from gesselgamma.poly import GammaTable, Poly3
+from gesselgamma.poly import XYZ, GammaTable, Poly3
 from gesselgamma.stirling import StatProfile, StirlingPermutation
 from gesselgamma.trees import LEAF, GesselTree, Internal, Leaf, LeafCensus, Node
+
+
+def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:
+    words = [()]
+    for value, k in enumerate(multiset.mults, start=1):
+        block = (value,) * k
+        words = [w[:gap] + block + w[gap:] for w in words for gap in range(len(w) + 1)]
+    words.sort()
+    for w in words:
+        yield StirlingPermutation(w, multiset)
 
 
 def statistics(s: StirlingPermutation) -> StatProfile:
@@ -195,6 +211,10 @@ def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, b
 
 def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:
     return GammaTable(m.K, Counter(keys), multiset=m)
+
+
+def c_polynomial_enum(perms: Iterable[StirlingPermutation]) -> Poly3:
+    return Poly3(XYZ, Counter((p.asc, p.des, p.plat) for p in map(statistics, perms)))
 
 
 def gamma_count_perms(m: Multiset, perms: Iterable[StirlingPermutation]) -> GammaTable:

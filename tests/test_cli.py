@@ -6,7 +6,15 @@ import time
 
 import pytest
 
-from gesselgamma import GAMMA_ROUTES, Multiset, enumerate_stirling, gamma_polynomial_grammar
+import reference_kernels as ref
+
+from gesselgamma import (
+    GAMMA_ROUTES,
+    Multiset,
+    enumerate_stirling,
+    gamma_polynomial_grammar,
+    stirling_words,
+)
 from gesselgamma import cli
 from gesselgamma.cli import main
 from gesselgamma.grammar import chain_cost
@@ -17,6 +25,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def enumerate_output(m, fmt, stats):
+    """The text of ``enumerate`` as it was built before it streamed its rows:
+    every row collected first, then one ``json.dumps`` or one CSV table."""
+    rows = []
+    for s in ref.enumerate_stirling(m):
+        row = {"word": list(s.word)}
+        if stats:
+            prof = ref.statistics(s)
+            row.update({
+                "asc": prof.asc, "des": prof.des, "plat": prof.plat,
+                "plat_by_j": {str(j): c for j, c in sorted(prof.plat_by_j.items())},
+                "dfall": prof.dfall, "aplat": prof.aplat, "dplat": prof.dplat,
+            })
+        rows.append(row)
+    if fmt == "json":
+        return json.dumps({"multiset": list(m.mults), "count": len(rows), "words": rows}) + "\n"
+    cols = ["word"] + (["asc", "des", "plat", "dfall", "aplat", "dplat"] if stats else [])
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join([" ".join(str(v) for v in row["word"])]
+                              + [str(row[c]) for c in cols[1:]]))
+    return "\n".join(lines) + "\n"
 
 
 class TestEnumerate:
@@ -47,6 +79,17 @@ class TestEnumerate:
         assert lines[0] == "word,asc,des,plat,dfall,aplat,dplat"
         assert lines[1] == "1 1 2 2,2,1,2,0,2,0"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("spec", ["2,2", "1,2,1", "1,1,1,1", ""])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("stats", [False, True])
+    def test_streamed_output_equals_one_dump_of_all_rows(self, capsys, monkeypatch,
+                                                        spec, fmt, stats):
+        monkeypatch.setattr(cli, "_ROW_BATCH", 5)  # 3, 12 and 24 words span 1 to 5 batches
+        argv = ["enumerate", "--multiset", spec, "--format", fmt] + ["--stats"] * stats
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == enumerate_output(Multiset.parse(spec), fmt, stats)
 
     def test_bad_multiset(self, capsys):
         code, _, err = run(capsys, "enumerate", "--multiset", "2,zero")
@@ -159,15 +202,18 @@ BIG = "2,2,2,2,2,2,2,2,2"
 
 @pytest.fixture
 def no_enumeration(monkeypatch):
-    """Make every package binding of enumerate_stirling fail at once, so a
-    missing refusal fails the test instead of listing millions of words."""
+    """Make every package binding of enumerate_stirling and stirling_words
+    fail at once, so a missing refusal fails the test instead of listing
+    millions of words."""
     def refuse(m):
         raise AssertionError(f"enumerated {m.spec()}")
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("gesselgamma") and getattr(mod, "enumerate_stirling", None) \
-                is enumerate_stirling:
-            monkeypatch.setattr(mod, "enumerate_stirling", refuse)
+        if name.startswith("gesselgamma"):
+            for attr, original in [("enumerate_stirling", enumerate_stirling),
+                                   ("stirling_words", stirling_words)]:
+                if getattr(mod, attr, None) is original:
+                    monkeypatch.setattr(mod, attr, refuse)
 
 
 class TestEnumerationCap:

@@ -48,3 +48,10 @@ def test_uniform():
     assert Multiset.uniform(3, 2).is_uniform(2)
     assert not Multiset((2, 1, 2)).is_uniform(2)
     assert not Multiset(()).is_uniform(2)
+
+
+@pytest.mark.parametrize("mults", [(True, 2), (2, True), (False,), (2.0,)])
+def test_constructor_rejects_bools_and_floats(mults):
+    # a bool would compare and hash equal to 1 but render as "True"
+    with pytest.raises(ParseError):
+        Multiset(mults)

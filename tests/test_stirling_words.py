@@ -1,0 +1,93 @@
+"""The bare words streamed by ``stirling.stirling_words`` and the counting
+routes that tally straight off them, against the list-and-sort enumerator
+they replaced (``reference_kernels``) and the brute-force oracle."""
+
+import tracemalloc
+from collections import Counter
+
+import pytest
+
+import reference_kernels as ref
+from oracles import brute_stirling
+from test_stirling import small_family
+from test_word_checks import counting
+
+from gesselgamma import (
+    GAMMA_ROUTES,
+    FamilySpec,
+    Multiset,
+    StirlingPermutation,
+    default_campaign_family,
+    enumerate_stirling,
+    stirling_words,
+)
+from gesselgamma import stirling
+
+FAMILIES = {"default": default_campaign_family, "5,3,11": FamilySpec(5, 3, 11).members}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_words_and_routes_match_the_list_and_sort_reference(family):
+    # the perms route on FamilySpec(5, 3, 11) is
+    # test_route_kernels.test_perms_route_matches_the_reference
+    for m in FAMILIES[family]():
+        perms = list(ref.enumerate_stirling(m))
+        assert sorted(stirling_words(m)) == [s.word for s in perms], m
+        assert GAMMA_ROUTES["extract"](m).to_json() == \
+            ref.gamma_extract(ref.c_polynomial_enum(perms), m.K).to_json(), m
+        if family == "default":
+            assert GAMMA_ROUTES["perms"](m).to_json() == \
+                ref.gamma_count_perms(m, perms).to_json(), m
+
+
+def test_mma_route_matches_the_reference():
+    for n in range(1, 8):
+        m = Multiset.uniform(n, 2)
+        assert GAMMA_ROUTES["mma"](m).to_json() == \
+            ref.gamma_count_mma(m, ref.enumerate_stirling(m)).to_json(), m
+
+
+def test_sorted_words_equal_brute_force():
+    for m in [Multiset(()), *small_family()]:
+        assert sorted(stirling_words(m)) == brute_stirling(m.mults), m
+
+
+@pytest.mark.parametrize("spec", ["3,1,2", "1,3,2", "2,1,3", "3,2,1", "1,2,3,1"])
+def test_every_word_has_the_multiplicities_of_its_multiset(spec):
+    # a generator that captured the loop's last block would insert it for
+    # every value, so the letter counts would be wrong
+    m = Multiset.parse(spec)
+    words = list(stirling_words(m))
+    expected = Counter({v: k for v, k in enumerate(m.mults, start=1)})
+    assert words and all(Counter(w) == expected for w in words)
+    assert len(set(words)) == len(words)
+
+
+def test_the_stream_holds_no_list_of_words():
+    m = Multiset.uniform(8, 1)  # 40 320 words; the list-and-sort body peaks near 5 MiB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in stirling_words(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 40320
+    assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("route", ["perms", "mma", "extract"])
+def test_routes_build_no_permutation_and_call_no_enumerate_stirling(monkeypatch, route):
+    made = []
+    init = StirlingPermutation.__init__
+
+    def counted_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(StirlingPermutation, "__init__", counted_init)
+    calls = counting(monkeypatch, enumerate_stirling)
+    GAMMA_ROUTES[route](Multiset((2, 2, 2, 2)))
+    assert made == [] and calls == []
+    # the counters see what they count
+    list(stirling.enumerate_stirling(Multiset((2, 2))))
+    assert len(made) == 3 and len(calls) == 1
