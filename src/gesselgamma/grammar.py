@@ -16,7 +16,7 @@ seed u z^(k_1 - 1) builds its gamma polynomial directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, GammaExtractionError
 from .multiset import Multiset
@@ -117,12 +117,71 @@ def chain_cost(m: Multiset) -> int:
     return cost
 
 
+def _slice_chain(seed: Poly3, rules_of: Callable[[int], GrammarRuleSet],
+                 ks: Iterable[int], w: int) -> Poly3:
+    """Derive the monomial seed by rules_of(k) for each k in turn, z-slice by z-slice.
+
+    The polynomial is carried as {c: {a: coeff}}, c the third exponent and
+    a the first.  Every term has the same weight W = w*a + b + c, and each
+    of the three shift-table rows of rules_of(k) (one rule monomial per
+    variable) adds k to it, w = 1 for the xyz rules and w = 2 for the uvz
+    rules.  So the middle exponent b = W - c - w*a is not stored.  Each row
+    is one loop over one slice, multiplying a term by a, by b, or by c,
+    which is constant across the slice.
+
+    The first two rows take slice c to slice c + dc, the third to c + dc - 1.
+    Slices are kept in falling order of c, so the third row always reaches
+    a slice below all those written so far and builds it by one
+    comprehension; the first row adds into the slice the third row of
+    slice c + 1 built, if there is one.  The seed and every row keep a >= 1,
+    a zero b is skipped, and every rule coefficient is positive, so no
+    stored coefficient is zero.  Each distinct k builds its shift table
+    once, and the Poly3 is built once, at the end.
+    """
+    [((a, b, c), coeff)] = seed.terms.items()
+    W = w * a + b + c
+    slices = {c: {a: coeff}}
+    tables = {}
+    for k in ks:
+        rows = tables.get(k)
+        if rows is None:
+            rows = tables[k] = shift_table(rules_of(k))
+        (_, da0, _, dc, r0), (_, da1, _, _, r1), (_, da2, _, _, r2) = rows
+        out: dict[int, dict[int, int]] = {}
+        for c, row in slices.items():
+            t = out.get(c + dc)
+            if t is None:
+                t = out[c + dc] = {a + da0: a * r0 * v for a, v in row.items()}
+            else:
+                get = t.get
+                for a, v in row.items():
+                    key = a + da0
+                    t[key] = get(key, 0) + a * r0 * v
+            get = t.get
+            Wc = W - c
+            for a, v in row.items():
+                b = Wc - w * a
+                if b:
+                    key = a + da1
+                    t[key] = get(key, 0) + b * r1 * v
+            if c:
+                m = c * r2
+                out[c + dc - 1] = {a + da2: m * v for a, v in row.items()}
+        W += k
+        slices = out
+    return Poly3._wrap(seed.vars, {(a, W - c - w * a, c): v
+                                   for c, row in slices.items() for a, v in row.items()})
+
+
 def c_polynomial_grammar(m: Multiset) -> Poly3:
-    """Build the ascent/descent/plateau polynomial by the derivative chain."""
-    p = Poly3.variable("x", XYZ)
-    for p in derive_chain(p, map(xyz_rules, m.mults)):
-        pass
-    return p
+    """Build the ascent/descent/plateau polynomial by the xyz derivative chain.
+
+    Applies D_{k_1}, ..., D_{k_n} to the seed x.  The chain runs slice by
+    slice in a private kernel and gives the polynomial that
+    :func:`derive_chain` ends on; :func:`derive` is the general one-step
+    kernel.
+    """
+    return _slice_chain(Poly3.variable("x", XYZ), xyz_rules, m.mults, 1)
 
 
 def uvz_seed(k: int) -> Poly3:
@@ -134,14 +193,13 @@ def gamma_polynomial_grammar(m: Multiset) -> Poly3:
     """Build the gamma polynomial in (u, v, z) by the uvz derivative chain.
 
     The chain starts from the seed u z^(k_1 - 1), the image of the first
-    value's block, and applies D_{k_2}, ..., D_{k_n}.
+    value's block, and applies D_{k_2}, ..., D_{k_n}.  Like
+    :func:`c_polynomial_grammar` it runs slice by slice and gives the
+    polynomial that :func:`derive_chain` ends on.
     """
     if m.n == 0:
         raise DomainError("the gamma polynomial is defined for nonempty multisets")
-    p = uvz_seed(m.mults[0])
-    for p in derive_chain(p, map(uvz_rules, m.mults[1:])):
-        pass
-    return p
+    return _slice_chain(uvz_seed(m.mults[0]), uvz_rules, m.mults[1:], 2)
 
 
 def change_of_variables_check(p: Poly3, signed: bool = False) -> Poly3:

@@ -216,15 +216,13 @@ def is_symmetric(p: Poly3, names) -> bool:
     if len(set(idxs)) != len(idxs):
         raise ParseError(f"repeated variable in {names!r}")
 
-    def swapped(e: Exponent, i: int, j: int) -> Exponent:
-        lst = list(e)
-        lst[i], lst[j] = lst[j], lst[i]
-        return tuple(lst)
-
+    get = p.terms.get
     # invariance under adjacent transpositions generates the full group
-    for a, b in zip(idxs, idxs[1:]):
+    for s, t in zip(idxs, idxs[1:]):
+        # e swapped at s and t is (e[i0], e[i1], e[i2])
+        i0, i1, i2 = (t if i == s else s if i == t else i for i in range(3))
         for e, c in p.terms.items():
-            if p.terms.get(swapped(e, a, b), 0) != c:
+            if get((e[i0], e[i1], e[i2]), 0) != c:
                 return False
     return True
 
@@ -337,8 +335,10 @@ def gamma_extract(p: Poly3, K: int) -> GammaTable:
     entries: dict[tuple[int, int], int] = {}
     for i, slice_terms in sorted(p.z_slices().items()):
         d = K + 1 - i
-        for (a, b), c in sorted(slice_terms.items()):
+        for a, b in slice_terms:
             if a + b != d:
+                # report the first offending term in sorted order
+                (a, b), c = min(((a, b), c) for (a, b), c in slice_terms.items() if a + b != d)
                 raise GammaExtractionError(
                     f"z-slice is not homogeneous of degree K+1-i={d}: "
                     f"term has x,y-degree {a + b}", i=i, value=c)

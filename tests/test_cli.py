@@ -11,6 +11,8 @@ import reference_kernels as ref
 from gesselgamma import (
     GAMMA_ROUTES,
     Multiset,
+    Poly3,
+    c_polynomial_grammar,
     enumerate_stirling,
     gamma_polynomial_grammar,
     stirling_words,
@@ -373,6 +375,15 @@ class TestGrammarDerive:
         lines = out.rstrip("\n").split("\n")
         assert len(lines) == len(spec.split(","))
         assert lines[-1] == gamma_polynomial_grammar(Multiset.parse(spec)).to_json()
+
+    @pytest.mark.parametrize("spec", ["2,2", "1,3,1,4,1", "4,1,4", "2,2,2,2,2,2,2,2", "3,1,1,2"])
+    def test_last_document_is_the_chain_builders_polynomial(self, capsys, spec):
+        # grammar-derive steps through derive; the chain builders run slice by slice
+        m = Multiset.parse(spec)
+        for rules, build in (("xyz", c_polynomial_grammar), ("uvz", gamma_polynomial_grammar)):
+            code, out, _ = run(capsys, "grammar-derive", "--rules", rules, "--k-seq", spec)
+            assert code == 0
+            assert Poly3.from_json(out.rstrip("\n").split("\n")[-1]) == build(m), (rules, spec)
 
     def test_bad_k_seq(self, capsys):
         for bad in ("", "0", "2,x"):

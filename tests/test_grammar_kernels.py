@@ -23,6 +23,7 @@ from gesselgamma import (
     XYZ,
     c_polynomial_grammar,
     change_of_variables_check,
+    count_stirling,
     derive,
     DomainError,
     FamilySpec,
@@ -117,6 +118,55 @@ def test_chains_match_reference_chains():
         for k in m.mults[1:]:
             q = ref.derive(q, uvz_rules(k))
         assert gamma_polynomial_grammar(m) == q, m
+
+
+def reference_chains(mults):
+    """The xyz and uvz polynomials of mults by chains of reference derive steps."""
+    p = X
+    for k in mults:
+        p = ref.derive(p, xyz_rules(k))
+    q = Poly3.monomial((1, 0, mults[0] - 1), 1, UVZ)
+    for k in mults[1:]:
+        q = ref.derive(q, uvz_rules(k))
+    return p, q
+
+
+def test_rule_rows_have_the_shape_the_slice_kernel_reads():
+    # one row per variable, in order; each raises the weight w*a + b + c
+    # (w = 1 for xyz, 2 for uvz) by k, so b is read off the weight; a never
+    # falls, the first two rows share a z-shift and the third shifts z by
+    # one less, and every coefficient is positive
+    for k in range(1, 9):
+        for rules, w in ((xyz_rules(k), 1), (uvz_rules(k), 2)):
+            rows = shift_table(rules)
+            assert [idx for idx, *_ in rows] == [0, 1, 2]
+            assert {w * da + db + dc for _, da, db, dc, _ in rows} == {k}
+            assert all(da >= 0 and rc > 0 for _, da, _, _, rc in rows)
+            assert rows[0][3] == rows[1][3] == rows[2][3] + 1
+
+
+@pytest.mark.parametrize("mults", [
+    (2,) * 60,
+    (1,) * 100,
+    (4,) * 30,
+    (4, 1, 3, 1, 1, 4, 2, 1) * 4,  # k = 1 between larger ones: the z-row shifts by -1
+    (1, 4) * 12 + (1,),
+    (3, 1, 1, 1, 2, 1, 4, 1, 1, 3),
+])
+def test_chains_match_reference_chains_on_large_shapes(mults):
+    p, q = reference_chains(mults)
+    m = Multiset(mults)
+    assert c_polynomial_grammar(m) == p
+    assert gamma_polynomial_grammar(m) == q
+    assert sum(p.terms.values()) == count_stirling(m)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=25))
+def test_chains_match_reference_chains_on_random_multiplicities(mults):
+    p, q = reference_chains(mults)
+    m = Multiset(tuple(mults))
+    assert c_polynomial_grammar(m) == p
+    assert gamma_polynomial_grammar(m) == q
 
 
 def basis_element(i, j, d):

@@ -1,7 +1,7 @@
 """Sparse trivariate polynomials, gamma tables, and basis extraction."""
 
 import json
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -111,6 +111,17 @@ class TestSerialization:
         assert json.loads(p.to_json())["terms"][0]["c"] == str(10 ** 40)
 
 
+def permuted(p, idxs, perm):
+    """p with the exponent at position idxs[t] moved to perm[t]."""
+    terms = {}
+    for e, c in p.terms.items():
+        f = list(e)
+        for i, j in zip(idxs, perm):
+            f[j] = e[i]
+        terms[tuple(f)] = c
+    return Poly3(XYZ, terms)
+
+
 class TestSymmetry:
     def test_examples(self):
         assert is_symmetric(X + Y, ("x", "y"))
@@ -118,6 +129,18 @@ class TestSymmetry:
         assert is_symmetric(X * Y * Z + X + Y + Z, ("x", "y", "z"))
         assert not is_symmetric(X * Y, ("x", "y", "z"))
         assert is_symmetric(Poly3.zero(), ("x", "y", "z"))
+
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-2, 2).filter(bool),
+                           max_size=8),
+           st.permutations(XYZ), st.integers(0, 3))
+    def test_matches_every_permutation_of_the_named_variables(self, terms, order, size):
+        p = Poly3(XYZ, terms)
+        names = order[:size]
+        idxs = [XYZ.index(v) for v in names]
+        images = [permuted(p, idxs, perm) for perm in permutations(idxs)]
+        assert is_symmetric(p, names) == all(q == p for q in images)
+        # the sum of all images is symmetric, so both answers are seen
+        assert is_symmetric(sum(images, Poly3.zero()), names)
 
     def test_bad_names(self):
         with pytest.raises(ParseError):
