@@ -10,7 +10,8 @@ A tree is canonical when no vertex has an unbalanced y-leaf.  Flipping
 every unbalanced-y vertex of a tree reaches the unique canonical member
 of its orbit; the orbit itself consists of the trees obtained from the
 canonical representative by flipping any subset of its unbalanced-x
-vertices, hence has size 2^uxleaf.
+vertices, hence has size 2^uxleaf.  On a slot table (``trees.Table``)
+a flip swaps the ends of one row, so both are one pass over the rows.
 
 Pruning a tree removes its x- and y-leaves and remembers what was lost as
 a vertex label: nothing for a vertex that had neither, ``y`` when only a
@@ -34,8 +35,11 @@ from .trees import (
     Leaf,
     LeafCensus,
     Node,
+    Table,
     leaf_census,
     render_tree,
+    table_census,
+    table_of_tree,
 )
 
 # Members x K: the letters an orbit's members spell.  Building, hashing and
@@ -182,6 +186,29 @@ def canonical_representative(t: GesselTree) -> GesselTree:
     return GesselTree(copies[id(t.root)], t.multiset)
 
 
+def is_canonical_table(table: Table) -> bool:
+    """No row has an empty last slot and a filled first slot."""
+    return all(row[-1] or not row[0] for row in table)
+
+
+def canonical_table(table: Table) -> Table:
+    """The slot table of the canonical representative: every row with an
+    empty last slot and a filled first slot has its ends swapped."""
+    return tuple(row if row[-1] or not row[0] else (row[-1], *row[1:-1], row[0])
+                 for row in table)
+
+
+def table_orbit(table: Table) -> frozenset[Table]:
+    """The orbit of a slot table: its ends swapped on every subset of the rows
+    that have exactly one of their first and last slots empty."""
+    members = [table]
+    for v, row in enumerate(table):
+        if (row[0] == 0) != (row[-1] == 0):
+            swapped = (row[-1], *row[1:-1], row[0])
+            members += [t[:v] + (swapped,) + t[v + 1:] for t in members]
+    return frozenset(members)
+
+
 def orbit(t: GesselTree) -> frozenset[GesselTree]:
     """The orbit of t: all subset-flips of the canonical form's unbalanced-x vertices.
 
@@ -280,7 +307,7 @@ def enumerate_canonical(m: Multiset) -> Iterator[GesselTree]:
         yield GesselTree(tree_of_table(table), m)
 
 
-def tree_of_table(table: list[list[int]]) -> Node:
+def tree_of_table(table: Table | list[list[int]]) -> Node:
     """The root of the tree a slot table of :func:`placements` describes."""
     nodes: list[Node] = [LEAF] * len(table)
     for v in range(len(table) - 1, 0, -1):
@@ -348,33 +375,21 @@ class PrunedTree:
 
 
 def prune(t: GesselTree) -> PrunedTree:
-    census = leaf_census(t)
+    table = table_of_tree(t.root)
+    census = table_census(table)
     types = {
         label: _TYPE_BY_FLAGS[(has_x, has_y)]
         for label, (has_x, has_y, _) in census.per_vertex.items()
     }
-
-    # Rebuild bottom-up: in reversed preorder every vertex follows its children.
-    preorder: list[Internal] = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if type(v) is Internal:
-            preorder.append(v)
-            stack.extend(v.children)
-    stripped: dict[int, Internal] = {}
-    for v in reversed(preorder):
-        kept: list[Node] = []
-        last = len(v.children) - 1
-        for pos, child in enumerate(v.children):
-            if type(child) is Internal:
-                kept.append(stripped[id(child)])
-            elif 0 < pos < last:
-                kept.append(child)  # a z-leaf; x- and y-leaves are dropped
-        stripped[id(v)] = Internal(v.label, tuple(kept))
-
-    root: Node = stripped[id(t.root)] if preorder else t.root
-    return PrunedTree(root=root, multiset=t.multiset, types=types, zleaf=census.zleaf)
+    # Rebuild bottom-up: every vertex's children carry larger labels.  Each
+    # keeps its subtrees and its z-leaves; x- and y-leaves are dropped.
+    nodes: list[Node] = [LEAF] * len(table)
+    for v in range(len(table) - 1, 0, -1):
+        last = len(table[v]) - 1
+        nodes[v] = Internal(v, tuple(nodes[c] for pos, c in enumerate(table[v])
+                                     if c or 0 < pos < last))
+    return PrunedTree(root=nodes[table[0][0]], multiset=t.multiset, types=types,
+                      zleaf=census.zleaf)
 
 
 def serialize_pruned(p: PrunedTree) -> str:

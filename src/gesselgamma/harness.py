@@ -3,10 +3,12 @@
 Each check exhaustively tests one identity on one multiset at a time and
 reports a counterexample payload on failure (the multiset, the offending
 permutation or tree, and both sides of the failed equality).  A campaign
-runs multiset by multiset: the words, trees and enumerated polynomial of
-a multiset are built once, in a shared context that every check reads,
-and dropped before the next multiset.  The per-word checks run together,
-in one pass over the words.  The independent routes the checks compare
+runs multiset by multiset: the words, the slot tables of their trees and
+the enumerated polynomial of a multiset are built once, in a shared
+context that every check reads, and dropped before the next multiset.
+The per-word checks run together, in one pass over the words; they, ORBIT
+and T4.3 read the rows of the tables, and only ROUNDTRIP builds object
+trees, once per word.  The independent routes the checks compare
 against still compute on their own.  Campaigns can hand whole
 multisets to a process pool, and refuse families whose total permutation
 count exceeds a budget.
@@ -27,11 +29,14 @@ from .action import (
     balance_from_census,
     balance_report,
     canonical_representative,
+    canonical_table,
     is_canonical,
+    is_canonical_table,
     is_canonical_ternary,
-    orbit,
     prune,
+    table_orbit,
     ternary_from_census,
+    tree_of_table,
 )
 from .counts import GAMMA_ROUTES, c_polynomial_enum, triple_polynomial
 from .errors import DomainError, FamilyTooLargeError
@@ -56,15 +61,17 @@ from .stirling import (
     statistics,
 )
 from .trees import (
-    GesselTree,
     LeafCensus,
+    Table,
+    _word_of,
     first_last_occurrence_flags,
     gessel_forward,
-    gessel_inverse,
     leaf_census,
     parse_tree,
-    preorder_key,
     serialize,
+    table_census,
+    table_of_tree,
+    table_of_word,
 )
 
 DEFAULT_COST_CAP = 10**6
@@ -133,8 +140,9 @@ def _fail(m: Multiset, detail: str, **extra) -> Failure:
 class MultisetContext:
     """What the checks of one multiset share, each part built on first use.
 
-    ``perms`` are the Stirling permutations in enumeration order and
-    ``trees[k]`` is the Gessel tree of ``perms[k]``; ``triples[k]`` is its
+    ``perms`` are the Stirling permutations in enumeration order,
+    ``tables[k]`` is the slot table of the Gessel tree of ``perms[k]``, a
+    tuple of tuples (``trees.table_of_word``), and ``triples[k]`` is its
     ``(asc, des, plat)``.  ``c_polynomial`` sums those triples (``x`` for the
     empty multiset, like ``c_polynomial_enum``) and ``gamma`` is its
     extracted table; ``route(name)`` is the table by a ``GAMMA_ROUTES``
@@ -155,8 +163,9 @@ class MultisetContext:
         return list(enumerate_stirling(self.multiset))
 
     @cached_property
-    def trees(self) -> list[GesselTree]:
-        return [gessel_forward(s) for s in self.perms]
+    def tables(self) -> list[Table]:
+        mults = self.multiset.mults
+        return [table_of_word(s.word, mults) for s in self.perms]
 
     @cached_property
     def triples(self) -> list[tuple[int, int, int]]:
@@ -208,7 +217,8 @@ class MultisetContext:
 
 
 class WordRecord:
-    """One word of a context and its tree, as the per-word checks read them.
+    """One word of a context and its tree's slot table, as the per-word
+    checks read them.
 
     The profile and the leaf census are built on first use, so each runs
     once per word, and only for a check that reads it.
@@ -216,7 +226,7 @@ class WordRecord:
 
     def __init__(self, ctx: MultisetContext, k: int):
         self.ctx, self.k = ctx, k
-        self.s, self.t = ctx.perms[k], ctx.trees[k]
+        self.s, self.table = ctx.perms[k], ctx.tables[k]
 
     @cached_property
     def profile(self) -> StatProfile:
@@ -224,7 +234,7 @@ class WordRecord:
 
     @cached_property
     def census(self) -> LeafCensus:
-        return leaf_census(self.t)
+        return table_census(self.table)
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -261,20 +271,23 @@ def _agreement(lhs: str, rhs: str, what: str) -> Callable[[Multiset], list[Failu
 
 
 def _check_roundtrip(m: Multiset) -> list[Failure]:
+    # The only check that builds object trees.  Each word's tree is written
+    # out and parsed back, which validates it once; the parsed tree reads
+    # back to the word, and its slot table is the one the other checks read.
     # tree -> word -> tree needs no pass of its own: the trees are
     # gessel_forward of the words, so once word -> tree -> word is the
     # identity, rebuilding a tree from its word gives back the same tree.
     # Bijectivity rests on that identity, injectivity and the count.
     ctx = _context(m)
     seen: set[str] = set()
-    for s, t in zip(ctx.perms, ctx.trees):
-        back = gessel_inverse(t)
-        if back.word != s.word:
+    for s, table in zip(ctx.perms, ctx.tables):
+        text = serialize(gessel_forward(s))
+        t = parse_tree(text)
+        back = _word_of(t.root)
+        if back != s.word:
             return [_fail(m, "word -> tree -> word is not the identity",
-                          sigma=str(s), lhs=str(s), rhs=str(back))]
-        text = serialize(t)
-        t2 = parse_tree(text)
-        if t2 != t:
+                          sigma=str(s), lhs=str(s), rhs=" ".join(map(str, back)))]
+        if table_of_tree(t.root) != table:
             return [_fail(m, "serialize -> parse is not the identity",
                           sigma=str(s), tree=text)]
         seen.add(text)
@@ -325,14 +338,22 @@ def _check_t41(m: Multiset) -> list[Failure]:
 
 
 def _check_t43(m: Multiset) -> list[Failure]:
+    # A canonical tree pruned has a u-vertex for each row with both ends
+    # empty and a v-vertex for each with only its first slot empty, and it
+    # keeps the z-leaves, the empty slots between a row's ends.
     ctx = _context(m)
     weights: Counter[tuple[int, int, int]] = Counter()
-    for t in ctx.trees:
-        if not is_canonical(t):
-            continue
-        p = prune(t)
-        u, v = p.weight()
-        weights[u, v, p.zleaf] += 1
+    for table in ctx.tables:
+        u = v = z = 0
+        for row in table[1:]:
+            x, y = row[0] == 0, row[-1] == 0
+            if y and not x:
+                break  # an unbalanced y-leaf: not canonical
+            u += x and y
+            v += x and not y
+            z += row.count(0) - x - y
+        else:
+            weights[u, v, z] += 1
     expected = gamma_table_to_uvz(ctx.gamma)
     return _mismatch(m, "pruned-tree weights do not sum to the gamma polynomial",
                      Poly3(UVZ, weights), expected)
@@ -406,50 +427,51 @@ def _check_sym_xyz(m: Multiset) -> list[Failure]:
 
 def _check_orbit(m: Multiset) -> list[Failure]:
     ctx = _context(m)
-    trees = ctx.trees
-    # Classes by their representative's preorder key, which like its text
-    # tells trees apart; each class keeps its first member's representative.
-    groups: dict[tuple, tuple[GesselTree, list[int]]] = {}
-    for k, t in enumerate(trees):
-        canon = canonical_representative(t)
-        groups.setdefault(preorder_key(canon.root), (canon, []))[1].append(k)
-    # Distinct trees have distinct texts, so no two texts tie in the sort.
-    classes = sorted((serialize(canon), canon, indices) for canon, indices in groups.values())
-    del groups  # its keys are not needed past here
-    total: Counter[tuple[int, int, int]] = Counter()
-    for canon_text, canon, indices in classes:
-        members = [trees[k] for k in indices]
-        if not is_canonical(canon):
-            return [_fail(m, "orbit representative is not canonical", tree=canon_text)]
-        canonical_members = [t for t in members if is_canonical(t)]
-        if len(canonical_members) != 1:
-            return [_fail(m, f"orbit has {len(canonical_members)} canonical members, expected 1",
-                          tree=canon_text)]
-        keys = {preorder_key(t.root) for t in members}
-        if {preorder_key(t.root) for t in orbit(members[0])} != keys:
-            return [_fail(m, "orbit closure differs from the canonical-representative class",
-                          tree=canon_text)]
-        census = leaf_census(canon)
-        ux = balance_from_census(census).uxleaf
-        if len(members) != 2 ** ux:
-            return [_fail(m, "orbit size is not 2^(unbalanced-x vertices)",
-                          tree=canon_text, lhs=len(members), rhs=2 ** ux)]
-        if ux != m.K + 1 - census.zleaf - 2 * census.yleaf:
-            return [_fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
-                          tree=canon_text, lhs=ux,
-                          rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)]
-        expected = substitute_uv(Poly3.monomial((census.yleaf, ux, census.zleaf), 1, UVZ))
-        # Each member is the tree of the word it was built from, so the
-        # word's triple is the member's monomial.
-        triples = Counter(ctx.triples[k] for k in indices)
-        actual = Poly3(XYZ, triples)
-        if actual != expected:
-            return [_fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
-                          tree=canon_text, lhs=actual.to_json_dict(),
-                          rhs=expected.to_json_dict())]
-        total.update(triples)
-    return _mismatch(m, "orbit sums do not add up to the full polynomial",
-                     Poly3(XYZ, total), ctx.c_polynomial)
+    tables = ctx.tables
+    # Classes by their representative's rows.
+    groups: dict[Table, list[int]] = {}
+    for k, table in enumerate(tables):
+        groups.setdefault(canonical_table(table), []).append(k)
+    # A failing class is named by its representative's text, and the one
+    # whose text sorts first is reported; a passing class is never written.
+    failures = []
+    for canon, indices in groups.items():
+        failure = _orbit_class_failure(m, canon, [tables[k] for k in indices],
+                                       [ctx.triples[k] for k in indices])
+        if failure:
+            failure["tree"] = serialize(tree_of_table(canon))
+            failures.append(failure)
+    return [min(failures, key=lambda f: f["tree"])] if failures else []
+
+
+def _orbit_class_failure(m: Multiset, canon: Table, members: list[Table],
+                         triples: list[tuple[int, int, int]]) -> Failure | None:
+    """The first failure of one class, its ``tree`` still to be named, or None."""
+    if not is_canonical_table(canon):
+        return _fail(m, "orbit representative is not canonical", tree=None)
+    canonical_members = sum(map(is_canonical_table, members))
+    if canonical_members != 1:
+        return _fail(m, f"orbit has {canonical_members} canonical members, expected 1",
+                     tree=None)
+    if table_orbit(members[0]) != frozenset(members):
+        return _fail(m, "orbit closure differs from the canonical-representative class",
+                     tree=None)
+    census = table_census(canon)
+    ux = balance_from_census(census).uxleaf
+    if len(members) != 2 ** ux:
+        return _fail(m, "orbit size is not 2^(unbalanced-x vertices)",
+                     tree=None, lhs=len(members), rhs=2 ** ux)
+    if ux != m.K + 1 - census.zleaf - 2 * census.yleaf:
+        return _fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
+                     tree=None, lhs=ux, rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)
+    expected = substitute_uv(Poly3.monomial((census.yleaf, ux, census.zleaf), 1, UVZ))
+    # Each member is the tree of the word it was built from, so the word's
+    # triple is the member's monomial.
+    actual = Poly3(XYZ, Counter(triples))
+    if actual != expected:
+        return _fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
+                     tree=None, lhs=actual.to_json_dict(), rhs=expected.to_json_dict())
+    return None
 
 
 @dataclass(frozen=True)

@@ -125,28 +125,44 @@ def count_stirling(multiset: Multiset) -> int:
     return total
 
 
-def _insert_block(words: Iterator[tuple[int, ...]],
-                  block: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Each word of ``words`` with ``block`` put into each of its gaps in turn."""
-    for w in words:
-        for gap in range(len(w) + 1):
-            yield w[:gap] + block + w[gap:]
-
-
 def stirling_words(multiset: Multiset) -> Iterator[tuple[int, ...]]:
     """The bare words of all Stirling permutations of the multiset, each once.
 
     Words are built by inserting the block n^kn into each of the K'+1 gaps
     of every Stirling permutation of {1^k1, ..., (n-1)^k(n-1)}; distinct
-    gaps give distinct words, so this realises the counting product.  One
-    generator per value inserts its block into the stream of the one
-    before, so the stream holds one partial word per value, O(n K) in
-    all, and yields in insertion order, not lexicographic order.
+    gaps give distinct words, so this realises the counting product.  An
+    explicit stack holds, per value, a partial word and the next gap to try
+    in it, so the stream holds O(n K) letters, has no depth limit, and
+    yields in insertion order, not lexicographic order.
     """
-    words: Iterator[tuple[int, ...]] = iter([()])
-    for value, k in enumerate(multiset.mults, start=1):
-        words = _insert_block(words, (value,) * k)
-    return words
+    blocks = [(value,) * k for value, k in enumerate(multiset.mults, start=1)]
+    # The last two blocks go in by two nested loops; an empty block stands
+    # in for a missing one, and goes into the one gap of the empty word.
+    block = blocks.pop() if blocks else ()
+    before = blocks.pop() if blocks else ()
+    depth = len(blocks)
+    # The stack, one level per other value: words[i] holds blocks 0..i-1,
+    # and gaps[i] is the next gap of words[i] to put block i in.
+    words = [()] * (depth + 1)
+    gaps = [0] * (depth + 1)
+    i = 0
+    while i >= 0:
+        w = words[i]
+        if i == depth:
+            for g in range(len(w) + 1):
+                u = w[:g] + before + w[g:]
+                for gap in range(len(u) + 1):
+                    yield u[:gap] + block + u[gap:]
+            i -= 1
+            continue
+        gap = gaps[i]
+        if gap > len(w):
+            i -= 1
+            continue
+        gaps[i] = gap + 1
+        i += 1
+        words[i] = w[:gap] + blocks[i - 1] + w[gap:]
+        gaps[i] = 0
 
 
 def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:

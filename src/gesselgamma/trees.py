@@ -53,6 +53,11 @@ class Internal:
 
 Node = Union[Leaf, Internal]
 
+# A tree as a slot table: ``table[v][p]`` is the vertex in child slot p of
+# vertex v, or 0 for a leaf; row 0 has one slot, which holds the root (0 over
+# the empty multiset).  A flip swaps the ends of one row.
+Table = tuple[tuple[int, ...], ...]
+
 LEAF = Leaf()
 
 
@@ -144,6 +149,53 @@ def gessel_forward(s: StirlingPermutation) -> GesselTree:
     return GesselTree(root, s.multiset)
 
 
+def table_of_word(word: tuple[int, ...], mults: tuple[int, ...]) -> Table:
+    """The slot table of a Stirling word's Gessel tree, in the scan of
+    :func:`gessel_forward`: each child goes into the next slot of its
+    parent's row instead of into a new node."""
+    rows = [[0]] + [[0] * (k + 1) for k in mults]
+    fill = [0] * len(rows)  # the next slot of each open vertex
+    stack: list[int] = []
+    for c in word:
+        done = 0
+        while stack and stack[-1] > c:
+            v = stack.pop()
+            rows[v][-1] = done
+            done = v
+        if stack and stack[-1] == c:
+            rows[c][fill[c]] = done
+            fill[c] += 1
+        else:
+            stack.append(c)
+            rows[c][0] = done
+            fill[c] = 1
+    done = 0
+    while stack:
+        v = stack.pop()
+        rows[v][-1] = done
+        done = v
+    rows[0][0] = done
+    return tuple(map(tuple, rows))
+
+
+def table_of_tree(node: Node) -> Table:
+    """The slot table of the tree below a node whose labels are 1..n, each once."""
+    rows: dict[int, tuple[int, ...]] = {}
+    stack = [node] if type(node) is Internal else []
+    while stack:
+        v = stack.pop()
+        row = []
+        for c in v.children:
+            if type(c) is Internal:
+                row.append(c.label)
+                stack.append(c)
+            else:
+                row.append(0)
+        rows[v.label] = tuple(row)
+    root = node.label if type(node) is Internal else 0
+    return ((root,), *(rows[v] for v in range(1, len(rows) + 1)))
+
+
 def gessel_inverse(t: GesselTree) -> StirlingPermutation:
     """Read a Gessel tree back to its Stirling permutation.
 
@@ -153,9 +205,13 @@ def gessel_inverse(t: GesselTree) -> StirlingPermutation:
     violations = validate_tree(t)
     if violations:
         raise TreeValidationError(violations)
+    return StirlingPermutation(_word_of(t.root), t.multiset)
 
+
+def _word_of(node: Node) -> tuple[int, ...]:
+    """The word a tree reads back to, left to right, with no validation."""
     out: list[int] = []
-    stack: list[Node | int] = [t.root]
+    stack: list[Node | int] = [node]
     while stack:
         x = stack.pop()
         if type(x) is int:
@@ -170,7 +226,7 @@ def gessel_inverse(t: GesselTree) -> StirlingPermutation:
                 stack.append(label)
                 if type(child) is Internal:
                     stack.append(child)
-    return StirlingPermutation(tuple(out), t.multiset)
+    return tuple(out)
 
 
 def validate_tree(t: GesselTree) -> list[TreeViolation]:
@@ -223,30 +279,33 @@ def validate_tree(t: GesselTree) -> list[TreeViolation]:
 
 def leaf_census(t: GesselTree) -> LeafCensus:
     """Count leaves by kind; vertices are visited in :func:`internal_vertices` order."""
+    return table_census(table_of_tree(t.root))
+
+
+def table_census(table: Table) -> LeafCensus:
+    """The leaf census of the tree a slot table describes, with its vertices
+    in :func:`internal_vertices` order."""
     xleaf = yleaf = zleaf = 0
     zleaf_by_j: dict[int, int] = {}
     per_vertex: dict[int, tuple[bool, bool, int]] = {}
-    stack = [t.root]
+    stack = [v for v in table[0] if v]
     while stack:
         v = stack.pop()
-        if type(v) is not Internal:
-            continue
-        children = v.children
-        has_x = type(children[0]) is Leaf
-        has_y = type(children[-1]) is Leaf
+        row = table[v]
+        last = len(row) - 1
+        has_x = not row[0]
+        has_y = not row[last]
         z_count = 0
-        last = len(children) - 1
-        for pos, child in enumerate(children):
-            if type(child) is Leaf:
-                if 0 < pos < last:
-                    z_count += 1
-                    zleaf_by_j[pos + 1] = zleaf_by_j.get(pos + 1, 0) + 1
-            else:
+        for pos, child in enumerate(row):
+            if child:
                 stack.append(child)
+            elif 0 < pos < last:
+                z_count += 1
+                zleaf_by_j[pos + 1] = zleaf_by_j.get(pos + 1, 0) + 1
         xleaf += has_x
         yleaf += has_y
         zleaf += z_count
-        per_vertex[v.label] = (has_x, has_y, z_count)
+        per_vertex[v] = (has_x, has_y, z_count)
     return LeafCensus(xleaf, yleaf, zleaf, zleaf_by_j, per_vertex)
 
 

@@ -1,12 +1,14 @@
-"""The per-word checks and ORBIT as the harness ran them one by one.
+"""The per-word checks, ORBIT and T4.3 as the harness ran them one by one,
+on object trees.
 
 These are the earlier bodies of ``harness._check_p21``, ``_check_jkp``,
-``_check_p22``, ``_check_p51``, ``_check_p63`` and ``_check_orbit``: each
-per-word check walks every word on its own and rebuilds the statistics,
-leaf census and balance report it reads, and ORBIT groups the trees by
-serialized text, parses each class's text back and compares orbits as
-sets of trees.  The harness's one pass over the words and its text-free
-ORBIT must report the same outcomes, first failure included.
+``_check_p22``, ``_check_p51``, ``_check_p63``, ``_check_orbit`` and
+``_check_t43``: each per-word check walks every word on its own and
+rebuilds the statistics, leaf census and balance report it reads, ORBIT
+groups the trees by serialized text, parses each class's text back and
+compares orbits as sets of trees, and T4.3 prunes every canonical tree.
+The harness's one pass over the words and its ORBIT and T4.3, which read
+slot tables, must report the same outcomes, first failure included.
 
 Like the harness, these checks call the package's kernels, so a test can
 corrupt a kernel under both.  They never import ``gesselgamma.harness``,
@@ -22,10 +24,11 @@ from gesselgamma.action import (
     is_canonical,
     is_canonical_ternary,
     orbit,
+    prune,
 )
 from gesselgamma.counts import triple_polynomial
 from gesselgamma.multiset import Multiset
-from gesselgamma.poly import XYZ, Poly3
+from gesselgamma.poly import UVZ, XYZ, Poly3, gamma_extract, gamma_table_to_uvz
 from gesselgamma.stirling import asc_des_plat, enumerate_stirling, statistics
 from gesselgamma.trees import (
     first_last_occurrence_flags,
@@ -140,7 +143,6 @@ def check_orbit(m: Multiset, ctx: Context) -> list[Failure]:
         groups.setdefault(serialize(canonical_representative(t)), []).append(k)
     x = Poly3.variable("x", XYZ)
     y = Poly3.variable("y", XYZ)
-    total = Poly3.zero(XYZ)
     for canon_text in sorted(groups):
         indices = groups[canon_text]
         members = [trees[k] for k in indices]
@@ -170,9 +172,20 @@ def check_orbit(m: Multiset, ctx: Context) -> list[Failure]:
             return [_fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
                           tree=canon_text, lhs=actual.to_json_dict(),
                           rhs=expected.to_json_dict())]
-        total = total + actual
-    return _mismatch(m, "orbit sums do not add up to the full polynomial",
-                     total, ctx.c_polynomial)
+    return []
+
+
+def check_t43(m: Multiset, ctx: Context) -> list[Failure]:
+    weights: dict[tuple[int, int, int], int] = {}
+    for t in ctx.trees:
+        if not is_canonical(t):
+            continue
+        p = prune(t)
+        u, v = p.weight()
+        weights[u, v, p.zleaf] = weights.get((u, v, p.zleaf), 0) + 1
+    expected = gamma_table_to_uvz(gamma_extract(ctx.c_polynomial, m.K))
+    return _mismatch(m, "pruned-tree weights do not sum to the gamma polynomial",
+                     Poly3(UVZ, weights), expected)
 
 
 CHECKS = {
@@ -182,4 +195,5 @@ CHECKS = {
     "P5.1": check_p51,
     "P6.3": check_p63,
     "ORBIT": check_orbit,
+    "T4.3": check_t43,
 }

@@ -33,6 +33,9 @@ from gesselgamma import (
     statistics,
     toggle,
 )
+from gesselgamma.action import canonical_table, is_canonical_table, table_orbit, tree_of_table
+from gesselgamma.harness import default_campaign_family
+from gesselgamma.trees import table_of_tree, table_of_word
 
 SEG_TREE = "(1 (2 (3 (5 * * *) * *) *) * (4 * (6 * * * (7 * *)) *))"
 FLIPPED_TREE = "(1 (2 * (3 (5 * * *) * *)) * (4 * (6 * * * (7 * *)) *))"
@@ -282,3 +285,24 @@ class TestPrune:
             for s in enumerate_stirling(m):
                 t = gessel_forward(s)
                 assert prune(t).zleaf == leaf_census(t).zleaf
+
+
+class TestSlotTables:
+    def test_row_kernels_match_the_tree_kernels_on_the_default_family(self):
+        classes = 0
+        for m in default_campaign_family():
+            seen = set()
+            for s in enumerate_stirling(m):
+                table = table_of_word(s.word, m.mults)
+                t = gessel_forward(s)
+                canon = canonical_table(table)
+                assert canon == table_of_tree(canonical_representative(t).root), s
+                assert is_canonical_table(table) is is_canonical(t), s
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                want = {table_of_tree(u.root) for u in orbit(t)}
+                assert table_orbit(table) == want == table_orbit(canon), s
+                assert tree_of_table(canon) == canonical_representative(t).root
+            classes += len(seen)
+        assert classes == 8744

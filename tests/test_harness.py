@@ -14,7 +14,6 @@ from gesselgamma import (
     FamilyTooLargeError,
     GammaTable,
     Multiset,
-    StirlingPermutation,
     default_campaign_family,
     family_cost,
     golden_examples,
@@ -22,6 +21,7 @@ from gesselgamma import (
     verify,
 )
 from gesselgamma import counts, harness
+from gesselgamma.action import canonical_table
 from gesselgamma.harness import CheckDef, pool_workers
 
 SMALL = [Multiset((1,)), Multiset((2,)), Multiset((2, 2)), Multiset((2, 1, 2))]
@@ -86,17 +86,28 @@ class TestRunCampaign:
         assert check.counts() == {"pass": 4, "fail": 0, "skip": 0}
 
     def test_roundtrip_fails_on_a_wrong_inverse(self, monkeypatch):
-        original = harness.gessel_inverse
+        original = harness._word_of
 
-        def reversed_word(t):
-            s = original(t)
-            return StirlingPermutation(s.word[::-1], s.multiset)
+        def reversed_word(node):
+            return original(node)[::-1]
 
-        monkeypatch.setattr(harness, "gessel_inverse", reversed_word)
+        monkeypatch.setattr(harness, "_word_of", reversed_word)
         report = run_campaign(["ROUNDTRIP"], [Multiset((2, 2)), Multiset((1, 2))])
         outcomes = report.reports[0].outcomes
         assert [o.status for o in outcomes] == ["FAIL", "FAIL"]
         assert all("word -> tree -> word" in o.detail for o in outcomes)
+
+    def test_roundtrip_fails_when_the_tables_are_not_the_trees(self, monkeypatch):
+        original = harness.table_of_word
+
+        def canonical_only(word, mults):
+            return canonical_table(original(word, mults))
+
+        monkeypatch.setattr(harness, "table_of_word", canonical_only)
+        report = run_campaign(["ROUNDTRIP"], [Multiset((2, 2)), Multiset((1, 2))])
+        outcomes = report.reports[0].outcomes
+        assert [o.status for o in outcomes] == ["FAIL", "FAIL"]
+        assert all("serialize -> parse" in o.detail for o in outcomes)
 
     def test_all_has_sixteen_checks(self):
         report = verify("all", SMALL)
@@ -336,7 +347,7 @@ class TestSharedContext:
         m = Multiset((2, 2))
         ctx = harness._context(m)
         assert harness._current is None
-        assert len(ctx.perms) == len(ctx.trees) == len(ctx.triples) == 3
+        assert len(ctx.perms) == len(ctx.tables) == len(ctx.triples) == 3
         assert ctx.c_polynomial.terms == {(1, 2, 2): 1, (2, 1, 2): 1, (2, 2, 1): 1}
         assert harness._context(Multiset(())).c_polynomial.terms == {(1, 0, 0): 1}
 

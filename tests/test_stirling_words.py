@@ -91,3 +91,24 @@ def test_routes_build_no_permutation_and_call_no_enumerate_stirling(monkeypatch,
     # the counters see what they count
     list(stirling.enumerate_stirling(Multiset((2, 2))))
     assert len(made) == 3 and len(calls) == 1
+
+
+def insertion_order(m):
+    """The words in insertion order: block by block, gap by gap, as lists."""
+    words = [()]
+    for value, k in enumerate(m.mults, start=1):
+        block = (value,) * k
+        words = [w[:gap] + block + w[gap:] for w in words for gap in range(len(w) + 1)]
+    return words
+
+
+@pytest.mark.parametrize("spec", ["", "3", "1,2", "2,1,3", "1,1,1,1,1,1", "2,2,2,2,2",
+                                  "3,1,2,1", "1,1,4,1"])
+def test_words_come_in_insertion_order(spec):
+    m = Multiset.parse(spec) if spec else Multiset(())
+    assert list(stirling_words(m)) == insertion_order(m)
+
+
+def test_many_values_need_no_recursion():
+    first = next(stirling_words(Multiset((1,) * 1100)))
+    assert first == tuple(range(1100, 0, -1))

@@ -4,6 +4,7 @@ import pytest
 
 from gesselgamma import (
     DomainError,
+    FamilySpec,
     GesselTree,
     Internal,
     Leaf,
@@ -24,6 +25,9 @@ from gesselgamma import (
     statistics,
     validate_tree,
 )
+from gesselgamma.action import tree_of_table
+from gesselgamma.harness import default_campaign_family
+from gesselgamma.trees import table_census, table_of_tree, table_of_word
 
 LEAF = Leaf()
 
@@ -290,3 +294,27 @@ class TestParse:
         assert t != parse_tree("(1 (2 * *) *)")
         assert Internal(1, (LEAF, LEAF)) != LEAF
         assert Internal(1, (LEAF, LEAF)) == Internal(1, (Leaf(), Leaf()))
+
+
+class TestSlotTables:
+    @pytest.mark.parametrize("family", [default_campaign_family, FamilySpec(5, 3, 11).members],
+                             ids=["default", "5-3-11"])
+    def test_table_of_word_is_the_table_of_the_forward_tree(self, family):
+        for m in family():
+            for s in enumerate_stirling(m):
+                table = table_of_word(s.word, m.mults)
+                assert table == table_of_tree(gessel_forward(s).root), s
+                assert all(type(row) is tuple for row in table)
+
+    def test_table_round_trips_through_the_object_tree(self):
+        t = gessel_forward(perm(SEG_WORD))
+        table = table_of_word(SEG_WORD, t.multiset.mults)
+        assert table == ((1,), (2, 0, 4), (3, 0), (5, 0, 0), (0, 6, 0), (0, 0, 0),
+                         (0, 0, 0, 7), (0, 0))
+        assert serialize(tree_of_table(table)) == SEG_TREE
+        assert table_census(table) == leaf_census(t)
+
+    def test_empty_word(self):
+        assert table_of_word((), ()) == ((0,),) == table_of_tree(LEAF)
+        assert table_census(((0,),)) == leaf_census(GesselTree(LEAF, Multiset(())))
+        assert table_census(((0,),)).triple == (0, 0, 0)

@@ -1,6 +1,8 @@
-"""The per-word checks' one pass over the words, and ORBIT, against the
-check bodies they replaced (``reference_checks``), with correct kernels
-and with corrupted ones."""
+"""The per-word checks' one pass over the words, ORBIT and T4.3, which read
+slot tables, against the object-tree check bodies they replaced
+(``reference_checks``), with correct kernels and with corrupted ones.  A
+corrupted kernel is a pair where the harness and the reference call
+different kernels: one on slot tables and one on object trees."""
 
 import ast
 import sys
@@ -15,13 +17,29 @@ from gesselgamma.action import (
     BalanceStatus,
     balance_report,
     canonical_representative,
+    canonical_table,
     is_canonical,
+    is_canonical_table,
     orbit,
+    prune,
+    table_orbit,
     toggle,
+    tree_of_table,
 )
 from gesselgamma.harness import CHECKS, CheckOutcome, run_campaign
 from gesselgamma.stirling import StatProfile, statistics
-from gesselgamma.trees import LeafCensus, first_last_occurrence_flags, leaf_census
+from gesselgamma.trees import (
+    GesselTree,
+    Internal,
+    LeafCensus,
+    first_last_occurrence_flags,
+    gessel_forward,
+    leaf_census,
+    preorder_key,
+    table_census,
+    table_of_tree,
+    validate_tree,
+)
 
 WORD_IDS = ["P2.1", "JKP-ZJ", "P2.2", "P5.1", "P6.3"]
 IDS = WORD_IDS + ["ORBIT"]
@@ -66,9 +84,8 @@ def rebind_everywhere(monkeypatch, original, fake):
                 monkeypatch.setattr(mod, attr, fake)
 
 
-def census_without_root_y(t):
+def without_root_y(c):
     """Hides the y-leaf of vertex 1."""
-    c = leaf_census(t)
     if not c.per_vertex.get(1, (False, False, 0))[1]:
         return c
     has_x, _, z_count = c.per_vertex[1]
@@ -76,9 +93,8 @@ def census_without_root_y(t):
                       c.per_vertex | {1: (has_x, False, z_count)})
 
 
-def census_with_a_z_leaf_moved(t):
+def with_a_z_leaf_moved(c):
     """Moves one z-leaf of the largest vertex to the vertex below it in label order."""
-    c = leaf_census(t)
     n = len(c.per_vertex)
     if n < 2 or not c.per_vertex[n][2]:
         return c
@@ -93,12 +109,37 @@ def census_with_a_z_leaf_moved(t):
                       per_vertex)
 
 
+def with_a_z_leaf_lost(c):
+    """Counts one z-leaf fewer in the total, and nowhere else."""
+    if not c.zleaf:
+        return c
+    return LeafCensus(c.xleaf, c.yleaf, c.zleaf - 1, c.zleaf_by_j, c.per_vertex)
+
+
+def census_fault(fault):
+    """The census of a table, and of an object tree, with ``fault`` applied once."""
+    return [(table_census, lambda table: fault(table_census(table))),
+            (leaf_census, lambda t: fault(table_census(table_of_tree(t.root))))]
+
+
 def flags_with_last_y_flipped(s, i):
     """Flips the y flag of the largest value when the word ends with it."""
     has_x, has_y = first_last_occurrence_flags(s, i)
     if i == s.multiset.n and s.word[-1] == i:
         return has_x, not has_y
     return has_x, has_y
+
+
+def swap_ends(table, v):
+    row = table[v]
+    return table[:v] + ((row[-1], *row[1:-1], row[0]),) + table[v + 1:]
+
+
+def table_left_alone(table):
+    """Returns the table itself when its root has an x-leaf."""
+    if not table[table[0][0]][0]:
+        return table
+    return canonical_table(table)
 
 
 def representative_left_alone(t):
@@ -108,11 +149,45 @@ def representative_left_alone(t):
     return canonical_representative(t)
 
 
+def table_flipped_once(table):
+    """Flips the smallest unbalanced-x vertex of the true canonical table."""
+    canon = canonical_table(table)
+    free = [v for v, row in enumerate(canon) if not row[0] and row[-1]]
+    return swap_ends(canon, free[0]) if free else canon
+
+
 def representative_flipped_once(t):
     """Flips the smallest unbalanced-x vertex of the true representative."""
     canon = canonical_representative(t)
     free = balance_report(canon).vertices_with(BalanceStatus.UNBALANCED_X)
     return toggle(canon, free[0]) if free else canon
+
+
+def with_full_rows_sorted(table):
+    """Puts the smaller end first in every row whose ends are both filled."""
+    for v, row in enumerate(table):
+        if row[0] and row[-1] and row[0] > row[-1]:
+            table = swap_ends(table, v)
+    return table
+
+
+def table_merging_orbits(table):
+    """Merges the classes that differ by a swap of a vertex with no x- or y-leaf."""
+    return with_full_rows_sorted(canonical_table(table))
+
+
+def representative_merging_orbits(t):
+    """Merges the classes that differ by a swap of a vertex with no x- or y-leaf."""
+    canon = with_full_rows_sorted(table_of_tree(canonical_representative(t).root))
+    return GesselTree(tree_of_table(canon), t.multiset)
+
+
+def table_orbit_without_its_canonical_member(table):
+    """Drops the canonical member from every table orbit of two or more tables."""
+    members = table_orbit(table)
+    if len(members) < 2:
+        return members
+    return frozenset(u for u in members if not is_canonical_table(u))
 
 
 def orbit_without_its_canonical_member(t):
@@ -130,15 +205,23 @@ def statistics_raising(s):
     return statistics(s)
 
 
-FAULTS = [
-    (leaf_census, census_without_root_y),
-    (leaf_census, census_with_a_z_leaf_moved),
-    (first_last_occurrence_flags, flags_with_last_y_flipped),
-    (canonical_representative, representative_left_alone),
-    (canonical_representative, representative_flipped_once),
-    (orbit, orbit_without_its_canonical_member),
-    (statistics, statistics_raising),
-]
+# Each fault, by name: the (kernel, corrupted kernel) pairs it rebinds.
+FAULTS = {
+    "census_without_root_y": census_fault(without_root_y),
+    "census_with_a_z_leaf_moved": census_fault(with_a_z_leaf_moved),
+    "census_with_a_z_leaf_lost": census_fault(with_a_z_leaf_lost),
+    "flags_with_last_y_flipped": [(first_last_occurrence_flags, flags_with_last_y_flipped)],
+    "representative_left_alone": [(canonical_table, table_left_alone),
+                                  (canonical_representative, representative_left_alone)],
+    "representative_flipped_once": [(canonical_table, table_flipped_once),
+                                    (canonical_representative, representative_flipped_once)],
+    "representative_merging_orbits": [(canonical_table, table_merging_orbits),
+                                      (canonical_representative, representative_merging_orbits)],
+    "orbit_without_its_canonical_member": [
+        (table_orbit, table_orbit_without_its_canonical_member),
+        (orbit, orbit_without_its_canonical_member)],
+    "statistics_raising": [(statistics, statistics_raising)],
+}
 
 
 def test_checks_match_the_reference_on_the_default_family():
@@ -148,9 +231,17 @@ def test_checks_match_the_reference_on_the_default_family():
     assert all(o["status"] != "FAIL" for outcomes in got.values() for o in outcomes)
 
 
-@pytest.mark.parametrize("original, fake", FAULTS, ids=[f.__name__ for _, f in FAULTS])
-def test_checks_match_the_reference_under_a_faulty_kernel(monkeypatch, original, fake):
-    rebind_everywhere(monkeypatch, original, fake)
+def test_t43_matches_the_reference_on_the_default_family():
+    family = default_campaign_family()
+    got = harness_outcomes(["T4.3"], family)
+    assert got == reference_outcomes(["T4.3"], family)
+    assert all(o["status"] == "PASS" for o in got["T4.3"])
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_checks_match_the_reference_under_a_faulty_kernel(monkeypatch, fault):
+    for original, fake in FAULTS[fault]:
+        rebind_everywhere(monkeypatch, original, fake)
     got = harness_outcomes(IDS, FAULT_FAMILY)
     assert got == reference_outcomes(IDS, FAULT_FAMILY)
     failing = {cid for cid, outcomes in got.items()
@@ -209,12 +300,36 @@ def test_a_doubled_only_check_adds_no_work_on_other_multisets(monkeypatch):
 
 def test_each_word_gets_one_profile_and_one_census(monkeypatch):
     profiles = counting(monkeypatch, statistics)
-    censuses = counting(monkeypatch, leaf_census)
+    censuses = counting(monkeypatch, table_census)
     members = [m for m in FAULT_FAMILY if m.is_uniform(2)]
     assert run_campaign(WORD_IDS, members).passed
     words = [str(s) for m in members for s in harness.enumerate_stirling(m)]
     assert sorted(str(s) for (s,) in profiles) == sorted(words)
     assert len(censuses) == len(words)
+
+
+def test_table_checks_build_no_object_tree(monkeypatch):
+    kernels = [gessel_forward, preorder_key, canonical_representative, is_canonical,
+               prune, orbit]
+    calls = [counting(monkeypatch, f) for f in kernels]
+    built = []
+    init = Internal.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Internal, "__init__", counted_init)
+    assert run_campaign(["ORBIT", "T4.3", *WORD_IDS], FAULT_FAMILY).passed
+    assert [len(c) for c in calls] == [0] * len(kernels)
+    assert built == []
+
+
+def test_roundtrip_validates_each_tree_once(monkeypatch):
+    validations = counting(monkeypatch, validate_tree)
+    assert run_campaign(["ROUNDTRIP"], FAULT_FAMILY).passed
+    words = sum(len(list(harness.enumerate_stirling(m))) for m in FAULT_FAMILY)
+    assert len(validations) == words
 
 
 def held_objects(obj):
