@@ -12,6 +12,10 @@ of its orbit; the orbit itself consists of the trees obtained from the
 canonical representative by flipping any subset of its unbalanced-x
 vertices, hence has size 2^uxleaf.  On a slot table (``trees.Table``)
 a flip swaps the ends of one row, so both are one pass over the rows.
+The flips are written once, on tables: ``psi``, ``toggle``,
+``is_canonical``, ``canonical_representative`` and ``orbit`` read a tree's
+table with ``trees.table_of_tree`` and build any tree they return with
+:func:`tree_of_table`.
 
 Pruning a tree removes its x- and y-leaves and remembers what was lost as
 a vertex label: nothing for a vertex that had neither, ``y`` when only a
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterator
 
 from .errors import DomainError, NotCanonicalError, OrbitTooLargeError
@@ -32,7 +35,6 @@ from .trees import (
     LEAF,
     GesselTree,
     Internal,
-    Leaf,
     LeafCensus,
     Node,
     Table,
@@ -94,96 +96,50 @@ def balance_from_census(census: LeafCensus) -> BalanceReport:
     )
 
 
-def _swap_ends_at(node: Node, i: int) -> Node:
-    """Swap the first and last children of the vertex labelled i.
-
-    Only the path down to vertex i is rebuilt; without a vertex i the
-    input is returned as it is.
-    """
-    stack: list[tuple[Node, tuple | None]] = [(node, None)]
-    while stack:
-        v, up = stack.pop()  # up: (parent, position in it, parent's up), or None
-        if type(v) is Internal:
-            if v.label == i:
-                break
-            stack.extend((c, (v, pos, up)) for pos, c in enumerate(v.children))
-    else:
-        return node
-    ch = list(v.children)
-    ch[0], ch[-1] = ch[-1], ch[0]
-    new = Internal(i, tuple(ch))
-    while up is not None:
-        parent, pos, up = up
-        ch = list(parent.children)
-        ch[pos] = new
-        new = Internal(parent.label, tuple(ch))
-    return new
-
-
-def _require_vertex(t: GesselTree, i: int) -> None:
-    if not 1 <= i <= t.multiset.n:
+def _table_with_vertex(t: GesselTree, i: int) -> Table:
+    """The slot table of t, which must have a vertex i."""
+    table = table_of_tree(t.root)
+    if not 1 <= i < len(table):
         raise DomainError(f"vertex {i} is not in the tree over {{{t.multiset}}}")
+    return table
+
+
+def _swap_ends(t: GesselTree, table: Table, i: int) -> GesselTree:
+    """The tree of ``table``, the slot table of t, with the ends of row i swapped."""
+    row = table[i]
+    table = table[:i] + ((row[-1], *row[1:-1], row[0]),) + table[i + 1:]
+    return GesselTree(tree_of_table(table), t.multiset)
 
 
 def psi(t: GesselTree, i: int) -> GesselTree:
     """Flip vertex i if it has an unbalanced y-leaf; otherwise the identity."""
-    _require_vertex(t, i)
-    if balance_report(t).status[i] is BalanceStatus.UNBALANCED_Y:
-        return GesselTree(_swap_ends_at(t.root, i), t.multiset)
-    return t
+    table = _table_with_vertex(t, i)
+    row = table[i]
+    return _swap_ends(t, table, i) if row[0] and not row[-1] else t
 
 
 def toggle(t: GesselTree, i: int) -> GesselTree:
     """Flip vertex i if it has an unbalanced leaf on either side (an involution)."""
-    _require_vertex(t, i)
-    st = balance_report(t).status[i]
-    if st in (BalanceStatus.UNBALANCED_X, BalanceStatus.UNBALANCED_Y):
-        return GesselTree(_swap_ends_at(t.root, i), t.multiset)
-    return t
+    table = _table_with_vertex(t, i)
+    row = table[i]
+    return _swap_ends(t, table, i) if (row[0] == 0) != (row[-1] == 0) else t
 
 
 def is_canonical(t: GesselTree) -> bool:
     """No vertex has an unbalanced y-leaf (a leaf last child, a vertex first child)."""
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if type(v) is Internal:
-            children = v.children
-            if type(children[-1]) is Leaf and type(children[0]) is not Leaf:
-                return False
-            stack.extend(children)
-    return True
+    return is_canonical_table(table_of_tree(t.root))
 
 
 def canonical_representative(t: GesselTree) -> GesselTree:
-    """Flip every unbalanced-y vertex, in one bottom-up rebuild.
+    """Flip every unbalanced-y vertex; t itself when none is.
 
     A flip at one vertex never changes whether another vertex's first and
-    last children are leaves, so every flip is decided on the input tree
-    and the result does not depend on their order.  Only the vertices at
-    or above a flip are copied; the result shares every other subtree with
-    the input, and is the input itself when nothing flips.
+    last children are leaves, so the flips are decided on t's slot table
+    and their order does not matter.
     """
-    # In reversed preorder every vertex follows its children.
-    preorder: list[Internal] = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if type(v) is Internal:
-            preorder.append(v)
-            stack.extend(v.children)
-    copies: dict[int, Internal] = {}  # id of a vertex -> its copy, if it needs one
-    for v in reversed(preorder):
-        ch = v.children
-        flip = type(ch[-1]) is Leaf and type(ch[0]) is not Leaf
-        if flip or any(id(c) in copies for c in ch):
-            ch = [copies.get(id(c), c) for c in ch]
-            if flip:
-                ch[0], ch[-1] = ch[-1], ch[0]
-            copies[id(v)] = Internal(v.label, tuple(ch))
-    if id(t.root) not in copies:
-        return t
-    return GesselTree(copies[id(t.root)], t.multiset)
+    table = table_of_tree(t.root)
+    canon = canonical_table(table)
+    return t if canon == table else GesselTree(tree_of_table(canon), t.multiset)
 
 
 def is_canonical_table(table: Table) -> bool:
@@ -213,21 +169,14 @@ def orbit(t: GesselTree) -> frozenset[GesselTree]:
     """The orbit of t: all subset-flips of the canonical form's unbalanced-x vertices.
 
     Raises OrbitTooLargeError, before building any member, when the
-    2^len(free) members of K letters exceed ORBIT_COST_CAP letters.
+    2^ux members of K letters exceed ORBIT_COST_CAP letters.
     """
-    canon = canonical_representative(t)
-    free = balance_report(canon).vertices_with(BalanceStatus.UNBALANCED_X)
+    canon = canonical_table(table_of_tree(t.root))
+    ux = sum(1 for row in canon if not row[0] and row[-1])
     K = t.multiset.K
-    if 2 ** len(free) * K > ORBIT_COST_CAP:
-        raise OrbitTooLargeError(len(free), K, ORBIT_COST_CAP)
-    members = []
-    for r in range(len(free) + 1):
-        for subset in combinations(free, r):
-            root = canon.root
-            for i in subset:
-                root = _swap_ends_at(root, i)
-            members.append(GesselTree(root, canon.multiset))
-    return frozenset(members)
+    if 2 ** ux * K > ORBIT_COST_CAP:
+        raise OrbitTooLargeError(ux, K, ORBIT_COST_CAP)
+    return frozenset(GesselTree(tree_of_table(u), t.multiset) for u in table_orbit(canon))
 
 
 def placements(m: Multiset, watched: int) -> Iterator[list[list[int]]]:
@@ -308,9 +257,19 @@ def enumerate_canonical(m: Multiset) -> Iterator[GesselTree]:
 
 
 def tree_of_table(table: Table | list[list[int]]) -> Node:
-    """The root of the tree a slot table of :func:`placements` describes."""
+    """The root of the tree a slot table describes.
+
+    The vertices are built in reverse preorder, each after its children,
+    so the labels need not increase away from the root.
+    """
+    preorder = []
+    stack = [v for v in table[0] if v]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        stack.extend(c for c in table[v] if c)
     nodes: list[Node] = [LEAF] * len(table)
-    for v in range(len(table) - 1, 0, -1):
+    for v in reversed(preorder):
         nodes[v] = Internal(v, tuple(nodes[c] for c in table[v]))
     return nodes[table[0][0]]
 
@@ -381,14 +340,10 @@ def prune(t: GesselTree) -> PrunedTree:
         label: _TYPE_BY_FLAGS[(has_x, has_y)]
         for label, (has_x, has_y, _) in census.per_vertex.items()
     }
-    # Rebuild bottom-up: every vertex's children carry larger labels.  Each
-    # keeps its subtrees and its z-leaves; x- and y-leaves are dropped.
-    nodes: list[Node] = [LEAF] * len(table)
-    for v in range(len(table) - 1, 0, -1):
-        last = len(table[v]) - 1
-        nodes[v] = Internal(v, tuple(nodes[c] for pos, c in enumerate(table[v])
-                                     if c or 0 < pos < last))
-    return PrunedTree(root=nodes[table[0][0]], multiset=t.multiset, types=types,
+    # Each vertex keeps its subtrees and its z-leaves; x- and y-leaves go.
+    pruned = [table[0]] + [tuple(c for pos, c in enumerate(row) if c or 0 < pos < len(row) - 1)
+                           for row in table[1:]]
+    return PrunedTree(root=tree_of_table(pruned), multiset=t.multiset, types=types,
                       zleaf=census.zleaf)
 
 

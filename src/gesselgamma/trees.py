@@ -22,7 +22,7 @@ is either an internal vertex or ``"*"`` for a leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .errors import DomainError, ParseError, TreeValidationError
 from .multiset import Multiset
@@ -111,16 +111,6 @@ def preorder_key(node: Node) -> tuple:
     return tuple(out)
 
 
-def internal_vertices(node: Node) -> Iterator[Internal]:
-    """Depth-first iteration over the internal vertices below (and at) a node."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Internal):
-            yield cur
-            stack.extend(cur.children)
-
-
 def gessel_forward(s: StirlingPermutation) -> GesselTree:
     """Map a Stirling permutation to its Gessel tree in one left-to-right scan.
 
@@ -179,11 +169,17 @@ def table_of_word(word: tuple[int, ...], mults: tuple[int, ...]) -> Table:
 
 
 def table_of_tree(node: Node) -> Table:
-    """The slot table of the tree below a node whose labels are 1..n, each once."""
+    """The slot table of the tree below a node.
+
+    Raises DomainError, naming a label, unless the n labels are 1..n, each
+    once.
+    """
     rows: dict[int, tuple[int, ...]] = {}
     stack = [node] if type(node) is Internal else []
     while stack:
         v = stack.pop()
+        if v.label in rows:
+            raise DomainError(f"vertex label {v.label} appears more than once")
         row = []
         for c in v.children:
             if type(c) is Internal:
@@ -192,8 +188,12 @@ def table_of_tree(node: Node) -> Table:
             else:
                 row.append(0)
         rows[v.label] = tuple(row)
+    n = len(rows)
+    for label in rows:
+        if not 1 <= label <= n:
+            raise DomainError(f"vertex label {label} outside 1..{n}")
     root = node.label if type(node) is Internal else 0
-    return ((root,), *(rows[v] for v in range(1, len(rows) + 1)))
+    return ((root,), *(rows[v] for v in range(1, n + 1)))
 
 
 def gessel_inverse(t: GesselTree) -> StirlingPermutation:
@@ -245,7 +245,7 @@ def validate_tree(t: GesselTree) -> list[TreeViolation]:
 
     n = m.n
     seen: dict[int, int] = {}
-    stack = [t.root]  # internal vertices only, visited in internal_vertices order
+    stack = [t.root]  # internal vertices only, each after its parent
     while stack:
         v = stack.pop()
         label = v.label
@@ -278,13 +278,16 @@ def validate_tree(t: GesselTree) -> list[TreeViolation]:
 
 
 def leaf_census(t: GesselTree) -> LeafCensus:
-    """Count leaves by kind; vertices are visited in :func:`internal_vertices` order."""
+    """Count leaves by kind, vertices in the order of :func:`table_census`."""
     return table_census(table_of_tree(t.root))
 
 
 def table_census(table: Table) -> LeafCensus:
-    """The leaf census of the tree a slot table describes, with its vertices
-    in :func:`internal_vertices` order."""
+    """The leaf census of the tree a slot table describes.
+
+    ``per_vertex`` lists the vertices depth first from the root, the
+    subtrees of a vertex taken last child first.
+    """
     xleaf = yleaf = zleaf = 0
     zleaf_by_j: dict[int, int] = {}
     per_vertex: dict[int, tuple[bool, bool, int]] = {}
@@ -410,6 +413,10 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
         raise ParseError("unexpected end of tree text")
     # Open vertices, innermost last, each with the children parsed so far.
     stack: list[tuple[int, list[Node]]] = []
+    # k_i of each closed vertex, and the first duplicate or childless
+    # vertex, reported once the text has parsed.
+    counts: dict[int, int] = {}
+    defect: TreeViolation | None = None
     pos = 0
     while True:
         tok = tokens[pos]
@@ -437,30 +444,31 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
             pos += 1
             label, children = stack.pop()
             node = Internal(label, tuple(children))
+            if defect is None:
+                if label in counts:
+                    defect = TreeViolation(
+                        "labels", label, f"vertex {label} appears more than once")
+                elif len(children) < 2:
+                    defect = TreeViolation(
+                        "arity", label,
+                        f"vertex {label} has {len(children)} children, expected at least 2")
+            counts[label] = len(children) - 1
         if not stack:
             break
     root = node
     if pos != end:
         raise ParseError(f"trailing tokens after tree: {' '.join(tokens[pos:])!r}")
-    if isinstance(root, Leaf):
-        inferred = Multiset(())
-    else:
-        counts: dict[int, int] = {}
-        for v in internal_vertices(root):
-            if v.label in counts:
-                raise TreeValidationError([TreeViolation(
-                    "labels", v.label, f"vertex {v.label} appears more than once")])
-            if len(v.children) < 2:
-                raise TreeValidationError([TreeViolation(
-                    "arity", v.label,
-                    f"vertex {v.label} has {len(v.children)} children, expected at least 2")])
-            counts[v.label] = len(v.children) - 1
+    if defect is not None:
+        raise TreeValidationError([defect])
+    if counts:
         n = max(counts)
         missing = [i for i in range(1, n + 1) if i not in counts]
         if missing:
             raise TreeValidationError([TreeViolation(
                 "labels", i, f"vertex {i} is missing") for i in missing])
         inferred = Multiset(tuple(counts[i] for i in range(1, n + 1)))
+    else:
+        inferred = Multiset(())
     if multiset is not None and multiset != inferred:
         raise DomainError(
             f"tree implies multiset {{{inferred}}} but {{{multiset}}} was given")

@@ -10,20 +10,23 @@ compares orbits as sets of trees, and T4.3 prunes every canonical tree.
 The harness's one pass over the words and its ORBIT and T4.3, which read
 slot tables, must report the same outcomes, first failure included.
 
-Like the harness, these checks call the package's kernels, so a test can
-corrupt a kernel under both.  They never import ``gesselgamma.harness``,
-so they cannot call the code they are the reference for.
+Their flips (``canonical_representative``, ``is_canonical`` and
+``orbit``) are the object-tree bodies in ``reference_kernels``, so they
+share no flip code with the harness's slot-table kernels.  For everything
+else they call the package's kernels, as the harness does, so a test can
+corrupt a census, profile or flag kernel under both.  They never import
+``gesselgamma.harness``, so they cannot call the code they are the
+reference for.
 """
 
 from __future__ import annotations
 
+from reference_kernels import canonical_representative, is_canonical, orbit
+
 from gesselgamma.action import (
     BalanceStatus,
     balance_report,
-    canonical_representative,
-    is_canonical,
     is_canonical_ternary,
-    orbit,
     prune,
 )
 from gesselgamma.counts import triple_polynomial

@@ -21,10 +21,16 @@ are the tree routes as they were before they placed vertices into slots:
 they build the tree of every word and keep the canonical ones, the trees
 route by the full census, the ternary route by a one-pass walk.  All
 four take the permutations as an argument, so the caller owns the
-enumeration and the domain checks.  ``canonical_representative`` flips
-one vertex at a time, each by a search and a copy of the path to it.  ``segment`` and
+enumeration and the domain checks.  ``segment`` and
 ``first_last_occurrence_flags`` find the first and last occurrence of a
 value in a list of all its positions.
+
+The flip action is here on object trees, where the package has it only on
+slot tables: ``psi``, ``toggle``, ``canonical_representative`` and
+``orbit`` flip one vertex at a time, each by a search and a copy of the
+path to it (``_swap_ends_at``), and decide what to flip from the full
+census.  ``orbit`` has no size cap.  ``reference_checks`` runs its flips
+through these.
 
 ``enumerate_stirling`` is the list-and-sort enumerator the package had
 before it streamed bare words: it builds every word of the multiset as a
@@ -39,6 +45,7 @@ is called.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -297,6 +304,36 @@ def canonical_representative(t: GesselTree) -> GesselTree:
     for i in sorted(v for v, (has_x, has_y, _) in per_vertex.items() if has_y and not has_x):
         root = _swap_ends_at(root, i)
     return GesselTree(root, t.multiset)
+
+
+def psi(t: GesselTree, i: int) -> GesselTree:
+    """Flip vertex i, by a search and a path copy, when the census says it
+    has a y-leaf and no x-leaf."""
+    has_x, has_y, _ = leaf_census(t).per_vertex[i]
+    return GesselTree(_swap_ends_at(t.root, i), t.multiset) if has_y and not has_x else t
+
+
+def toggle(t: GesselTree, i: int) -> GesselTree:
+    """Flip vertex i when the census says it has exactly one of an x- and a y-leaf."""
+    has_x, has_y, _ = leaf_census(t).per_vertex[i]
+    return GesselTree(_swap_ends_at(t.root, i), t.multiset) if has_x != has_y else t
+
+
+def orbit(t: GesselTree) -> frozenset[GesselTree]:
+    """Every subset of the representative's unbalanced-x vertices flipped, one
+    search-and-path-copy flip at a time, with no cap on the size."""
+    canon = canonical_representative(t)
+    free = sorted(v for v, (has_x, has_y, _) in leaf_census(canon).per_vertex.items()
+                  if has_x and not has_y)
+    members = []
+    for r in range(len(free) + 1):
+        for subset in combinations(free, r):
+            root = canon.root
+            for i in subset:
+                root = _swap_ends_at(root, i)
+            members.append(GesselTree(root, canon.multiset))
+    return frozenset(members)
+
 
 
 def derive(p: Poly3, rules: GrammarRuleSet) -> Poly3:

@@ -33,9 +33,16 @@ from gesselgamma import (
     statistics,
     toggle,
 )
-from gesselgamma.action import canonical_table, is_canonical_table, table_orbit, tree_of_table
+from gesselgamma.action import (
+    TYPE_U,
+    TYPE_Y,
+    canonical_table,
+    is_canonical_table,
+    table_orbit,
+    tree_of_table,
+)
 from gesselgamma.harness import default_campaign_family
-from gesselgamma.trees import table_of_tree, table_of_word
+from gesselgamma.trees import LEAF, GesselTree, Internal, table_of_tree, table_of_word
 
 SEG_TREE = "(1 (2 (3 (5 * * *) * *) *) * (4 * (6 * * * (7 * *)) *))"
 FLIPPED_TREE = "(1 (2 * (3 (5 * * *) * *)) * (4 * (6 * * * (7 * *)) *))"
@@ -109,6 +116,11 @@ class TestPsi:
     def test_absent_vertex(self):
         with pytest.raises(DomainError):
             psi(parse_tree(SEG_TREE), 8)
+        # A hand-built tree with fewer vertices than its multiset has values.
+        short = GesselTree(Internal(1, (LEAF, LEAF)), Multiset((1, 1)))
+        for flip in (psi, toggle):
+            with pytest.raises(DomainError):
+                flip(short, 2)
 
     def test_preserves_validity_and_z_leaves(self):
         for m in small_family():
@@ -159,7 +171,7 @@ class TestCanonical:
         for word in ((1, 1, 2, 2), (1, 2, 2, 1), ()):
             t = tree_of(word)
             assert is_canonical(t)
-            assert canonical_representative(t) == t
+            assert canonical_representative(t) is t
 
     def test_canonical_is_idempotent_and_preserves_z(self):
         for m in small_family():
@@ -285,6 +297,26 @@ class TestPrune:
             for s in enumerate_stirling(m):
                 t = gessel_forward(s)
                 assert prune(t).zleaf == leaf_census(t).zleaf
+
+    def test_labels_that_do_not_increase(self):
+        t = GesselTree(Internal(2, (Internal(1, (LEAF, LEAF)), LEAF)), Multiset((1, 1)))
+        p = prune(t)
+        assert serialize_pruned(p) == "(2:y (1:u))"
+        assert p.zleaf == 0
+        assert p.types == {2: TYPE_Y, 1: TYPE_U}
+
+
+class TestLabels:
+    @pytest.mark.parametrize("root, message", [
+        (Internal(1, (Internal(2, (LEAF, LEAF)), Internal(2, (LEAF, LEAF, LEAF)))),
+         "vertex label 2 appears more than once"),
+        (Internal(1, (Internal(3, (LEAF, LEAF)), LEAF)), "vertex label 3 outside 1..2"),
+    ], ids=["duplicate", "gap"])
+    @pytest.mark.parametrize("kernel", [leaf_census, prune, canonical_representative])
+    def test_labels_other_than_one_to_n_are_refused(self, kernel, root, message):
+        with pytest.raises(DomainError) as info:
+            kernel(GesselTree(root, Multiset((1, 1))))
+        assert str(info.value) == message
 
 
 class TestSlotTables:

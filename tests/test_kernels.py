@@ -2,6 +2,8 @@
 
 Every word of the default campaign family is run through both paths; the
 results must be equal, and dicts must list their keys in the same order.
+The flips, which the package runs on slot tables, are compared with the
+object-tree flips of the reference on the same trees.
 """
 
 import ast
@@ -12,6 +14,10 @@ import reference_kernels as ref
 from oracles import boundary_asc_des
 
 from gesselgamma import (
+    FamilySpec,
+    GesselTree,
+    Internal,
+    Multiset,
     asc_des_plat,
     canonical_representative,
     default_campaign_family,
@@ -20,8 +26,19 @@ from gesselgamma import (
     gessel_inverse,
     is_canonical,
     leaf_census,
+    orbit,
+    psi,
+    serialize,
     statistics,
+    toggle,
 )
+from gesselgamma.trees import LEAF
+
+# Labels that do not increase away from the root: 2 above 1 above 3.  Vertex 2
+# is unbalanced-y, vertex 1 unbalanced-x and vertex 3 balanced.
+NON_INCREASING = GesselTree(
+    Internal(2, (Internal(1, (LEAF, Internal(3, (LEAF, LEAF)))), LEAF, LEAF)),
+    Multiset((1, 2, 1)))
 
 
 def test_oracles_stay_independent_of_the_package():
@@ -70,6 +87,47 @@ def test_fast_kernels_match_the_reference_on_the_default_family():
             assert is_canonical(t) is ref.is_canonical(t), s
             assert canonical_representative(t) == ref.canonical_representative(t), s
     assert words == 25960
+
+
+def test_orbits_match_the_reference_on_the_default_family():
+    classes = 0
+    for m in default_campaign_family():
+        seen = set()
+        for s in enumerate_stirling(m):
+            t = gessel_forward(s)
+            canon = canonical_representative(t)
+            if canon not in seen:
+                seen.add(canon)
+                assert orbit(t) == ref.orbit(t), s
+        classes += len(seen)
+    assert classes == 8744
+
+
+def test_psi_and_toggle_match_the_reference_at_every_vertex():
+    for m in FamilySpec(3, 3, 7).members():
+        for s in enumerate_stirling(m):
+            t = gessel_forward(s)
+            for v in range(1, m.n + 1):
+                assert psi(t, v) == ref.psi(t, v), (s, v)
+                assert toggle(t, v) == ref.toggle(t, v), (s, v)
+
+
+def test_flips_of_a_tree_whose_labels_do_not_increase():
+    t = NON_INCREASING
+    assert is_canonical(t) is ref.is_canonical(t) is False
+    canon = canonical_representative(t)
+    assert serialize(canon) == "(2 * * (1 * (3 * *)))"
+    assert canon == ref.canonical_representative(t)
+    for v in (1, 2, 3):
+        assert psi(t, v) == ref.psi(t, v), v
+        assert toggle(t, v) == ref.toggle(t, v), v
+    assert serialize(psi(t, 2)) == serialize(canon)
+    assert serialize(toggle(t, 1)) == "(2 (1 (3 * *) *) * *)"
+    members = orbit(t)
+    assert members == ref.orbit(t) == ref.orbit(canon)
+    assert sorted(map(serialize, members)) == [
+        "(2 (1 (3 * *) *) * *)", "(2 (1 * (3 * *)) * *)",
+        "(2 * * (1 (3 * *) *))", "(2 * * (1 * (3 * *)))"]
 
 
 def test_asc_des_plat_of_the_empty_word():

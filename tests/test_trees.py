@@ -262,6 +262,24 @@ class TestParse:
         with pytest.raises(TreeValidationError):
             parse_tree(text)
 
+    @pytest.mark.parametrize("text, multiset, error, message", [
+        ("(1 (2 * *) (2 * *))", None, TreeValidationError,
+         "invalid tree: vertex 2 appears more than once"),
+        ("(1 (2 *) *)", None, TreeValidationError,
+         "invalid tree: vertex 2 has 1 children, expected at least 2"),
+        ("(1 (4 * *) *)", None, TreeValidationError,
+         "invalid tree: vertex 2 is missing; vertex 3 is missing"),
+        ("(1 * (2 * *))", Multiset((1, 2)), DomainError,
+         "tree implies multiset {1,1} but {1,2} was given"),
+        ("(1 (3 (2 * *) *) *)", None, TreeValidationError,
+         "invalid tree: edge (3 -> 2) is not label-increasing"),
+    ], ids=["duplicate", "one-child", "missing", "multiset", "non-increasing"])
+    def test_parse_names_a_single_defect(self, text, multiset, error, message):
+        with pytest.raises(error) as info:
+            parse_tree(text, multiset)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_parse_is_whitespace_tolerant(self):
         assert parse_tree("( 1  *  * )") == parse_tree("(1 * *)")
 

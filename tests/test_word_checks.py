@@ -1,8 +1,9 @@
 """The per-word checks' one pass over the words, ORBIT and T4.3, which read
 slot tables, against the object-tree check bodies they replaced
 (``reference_checks``), with correct kernels and with corrupted ones.  A
-corrupted kernel is a pair where the harness and the reference call
-different kernels: one on slot tables and one on object trees."""
+corrupted flip is a pair where the harness and the reference call
+different kernels: a package kernel on slot tables and a
+``reference_kernels`` body on object trees, so the two share no flip code."""
 
 import ast
 import sys
@@ -10,12 +11,11 @@ import sys
 import pytest
 
 import reference_checks as ref
+import reference_kernels as ref_kernels
 
 from gesselgamma import Multiset, default_campaign_family, harness
 from gesselgamma.action import (
     BalanceReport,
-    BalanceStatus,
-    balance_report,
     canonical_representative,
     canonical_table,
     is_canonical,
@@ -23,7 +23,6 @@ from gesselgamma.action import (
     orbit,
     prune,
     table_orbit,
-    toggle,
     tree_of_table,
 )
 from gesselgamma.harness import CHECKS, CheckOutcome, run_campaign
@@ -146,7 +145,7 @@ def representative_left_alone(t):
     """Returns the tree itself when its root has an x-leaf."""
     if type(t.root.children[0]) is not type(t.root):
         return t
-    return canonical_representative(t)
+    return ref_kernels.canonical_representative(t)
 
 
 def table_flipped_once(table):
@@ -158,9 +157,10 @@ def table_flipped_once(table):
 
 def representative_flipped_once(t):
     """Flips the smallest unbalanced-x vertex of the true representative."""
-    canon = canonical_representative(t)
-    free = balance_report(canon).vertices_with(BalanceStatus.UNBALANCED_X)
-    return toggle(canon, free[0]) if free else canon
+    canon = ref_kernels.canonical_representative(t)
+    free = sorted(v for v, (has_x, has_y, _) in ref_kernels.leaf_census(canon).per_vertex.items()
+                  if has_x and not has_y)
+    return ref_kernels.toggle(canon, free[0]) if free else canon
 
 
 def with_full_rows_sorted(table):
@@ -178,7 +178,7 @@ def table_merging_orbits(table):
 
 def representative_merging_orbits(t):
     """Merges the classes that differ by a swap of a vertex with no x- or y-leaf."""
-    canon = with_full_rows_sorted(table_of_tree(canonical_representative(t).root))
+    canon = with_full_rows_sorted(table_of_tree(ref_kernels.canonical_representative(t).root))
     return GesselTree(tree_of_table(canon), t.multiset)
 
 
@@ -192,10 +192,10 @@ def table_orbit_without_its_canonical_member(table):
 
 def orbit_without_its_canonical_member(t):
     """Drops the canonical member from every orbit of two or more trees."""
-    members = orbit(t)
+    members = ref_kernels.orbit(t)
     if len(members) < 2:
         return members
-    return frozenset(u for u in members if not is_canonical(u))
+    return frozenset(u for u in members if not ref_kernels.is_canonical(u))
 
 
 def statistics_raising(s):
@@ -211,15 +211,18 @@ FAULTS = {
     "census_with_a_z_leaf_moved": census_fault(with_a_z_leaf_moved),
     "census_with_a_z_leaf_lost": census_fault(with_a_z_leaf_lost),
     "flags_with_last_y_flipped": [(first_last_occurrence_flags, flags_with_last_y_flipped)],
-    "representative_left_alone": [(canonical_table, table_left_alone),
-                                  (canonical_representative, representative_left_alone)],
-    "representative_flipped_once": [(canonical_table, table_flipped_once),
-                                    (canonical_representative, representative_flipped_once)],
-    "representative_merging_orbits": [(canonical_table, table_merging_orbits),
-                                      (canonical_representative, representative_merging_orbits)],
+    "representative_left_alone": [
+        (canonical_table, table_left_alone),
+        (ref_kernels.canonical_representative, representative_left_alone)],
+    "representative_flipped_once": [
+        (canonical_table, table_flipped_once),
+        (ref_kernels.canonical_representative, representative_flipped_once)],
+    "representative_merging_orbits": [
+        (canonical_table, table_merging_orbits),
+        (ref_kernels.canonical_representative, representative_merging_orbits)],
     "orbit_without_its_canonical_member": [
         (table_orbit, table_orbit_without_its_canonical_member),
-        (orbit, orbit_without_its_canonical_member)],
+        (ref_kernels.orbit, orbit_without_its_canonical_member)],
     "statistics_raising": [(statistics, statistics_raising)],
 }
 
@@ -255,6 +258,14 @@ def test_a_raising_kernel_fails_only_the_checks_that_call_it(monkeypatch):
     failing = {cid for cid, outcomes in got.items()
                if any(o["status"] == "FAIL" for o in outcomes)}
     assert failing == {"JKP-ZJ", "P5.1", "P6.3"}
+
+
+def test_reference_checks_take_no_flip_from_the_package():
+    tree = ast.parse(open(ref.__file__).read())
+    flips = {"psi", "toggle", "is_canonical", "canonical_representative", "orbit"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("gesselgamma") for alias in node.names}
+    assert imported and not imported & flips
 
 
 def test_reference_checks_never_import_the_harness():
