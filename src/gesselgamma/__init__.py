@@ -86,8 +86,6 @@ from .stirling import (
 )
 from .trees import (
     GesselTree,
-    Internal,
-    Leaf,
     LeafCensus,
     first_last_occurrence_flags,
     gessel_decomposition,

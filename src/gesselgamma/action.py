@@ -10,12 +10,12 @@ A tree is canonical when no vertex has an unbalanced y-leaf.  Flipping
 every unbalanced-y vertex of a tree reaches the unique canonical member
 of its orbit; the orbit itself consists of the trees obtained from the
 canonical representative by flipping any subset of its unbalanced-x
-vertices, hence has size 2^uxleaf.  On a slot table (``trees.Table``)
-a flip swaps the ends of one row, so both are one pass over the rows.
-The flips are written once, on tables: ``psi``, ``toggle``,
-``is_canonical``, ``canonical_representative`` and ``orbit`` read a tree's
-table with ``trees.table_of_tree`` and build any tree they return with
-:func:`tree_of_table`.
+vertices, hence has size 2^uxleaf.  A tree is its slot table
+(``trees.Table``), on which a flip swaps the ends of one row, so both are
+one pass over the rows.  The flips are written once, on tables:
+``psi``, ``toggle``, ``is_canonical``, ``canonical_representative`` and
+``orbit`` act on ``t.table`` and wrap any table they return in a
+``GesselTree``, which checks its shape.
 
 Pruning a tree removes its x- and y-leaves and remembers what was lost as
 a vertex label: nothing for a vertex that had neither, ``y`` when only a
@@ -32,16 +32,12 @@ from typing import Iterator
 from .errors import DomainError, NotCanonicalError, OrbitTooLargeError
 from .multiset import Multiset
 from .trees import (
-    LEAF,
     GesselTree,
-    Internal,
     LeafCensus,
-    Node,
     Table,
     leaf_census,
-    render_tree,
+    render_table,
     table_census,
-    table_of_tree,
 )
 
 # Members x K: the letters an orbit's members spell.  Building, hashing and
@@ -96,38 +92,36 @@ def balance_from_census(census: LeafCensus) -> BalanceReport:
     )
 
 
-def _table_with_vertex(t: GesselTree, i: int) -> Table:
-    """The slot table of t, which must have a vertex i."""
-    table = table_of_tree(t.root)
-    if not 1 <= i < len(table):
+def _row(t: GesselTree, i: int) -> tuple[int, ...]:
+    """Row i of t's slot table; t must have a vertex i."""
+    if not 1 <= i < len(t.table):
         raise DomainError(f"vertex {i} is not in the tree over {{{t.multiset}}}")
-    return table
+    return t.table[i]
 
 
-def _swap_ends(t: GesselTree, table: Table, i: int) -> GesselTree:
-    """The tree of ``table``, the slot table of t, with the ends of row i swapped."""
+def _swap_ends(t: GesselTree, i: int) -> GesselTree:
+    """t with the ends of row i swapped."""
+    table = t.table
     row = table[i]
-    table = table[:i] + ((row[-1], *row[1:-1], row[0]),) + table[i + 1:]
-    return GesselTree(tree_of_table(table), t.multiset)
+    return GesselTree(table[:i] + ((row[-1], *row[1:-1], row[0]),) + table[i + 1:],
+                      t.multiset)
 
 
 def psi(t: GesselTree, i: int) -> GesselTree:
     """Flip vertex i if it has an unbalanced y-leaf; otherwise the identity."""
-    table = _table_with_vertex(t, i)
-    row = table[i]
-    return _swap_ends(t, table, i) if row[0] and not row[-1] else t
+    row = _row(t, i)
+    return _swap_ends(t, i) if row[0] and not row[-1] else t
 
 
 def toggle(t: GesselTree, i: int) -> GesselTree:
     """Flip vertex i if it has an unbalanced leaf on either side (an involution)."""
-    table = _table_with_vertex(t, i)
-    row = table[i]
-    return _swap_ends(t, table, i) if (row[0] == 0) != (row[-1] == 0) else t
+    row = _row(t, i)
+    return _swap_ends(t, i) if (row[0] == 0) != (row[-1] == 0) else t
 
 
 def is_canonical(t: GesselTree) -> bool:
     """No vertex has an unbalanced y-leaf (a leaf last child, a vertex first child)."""
-    return is_canonical_table(table_of_tree(t.root))
+    return is_canonical_table(t.table)
 
 
 def canonical_representative(t: GesselTree) -> GesselTree:
@@ -137,9 +131,8 @@ def canonical_representative(t: GesselTree) -> GesselTree:
     last children are leaves, so the flips are decided on t's slot table
     and their order does not matter.
     """
-    table = table_of_tree(t.root)
-    canon = canonical_table(table)
-    return t if canon == table else GesselTree(tree_of_table(canon), t.multiset)
+    canon = canonical_table(t.table)
+    return t if canon == t.table else GesselTree(canon, t.multiset)
 
 
 def is_canonical_table(table: Table) -> bool:
@@ -171,12 +164,12 @@ def orbit(t: GesselTree) -> frozenset[GesselTree]:
     Raises OrbitTooLargeError, before building any member, when the
     2^ux members of K letters exceed ORBIT_COST_CAP letters.
     """
-    canon = canonical_table(table_of_tree(t.root))
+    canon = canonical_table(t.table)
     ux = sum(1 for row in canon if not row[0] and row[-1])
     K = t.multiset.K
     if 2 ** ux * K > ORBIT_COST_CAP:
         raise OrbitTooLargeError(ux, K, ORBIT_COST_CAP)
-    return frozenset(GesselTree(tree_of_table(u), t.multiset) for u in table_orbit(canon))
+    return frozenset(GesselTree(u, t.multiset) for u in table_orbit(canon))
 
 
 def placements(m: Multiset, watched: int) -> Iterator[list[list[int]]]:
@@ -251,27 +244,9 @@ def placements(m: Multiset, watched: int) -> Iterator[list[list[int]]]:
 
 
 def enumerate_canonical(m: Multiset) -> Iterator[GesselTree]:
-    """All canonical Gessel trees over m, built from their slot tables."""
+    """All canonical Gessel trees over m."""
     for table in placements(m, -1):
-        yield GesselTree(tree_of_table(table), m)
-
-
-def tree_of_table(table: Table | list[list[int]]) -> Node:
-    """The root of the tree a slot table describes.
-
-    The vertices are built in reverse preorder, each after its children,
-    so the labels need not increase away from the root.
-    """
-    preorder = []
-    stack = [v for v in table[0] if v]
-    while stack:
-        v = stack.pop()
-        preorder.append(v)
-        stack.extend(c for c in table[v] if c)
-    nodes: list[Node] = [LEAF] * len(table)
-    for v in reversed(preorder):
-        nodes[v] = Internal(v, tuple(nodes[c] for c in table[v]))
-    return nodes[table[0][0]]
+        yield GesselTree(tuple(map(tuple, table)), m)
 
 
 def is_canonical_ternary(t: GesselTree) -> bool:
@@ -308,11 +283,13 @@ class PrunedTree:
     """A Gessel tree with its x- and y-leaves removed.
 
     The remaining leaves are exactly the z-leaves of the original tree.
-    ``types`` records, per vertex, which sides were removed; ``weight``
-    is only defined when no vertex is of the y-only type.
+    ``rows`` is the slot table with those leaves gone, so a row may have
+    fewer than 2 slots, or none.  ``types`` records, per vertex, which
+    sides were removed; ``weight`` is only defined when no vertex is of
+    the y-only type.
     """
 
-    root: Node
+    rows: Table
     multiset: Multiset
     types: dict[int, int]
     zleaf: int
@@ -334,19 +311,18 @@ class PrunedTree:
 
 
 def prune(t: GesselTree) -> PrunedTree:
-    table = table_of_tree(t.root)
+    table = t.table
     census = table_census(table)
     types = {
         label: _TYPE_BY_FLAGS[(has_x, has_y)]
         for label, (has_x, has_y, _) in census.per_vertex.items()
     }
     # Each vertex keeps its subtrees and its z-leaves; x- and y-leaves go.
-    pruned = [table[0]] + [tuple(c for pos, c in enumerate(row) if c or 0 < pos < len(row) - 1)
-                           for row in table[1:]]
-    return PrunedTree(root=tree_of_table(pruned), multiset=t.multiset, types=types,
-                      zleaf=census.zleaf)
+    pruned = (table[0], *(tuple(c for pos, c in enumerate(row) if c or 0 < pos < len(row) - 1)
+                          for row in table[1:]))
+    return PrunedTree(rows=pruned, multiset=t.multiset, types=types, zleaf=census.zleaf)
 
 
 def serialize_pruned(p: PrunedTree) -> str:
     """``(label[:tag] child ...)`` with ``*`` for the surviving z-leaves."""
-    return render_tree(p.root, lambda label: f"{label}{_TYPE_SUFFIX[p.types[label]]}")
+    return render_table(p.rows, lambda label: f"{label}{_TYPE_SUFFIX[p.types[label]]}")

@@ -7,9 +7,9 @@ runs multiset by multiset: the words, the slot tables of their trees and
 the enumerated polynomial of a multiset are built once, in a shared
 context that every check reads, and dropped before the next multiset.
 The per-word checks run together, in one pass over the words; they, ORBIT
-and T4.3 read the rows of the tables, and only ROUNDTRIP builds object
-trees, once per word.  The independent routes the checks compare
-against still compute on their own.  Campaigns can hand whole
+and T4.3 read the rows of the tables, and ROUNDTRIP writes each table out
+and parses it back.  The independent routes the checks compare against
+still compute on their own.  Campaigns can hand whole
 multisets to a process pool, and refuse families whose total permutation
 count exceeds a budget.
 """
@@ -36,7 +36,6 @@ from .action import (
     prune,
     table_orbit,
     ternary_from_census,
-    tree_of_table,
 )
 from .counts import GAMMA_ROUTES, c_polynomial_enum, triple_polynomial
 from .errors import DomainError, FamilyTooLargeError
@@ -61,17 +60,18 @@ from .stirling import (
     statistics,
 )
 from .trees import (
+    GesselTree,
     LeafCensus,
     Table,
-    _word_of,
     first_last_occurrence_flags,
     gessel_forward,
     leaf_census,
     parse_tree,
+    render_table,
     serialize,
     table_census,
-    table_of_tree,
     table_of_word,
+    word_of_table,
 )
 
 DEFAULT_COST_CAP = 10**6
@@ -271,25 +271,25 @@ def _agreement(lhs: str, rhs: str, what: str) -> Callable[[Multiset], list[Failu
 
 
 def _check_roundtrip(m: Multiset) -> list[Failure]:
-    # The only check that builds object trees.  Each word's tree is written
-    # out and parsed back, which validates it once; the parsed tree reads
-    # back to the word, and its slot table is the one the other checks read.
-    # tree -> word -> tree needs no pass of its own: the trees are
-    # gessel_forward of the words, so once word -> tree -> word is the
-    # identity, rebuilding a tree from its word gives back the same tree.
-    # Bijectivity rests on that identity, injectivity and the count.
+    # Each word's tree, the slot table the other checks read, is written out
+    # and parsed back, which validates it once; the parsed table must be the
+    # same table and must read back to the word.  tree -> word -> tree needs
+    # no pass of its own: the tables are the forward scan of the words, so
+    # once word -> tree -> word is the identity, rebuilding a tree from its
+    # word gives back the same tree.  Bijectivity rests on that identity,
+    # injectivity and the count.
     ctx = _context(m)
     seen: set[str] = set()
     for s, table in zip(ctx.perms, ctx.tables):
-        text = serialize(gessel_forward(s))
-        t = parse_tree(text)
-        back = _word_of(t.root)
+        text = serialize(GesselTree(table, m))
+        parsed = parse_tree(text).table
+        if parsed != table:
+            return [_fail(m, "serialize -> parse is not the identity",
+                          sigma=str(s), tree=text)]
+        back = word_of_table(parsed)
         if back != s.word:
             return [_fail(m, "word -> tree -> word is not the identity",
                           sigma=str(s), lhs=str(s), rhs=" ".join(map(str, back)))]
-        if table_of_tree(t.root) != table:
-            return [_fail(m, "serialize -> parse is not the identity",
-                          sigma=str(s), tree=text)]
         seen.add(text)
     count = len(ctx.perms)
     if len(seen) != count:
@@ -439,7 +439,7 @@ def _check_orbit(m: Multiset) -> list[Failure]:
         failure = _orbit_class_failure(m, canon, [tables[k] for k in indices],
                                        [ctx.triples[k] for k in indices])
         if failure:
-            failure["tree"] = serialize(tree_of_table(canon))
+            failure["tree"] = render_table(canon)
             failures.append(failure)
     return [min(failures, key=lambda f: f["tree"])] if failures else []
 

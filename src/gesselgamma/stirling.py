@@ -52,11 +52,17 @@ class StirlingPermutation:
 def _infer_multiset(word: tuple[int, ...]) -> Multiset:
     if not word:
         return Multiset(())
-    n = max(word)
-    counts = [0] * n
     for v in word:
         if not isinstance(v, int) or v < 1:
             raise DomainError(f"word values must be positive integers, got {v!r}")
+    n = max(word)
+    if n > len(word):
+        # K letters cannot hold every value 1..n, so the refusal names n
+        # rather than the values missing below it, which may be many more.
+        raise DomainError(f"word value {n} exceeds the word's length {len(word)}, "
+                          f"so some value 1..{n} is missing")
+    counts = [0] * n
+    for v in word:
         counts[v - 1] += 1
     if any(c == 0 for c in counts):
         missing = [i + 1 for i, c in enumerate(counts) if c == 0]

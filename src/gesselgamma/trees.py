@@ -11,60 +11,78 @@ splits w as w0 i w1 i ... i w_ki and the tree has root i whose children
 are the images of w0, ..., w_ki.  Reading the tree back left to right
 (writing the root label between consecutive subtrees) inverts the map.
 
+A tree is stored as its slot table (``Table``), the one tree form of the
+package: row v lists the children of vertex v, a vertex by its label and a
+leaf as 0.  :func:`table_of_word` builds it in one left-to-right scan of
+the word and :func:`word_of_table` reads the word back off the rows.  A
+:class:`GesselTree` checks its table's shape once, when it is built, so
+every walk from the root ends; :func:`validate_tree` checks the tree
+against its multiset.
+
 Leaves are classified by their position among their parent's children:
 the first child slot is an x-leaf, the last a y-leaf, and the slot at
 position j (2 <= j <= k) a z-leaf with key j.
 
-Serialized form: ``Internal := "(" LABEL { " " Child } ")"`` where a child
-is either an internal vertex or ``"*"`` for a leaf.
+Serialized form: ``Vertex := "(" LABEL { " " Child } ")"`` where a child
+is either a vertex or ``"*"`` for a leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import DomainError, ParseError, TreeValidationError
 from .multiset import Multiset
 from .stirling import StirlingPermutation
-
-
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    pass
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Internal:
-    """A labelled vertex.  ``==`` and ``hash`` compare the subtree's preorder
-    listing, which is built without recursion, so they work at any depth."""
-
-    label: int
-    children: tuple["Node", ...]
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Internal:
-            return NotImplemented
-        return self is other or preorder_key(self) == preorder_key(other)
-
-    def __hash__(self) -> int:
-        return hash(preorder_key(self))
-
-
-Node = Union[Leaf, Internal]
 
 # A tree as a slot table: ``table[v][p]`` is the vertex in child slot p of
 # vertex v, or 0 for a leaf; row 0 has one slot, which holds the root (0 over
 # the empty multiset).  A flip swaps the ends of one row.
 Table = tuple[tuple[int, ...], ...]
 
-LEAF = Leaf()
-
 
 @dataclass(frozen=True, slots=True)
 class GesselTree:
-    root: Node
+    """A plane tree, as its slot table, over a multiset.
+
+    Building one refuses with DomainError, naming the label, a table that is
+    not one tree on the vertices 1..n, n = len(table) - 1: a slot value
+    outside 1..n, a vertex in two slots, a vertex the root does not reach,
+    or a vertex row of fewer than 2 slots.  So every walk from the root
+    ends.  Whether the tree fits its multiset and its labels increase is
+    left to :func:`validate_tree`.
+    """
+
+    table: Table
     multiset: Multiset
+
+    def __post_init__(self) -> None:
+        # The walk from the root expands each vertex once, so it ends even on
+        # a table whose slots form a cycle; a vertex it never reaches is named.
+        table = self.table
+        if not table or len(table[0]) != 1:
+            raise DomainError("row 0 of a slot table must hold the root alone")
+        n = len(table) - 1
+        seen = [False] * (n + 1)
+        reached = 0
+        stack = [table[0][0]]
+        while stack:
+            v = stack.pop()
+            if not v:
+                continue
+            if not 1 <= v <= n:
+                raise DomainError(f"vertex label {v} outside 1..{n}")
+            if seen[v]:
+                raise DomainError(f"vertex label {v} appears more than once")
+            seen[v] = True
+            reached += 1
+            row = table[v]
+            if len(row) < 2:
+                raise DomainError(f"vertex {v} has {len(row)} children, expected at least 2")
+            stack.extend(row)
+        if reached < n:
+            raise DomainError(f"vertex {seen.index(False, 1)} is not reached from the root")
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,56 +111,20 @@ class LeafCensus:
         return (self.xleaf, self.yleaf, self.zleaf)
 
 
-def preorder_key(node: Node) -> tuple:
-    """The vertices below (and at) a node in preorder: an internal vertex as
-    its label and child count, a leaf as None.  Two nodes have the same key
-    exactly when they are the same tree."""
-    out: list = []
-    stack = [node]
-    while stack:
-        x = stack.pop()
-        if type(x) is Internal:
-            children = x.children
-            out.append(x.label)
-            out.append(len(children))
-            stack.extend(children[::-1])
-        else:
-            out.append(None)
-    return tuple(out)
-
-
 def gessel_forward(s: StirlingPermutation) -> GesselTree:
-    """Map a Stirling permutation to its Gessel tree in one left-to-right scan.
-
-    The stack holds the open vertices, labels increasing upwards, each with
-    the children finished so far.  A letter smaller than the top label
-    closes that vertex: in a Stirling word no copy of it can follow.  A
-    letter equal to the top label ends one child slot; any other letter
-    opens a new vertex whose first child is whatever was just closed.
-    """
-    stack: list[tuple[int, list[Node]]] = []
-    for c in s.word:
-        done: Node = LEAF
-        while stack and stack[-1][0] > c:
-            label, children = stack.pop()
-            children.append(done)
-            done = Internal(label, tuple(children))
-        if stack and stack[-1][0] == c:
-            stack[-1][1].append(done)
-        else:
-            stack.append((c, [done]))
-    root: Node = LEAF
-    while stack:
-        label, children = stack.pop()
-        children.append(root)
-        root = Internal(label, tuple(children))
-    return GesselTree(root, s.multiset)
+    """Map a Stirling permutation to its Gessel tree."""
+    return GesselTree(table_of_word(s.word, s.multiset.mults), s.multiset)
 
 
 def table_of_word(word: tuple[int, ...], mults: tuple[int, ...]) -> Table:
-    """The slot table of a Stirling word's Gessel tree, in the scan of
-    :func:`gessel_forward`: each child goes into the next slot of its
-    parent's row instead of into a new node."""
+    """The slot table of a Stirling word's Gessel tree, in one left-to-right scan.
+
+    The stack holds the open vertices, labels increasing upwards.  A letter
+    smaller than the top label closes that vertex: in a Stirling word no
+    copy of it can follow.  A letter equal to the top label ends one child
+    slot; any other letter opens a new vertex whose first child is whatever
+    was just closed.  Each child goes into the next slot of its parent's row.
+    """
     rows = [[0]] + [[0] * (k + 1) for k in mults]
     fill = [0] * len(rows)  # the next slot of each open vertex
     stack: list[int] = []
@@ -168,34 +150,6 @@ def table_of_word(word: tuple[int, ...], mults: tuple[int, ...]) -> Table:
     return tuple(map(tuple, rows))
 
 
-def table_of_tree(node: Node) -> Table:
-    """The slot table of the tree below a node.
-
-    Raises DomainError, naming a label, unless the n labels are 1..n, each
-    once.
-    """
-    rows: dict[int, tuple[int, ...]] = {}
-    stack = [node] if type(node) is Internal else []
-    while stack:
-        v = stack.pop()
-        if v.label in rows:
-            raise DomainError(f"vertex label {v.label} appears more than once")
-        row = []
-        for c in v.children:
-            if type(c) is Internal:
-                row.append(c.label)
-                stack.append(c)
-            else:
-                row.append(0)
-        rows[v.label] = tuple(row)
-    n = len(rows)
-    for label in rows:
-        if not 1 <= label <= n:
-            raise DomainError(f"vertex label {label} outside 1..{n}")
-    root = node.label if type(node) is Internal else 0
-    return ((root,), *(rows[v] for v in range(1, n + 1)))
-
-
 def gessel_inverse(t: GesselTree) -> StirlingPermutation:
     """Read a Gessel tree back to its Stirling permutation.
 
@@ -205,81 +159,77 @@ def gessel_inverse(t: GesselTree) -> StirlingPermutation:
     violations = validate_tree(t)
     if violations:
         raise TreeValidationError(violations)
-    return StirlingPermutation(_word_of(t.root), t.multiset)
+    return StirlingPermutation(word_of_table(t.table), t.multiset)
 
 
-def _word_of(node: Node) -> tuple[int, ...]:
-    """The word a tree reads back to, left to right, with no validation."""
+def word_of_table(table: Table) -> tuple[int, ...]:
+    """The word a slot table reads back to, left to right, with no validation:
+    the subtree of each slot of a row, with the row's vertex written between
+    consecutive slots.
+
+    The stack holds what is still to be read, next item on top: a vertex to
+    read as itself, a letter to write as its negation.  Leaves read as
+    nothing, so they never go on it.
+    """
     out: list[int] = []
-    stack: list[Node | int] = [node]
+    stack = [table[0][0]] if table[0][0] else []
     while stack:
-        x = stack.pop()
-        if type(x) is int:
-            out.append(x)
-        elif type(x) is Internal:
-            # The stack holds what is still to be read, next item on top.
-            # Leaves read as nothing, so only labels and subtrees go on it.
-            children = x.children
-            label = x.label
-            stack.append(children[-1])
-            for child in children[-2::-1]:
-                stack.append(label)
-                if type(child) is Internal:
-                    stack.append(child)
+        v = stack.pop()
+        if v < 0:
+            out.append(-v)
+            continue
+        row = table[v]
+        if row[-1]:
+            stack.append(row[-1])
+        for c in row[-2::-1]:
+            stack.append(-v)
+            if c:
+                stack.append(c)
     return tuple(out)
 
 
 def validate_tree(t: GesselTree) -> list[TreeViolation]:
-    """Structural validation; returns one violation record per defect."""
+    """The tree against its multiset; returns one violation record per defect.
+
+    Over the empty multiset the tree must be a single leaf, and otherwise
+    have a root; there must be a vertex for each of the values 1..n and no
+    other, vertex i must have k_i + 1 children, and every edge must go from
+    a smaller label to a larger one.
+    """
     m = t.multiset
-    violations: list[TreeViolation] = []
+    table = t.table
+    root = table[0][0]
     if m.n == 0:
-        if not isinstance(t.root, Leaf):
-            violations.append(TreeViolation(
-                "structure", None, "tree over the empty multiset must be a single leaf"))
-        return violations
-    if isinstance(t.root, Leaf):
-        violations.append(TreeViolation(
-            "structure", None, f"root must be an internal vertex for {{{m}}}"))
-        return violations
+        if root:
+            return [TreeViolation(
+                "structure", None, "tree over the empty multiset must be a single leaf")]
+        return []
+    if not root:
+        return [TreeViolation(
+            "structure", None, f"root must be an internal vertex for {{{m}}}")]
 
     n = m.n
-    seen: dict[int, int] = {}
-    stack = [t.root]  # internal vertices only, each after its parent
-    while stack:
-        v = stack.pop()
-        label = v.label
-        children = v.children
-        seen[label] = seen.get(label, 0) + 1
-        in_range = 1 <= label <= n
-        if not in_range:
+    violations: list[TreeViolation] = []
+    for v in range(1, len(table)):
+        row = table[v]
+        if v > n:
             violations.append(TreeViolation(
-                "labels", label, f"vertex label {label} outside 1..{n}"))
-        elif len(children) != (expected := m.mults[label - 1] + 1):
+                "labels", v, f"vertex label {v} outside 1..{n}"))
+        elif len(row) != (expected := m.mults[v - 1] + 1):
             violations.append(TreeViolation(
-                "arity", label,
-                f"vertex {label} has {len(children)} children, expected {expected}"))
-        for child in children:
-            if type(child) is Internal:
-                stack.append(child)
-                if in_range and child.label <= label:
-                    violations.append(TreeViolation(
-                        "increasing", child.label,
-                        f"edge ({label} -> {child.label}) is not label-increasing"))
-    for label in range(1, n + 1):
-        c = seen.get(label, 0)
-        if c == 0:
-            violations.append(TreeViolation(
-                "labels", label, f"vertex {label} is missing"))
-        elif c > 1:
-            violations.append(TreeViolation(
-                "labels", label, f"vertex {label} appears {c} times"))
+                "arity", v, f"vertex {v} has {len(row)} children, expected {expected}"))
+        for c in row:
+            if c and c <= v:
+                violations.append(TreeViolation(
+                    "increasing", c, f"edge ({v} -> {c}) is not label-increasing"))
+    for v in range(len(table), n + 1):
+        violations.append(TreeViolation("labels", v, f"vertex {v} is missing"))
     return violations
 
 
 def leaf_census(t: GesselTree) -> LeafCensus:
     """Count leaves by kind, vertices in the order of :func:`table_census`."""
-    return table_census(table_of_tree(t.root))
+    return table_census(t.table)
 
 
 def table_census(table: Table) -> LeafCensus:
@@ -367,23 +317,24 @@ def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, b
     return (before < i, i > after)
 
 
-def render_tree(node: Node, head: Callable[[int], str] = str) -> str:
+def render_table(table: Table, head: Callable[[int], str] = str) -> str:
     """Write ``(head(label) child ...)`` with ``*`` for leaves, without recursion.
 
-    The stack holds what is still to be written, text or a vertex, next
-    item on top.
+    Row v lists the children of vertex v; a row may be empty, as in a
+    pruned tree, and writes as ``(head(v))``.  The stack holds what is still
+    to be written, text or a vertex, next item on top.
     """
     parts: list[str] = []
-    stack: list[Node | str] = [node]
+    stack: list[int | str] = [table[0][0]]
     while stack:
         x = stack.pop()
         if type(x) is str:
             parts.append(x)
-        elif type(x) is Internal:
-            parts.append(f"({head(x.label)}")
+        elif x:
+            parts.append(f"({head(x)}")
             stack.append(")")
-            for child in reversed(x.children):
-                if type(child) is Internal:
+            for child in reversed(table[x]):
+                if child:
                     stack.append(child)
                     stack.append(" ")
                 else:
@@ -393,10 +344,9 @@ def render_tree(node: Node, head: Callable[[int], str] = str) -> str:
     return "".join(parts)
 
 
-def serialize(tree_or_node: GesselTree | Node) -> str:
+def serialize(t: GesselTree) -> str:
     """Write a tree in the ``(label child ...)`` form with ``*`` for leaves."""
-    node = tree_or_node.root if isinstance(tree_or_node, GesselTree) else tree_or_node
-    return render_tree(node)
+    return render_table(t.table)
 
 
 def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
@@ -411,27 +361,30 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
     end = len(tokens)
     if not tokens:
         raise ParseError("unexpected end of tree text")
-    # Open vertices, innermost last, each with the children parsed so far.
-    stack: list[tuple[int, list[Node]]] = []
-    # k_i of each closed vertex, and the first duplicate or childless
+    # Open vertices, innermost last, each with the slots parsed so far.
+    stack: list[tuple[int, list[int]]] = []
+    # The row of each closed vertex, and the first duplicate or childless
     # vertex, reported once the text has parsed.
-    counts: dict[int, int] = {}
+    rows: dict[int, tuple[int, ...]] = {}
     defect: TreeViolation | None = None
     pos = 0
     while True:
         tok = tokens[pos]
         pos += 1
         if tok == "*":
-            node: Node | None = LEAF
+            node: int | None = 0
         elif tok == "(":
             if pos >= end or not tokens[pos].isdecimal():
                 raise ParseError("expected a vertex label after '('")
-            stack.append((int(tokens[pos]), []))
+            try:
+                stack.append((int(tokens[pos]), []))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"vertex label of {len(tokens[pos])} digits is too long") from None
             pos += 1
             node = None
         else:
             raise ParseError(f"expected '(' or '*', got {tok!r}")
-        # Attach the finished node, closing every vertex whose ")" follows.
+        # Attach the finished slot, closing every vertex whose ")" follows.
         while True:
             if node is not None:
                 if not stack:
@@ -442,17 +395,16 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
             if tokens[pos] != ")":
                 break
             pos += 1
-            label, children = stack.pop()
-            node = Internal(label, tuple(children))
+            node, slots = stack.pop()
             if defect is None:
-                if label in counts:
+                if node in rows:
                     defect = TreeViolation(
-                        "labels", label, f"vertex {label} appears more than once")
-                elif len(children) < 2:
+                        "labels", node, f"vertex {node} appears more than once")
+                elif len(slots) < 2:
                     defect = TreeViolation(
-                        "arity", label,
-                        f"vertex {label} has {len(children)} children, expected at least 2")
-            counts[label] = len(children) - 1
+                        "arity", node,
+                        f"vertex {node} has {len(slots)} children, expected at least 2")
+            rows[node] = tuple(slots)
         if not stack:
             break
     root = node
@@ -460,19 +412,19 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
         raise ParseError(f"trailing tokens after tree: {' '.join(tokens[pos:])!r}")
     if defect is not None:
         raise TreeValidationError([defect])
-    if counts:
-        n = max(counts)
-        missing = [i for i in range(1, n + 1) if i not in counts]
-        if missing:
+    # n distinct labels are 1..n unless one lies outside; that label is
+    # named, not the labels missing below it, which may be many more than n.
+    n = len(rows)
+    for label in rows:
+        if not 1 <= label <= n:
             raise TreeValidationError([TreeViolation(
-                "labels", i, f"vertex {i} is missing") for i in missing])
-        inferred = Multiset(tuple(counts[i] for i in range(1, n + 1)))
-    else:
-        inferred = Multiset(())
+                "labels", label, f"vertex label {label} outside 1..{n}")])
+    table = ((root,), *(rows[v] for v in range(1, n + 1)))
+    inferred = Multiset(tuple(len(row) - 1 for row in table[1:]))
     if multiset is not None and multiset != inferred:
         raise DomainError(
             f"tree implies multiset {{{inferred}}} but {{{multiset}}} was given")
-    tree = GesselTree(root, inferred)
+    tree = GesselTree(table, inferred)
     violations = validate_tree(tree)
     if violations:
         raise TreeValidationError(violations)

@@ -11,16 +11,18 @@ The harness's one pass over the words and its ORBIT and T4.3, which read
 slot tables, must report the same outcomes, first failure included.
 
 Their flips (``canonical_representative``, ``is_canonical`` and
-``orbit``) are the object-tree bodies in ``reference_kernels``, so they
-share no flip code with the harness's slot-table kernels.  For everything
-else they call the package's kernels, as the harness does, so a test can
-corrupt a census, profile or flag kernel under both.  They never import
+``orbit``) are the object-tree bodies in ``reference_kernels``, run on
+the reference's own trees of the words, so they share no flip code with
+the harness's slot-table kernels.  For everything else they call the
+package's kernels on the package's trees, as the harness does, so a test
+can corrupt a census, profile or flag kernel under both.  They never import
 ``gesselgamma.harness``, so they cannot call the code they are the
 reference for.
 """
 
 from __future__ import annotations
 
+import reference_kernels
 from reference_kernels import canonical_representative, is_canonical, orbit
 
 from gesselgamma.action import (
@@ -45,12 +47,14 @@ Failure = dict
 
 
 class Context:
-    """The words, trees, triples and polynomial of one multiset."""
+    """The words, trees, triples and polynomial of one multiset: ``trees``
+    are the package's trees, ``ref_trees`` the reference's."""
 
     def __init__(self, m: Multiset):
         self.multiset = m
         self.perms = list(enumerate_stirling(m))
         self.trees = [gessel_forward(s) for s in self.perms]
+        self.ref_trees = [reference_kernels.gessel_forward(s) for s in self.perms]
         self.triples = [asc_des_plat(s.word) for s in self.perms]
         if m.n == 0:
             self.c_polynomial = Poly3.variable("x", XYZ)
@@ -140,17 +144,18 @@ def check_p63(m: Multiset, ctx: Context) -> list[Failure]:
 
 
 def check_orbit(m: Multiset, ctx: Context) -> list[Failure]:
-    trees = ctx.trees
+    trees = ctx.ref_trees
     groups: dict[str, list[int]] = {}
     for k, t in enumerate(trees):
-        groups.setdefault(serialize(canonical_representative(t)), []).append(k)
+        text = serialize(reference_kernels.gessel_tree(canonical_representative(t)))
+        groups.setdefault(text, []).append(k)
     x = Poly3.variable("x", XYZ)
     y = Poly3.variable("y", XYZ)
     for canon_text in sorted(groups):
         indices = groups[canon_text]
         members = [trees[k] for k in indices]
         canon = parse_tree(canon_text)
-        if not is_canonical(canon):
+        if not is_canonical(canonical_representative(members[0])):
             return [_fail(m, "orbit representative is not canonical", tree=canon_text)]
         canonical_members = [t for t in members if is_canonical(t)]
         if len(canonical_members) != 1:
@@ -180,8 +185,8 @@ def check_orbit(m: Multiset, ctx: Context) -> list[Failure]:
 
 def check_t43(m: Multiset, ctx: Context) -> list[Failure]:
     weights: dict[tuple[int, int, int], int] = {}
-    for t in ctx.trees:
-        if not is_canonical(t):
+    for t, rt in zip(ctx.trees, ctx.ref_trees):
+        if not is_canonical(rt):
             continue
         p = prune(t)
         u, v = p.weight()

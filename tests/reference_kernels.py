@@ -25,8 +25,13 @@ enumeration and the domain checks.  ``segment`` and
 ``first_last_occurrence_flags`` find the first and last occurrence of a
 value in a list of all its positions.
 
-The flip action is here on object trees, where the package has it only on
-slot tables: ``psi``, ``toggle``, ``canonical_representative`` and
+The trees here are object trees of their own (``Vertex``, with ``None``
+for a leaf, inside a ``Tree``), where the package stores a tree only as
+its slot table.  ``gessel_forward`` builds one by recursive splitting,
+and ``gessel_tree`` is the one converter: it writes a reference tree as
+the package's ``GesselTree``, for comparing results.  The other tree
+functions here take and return reference trees.  The flip action is
+here on them: ``psi``, ``toggle``, ``canonical_representative`` and
 ``orbit`` flip one vertex at a time, each by a search and a copy of the
 path to it (``_swap_ends_at``), and decide what to flip from the full
 census.  ``orbit`` has no size cap.  ``reference_checks`` runs its flips
@@ -45,16 +50,40 @@ is called.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from gesselgamma.errors import DomainError, GammaExtractionError
 from gesselgamma.multiset import Multiset
 from gesselgamma.grammar import GrammarRuleSet
 from gesselgamma.poly import XYZ, GammaTable, Poly3
 from gesselgamma.stirling import StatProfile, StirlingPermutation
-from gesselgamma.trees import LEAF, GesselTree, Internal, Leaf, LeafCensus, Node
+from gesselgamma.trees import GesselTree, LeafCensus
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """A labelled vertex; a child is a Vertex, or None for a leaf."""
+
+    label: int
+    children: tuple[Optional[Vertex], ...]
+
+
+@dataclass(frozen=True)
+class Tree:
+    root: Optional[Vertex]
+    multiset: Multiset
+
+
+def gessel_tree(t: Tree) -> GesselTree:
+    """The package's tree of a reference tree: its slot table, row v listing
+    the labels of vertex v's children, 0 for a leaf."""
+    rows = {v.label: tuple(c.label if c else 0 for c in v.children)
+            for v in internal_vertices(t.root)}
+    table = ((t.root.label if t.root else 0,), *(rows[v] for v in range(1, len(rows) + 1)))
+    return GesselTree(table, t.multiset)
 
 
 def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:
@@ -120,19 +149,19 @@ def statistics(s: StirlingPermutation) -> StatProfile:
     )
 
 
-def internal_vertices(node: Node) -> Iterator[Internal]:
+def internal_vertices(node: Optional[Vertex]) -> Iterator[Vertex]:
     stack = [node]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, Internal):
+        if cur is not None:
             yield cur
             stack.extend(cur.children)
 
 
-def gessel_forward(s: StirlingPermutation) -> GesselTree:
-    def build(word: tuple[int, ...]) -> Node:
+def gessel_forward(s: StirlingPermutation) -> Tree:
+    def build(word: tuple[int, ...]) -> Optional[Vertex]:
         if not word:
-            return LEAF
+            return None
         i = min(word)
         parts: list[tuple[int, ...]] = []
         start = 0
@@ -141,17 +170,17 @@ def gessel_forward(s: StirlingPermutation) -> GesselTree:
                 parts.append(word[start:pos])
                 start = pos + 1
         parts.append(word[start:])
-        return Internal(i, tuple(build(p) for p in parts))
+        return Vertex(i, tuple(build(p) for p in parts))
 
-    return GesselTree(build(s.word), s.multiset)
+    return Tree(build(s.word), s.multiset)
 
 
-def gessel_inverse(t: GesselTree) -> StirlingPermutation:
+def gessel_inverse(t: Tree) -> StirlingPermutation:
     """The reading only; the package version validates the tree first."""
     out: list[int] = []
 
-    def read(node: Node) -> None:
-        if isinstance(node, Leaf):
+    def read(node: Optional[Vertex]) -> None:
+        if node is None:
             return
         for idx, child in enumerate(node.children):
             if idx:
@@ -162,17 +191,17 @@ def gessel_inverse(t: GesselTree) -> StirlingPermutation:
     return StirlingPermutation(tuple(out), t.multiset)
 
 
-def leaf_census(t: GesselTree) -> LeafCensus:
+def leaf_census(t: Tree) -> LeafCensus:
     xleaf = yleaf = zleaf = 0
     zleaf_by_j: dict[int, int] = {}
     per_vertex: dict[int, tuple[bool, bool, int]] = {}
     for v in internal_vertices(t.root):
         last = len(v.children)
-        has_x = isinstance(v.children[0], Leaf)
-        has_y = isinstance(v.children[-1], Leaf)
+        has_x = v.children[0] is None
+        has_y = v.children[-1] is None
         z_count = 0
         for j in range(2, last):
-            if isinstance(v.children[j - 1], Leaf):
+            if v.children[j - 1] is None:
                 z_count += 1
                 zleaf_by_j[j] = zleaf_by_j.get(j, 0) + 1
         xleaf += has_x
@@ -182,7 +211,7 @@ def leaf_census(t: GesselTree) -> LeafCensus:
     return LeafCensus(xleaf, yleaf, zleaf, zleaf_by_j, per_vertex)
 
 
-def is_canonical(t: GesselTree) -> bool:
+def is_canonical(t: Tree) -> bool:
     """No unbalanced-y vertex, read off the full census."""
     return not any(has_y and not has_x
                    for has_x, has_y, _ in leaf_census(t).per_vertex.values())
@@ -234,7 +263,7 @@ def gamma_count_mma(m: Multiset, perms: Iterable[StirlingPermutation]) -> GammaT
     return _tally(m, ((p.des, p.aplat) for p in profiles if p.dplat == 0))
 
 
-def is_canonical_ternary(t: GesselTree) -> bool:
+def is_canonical_ternary(t: Tree) -> bool:
     """No z-leaf without an x-leaf, read off the full census."""
     return not any(z_count and not has_x
                    for has_x, _, z_count in leaf_census(t).per_vertex.values())
@@ -247,7 +276,7 @@ def gamma_count_trees(m: Multiset, perms: Iterable[StirlingPermutation]) -> Gamm
     return _tally(m, ((c.zleaf, c.yleaf) for c in censuses))
 
 
-def _ternary_key(t: GesselTree) -> tuple[int, int] | None:
+def _ternary_key(t: Tree) -> tuple[int, int] | None:
     """(y-leaves, vertices with both an x-leaf and a z-leaf) of a canonical
     ternary tree, else None, in one walk that stops at the first z-leaf
     without an x-leaf."""
@@ -255,15 +284,15 @@ def _ternary_key(t: GesselTree) -> tuple[int, int] | None:
     stack = [t.root]
     while stack:
         x, z, y = stack.pop().children
-        if type(z) is Leaf:
-            if type(x) is not Leaf:
+        if z is None:
+            if x is not None:
                 return None
             both_xz += 1
         else:
             stack.append(z)
-        if type(x) is not Leaf:
+        if x is not None:
             stack.append(x)
-        if type(y) is Leaf:
+        if y is None:
             yleaf += 1
         else:
             stack.append(y)
@@ -275,12 +304,12 @@ def gamma_count_ternary(m: Multiset, perms: Iterable[StirlingPermutation]) -> Ga
     return _tally(m, (key for key in keys if key is not None))
 
 
-def _swap_ends_at(node: Node, i: int) -> Node:
+def _swap_ends_at(node: Vertex, i: int) -> Vertex:
     """Swap the first and last children of vertex i, rebuilding the path to it."""
-    stack: list[tuple[Node, tuple | None]] = [(node, None)]
+    stack: list[tuple[Optional[Vertex], tuple | None]] = [(node, None)]
     while stack:
         v, up = stack.pop()  # up: (parent, position in it, parent's up), or None
-        if type(v) is Internal:
+        if v is not None:
             if v.label == i:
                 break
             stack.extend((c, (v, pos, up)) for pos, c in enumerate(v.children))
@@ -288,38 +317,38 @@ def _swap_ends_at(node: Node, i: int) -> Node:
         return node
     ch = list(v.children)
     ch[0], ch[-1] = ch[-1], ch[0]
-    new = Internal(i, tuple(ch))
+    new = Vertex(i, tuple(ch))
     while up is not None:
         parent, pos, up = up
         ch = list(parent.children)
         ch[pos] = new
-        new = Internal(parent.label, tuple(ch))
+        new = Vertex(parent.label, tuple(ch))
     return new
 
 
-def canonical_representative(t: GesselTree) -> GesselTree:
+def canonical_representative(t: Tree) -> Tree:
     """One search-and-path-copy flip per unbalanced-y vertex, ascending."""
     per_vertex = leaf_census(t).per_vertex
     root = t.root
     for i in sorted(v for v, (has_x, has_y, _) in per_vertex.items() if has_y and not has_x):
         root = _swap_ends_at(root, i)
-    return GesselTree(root, t.multiset)
+    return Tree(root, t.multiset)
 
 
-def psi(t: GesselTree, i: int) -> GesselTree:
+def psi(t: Tree, i: int) -> Tree:
     """Flip vertex i, by a search and a path copy, when the census says it
     has a y-leaf and no x-leaf."""
     has_x, has_y, _ = leaf_census(t).per_vertex[i]
-    return GesselTree(_swap_ends_at(t.root, i), t.multiset) if has_y and not has_x else t
+    return Tree(_swap_ends_at(t.root, i), t.multiset) if has_y and not has_x else t
 
 
-def toggle(t: GesselTree, i: int) -> GesselTree:
+def toggle(t: Tree, i: int) -> Tree:
     """Flip vertex i when the census says it has exactly one of an x- and a y-leaf."""
     has_x, has_y, _ = leaf_census(t).per_vertex[i]
-    return GesselTree(_swap_ends_at(t.root, i), t.multiset) if has_x != has_y else t
+    return Tree(_swap_ends_at(t.root, i), t.multiset) if has_x != has_y else t
 
 
-def orbit(t: GesselTree) -> frozenset[GesselTree]:
+def orbit(t: Tree) -> frozenset[Tree]:
     """Every subset of the representative's unbalanced-x vertices flipped, one
     search-and-path-copy flip at a time, with no cap on the size."""
     canon = canonical_representative(t)
@@ -331,7 +360,7 @@ def orbit(t: GesselTree) -> frozenset[GesselTree]:
             root = canon.root
             for i in subset:
                 root = _swap_ends_at(root, i)
-            members.append(GesselTree(root, canon.multiset))
+            members.append(Tree(root, canon.multiset))
     return frozenset(members)
 
 

@@ -33,16 +33,8 @@ from gesselgamma import (
     statistics,
     toggle,
 )
-from gesselgamma.action import (
-    TYPE_U,
-    TYPE_Y,
-    canonical_table,
-    is_canonical_table,
-    table_orbit,
-    tree_of_table,
-)
-from gesselgamma.harness import default_campaign_family
-from gesselgamma.trees import LEAF, GesselTree, Internal, table_of_tree, table_of_word
+from gesselgamma.action import TYPE_U, TYPE_Y
+from gesselgamma.trees import GesselTree
 
 SEG_TREE = "(1 (2 (3 (5 * * *) * *) *) * (4 * (6 * * * (7 * *)) *))"
 FLIPPED_TREE = "(1 (2 * (3 (5 * * *) * *)) * (4 * (6 * * * (7 * *)) *))"
@@ -117,7 +109,7 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi(parse_tree(SEG_TREE), 8)
         # A hand-built tree with fewer vertices than its multiset has values.
-        short = GesselTree(Internal(1, (LEAF, LEAF)), Multiset((1, 1)))
+        short = GesselTree(((1,), (0, 0)), Multiset((1, 1)))
         for flip in (psi, toggle):
             with pytest.raises(DomainError):
                 flip(short, 2)
@@ -299,7 +291,7 @@ class TestPrune:
                 assert prune(t).zleaf == leaf_census(t).zleaf
 
     def test_labels_that_do_not_increase(self):
-        t = GesselTree(Internal(2, (Internal(1, (LEAF, LEAF)), LEAF)), Multiset((1, 1)))
+        t = GesselTree(((2,), (0, 0), (1, 0)), Multiset((1, 1)))
         p = prune(t)
         assert serialize_pruned(p) == "(2:y (1:u))"
         assert p.zleaf == 0
@@ -307,34 +299,25 @@ class TestPrune:
 
 
 class TestLabels:
-    @pytest.mark.parametrize("root, message", [
-        (Internal(1, (Internal(2, (LEAF, LEAF)), Internal(2, (LEAF, LEAF, LEAF)))),
-         "vertex label 2 appears more than once"),
-        (Internal(1, (Internal(3, (LEAF, LEAF)), LEAF)), "vertex label 3 outside 1..2"),
+    @pytest.mark.parametrize("table, message", [
+        (((1,), (2, 2), (0, 0)), "vertex label 2 appears more than once"),
+        (((1,), (3, 0), (0, 0)), "vertex label 3 outside 1..2"),
     ], ids=["duplicate", "gap"])
     @pytest.mark.parametrize("kernel", [leaf_census, prune, canonical_representative])
-    def test_labels_other_than_one_to_n_are_refused(self, kernel, root, message):
+    def test_labels_other_than_one_to_n_are_refused(self, kernel, table, message):
         with pytest.raises(DomainError) as info:
-            kernel(GesselTree(root, Multiset((1, 1))))
+            kernel(GesselTree(table, Multiset((1, 1))))
         assert str(info.value) == message
 
-
-class TestSlotTables:
-    def test_row_kernels_match_the_tree_kernels_on_the_default_family(self):
-        classes = 0
-        for m in default_campaign_family():
-            seen = set()
-            for s in enumerate_stirling(m):
-                table = table_of_word(s.word, m.mults)
-                t = gessel_forward(s)
-                canon = canonical_table(table)
-                assert canon == table_of_tree(canonical_representative(t).root), s
-                assert is_canonical_table(table) is is_canonical(t), s
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                want = {table_of_tree(u.root) for u in orbit(t)}
-                assert table_orbit(table) == want == table_orbit(canon), s
-                assert tree_of_table(canon) == canonical_representative(t).root
-            classes += len(seen)
-        assert classes == 8744
+    @pytest.mark.parametrize("table, message", [
+        (((1,), (2, 0), ()), "vertex 2 has 0 children, expected at least 2"),
+        (((1,), (2, 0), (0,)), "vertex 2 has 1 children, expected at least 2"),
+        (((1,), (0, 0), (3, 0), (2, 0)), "vertex 2 is not reached from the root"),
+        (((0,), (0, 0)), "vertex 1 is not reached from the root"),
+        (((1,), (1, 0)), "vertex label 1 appears more than once"),
+        (((0, 1), (0, 0)), "row 0 of a slot table must hold the root alone"),
+    ], ids=["empty-row", "one-slot-row", "cycle", "no-root", "loop", "two-roots"])
+    def test_tables_that_are_not_one_tree_are_refused(self, table, message):
+        with pytest.raises(DomainError) as info:
+            GesselTree(table, Multiset((1, 1)))
+        assert str(info.value) == message

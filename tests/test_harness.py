@@ -13,6 +13,7 @@ from gesselgamma import (
     FamilySpec,
     FamilyTooLargeError,
     GammaTable,
+    GesselTree,
     Multiset,
     default_campaign_family,
     family_cost,
@@ -86,12 +87,12 @@ class TestRunCampaign:
         assert check.counts() == {"pass": 4, "fail": 0, "skip": 0}
 
     def test_roundtrip_fails_on_a_wrong_inverse(self, monkeypatch):
-        original = harness._word_of
+        original = harness.word_of_table
 
-        def reversed_word(node):
-            return original(node)[::-1]
+        def reversed_word(table):
+            return original(table)[::-1]
 
-        monkeypatch.setattr(harness, "_word_of", reversed_word)
+        monkeypatch.setattr(harness, "word_of_table", reversed_word)
         report = run_campaign(["ROUNDTRIP"], [Multiset((2, 2)), Multiset((1, 2))])
         outcomes = report.reports[0].outcomes
         assert [o.status for o in outcomes] == ["FAIL", "FAIL"]
@@ -104,6 +105,19 @@ class TestRunCampaign:
             return canonical_table(original(word, mults))
 
         monkeypatch.setattr(harness, "table_of_word", canonical_only)
+        report = run_campaign(["ROUNDTRIP"], [Multiset((2, 2)), Multiset((1, 2))])
+        outcomes = report.reports[0].outcomes
+        assert [o.status for o in outcomes] == ["FAIL", "FAIL"]
+        assert all("word -> tree -> word" in o.detail for o in outcomes)
+
+    def test_roundtrip_fails_when_parsing_changes_the_table(self, monkeypatch):
+        original = harness.parse_tree
+
+        def canonical_parse(text):
+            t = original(text)
+            return GesselTree(canonical_table(t.table), t.multiset)
+
+        monkeypatch.setattr(harness, "parse_tree", canonical_parse)
         report = run_campaign(["ROUNDTRIP"], [Multiset((2, 2)), Multiset((1, 2))])
         outcomes = report.reports[0].outcomes
         assert [o.status for o in outcomes] == ["FAIL", "FAIL"]

@@ -27,7 +27,7 @@ from gesselgamma import (
     serialize,
 )
 from gesselgamma import action, counts
-from gesselgamma.action import placements, tree_of_table
+from gesselgamma.action import placements
 
 DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 8)]
 
@@ -46,7 +46,8 @@ def test_enumerate_canonical_yields_the_canonical_trees_of_the_words():
 
 def test_ternary_placements_are_the_canonical_ternary_trees_of_the_words():
     for m in DOUBLED[:6]:
-        listed = [serialize(tree_of_table(table)) for table in placements(m, 1)]
+        listed = [serialize(GesselTree(tuple(map(tuple, table)), m))
+                  for table in placements(m, 1)]
         expected = canonical_texts_of_the_words(m, is_canonical_ternary)
         assert len(set(listed)) == len(listed) == len(expected), m
         assert set(listed) == expected, m
@@ -69,7 +70,7 @@ def test_routes_match_the_reference(route, family):
 def test_trees_key_matches_the_census_of_the_table_tree():
     for m in default_campaign_family():
         for table in placements(m, -1):
-            census = leaf_census(GesselTree(tree_of_table(table), m))
+            census = leaf_census(GesselTree(tuple(map(tuple, table)), m))
             assert counts._trees_key(table) == (census.zleaf, census.yleaf), table
 
 

@@ -21,7 +21,7 @@ from gesselgamma import (
     statistics,
 )
 from gesselgamma import counts
-from gesselgamma.action import placements, tree_of_table
+from gesselgamma.action import placements
 
 DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 7)]
 
@@ -59,7 +59,7 @@ def test_keys_match_the_full_profile_and_census():
             counted["mma"] += prof.dplat == 0
         if doubled:
             for table in placements(m, 1):
-                census = leaf_census(GesselTree(tree_of_table(table), m))
+                census = leaf_census(GesselTree(tuple(map(tuple, table)), m))
                 both_xz = sum(1 for has_x, _, z in census.per_vertex.values() if has_x and z)
                 assert counts._ternary_key(table) == (census.yleaf, both_xz), table
                 counted["ternary"] += 1

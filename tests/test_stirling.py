@@ -195,3 +195,11 @@ def test_from_word_validates():
         StirlingPermutation.from_word((1, 3, 3, 1))  # value 2 missing
     with pytest.raises(DomainError):
         StirlingPermutation.from_word((1, 1), Multiset((2, 1)))
+
+
+@pytest.mark.parametrize("word", [(1, 10000000), (1, 1, 10 ** 40)])
+def test_from_word_names_an_outlying_value_briefly(word):
+    with pytest.raises(DomainError) as info:
+        StirlingPermutation.from_word(word)
+    assert len(str(info.value)) < 200
+    assert f"word value {word[-1]} exceeds" in str(info.value)

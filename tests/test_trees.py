@@ -2,12 +2,12 @@ from itertools import product
 
 import pytest
 
+import reference_kernels as ref
+
 from gesselgamma import (
     DomainError,
     FamilySpec,
     GesselTree,
-    Internal,
-    Leaf,
     Multiset,
     ParseError,
     StirlingPermutation,
@@ -25,11 +25,8 @@ from gesselgamma import (
     statistics,
     validate_tree,
 )
-from gesselgamma.action import tree_of_table
 from gesselgamma.harness import default_campaign_family
-from gesselgamma.trees import table_census, table_of_tree, table_of_word
-
-LEAF = Leaf()
+from gesselgamma.trees import table_census, table_of_word
 
 BIG_WORD = (3, 3, 5, 5, 2, 2, 1, 7, 7, 1, 4, 6, 6, 4)
 BIG_TREE = "(1 (2 (3 * * (5 * * *)) * *) (7 * * *) (4 * (6 * * *) *))"
@@ -72,7 +69,7 @@ class TestInverse:
         assert gessel_inverse(parse_tree("*")).word == ()
 
     def test_rejects_malformed(self):
-        bad = GesselTree(Internal(1, (LEAF, LEAF)), Multiset((2,)))
+        bad = GesselTree(((1,), (0, 0)), Multiset((2,)))
         with pytest.raises(TreeValidationError):
             gessel_inverse(bad)
 
@@ -206,26 +203,29 @@ class TestValidation:
         assert validate_tree(parse_tree(BIG_TREE)) == []
 
     def test_arity_violation(self):
-        bad = GesselTree(Internal(1, (LEAF, LEAF)), Multiset((2,)))
+        bad = GesselTree(((1,), (0, 0)), Multiset((2,)))
         kinds = {v.kind for v in validate_tree(bad)}
         assert kinds == {"arity"}
 
     def test_increasing_violation(self):
-        root = Internal(2, (Internal(1, (LEAF, LEAF)), LEAF))
-        bad = GesselTree(root, Multiset((1, 1)))
+        bad = GesselTree(((2,), (0, 0), (1, 0)), Multiset((1, 1)))
         kinds = {v.kind for v in validate_tree(bad)}
         assert "increasing" in kinds
 
     def test_missing_and_duplicate_labels(self):
-        missing = GesselTree(Internal(1, (LEAF, LEAF)), Multiset((1, 1)))
+        missing = GesselTree(((1,), (0, 0)), Multiset((1, 1)))
         assert any(v.kind == "labels" and v.vertex == 2 for v in validate_tree(missing))
-        dup_root = Internal(1, (Internal(1, (LEAF, LEAF)), LEAF))
-        dup = GesselTree(dup_root, Multiset((1, 1)))
-        assert any(v.kind == "labels" for v in validate_tree(dup))
+        extra = GesselTree(((1,), (2, 0), (0, 0)), Multiset((1,)))
+        assert any(v.kind == "labels" and v.vertex == 2 for v in validate_tree(extra))
+        # A table cannot hold a vertex twice, so a duplicate never gets as
+        # far as validation.
+        with pytest.raises(DomainError):
+            GesselTree(((1,), (1, 0)), Multiset((1, 1)))
 
     def test_empty_tree_rules(self):
-        assert validate_tree(GesselTree(LEAF, Multiset(()))) == []
-        assert validate_tree(GesselTree(LEAF, Multiset((1,)))) != []
+        assert validate_tree(GesselTree(((0,),), Multiset(()))) == []
+        assert validate_tree(GesselTree(((0,),), Multiset((1,)))) != []
+        assert validate_tree(GesselTree(((1,), (0, 0)), Multiset(()))) != []
 
 
 class TestParse:
@@ -268,7 +268,7 @@ class TestParse:
         ("(1 (2 *) *)", None, TreeValidationError,
          "invalid tree: vertex 2 has 1 children, expected at least 2"),
         ("(1 (4 * *) *)", None, TreeValidationError,
-         "invalid tree: vertex 2 is missing; vertex 3 is missing"),
+         "invalid tree: vertex label 4 outside 1..2"),
         ("(1 * (2 * *))", Multiset((1, 2)), DomainError,
          "tree implies multiset {1,1} but {1,2} was given"),
         ("(1 (3 (2 * *) *) *)", None, TreeValidationError,
@@ -279,6 +279,20 @@ class TestParse:
             parse_tree(text, multiset)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "(1 * (10000000 * *))", "(0 * *)",
+    ])
+    def test_parse_names_an_outlying_label_briefly(self, text):
+        with pytest.raises(TreeValidationError) as info:
+            parse_tree(text)
+        assert len(str(info.value)) < 200
+        assert str(info.value).startswith("invalid tree: vertex label ")
+
+    def test_parse_refuses_a_label_too_long_to_convert(self):
+        with pytest.raises(ParseError) as info:
+            parse_tree("(1 * (" + "9" * 5000 + " * *))")
+        assert str(info.value) == "vertex label of 5000 digits is too long"
 
     def test_parse_is_whitespace_tolerant(self):
         assert parse_tree("( 1  *  * )") == parse_tree("(1 * *)")
@@ -293,7 +307,7 @@ class TestParse:
         word = tuple(range(1, 1201)) + tuple(range(1200, 0, -1))
         t = gessel_forward(StirlingPermutation.from_word(word))
         back = parse_tree(serialize(t))
-        assert back is not t and back.root is not t.root
+        assert back is not t and back.table is not t.table
         assert back == t
         assert hash(back) == hash(t)
         assert len({t, back}) == 1
@@ -308,20 +322,19 @@ class TestParse:
 
     def test_equality_compares_the_multiset_and_plane_order(self):
         t = parse_tree("(1 * (2 * *))")
-        assert t != GesselTree(t.root, Multiset((1, 2)))
+        assert t != GesselTree(t.table, Multiset((1, 2)))
         assert t != parse_tree("(1 (2 * *) *)")
-        assert Internal(1, (LEAF, LEAF)) != LEAF
-        assert Internal(1, (LEAF, LEAF)) == Internal(1, (Leaf(), Leaf()))
 
 
 class TestSlotTables:
     @pytest.mark.parametrize("family", [default_campaign_family, FamilySpec(5, 3, 11).members],
                              ids=["default", "5-3-11"])
     def test_table_of_word_is_the_table_of_the_forward_tree(self, family):
+        # The reference builds the tree by recursive splitting at the minimum.
         for m in family():
             for s in enumerate_stirling(m):
                 table = table_of_word(s.word, m.mults)
-                assert table == table_of_tree(gessel_forward(s).root), s
+                assert table == ref.gessel_tree(ref.gessel_forward(s)).table, s
                 assert all(type(row) is tuple for row in table)
 
     def test_table_round_trips_through_the_object_tree(self):
@@ -329,10 +342,11 @@ class TestSlotTables:
         table = table_of_word(SEG_WORD, t.multiset.mults)
         assert table == ((1,), (2, 0, 4), (3, 0), (5, 0, 0), (0, 6, 0), (0, 0, 0),
                          (0, 0, 0, 7), (0, 0))
-        assert serialize(tree_of_table(table)) == SEG_TREE
+        assert t.table == table
+        assert serialize(GesselTree(table, t.multiset)) == SEG_TREE
         assert table_census(table) == leaf_census(t)
 
     def test_empty_word(self):
-        assert table_of_word((), ()) == ((0,),) == table_of_tree(LEAF)
-        assert table_census(((0,),)) == leaf_census(GesselTree(LEAF, Multiset(())))
+        assert table_of_word((), ()) == ((0,),) == gessel_forward(perm(())).table
+        assert table_census(((0,),)) == leaf_census(GesselTree(((0,),), Multiset(())))
         assert table_census(((0,),)).triple == (0, 0, 0)

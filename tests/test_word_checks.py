@@ -23,20 +23,17 @@ from gesselgamma.action import (
     orbit,
     prune,
     table_orbit,
-    tree_of_table,
 )
 from gesselgamma.harness import CHECKS, CheckOutcome, run_campaign
 from gesselgamma.stirling import StatProfile, statistics
 from gesselgamma.trees import (
     GesselTree,
-    Internal,
     LeafCensus,
     first_last_occurrence_flags,
     gessel_forward,
     leaf_census,
-    preorder_key,
     table_census,
-    table_of_tree,
+    table_of_word,
     validate_tree,
 )
 
@@ -116,9 +113,9 @@ def with_a_z_leaf_lost(c):
 
 
 def census_fault(fault):
-    """The census of a table, and of an object tree, with ``fault`` applied once."""
+    """The census of a table, and of a tree, with ``fault`` applied once."""
     return [(table_census, lambda table: fault(table_census(table))),
-            (leaf_census, lambda t: fault(table_census(table_of_tree(t.root))))]
+            (leaf_census, lambda t: fault(table_census(t.table)))]
 
 
 def flags_with_last_y_flipped(s, i):
@@ -171,6 +168,17 @@ def with_full_rows_sorted(table):
     return table
 
 
+def with_full_vertices_sorted(node):
+    """Puts the smaller end first at every vertex whose ends are both vertices."""
+    if node is None:
+        return None
+    children = [with_full_vertices_sorted(c) for c in node.children]
+    first, last = children[0], children[-1]
+    if first and last and first.label > last.label:
+        children[0], children[-1] = last, first
+    return ref_kernels.Vertex(node.label, tuple(children))
+
+
 def table_merging_orbits(table):
     """Merges the classes that differ by a swap of a vertex with no x- or y-leaf."""
     return with_full_rows_sorted(canonical_table(table))
@@ -178,8 +186,8 @@ def table_merging_orbits(table):
 
 def representative_merging_orbits(t):
     """Merges the classes that differ by a swap of a vertex with no x- or y-leaf."""
-    canon = with_full_rows_sorted(table_of_tree(ref_kernels.canonical_representative(t).root))
-    return GesselTree(tree_of_table(canon), t.multiset)
+    canon = ref_kernels.canonical_representative(t)
+    return ref_kernels.Tree(with_full_vertices_sorted(canon.root), t.multiset)
 
 
 def table_orbit_without_its_canonical_member(table):
@@ -320,17 +328,16 @@ def test_each_word_gets_one_profile_and_one_census(monkeypatch):
 
 
 def test_table_checks_build_no_object_tree(monkeypatch):
-    kernels = [gessel_forward, preorder_key, canonical_representative, is_canonical,
-               prune, orbit]
+    kernels = [gessel_forward, canonical_representative, is_canonical, prune, orbit]
     calls = [counting(monkeypatch, f) for f in kernels]
     built = []
-    init = Internal.__init__
+    check = GesselTree.__post_init__
 
-    def counted_init(self, *args):
-        built.append(args)
-        init(self, *args)
+    def counted_check(self):
+        built.append(self)
+        check(self)
 
-    monkeypatch.setattr(Internal, "__init__", counted_init)
+    monkeypatch.setattr(GesselTree, "__post_init__", counted_check)
     assert run_campaign(["ORBIT", "T4.3", *WORD_IDS], FAULT_FAMILY).passed
     assert [len(c) for c in calls] == [0] * len(kernels)
     assert built == []
@@ -341,6 +348,13 @@ def test_roundtrip_validates_each_tree_once(monkeypatch):
     assert run_campaign(["ROUNDTRIP"], FAULT_FAMILY).passed
     words = sum(len(list(harness.enumerate_stirling(m))) for m in FAULT_FAMILY)
     assert len(validations) == words
+
+
+def test_roundtrip_scans_each_word_once(monkeypatch):
+    scans = [counting(monkeypatch, f) for f in (table_of_word, gessel_forward)]
+    assert run_campaign(["ROUNDTRIP"], FAULT_FAMILY).passed
+    words = sum(len(list(harness.enumerate_stirling(m))) for m in FAULT_FAMILY)
+    assert sum(map(len, scans)) == words
 
 
 def held_objects(obj):
