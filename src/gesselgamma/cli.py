@@ -32,9 +32,8 @@ from .grammar import (
 )
 from .harness import (
     CHECKS,
-    DEFAULT_COST_CAP,
     FamilySpec,
-    default_campaign_family,
+    admit_enumeration,
     golden_examples,
     verify,
 )
@@ -105,8 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multisets", default=None,
                    help="explicit family, semicolon-separated: '2,2;1,2,1'")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cap", type=int, default=DEFAULT_COST_CAP,
-                   help="refuse families with more total permutations than this")
 
     sub.add_parser("golden", help="replay the worked examples with frozen expected values")
 
@@ -114,14 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _refuse_enumeration(m: Multiset, via: str = "enum") -> None:
-    """Refuse, before listing a word or tree, a route that would list more
-    words or trees of m than the default cost cap; the grammar routes list
-    none, and are refused above GRAMMAR_COST_CAP instead."""
+    """Refuse, before listing a word or tree, a multiset that
+    ``harness.admit_enumeration`` refuses; the grammar routes list none, and
+    are refused above GRAMMAR_COST_CAP instead."""
     if via == "grammar":
         if (cost := chain_cost(m)) > GRAMMAR_COST_CAP:
             raise ChainTooLargeError(cost, GRAMMAR_COST_CAP)
-    elif (count := count_stirling(m)) > DEFAULT_COST_CAP:
-        raise FamilyTooLargeError(count, DEFAULT_COST_CAP)
+    else:
+        admit_enumeration([m])
 
 
 # Rows ``enumerate --format json`` encodes with one ``json.dumps`` call; a
@@ -252,22 +249,16 @@ def _cmd_verify(args) -> int:
     if args.check != "all" and args.check not in CHECKS:
         raise DomainError(
             f"unknown check id {args.check!r}; known ids: {', '.join(sorted(CHECKS))} or 'all'")
-    bounds_given = any(v is not None for v in (args.max_n, args.max_k, args.max_total))
-    if args.multisets is not None and bounds_given:
+    bounds = {k: v for k in ("max_n", "max_k", "max_total")
+              if (v := getattr(args, k)) is not None}
+    if args.multisets is not None and bounds:
         raise DomainError("--multisets cannot be combined with --max-n/--max-k/--max-K")
+    # Listed lazily, so that admission stops at the first member past a cap.
+    members = FamilySpec(**bounds) if bounds else None
     if args.multisets is not None:
         members = [Multiset.parse(spec) for spec in args.multisets.split(";")]
         members = sorted(set(members), key=lambda m: m.mults)
-    elif bounds_given:
-        spec = FamilySpec(
-            max_n=args.max_n if args.max_n is not None else 4,
-            max_k=args.max_k if args.max_k is not None else 3,
-            max_total=args.max_total if args.max_total is not None else 10,
-        )
-        members = spec.members()
-    else:
-        members = default_campaign_family()
-    report = verify(args.check, members, cap=args.cap, jobs=max(1, args.jobs))
+    report = verify(args.check, members, jobs=max(1, args.jobs))
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.passed else 1
 

@@ -65,7 +65,7 @@ def _tally(m: Multiset, keys: Iterable[tuple[int, int] | None]) -> GammaTable:
     A key of None marks an object the route does not count; every real key
     is a nonempty tuple, so ``filter(None, ...)`` drops exactly the Nones.
     """
-    return GammaTable(m.K, Counter(filter(None, keys)), multiset=m)
+    return GammaTable(m.K, Counter(filter(None, keys)))
 
 
 def _trees_key(table: list[list[int]]) -> tuple[int, int]:

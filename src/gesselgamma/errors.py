@@ -53,14 +53,12 @@ class NotCanonicalError(DomainError):
 
 
 class FamilyTooLargeError(RuntimeError):
-    """Raised when a verification campaign would exceed the permutation budget."""
+    """Raised when listing a family would pass the cap on its words or letters."""
 
-    def __init__(self, cost: int, cap: int):
+    def __init__(self, cost: int, cap: int, unit: str = "Stirling permutations"):
         self.cost = cost
         self.cap = cap
-        super().__init__(
-            f"family too large: {cost} Stirling permutations requested, cap is {cap}"
-        )
+        super().__init__(f"family too large: {cost} {unit} requested, cap is {cap}")
 
 
 class OrbitTooLargeError(FamilyTooLargeError):

@@ -9,9 +9,10 @@ context that every check reads, and dropped before the next multiset.
 The per-word checks run together, in one pass over the words; they, ORBIT
 and T4.3 read the rows of the tables, and ROUNDTRIP writes each table out
 and parses it back.  The independent routes the checks compare against
-still compute on their own.  Campaigns can hand whole
-multisets to a process pool, and refuse families whose total permutation
-count exceeds a budget.
+still compute on their own.  Campaigns can hand whole multisets to a
+process pool.  Every campaign and every command that lists words asks
+``admit_enumeration`` first, which refuses a family past a fixed cap on
+its words or on their letters.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .action import (
     BalanceStatus,
@@ -74,7 +75,9 @@ from .trees import (
     word_of_table,
 )
 
-DEFAULT_COST_CAP = 10**6
+# The most words, and letters (words times K), that one listing may produce.
+WORD_CAP = 10**6
+LETTER_CAP = 2 * 10**7
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +86,7 @@ DEFAULT_COST_CAP = 10**6
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family of multisets: either an explicit list or bound-generated.
+    """A bound-generated family of multisets.
 
     Bound generation takes every multiplicity vector with 1 <= n <= max_n,
     1 <= k_i <= max_k and K <= max_total, ordered lexicographically.  It
@@ -93,23 +96,21 @@ class FamilySpec:
     max_n: int = 4
     max_k: int = 3
     max_total: int = 10
-    explicit: tuple[Multiset, ...] | None = None
 
-    def members(self) -> list[Multiset]:
-        if self.explicit is not None:
-            return sorted(set(self.explicit), key=lambda m: m.mults)
+    def __iter__(self) -> Iterator[Multiset]:
         # Depth first, smallest part first: each vector comes before its
         # extensions and after every smaller vector, which is lexicographic.
-        out = []
         stack: list[tuple[int, ...]] = [()]
         while stack:
             mults = stack.pop()
             if mults:
-                out.append(Multiset(mults))
+                yield Multiset(mults)
             if len(mults) < self.max_n:
                 room = min(self.max_k, self.max_total - sum(mults))
                 stack.extend(mults + (k,) for k in range(room, 0, -1))
-        return out
+
+    def members(self) -> list[Multiset]:
+        return list(self)
 
 
 def default_campaign_family() -> list[Multiset]:
@@ -123,6 +124,27 @@ def default_campaign_family() -> list[Multiset]:
 
 def family_cost(members: list[Multiset]) -> int:
     return sum(count_stirling(m) for m in members)
+
+
+def admit_enumeration(members: Iterable[Multiset]) -> list[Multiset]:
+    """The members as a list, if listing all their words is admitted.
+
+    Adds up the members' words and letters as it reads them, and raises
+    ``FamilyTooLargeError`` at the first member that takes either total
+    past WORD_CAP or LETTER_CAP, naming that total.
+    """
+    admitted = []
+    words = letters = 0
+    for m in members:
+        count = count_stirling(m)
+        words += count
+        letters += count * m.K
+        if words > WORD_CAP:
+            raise FamilyTooLargeError(words, WORD_CAP)
+        if letters > LETTER_CAP:
+            raise FamilyTooLargeError(letters, LETTER_CAP, "letters")
+        admitted.append(m)
+    return admitted
 
 
 # --------------------------------------------------------------------------
@@ -660,9 +682,8 @@ def pool_workers(jobs: int, cpus: int, tasks: int) -> int:
 
 def run_campaign(
     check_ids: list[str],
-    members: list[Multiset],
+    members: Iterable[Multiset],
     *,
-    cap: int = DEFAULT_COST_CAP,
     jobs: int = 1,
 ) -> CampaignReport:
     """Run every check over every member, one multiset at a time.
@@ -670,15 +691,15 @@ def run_campaign(
     A task is one multiset with all its checks, so the words and trees are
     built once per multiset; with ``jobs > 1`` whole tasks go to a process
     pool, largest first.  The report lists outcomes check by check, in the
-    order of ``check_ids`` and then of ``members``.
+    order of ``check_ids`` and then of ``members``, which pass through
+    ``admit_enumeration`` before a word is listed.
     """
     for cid in check_ids:
         if cid not in CHECKS:
             raise DomainError(
                 f"unknown check id {cid!r}; known ids: {', '.join(sorted(CHECKS))}")
+    members = admit_enumeration(members)
     cost = family_cost(members)
-    if cost > cap:
-        raise FamilyTooLargeError(cost, cap)
     specs = [m.spec() for m in members]
     ids = tuple(check_ids)
     # Largest first, so that no big multiset starts last and runs alone.
@@ -707,16 +728,15 @@ def run_campaign(
 
 def verify(
     check_id: str,
-    members: list[Multiset] | None = None,
+    members: Iterable[Multiset] | None = None,
     *,
-    cap: int = DEFAULT_COST_CAP,
     jobs: int = 1,
 ) -> CampaignReport:
     """Run one check id (or "all") over a family (default campaign if omitted)."""
     if members is None:
         members = default_campaign_family()
     ids = sorted(CHECKS) if check_id == "all" else [check_id]
-    return run_campaign(ids, members, cap=cap, jobs=jobs)
+    return run_campaign(ids, members, jobs=jobs)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 
 from .errors import DomainError, GammaExtractionError, ParseError
-from .multiset import Multiset
 
 XYZ = ("x", "y", "z")
 UVZ = ("u", "v", "z")
@@ -230,12 +229,11 @@ def is_symmetric(p: Poly3, names) -> bool:
 class GammaTable:
     """Sparse table of gamma coefficients keyed by (i, j) for a fixed K."""
 
-    __slots__ = ("K", "entries", "multiset")
+    __slots__ = ("K", "entries")
 
-    def __init__(self, K: int, entries: dict[tuple[int, int], int], multiset: Multiset | None = None):
+    def __init__(self, K: int, entries: dict[tuple[int, int], int]):
         self.K = K
         self.entries = {(i, j): g for (i, j), g in entries.items() if g}
-        self.multiset = multiset
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GammaTable):

@@ -246,7 +246,7 @@ def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, b
 
 
 def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:
-    return GammaTable(m.K, Counter(keys), multiset=m)
+    return GammaTable(m.K, Counter(keys))
 
 
 def c_polynomial_enum(perms: Iterable[StirlingPermutation]) -> Poly3:

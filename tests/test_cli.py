@@ -232,6 +232,42 @@ class TestEnumerationCap:
         assert err == ("refused: family too large: 34459425 Stirling permutations "
                        "requested, cap is 1000000\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--multiset", "999999,1"],
+        ["poly", "--via", "enum", "--multiset", "999999,1"],
+        ["gamma", "--via", "extract", "--multiset", "1000000000"],
+        ["verify", "--check", "ROUNDTRIP", "--multisets", "999999,1"],
+    ])
+    def test_long_words_are_refused_by_their_letters(self, capsys, no_enumeration, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: family too large: ")
+        assert err.endswith(" letters requested, cap is 20000000\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--multiset", "2,2"],
+        ["poly", "--via", "enum", "--multiset", "2,2"],
+    ] + [["gamma", "--via", via, "--multiset", "2,2"] for via in GAMMA_ROUTES if via != "grammar"]
+      + [["verify", "--check", "ROUNDTRIP", "--multisets", "2,2"],
+         ["verify", "--check", "P2.1", "--max-K", "3"],
+         ["verify", "--check", "T3.1"]])
+    def test_every_listing_goes_through_admission(self, monkeypatch, argv):
+        class Stopped(Exception):
+            pass
+
+        def stop(members):
+            raise Stopped
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("gesselgamma") and hasattr(mod, "admit_enumeration"):
+                monkeypatch.setattr(mod, "admit_enumeration", stop)
+        with pytest.raises(Stopped):
+            main(argv)
+
     @pytest.mark.parametrize("command", ["poly", "gamma"])
     def test_grammar_routes_are_not_refused(self, capsys, no_enumeration, command):
         code, out, _ = run(capsys, command, "--multiset", BIG, "--via", "grammar")
@@ -416,6 +452,15 @@ class TestVerify:
         assert code == 2
         assert err.startswith("refused: family too large")
 
+    def test_a_long_bound_generated_family_is_refused_while_listed(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--check", "SYM-XY",
+                             "--max-n", "30", "--max-k", "3", "--max-K", "22")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: family too large")
+
     def test_conflicting_family_options(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "P2.1",
                            "--multisets", "2,2", "--max-n", "2")
@@ -429,7 +474,7 @@ class TestVerify:
 
     def test_cap_refusal(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "ROUNDTRIP",
-                           "--multisets", "3,3,3,3,3,3,3,3,3", "--cap", "1000")
+                           "--multisets", "3,3,3,3,3,3,3,3,3")
         assert code == 2
         assert err.startswith("refused: family too large")
 

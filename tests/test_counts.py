@@ -116,11 +116,6 @@ class TestGammaRoutes:
         assert gamma_count_mma(m) == table
         assert gamma_count_ternary(m) == table
 
-    def test_tables_carry_their_multiset(self):
-        m = Multiset((2, 1))
-        t = gamma_count_trees(m)
-        assert t.K == m.K and t.multiset == m
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gamma_count_trees(Multiset(()))

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import time
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -53,14 +53,16 @@ class TestFamilies:
         assert len(members) == 599
         assert members == FamilySpec(max_n=10, max_k=3, max_total=10).members()
 
+    def test_members_are_listed_lazily(self):
+        start = time.perf_counter()
+        first = list(islice(FamilySpec(max_n=30, max_k=3, max_total=60), 3))
+        assert time.perf_counter() - start < 1
+        assert [m.mults for m in first] == [(1,), (1, 1), (1, 1, 1)]
+
     def test_total_bound_trims(self):
         spec = FamilySpec(max_n=2, max_k=3, max_total=4)
         assert (3, 3) not in {m.mults for m in spec.members()}
         assert (3, 1) in {m.mults for m in spec.members()}
-
-    def test_explicit_members_are_deduped_and_sorted(self):
-        spec = FamilySpec(explicit=(Multiset((2, 2)), Multiset((1,)), Multiset((2, 2))))
-        assert [m.mults for m in spec.members()] == [(1,), (2, 2)]
 
     def test_default_campaign(self):
         members = default_campaign_family()
@@ -173,10 +175,16 @@ class TestRunCampaign:
     def test_cost_cap_refusal(self):
         big = [Multiset((3,) * 9)]
         with pytest.raises(FamilyTooLargeError) as exc:
-            run_campaign(["ROUNDTRIP"], big, cap=10 ** 6)
+            run_campaign(["ROUNDTRIP"], big)
         assert exc.value.cost == family_cost(big)
         assert exc.value.cap == 10 ** 6
         assert "cap" in str(exc.value)
+
+    def test_a_long_bound_generated_family_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(FamilyTooLargeError):
+            run_campaign(["SYM-XY"], FamilySpec(max_n=30, max_k=3, max_total=22))
+        assert time.perf_counter() - start < 1
 
     def test_parallel_matches_serial(self):
         ids = ["ROUNDTRIP", "P2.1", "T6.1"]
@@ -240,8 +248,50 @@ class TestRunCampaign:
         json.dumps(data)  # serializable all the way down
 
     def test_verify_defaults_to_the_campaign_family(self):
-        report = verify("T3.1", None, cap=10 ** 6)
+        report = verify("T3.1", None)
         assert report.multisets == [m.spec() for m in default_campaign_family()]
+
+
+class TestAdmission:
+    def test_admits_the_largest_multisets_in_use(self):
+        # 5^6 has 576 576 words and 17 297 280 letters; 1^9 has 3 265 920 letters.
+        for family in ([Multiset((5,) * 6)], [Multiset((1,) * 9)], default_campaign_family()):
+            assert harness.admit_enumeration(iter(family)) == family
+
+    def test_both_caps_are_inclusive(self, monkeypatch):
+        family = [Multiset((2, 2)), Multiset((1, 1))]  # 3 + 2 words, 12 + 4 letters
+        monkeypatch.setattr(harness, "WORD_CAP", 5)
+        monkeypatch.setattr(harness, "LETTER_CAP", 16)
+        assert harness.admit_enumeration(family) == family
+        monkeypatch.setattr(harness, "WORD_CAP", 4)
+        with pytest.raises(FamilyTooLargeError, match="^family too large: 5 Stirling "
+                           "permutations requested, cap is 4$"):
+            harness.admit_enumeration(family)
+        monkeypatch.setattr(harness, "WORD_CAP", 5)
+        monkeypatch.setattr(harness, "LETTER_CAP", 15)
+        with pytest.raises(FamilyTooLargeError, match="^family too large: 16 letters "
+                           "requested, cap is 15$"):
+            harness.admit_enumeration(family)
+
+    def test_long_words_are_refused_by_their_letters(self):
+        # 999999,1 has exactly 10^6 words, each of 10^6 letters.
+        with pytest.raises(FamilyTooLargeError) as exc:
+            harness.admit_enumeration([Multiset((999999, 1))])
+        assert (exc.value.cost, exc.value.cap) == (10 ** 12, 2 * 10 ** 7)
+        assert "letters" in str(exc.value)
+
+    def test_listing_stops_at_the_first_member_past_a_cap(self):
+        read = []
+
+        def family():
+            for m in [Multiset((2, 2)), Multiset((2,) * 9), Multiset((1,))]:
+                read.append(m)
+                yield m
+
+        with pytest.raises(FamilyTooLargeError) as exc:
+            harness.admit_enumeration(family())
+        assert read == [Multiset((2, 2)), Multiset((2,) * 9)]
+        assert exc.value.cost == 3 + 34459425
 
 
 # SHA-256 of verify("all") over default_campaign_family() with jobs=1, as
