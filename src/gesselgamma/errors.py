@@ -52,13 +52,25 @@ class NotCanonicalError(DomainError):
         )
 
 
+# The largest cost a refusal writes out, 10^COST_DIGITS; a larger one is
+# named by this bound.  Python writes no int of more than 4 300 digits as
+# text, and a count that long would tell the reader nothing more.
+COST_DIGITS = 100
+COST_TEXT_BOUND = 10**COST_DIGITS
+
+
 class FamilyTooLargeError(RuntimeError):
-    """Raised when listing a family would pass the cap on its words or letters."""
+    """Raised when listing a family would pass the cap on its words or letters.
+
+    A cost past COST_TEXT_BOUND reads "more than 10^100"; such a ``cost``
+    may be a lower bound, counted only until it passed the bound.
+    """
 
     def __init__(self, cost: int, cap: int, unit: str = "Stirling permutations"):
         self.cost = cost
         self.cap = cap
-        super().__init__(f"family too large: {cost} {unit} requested, cap is {cap}")
+        amount = cost if cost <= COST_TEXT_BOUND else f"more than 10^{COST_DIGITS}"
+        super().__init__(f"family too large: {amount} {unit} requested, cap is {cap}")
 
 
 class OrbitTooLargeError(FamilyTooLargeError):

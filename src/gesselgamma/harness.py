@@ -20,13 +20,11 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator
 
 from .action import (
-    BalanceStatus,
     balance_from_census,
     balance_report,
     canonical_representative,
@@ -39,7 +37,7 @@ from .action import (
     ternary_from_census,
 )
 from .counts import GAMMA_ROUTES, c_polynomial_enum, triple_polynomial
-from .errors import DomainError, FamilyTooLargeError
+from .errors import COST_TEXT_BOUND, DomainError, FamilyTooLargeError
 from .grammar import c_polynomial_grammar, gamma_polynomial_grammar
 from .multiset import Multiset
 from .poly import (
@@ -58,10 +56,11 @@ from .stirling import (
     asc_des_plat,
     count_stirling,
     enumerate_stirling,
+    first_last_positions,
+    insertion_factors,
     statistics,
 )
 from .trees import (
-    GesselTree,
     LeafCensus,
     Table,
     first_last_occurrence_flags,
@@ -131,12 +130,18 @@ def admit_enumeration(members: Iterable[Multiset]) -> list[Multiset]:
 
     Adds up the members' words and letters as it reads them, and raises
     ``FamilyTooLargeError`` at the first member that takes either total
-    past WORD_CAP or LETTER_CAP, naming that total.
+    past WORD_CAP or LETTER_CAP, naming that total.  A member's word count
+    stops growing once it passes COST_TEXT_BOUND, where the refusal names
+    the bound, so a huge multiset is refused in time linear in its size.
     """
     admitted = []
     words = letters = 0
     for m in members:
-        count = count_stirling(m)
+        count = 1
+        for factor in insertion_factors(m):
+            count *= factor
+            if count > COST_TEXT_BOUND:
+                break
         words += count
         letters += count * m.K
         if words > WORD_CAP:
@@ -221,16 +226,23 @@ class MultisetContext:
             m = self.multiset
             ids = [c for c in self.check_ids if c in _WORD_CHECKS and CHECKS[c].applies_to(m)]
             active = {cid: _WORD_CHECKS[cid] for cid in [check_id, *ids]}
-            results = dict.fromkeys(active)
+            results: dict[str, Failure | Exception | None] = dict.fromkeys(active)
+            checks = list(active.items())
             for k in range(len(self.perms)):
-                w = WordRecord(self, k)
-                for cid, check in list(active.items()):
+                record = WordRecord(self, k)
+                failed = False
+                for cid, check in checks:
                     try:
-                        results[cid] = check(m, w)
+                        failure = check(m, record)
                     except Exception as exc:  # a crash fails this check only
-                        results[cid] = exc
-                    if results[cid] is not None:
-                        del active[cid]
+                        failure = exc
+                    if failure is not None:
+                        results[cid] = failure
+                        failed = True
+                if failed:
+                    checks = [(cid, check) for cid, check in checks if results[cid] is None]
+                    if not checks:
+                        break
             self._word_results.update(results)
         result = self._word_results[check_id]
         if isinstance(result, Exception):
@@ -242,21 +254,36 @@ class WordRecord:
     """One word of a context and its tree's slot table, as the per-word
     checks read them.
 
-    The profile and the leaf census are built on first use, so each runs
-    once per word, and only for a check that reads it.
+    The profile, the leaf census and the first and last position of each
+    value (``ends``) are built on first use, so each runs once per word,
+    and only for a check that reads it.  They are plain slots, not
+    ``functools.cached_property``, which takes a lock on every first use.
     """
+
+    __slots__ = ("ctx", "k", "s", "table", "_profile", "_census", "_ends")
 
     def __init__(self, ctx: MultisetContext, k: int):
         self.ctx, self.k = ctx, k
         self.s, self.table = ctx.perms[k], ctx.tables[k]
+        self._profile = self._census = self._ends = None
 
-    @cached_property
+    @property
     def profile(self) -> StatProfile:
-        return statistics(self.s)
+        if self._profile is None:
+            self._profile = statistics(self.s)
+        return self._profile
 
-    @cached_property
+    @property
     def census(self) -> LeafCensus:
-        return table_census(self.table)
+        if self._census is None:
+            self._census = table_census(self.table)
+        return self._census
+
+    @property
+    def ends(self) -> tuple[list[int], list[int]]:
+        if self._ends is None:
+            self._ends = first_last_positions(self.s.word, self.ctx.multiset.n)
+        return self._ends
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -294,8 +321,9 @@ def _agreement(lhs: str, rhs: str, what: str) -> Callable[[Multiset], list[Failu
 
 def _check_roundtrip(m: Multiset) -> list[Failure]:
     # Each word's tree, the slot table the other checks read, is written out
-    # and parsed back, which validates it once; the parsed table must be the
-    # same table and must read back to the word.  tree -> word -> tree needs
+    # and parsed back.  The parse validates the parsed table, and the parsed
+    # table must equal the written one, which carries that validation back to
+    # it; it must also read back to the word.  tree -> word -> tree needs
     # no pass of its own: the tables are the forward scan of the words, so
     # once word -> tree -> word is the identity, rebuilding a tree from its
     # word gives back the same tree.  Bijectivity rests on that identity,
@@ -303,7 +331,7 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
     ctx = _context(m)
     seen: set[str] = set()
     for s, table in zip(ctx.perms, ctx.tables):
-        text = serialize(GesselTree(table, m))
+        text = render_table(table)
         parsed = parse_tree(text).table
         if parsed != table:
             return [_fail(m, "serialize -> parse is not the identity",
@@ -344,9 +372,13 @@ def _check_jkp(m: Multiset, w: WordRecord) -> Failure | None:
 
 
 def _check_p22(m: Multiset, w: WordRecord) -> Failure | None:
+    # The first i tops an ascent when the letter before it is smaller, and
+    # the last i a descent when the letter after it is; the boundary is 0.
     s, per_vertex = w.s, w.census.per_vertex
+    first, last = w.ends
+    padded = (0, *s.word, 0)  # padded[p] is the letter at 1-based position p
     for i in range(1, m.n + 1):
-        flags = first_last_occurrence_flags(s, i)
+        flags = (padded[first[i] - 1] < i, i > padded[last[i] + 1])
         has_x, has_y, _ = per_vertex[i]
         if flags != (has_x, has_y):
             return _fail(m, f"occurrence flags of value {i} differ from leaf flags",
@@ -388,20 +420,21 @@ def _check_t44(m: Multiset) -> list[Failure]:
 
 
 def _check_p51(m: Multiset, w: WordRecord) -> Failure | None:
-    s, prof = w.s, w.profile
-    report = balance_from_census(w.census)
-    unbalanced_y = set(report.vertices_with(BalanceStatus.UNBALANCED_Y))
-    dfall_values = {s.word[i - 1] for i in prof.dfall_positions}
-    if dfall_values != unbalanced_y or len(prof.dfall_positions) != len(unbalanced_y):
+    s, dfalls = w.s, w.profile.dfall_positions
+    word = s.word
+    unbalanced_y = {v for v, (has_x, has_y, _) in w.census.per_vertex.items()
+                    if has_y and not has_x}
+    dfall_values = {word[i - 1] for i in dfalls}
+    if dfall_values != unbalanced_y or len(dfalls) != len(unbalanced_y):
         return _fail(m, "double-fall values differ from unbalanced-y vertices",
                      sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))
-    w = s.word
-    for i in prof.dfall_positions:
-        v = w[i - 1]
-        last = len(w) - w[::-1].index(v)  # the last occurrence of v, 1-based
-        if i != last:
-            return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
-                         sigma=str(s))
+    if dfalls:
+        last = w.ends[1]
+        for i in dfalls:
+            v = word[i - 1]
+            if i != last[v]:
+                return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
+                             sigma=str(s))
     return None
 
 
@@ -707,6 +740,10 @@ def run_campaign(
     tasks = [(ids, specs[k]) for k in order]
     workers = pool_workers(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # Imported here: the pool pulls in multiprocessing, which a serial
+        # run and the other commands never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_multiset, tasks))
     else:

@@ -12,6 +12,7 @@ always a descent top.  All position indices in this module are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator
 
 from .errors import DomainError, ParseError
@@ -122,13 +123,16 @@ def is_stirling(word, multiset: Multiset) -> bool:
 
 def count_stirling(multiset: Multiset) -> int:
     """|Q_m| by the insertion product: prod_{i>=2} (1 + k_1 + ... + k_{i-1})."""
-    total = 1
-    prefix = 0
-    for i, k in enumerate(multiset.mults):
-        if i > 0:
-            total *= prefix + 1
+    return prod(insertion_factors(multiset))
+
+
+def insertion_factors(multiset: Multiset) -> Iterator[int]:
+    """The factors of :func:`count_stirling`, in order: 1 + k_1 + ... + k_{i-1}
+    for i = 2..n, the gaps that block i can go into."""
+    prefix = 1
+    for k in multiset.mults[:-1]:
         prefix += k
-    return total
+        yield prefix
 
 
 def stirling_words(multiset: Multiset) -> Iterator[tuple[int, ...]]:
@@ -212,9 +216,12 @@ class StatProfile:
 def statistics(s: StirlingPermutation) -> StatProfile:
     """The full :class:`StatProfile` of a word, in one left-to-right pass.
 
-    A plateau's right copy has rank one more than sigma_i's own.  A double
-    fall is a descent at a value whose first occurrence was entered by a
-    descent, which is known once that occurrence is read.
+    Each step (sigma_{p}, sigma_{p+1}) is one of three kinds, and the loop
+    branches once on it: an ascent at p + 1, or a descent or a plateau at
+    p.  A plateau's key is the rank of its right copy, and it is an ascent-
+    or descent-plateau by the kind of the step before it.  A double fall is
+    a descent at a value whose first occurrence was entered by a descent,
+    which is known once that occurrence is read.
     """
     w = s.word
     ascents: list[int] = []
@@ -224,44 +231,59 @@ def statistics(s: StirlingPermutation) -> StatProfile:
     aplats: list[int] = []
     dplats: list[int] = []
     plat_by_j: dict[int, int] = {}
-    rank: dict[int, int] = {}  # occurrences of each value read so far
-    falls_into: dict[int, bool] = {}  # first occurrence is entered by a descent
+    rank = [0] * (len(s.multiset.mults) + 1)  # occurrences of each value read so far
+    fell = [False] * len(rank)  # first occurrence is entered by a descent
     prev = 0
-    for i, (cur, nxt) in enumerate(zip(w, w[1:] + (0,)), start=1):
-        r = rank.get(cur, 0) + 1
-        rank[cur] = r
-        if r == 1:
-            falls_into[cur] = prev > cur
+    entered = 0  # the kind of the step into position p: 1 ascent, -1 descent, 0 plateau
+    for p, cur in enumerate(w):
+        r = rank[cur] = rank[cur] + 1
         if prev < cur:
-            ascents.append(i)
-        if cur > nxt:
-            descents.append(i)
-            if falls_into[cur]:
-                dfalls.append(i)
-        elif cur == nxt:
-            plateaus.append(i)
-            plat_by_j[r + 1] = plat_by_j.get(r + 1, 0) + 1
-            if prev < cur:
-                aplats.append(i)
-            elif prev > cur:
-                dplats.append(i)
+            ascents.append(p + 1)
+            entered = 1
+        elif prev > cur:
+            descents.append(p)
+            if fell[prev]:
+                dfalls.append(p)
+            if r == 1:
+                fell[cur] = True
+            entered = -1
+        else:
+            plateaus.append(p)
+            plat_by_j[r] = plat_by_j.get(r, 0) + 1
+            if entered > 0:
+                aplats.append(p)
+            elif entered:
+                dplats.append(p)
+            entered = 0
         prev = cur
+    if prev:  # the last step, down to the boundary zero
+        descents.append(len(w))
+        if fell[prev]:
+            dfalls.append(len(w))
 
+    # Positional: keyword arguments cost the frozen dataclass about a
+    # microsecond a word.
+    fs = frozenset
     return StatProfile(
-        asc=len(ascents),
-        des=len(descents),
-        plat=len(plateaus),
-        plat_by_j=plat_by_j,
-        dfall=len(dfalls),
-        aplat=len(aplats),
-        dplat=len(dplats),
-        ascent_positions=frozenset(ascents),
-        descent_positions=frozenset(descents),
-        plateau_positions=frozenset(plateaus),
-        dfall_positions=frozenset(dfalls),
-        aplat_positions=frozenset(aplats),
-        dplat_positions=frozenset(dplats),
+        len(ascents), len(descents), len(plateaus), plat_by_j,
+        len(dfalls), len(aplats), len(dplats),
+        fs(ascents), fs(descents), fs(plateaus), fs(dfalls), fs(aplats), fs(dplats),
     )
+
+
+def first_last_positions(word: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """``(first, last)``: the 1-based positions of the first and of the last
+    occurrence of each value v in 1..n, at ``first[v]`` and ``last[v]``, in
+    one scan of the word.  Entry 0, and the entry of a value the word lacks,
+    is 0.
+    """
+    first = [0] * (n + 1)
+    last = [0] * (n + 1)
+    for p, c in enumerate(word, 1):
+        if not first[c]:
+            first[c] = p
+        last[c] = p
+    return first, last
 
 
 def asc_des_plat(word: tuple[int, ...]) -> tuple[int, int, int]:

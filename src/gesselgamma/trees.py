@@ -167,24 +167,28 @@ def word_of_table(table: Table) -> tuple[int, ...]:
     the subtree of each slot of a row, with the row's vertex written between
     consecutive slots.
 
-    The stack holds what is still to be read, next item on top: a vertex to
-    read as itself, a letter to write as its negation.  Leaves read as
-    nothing, so they never go on it.
+    The stack holds each open vertex with an iterator over its row.  The
+    vertex is written after each of its slots, a leaf at once and a vertex
+    once its own row is done, and the copy after the last slot is taken
+    back when the row ends.
     """
+    root = table[0][0]
+    if not root:
+        return ()
     out: list[int] = []
-    stack = [table[0][0]] if table[0][0] else []
+    stack = [(root, iter(table[root]))]
     while stack:
-        v = stack.pop()
-        if v < 0:
-            out.append(-v)
-            continue
-        row = table[v]
-        if row[-1]:
-            stack.append(row[-1])
-        for c in row[-2::-1]:
-            stack.append(-v)
+        v, slots = stack[-1]
+        for c in slots:
             if c:
-                stack.append(c)
+                stack.append((c, iter(table[c])))
+                break
+            out.append(v)
+        else:
+            out.pop()
+            stack.pop()
+            if stack:
+                out.append(stack[-1][0])
     return tuple(out)
 
 
@@ -236,7 +240,8 @@ def table_census(table: Table) -> LeafCensus:
     """The leaf census of the tree a slot table describes.
 
     ``per_vertex`` lists the vertices depth first from the root, the
-    subtrees of a vertex taken last child first.
+    subtrees of a vertex taken last child first.  A row's ends are read
+    once, for its x- and y-leaf, and only its middle slots are looped over.
     """
     xleaf = yleaf = zleaf = 0
     zleaf_by_j: dict[int, int] = {}
@@ -245,16 +250,22 @@ def table_census(table: Table) -> LeafCensus:
     while stack:
         v = stack.pop()
         row = table[v]
-        last = len(row) - 1
-        has_x = not row[0]
-        has_y = not row[last]
+        first = row[0]
+        if first:
+            stack.append(first)
         z_count = 0
-        for pos, child in enumerate(row):
+        for p in range(1, len(row) - 1):
+            child = row[p]
             if child:
                 stack.append(child)
-            elif 0 < pos < last:
+            else:
                 z_count += 1
-                zleaf_by_j[pos + 1] = zleaf_by_j.get(pos + 1, 0) + 1
+                zleaf_by_j[p + 1] = zleaf_by_j.get(p + 1, 0) + 1
+        last = row[-1]
+        if last:
+            stack.append(last)
+        has_x = not first
+        has_y = not last
         xleaf += has_x
         yleaf += has_y
         zleaf += z_count
@@ -321,26 +332,25 @@ def render_table(table: Table, head: Callable[[int], str] = str) -> str:
     """Write ``(head(label) child ...)`` with ``*`` for leaves, without recursion.
 
     Row v lists the children of vertex v; a row may be empty, as in a
-    pruned tree, and writes as ``(head(v))``.  The stack holds what is still
-    to be written, text or a vertex, next item on top.
+    pruned tree, and writes as ``(head(v))``.  The stack holds an iterator
+    over the row of each open vertex, innermost last; a vertex's ")" is
+    written when its iterator runs out.
     """
-    parts: list[str] = []
-    stack: list[int | str] = [table[0][0]]
+    root = table[0][0]
+    if not root:
+        return "*"
+    parts = [f"({head(root)}"]
+    stack = [iter(table[root])]
     while stack:
-        x = stack.pop()
-        if type(x) is str:
-            parts.append(x)
-        elif x:
-            parts.append(f"({head(x)}")
-            stack.append(")")
-            for child in reversed(table[x]):
-                if child:
-                    stack.append(child)
-                    stack.append(" ")
-                else:
-                    stack.append(" *")
+        for c in stack[-1]:
+            if c:
+                parts.append(f" ({head(c)}")
+                stack.append(iter(table[c]))
+                break
+            parts.append(" *")
         else:
-            parts.append("*")
+            parts.append(")")
+            stack.pop()
     return "".join(parts)
 
 
@@ -358,73 +368,80 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
     structurally invalid tree raises :class:`TreeValidationError`.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    end = len(tokens)
     if not tokens:
         raise ParseError("unexpected end of tree text")
-    # Open vertices, innermost last, each with the slots parsed so far.
-    stack: list[tuple[int, list[int]]] = []
-    # The row of each closed vertex, and the first duplicate or childless
-    # vertex, reported once the text has parsed.
+    # One pass over the tokens.  Each open vertex has a list of the slots
+    # read so far on ``stack``, innermost last, and its label on ``labels``;
+    # ``slots`` is the innermost list.  A closed vertex's row goes into
+    # ``rows``; the first duplicate or childless vertex is reported only
+    # once the whole text has parsed, and its row is not kept.
+    stack: list[list[int]] = []
+    labels: list[int] = []
     rows: dict[int, tuple[int, ...]] = {}
     defect: TreeViolation | None = None
-    pos = 0
-    while True:
-        tok = tokens[pos]
-        pos += 1
-        if tok == "*":
-            node: int | None = 0
-        elif tok == "(":
-            if pos >= end or not tokens[pos].isdecimal():
-                raise ParseError("expected a vertex label after '('")
-            try:
-                stack.append((int(tokens[pos]), []))
-            except ValueError:  # more digits than int() converts
-                raise ParseError(f"vertex label of {len(tokens[pos])} digits is too long") from None
-            pos += 1
-            node = None
-        else:
-            raise ParseError(f"expected '(' or '*', got {tok!r}")
-        # Attach the finished slot, closing every vertex whose ")" follows.
-        while True:
-            if node is not None:
+    root = 0
+    it = iter(tokens)
+    if tokens[0] == "(":
+        for tok in it:
+            if tok == "*":
+                slots.append(0)
+            elif tok == ")":
+                row = tuple(slots)
+                label = labels.pop()
+                if len(row) < 2 or rows.setdefault(label, row) is not row:
+                    if defect is None:
+                        defect = (
+                            TreeViolation("labels", label,
+                                          f"vertex {label} appears more than once")
+                            if label in rows else
+                            TreeViolation("arity", label,
+                                          f"vertex {label} has {len(row)} children, "
+                                          "expected at least 2"))
+                stack.pop()
                 if not stack:
+                    root = label
                     break
-                stack[-1][1].append(node)
-            if pos >= end:
-                raise ParseError(f"unclosed '(' for vertex {stack[-1][0]}")
-            if tokens[pos] != ")":
-                break
-            pos += 1
-            node, slots = stack.pop()
-            if defect is None:
-                if node in rows:
-                    defect = TreeViolation(
-                        "labels", node, f"vertex {node} appears more than once")
-                elif len(slots) < 2:
-                    defect = TreeViolation(
-                        "arity", node,
-                        f"vertex {node} has {len(slots)} children, expected at least 2")
-            rows[node] = tuple(slots)
-        if not stack:
-            break
-    root = node
-    if pos != end:
-        raise ParseError(f"trailing tokens after tree: {' '.join(tokens[pos:])!r}")
+                slots = stack[-1]
+                slots.append(label)
+            elif tok == "(":
+                tok = next(it, "")
+                if not tok.isdecimal():
+                    raise ParseError("expected a vertex label after '('")
+                try:
+                    labels.append(int(tok))
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"vertex label of {len(tok)} digits is too long") from None
+                slots = []
+                stack.append(slots)
+            else:
+                raise ParseError(f"expected '(' or '*', got {tok!r}")
+        else:
+            raise ParseError(f"unclosed '(' for vertex {labels[-1]}")
+    elif next(it) != "*":  # a "*" alone is the tree of the empty multiset
+        raise ParseError(f"expected '(' or '*', got {tokens[0]!r}")
+    rest = list(it)
+    if rest:
+        raise ParseError(f"trailing tokens after tree: {' '.join(rest)!r}")
     if defect is not None:
         raise TreeValidationError([defect])
     # n distinct labels are 1..n unless one lies outside; that label is
     # named, not the labels missing below it, which may be many more than n.
     n = len(rows)
-    for label in rows:
-        if not 1 <= label <= n:
-            raise TreeValidationError([TreeViolation(
-                "labels", label, f"vertex label {label} outside 1..{n}")])
-    table = ((root,), *(rows[v] for v in range(1, n + 1)))
-    inferred = Multiset(tuple(len(row) - 1 for row in table[1:]))
+    if rows and (min(rows) < 1 or max(rows) > n):
+        label = next(v for v in rows if not 1 <= v <= n)
+        raise TreeValidationError([TreeViolation(
+            "labels", label, f"vertex label {label} outside 1..{n}")])
+    table = ((root,), *map(rows.__getitem__, range(1, n + 1)))
+    inferred = Multiset(tuple([len(row) - 1 for row in table[1:]]))
     if multiset is not None and multiset != inferred:
         raise DomainError(
             f"tree implies multiset {{{inferred}}} but {{{multiset}}} was given")
-    tree = GesselTree(table, inferred)
+    # The parse has made the table one tree on 1..n: each label was read
+    # once, inside the root's text, and each row has 2 or more slots.  So the
+    # shape walk that building a GesselTree makes is skipped.
+    tree = object.__new__(GesselTree)
+    object.__setattr__(tree, "table", table)
+    object.__setattr__(tree, "multiset", inferred)
     violations = validate_tree(tree)
     if violations:
         raise TreeValidationError(violations)

@@ -15,7 +15,9 @@ Their flips (``canonical_representative``, ``is_canonical`` and
 the reference's own trees of the words, so they share no flip code with
 the harness's slot-table kernels.  For everything else they call the
 package's kernels on the package's trees, as the harness does, so a test
-can corrupt a census, profile or flag kernel under both.  They never import
+can corrupt a census, profile or occurrence kernel under both: P2.2 and
+P5.1 read the first and last positions of each value from
+``stirling.first_last_positions``, as the harness does.  They never import
 ``gesselgamma.harness``, so they cannot call the code they are the
 reference for.
 """
@@ -34,9 +36,13 @@ from gesselgamma.action import (
 from gesselgamma.counts import triple_polynomial
 from gesselgamma.multiset import Multiset
 from gesselgamma.poly import UVZ, XYZ, Poly3, gamma_extract, gamma_table_to_uvz
-from gesselgamma.stirling import asc_des_plat, enumerate_stirling, statistics
+from gesselgamma.stirling import (
+    asc_des_plat,
+    enumerate_stirling,
+    first_last_positions,
+    statistics,
+)
 from gesselgamma.trees import (
-    first_last_occurrence_flags,
     gessel_forward,
     leaf_census,
     parse_tree,
@@ -93,11 +99,21 @@ def check_jkp(m: Multiset, ctx: Context) -> list[Failure]:
     return []
 
 
+def occurrence_flags(s, first: list[int], last: list[int], i: int) -> tuple[bool, bool]:
+    """(first occurrence of i is an ascent, last occurrence is a descent),
+    from the 1-based positions of those occurrences."""
+    w = s.word
+    before = w[first[i] - 2] if first[i] >= 2 else 0
+    after = w[last[i]] if last[i] < len(w) else 0
+    return (before < i, i > after)
+
+
 def check_p22(m: Multiset, ctx: Context) -> list[Failure]:
     for s, t in zip(ctx.perms, ctx.trees):
         census = leaf_census(t)
+        first, last = first_last_positions(s.word, m.n)
         for i in range(1, m.n + 1):
-            flags = first_last_occurrence_flags(s, i)
+            flags = occurrence_flags(s, first, last, i)
             has_x, has_y, _ = census.per_vertex[i]
             if flags != (has_x, has_y):
                 return [_fail(m, f"occurrence flags of value {i} differ from leaf flags",
@@ -116,8 +132,7 @@ def check_p51(m: Multiset, ctx: Context) -> list[Failure]:
                           sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))]
         for i in prof.dfall_positions:
             v = s.word[i - 1]
-            last = max(p for p, w in enumerate(s.word, start=1) if w == v)
-            if i != last:
+            if i != first_last_positions(s.word, m.n)[1][v]:
                 return [_fail(m, f"double fall at {i} is not the last occurrence of {v}",
                               sigma=str(s))]
     return []

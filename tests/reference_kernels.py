@@ -25,6 +25,14 @@ enumeration and the domain checks.  ``segment`` and
 ``first_last_occurrence_flags`` find the first and last occurrence of a
 value in a list of all its positions.
 
+``parse_tree`` is the tree parser as it was before its token loop became
+one ``for`` over the tokens: a ``while`` loop over a token index that
+attaches each finished slot and closes every vertex whose ``)`` follows.
+It ends, as the package's does, by inferring the multiset, building a
+``GesselTree`` and validating it, here by ``validate_tree``, a copy of the
+package's.  The package's parser must return an equal tree, or raise an
+exception of the same type with the same message.
+
 The trees here are object trees of their own (``Vertex``, with ``None``
 for a leaf, inside a ``Tree``), where the package stores a tree only as
 its slot table.  ``gessel_forward`` builds one by recursive splitting,
@@ -55,12 +63,17 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from gesselgamma.errors import DomainError, GammaExtractionError
+from gesselgamma.errors import (
+    DomainError,
+    GammaExtractionError,
+    ParseError,
+    TreeValidationError,
+)
 from gesselgamma.multiset import Multiset
 from gesselgamma.grammar import GrammarRuleSet
 from gesselgamma.poly import XYZ, GammaTable, Poly3
 from gesselgamma.stirling import StatProfile, StirlingPermutation
-from gesselgamma.trees import GesselTree, LeafCensus
+from gesselgamma.trees import GesselTree, LeafCensus, TreeViolation
 
 
 @dataclass(frozen=True)
@@ -243,6 +256,113 @@ def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, b
     before = w[p - 2] if p >= 2 else 0
     after = w[q] if q < len(w) else 0
     return (before < i, i > after)
+
+
+def validate_tree(t: GesselTree) -> list[TreeViolation]:
+    m = t.multiset
+    table = t.table
+    root = table[0][0]
+    if m.n == 0:
+        if root:
+            return [TreeViolation(
+                "structure", None, "tree over the empty multiset must be a single leaf")]
+        return []
+    if not root:
+        return [TreeViolation(
+            "structure", None, f"root must be an internal vertex for {{{m}}}")]
+
+    n = m.n
+    violations: list[TreeViolation] = []
+    for v in range(1, len(table)):
+        row = table[v]
+        if v > n:
+            violations.append(TreeViolation(
+                "labels", v, f"vertex label {v} outside 1..{n}"))
+        elif len(row) != (expected := m.mults[v - 1] + 1):
+            violations.append(TreeViolation(
+                "arity", v, f"vertex {v} has {len(row)} children, expected {expected}"))
+        for c in row:
+            if c and c <= v:
+                violations.append(TreeViolation(
+                    "increasing", c, f"edge ({v} -> {c}) is not label-increasing"))
+    for v in range(len(table), n + 1):
+        violations.append(TreeViolation("labels", v, f"vertex {v} is missing"))
+    return violations
+
+
+def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    end = len(tokens)
+    if not tokens:
+        raise ParseError("unexpected end of tree text")
+    # Open vertices, innermost last, each with the slots parsed so far.
+    stack: list[tuple[int, list[int]]] = []
+    # The row of each closed vertex, and the first duplicate or childless
+    # vertex, reported once the text has parsed.
+    rows: dict[int, tuple[int, ...]] = {}
+    defect: TreeViolation | None = None
+    pos = 0
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        if tok == "*":
+            node: int | None = 0
+        elif tok == "(":
+            if pos >= end or not tokens[pos].isdecimal():
+                raise ParseError("expected a vertex label after '('")
+            try:
+                stack.append((int(tokens[pos]), []))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"vertex label of {len(tokens[pos])} digits is too long") from None
+            pos += 1
+            node = None
+        else:
+            raise ParseError(f"expected '(' or '*', got {tok!r}")
+        # Attach the finished slot, closing every vertex whose ")" follows.
+        while True:
+            if node is not None:
+                if not stack:
+                    break
+                stack[-1][1].append(node)
+            if pos >= end:
+                raise ParseError(f"unclosed '(' for vertex {stack[-1][0]}")
+            if tokens[pos] != ")":
+                break
+            pos += 1
+            node, slots = stack.pop()
+            if defect is None:
+                if node in rows:
+                    defect = TreeViolation(
+                        "labels", node, f"vertex {node} appears more than once")
+                elif len(slots) < 2:
+                    defect = TreeViolation(
+                        "arity", node,
+                        f"vertex {node} has {len(slots)} children, expected at least 2")
+            rows[node] = tuple(slots)
+        if not stack:
+            break
+    root = node
+    if pos != end:
+        raise ParseError(f"trailing tokens after tree: {' '.join(tokens[pos:])!r}")
+    if defect is not None:
+        raise TreeValidationError([defect])
+    # n distinct labels are 1..n unless one lies outside; that label is
+    # named, not the labels missing below it, which may be many more than n.
+    n = len(rows)
+    for label in rows:
+        if not 1 <= label <= n:
+            raise TreeValidationError([TreeViolation(
+                "labels", label, f"vertex label {label} outside 1..{n}")])
+    table = ((root,), *(rows[v] for v in range(1, n + 1)))
+    inferred = Multiset(tuple(len(row) - 1 for row in table[1:]))
+    if multiset is not None and multiset != inferred:
+        raise DomainError(
+            f"tree implies multiset {{{inferred}}} but {{{multiset}}} was given")
+    tree = GesselTree(table, inferred)
+    violations = validate_tree(tree)
+    if violations:
+        raise TreeValidationError(violations)
+    return tree
 
 
 def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:

@@ -248,6 +248,31 @@ class TestEnumerationCap:
         assert err.endswith(" letters requested, cap is 20000000\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("ones", [2000, 20000])
+    @pytest.mark.parametrize("command", [
+        ["gamma", "--via", "perms", "--multiset"],
+        ["enumerate", "--multiset"],
+        ["verify", "--check", "all", "--multisets"],
+    ], ids=["gamma", "enumerate", "verify"])
+    def test_a_count_too_long_to_write_is_named_by_a_bound(self, capsys, no_enumeration,
+                                                          command, ones):
+        # 2000 ones have 2000! words, 5736 digits: past what int -> str writes.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, ",".join(["1"] * ones))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == ("refused: family too large: more than 10^100 Stirling permutations "
+                       "requested, cap is 1000000\n")
+
+    def test_a_letter_count_too_long_to_write_is_named_by_a_bound(self, capsys,
+                                                                  no_enumeration):
+        code, out, err = run(capsys, "enumerate", "--multiset", "1," + "9" * 4299)
+        assert code == 2
+        assert out == ""
+        assert err == ("refused: family too large: more than 10^100 letters "
+                       "requested, cap is 20000000\n")
+
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--multiset", "2,2"],
         ["poly", "--via", "enum", "--multiset", "2,2"],

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import islice, product
 
@@ -194,6 +197,16 @@ class TestRunCampaign:
             include_timing=False
         )
 
+    def test_importing_the_package_loads_no_process_pool(self):
+        # A fresh interpreter: this one may already hold a pool from another test.
+        code = ("import sys, gesselgamma, gesselgamma.cli\n"
+                "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+                " if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
     def test_pool_workers_is_clamped(self):
         # Pure arithmetic: no pool is started here.
         assert pool_workers(10 ** 9, 2, 1920) == 2
@@ -292,6 +305,23 @@ class TestAdmission:
             harness.admit_enumeration(family())
         assert read == [Multiset((2, 2)), Multiset((2,) * 9)]
         assert exc.value.cost == 3 + 34459425
+
+    @pytest.mark.parametrize("ones", [2000, 20000])
+    def test_a_huge_count_is_refused_before_it_is_computed(self, ones):
+        # ones! words: the count stops once it passes the bound the refusal names.
+        start = time.perf_counter()
+        with pytest.raises(FamilyTooLargeError) as exc:
+            harness.admit_enumeration([Multiset((1, 1)), Multiset((1,) * ones)])
+        assert time.perf_counter() - start < 0.1
+        assert 10 ** 100 < exc.value.cost < 10 ** 110
+        assert str(exc.value) == ("family too large: more than 10^100 Stirling "
+                                  "permutations requested, cap is 1000000")
+
+    def test_a_cost_is_written_out_up_to_the_bound(self):
+        assert str(FamilyTooLargeError(10 ** 100, 5)) == (
+            f"family too large: {10 ** 100} Stirling permutations requested, cap is 5")
+        assert str(FamilyTooLargeError(10 ** 5000, 5, "letters")) == (
+            "family too large: more than 10^100 letters requested, cap is 5")
 
 
 # SHA-256 of verify("all") over default_campaign_family() with jobs=1, as

@@ -22,6 +22,7 @@ from gesselgamma import (
 )
 from gesselgamma import counts
 from gesselgamma.action import placements
+from gesselgamma.stirling import first_last_positions
 
 DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 7)]
 
@@ -79,7 +80,11 @@ def test_routes_take_no_full_profile_or_census(monkeypatch, route, kernel):
 def test_occurrence_scans_match_the_reference():
     for m in default_campaign_family():
         for s in enumerate_stirling(m):
+            first, last = first_last_positions(s.word, m.n)
+            assert first[0] == last[0] == 0, s
             for i in range(1, m.n + 1):
+                positions = ref._positions(s.word, i)
+                assert (first[i], last[i]) == (positions[0], positions[-1]), (s, i)
                 assert first_last_occurrence_flags(s, i) == \
                     ref.first_last_occurrence_flags(s, i), (s, i)
                 assert segment(s, i) == ref.segment(s, i), (s, i)

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -26,7 +27,7 @@ from gesselgamma import (
     validate_tree,
 )
 from gesselgamma.harness import default_campaign_family
-from gesselgamma.trees import table_census, table_of_word
+from gesselgamma.trees import render_table, table_census, table_of_word
 
 BIG_WORD = (3, 3, 5, 5, 2, 2, 1, 7, 7, 1, 4, 6, 6, 4)
 BIG_TREE = "(1 (2 (3 * * (5 * * *)) * *) (7 * * *) (4 * (6 * * *) *))"
@@ -324,6 +325,79 @@ class TestParse:
         t = parse_tree("(1 * (2 * *))")
         assert t != GesselTree(t.table, Multiset((1, 2)))
         assert t != parse_tree("(1 (2 * *) *)")
+
+
+def parse_outcome(parse, text):
+    """The tree ``parse`` returns, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def family_texts():
+    return [render_table(table_of_word(s.word, m.mults))
+            for m in default_campaign_family() for s in enumerate_stirling(m)]
+
+
+def mutated_texts(texts, seed, count):
+    """Tree texts with one token deleted, duplicated or swapped with another,
+    a label replaced by a bad or wrong one, or a stray token inserted."""
+    rng = random.Random(seed)
+    bad_labels = ["0", "x", "99", "-1", "1.5", "\u00b2", "007", "9" * 5000]
+    for _ in range(count):
+        tokens = rng.choice(texts).replace("(", " ( ").replace(")", " ) ").split()
+        i = rng.randrange(len(tokens))
+        j = rng.randrange(len(tokens))
+        kind = rng.randrange(6)
+        if kind == 0:
+            del tokens[i]
+        elif kind == 1:
+            tokens.insert(i, tokens[i])
+        elif kind == 2:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif kind == 3:
+            labels = [k for k, tok in enumerate(tokens) if tok.isdecimal()]
+            if labels:
+                tokens[rng.choice(labels)] = rng.choice(bad_labels + [tokens[rng.choice(labels)]])
+        elif kind == 4:
+            tokens.insert(i, ")")
+        else:
+            tokens.insert(i, rng.choice(["(", "*", "( 1", "( 2 * *"]))
+        yield " ".join(tokens)
+
+
+class TestParserAgainstTheReference:
+    """The one-pass parser against the index-driven loop it replaced
+    (``reference_kernels.parse_tree``): the same tree, or an exception of
+    the same type with the same message."""
+
+    def test_every_family_tree_parses_alike(self):
+        texts = family_texts()
+        assert len(texts) == 25960
+        for text in texts:
+            got = parse_tree(text)
+            assert got == parse_outcome(ref.parse_tree, text), text
+            assert render_table(got.table) == text
+
+    def test_mutated_texts_fail_alike(self):
+        outcomes = {}
+        for text in mutated_texts(family_texts(), seed=15, count=20000):
+            got = parse_outcome(parse_tree, text)
+            assert got == parse_outcome(ref.parse_tree, text), text
+            kind = "tree" if isinstance(got, GesselTree) else got[0].__name__
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        # the corpus reaches every outcome: a tree, and both kinds of refusal
+        assert set(outcomes) == {"tree", "ParseError", "TreeValidationError"}, outcomes
+        assert min(outcomes.values()) > 500, outcomes
+
+    @pytest.mark.parametrize("text", [
+        "", "*", "* *", ")", "(", "(1", "(1 *", "(1 * *", "(1 * *) *", "(1 * *))",
+        "( )", "(1 (2 * *) (2 *) *)", "(1 (2 *) (2 * *) *)", "(3 (1 * *) *)",
+        "(1 * * (3 * *) (2 *))", "(0 * *)", "(1 * (" + "9" * 5000 + " * *))",
+    ])
+    def test_edge_texts_fail_alike(self, text):
+        assert parse_outcome(parse_tree, text) == parse_outcome(ref.parse_tree, text)
 
 
 class TestSlotTables:

@@ -25,11 +25,10 @@ from gesselgamma.action import (
     table_orbit,
 )
 from gesselgamma.harness import CHECKS, CheckOutcome, run_campaign
-from gesselgamma.stirling import StatProfile, statistics
+from gesselgamma.stirling import StatProfile, first_last_positions, statistics
 from gesselgamma.trees import (
     GesselTree,
     LeafCensus,
-    first_last_occurrence_flags,
     gessel_forward,
     leaf_census,
     table_census,
@@ -118,12 +117,19 @@ def census_fault(fault):
             (leaf_census, lambda t: fault(table_census(t.table)))]
 
 
-def flags_with_last_y_flipped(s, i):
-    """Flips the y flag of the largest value when the word ends with it."""
-    has_x, has_y = first_last_occurrence_flags(s, i)
-    if i == s.multiset.n and s.word[-1] == i:
-        return has_x, not has_y
-    return has_x, has_y
+def positions_with_last_y_flipped(word, n):
+    """Puts the last n one place early when the word ends with it, so that
+    the letter after it is n itself: the y flag of n flips."""
+    first, last = first_last_positions(word, n)
+    if word and word[-1] == n:
+        last = [*last[:n], last[n] - 1]
+    return first, last
+
+
+def positions_with_the_last_at_the_first(word, n):
+    """Puts the last occurrence of every value at its first."""
+    first, _ = first_last_positions(word, n)
+    return first, list(first)
 
 
 def swap_ends(table, v):
@@ -218,7 +224,9 @@ FAULTS = {
     "census_without_root_y": census_fault(without_root_y),
     "census_with_a_z_leaf_moved": census_fault(with_a_z_leaf_moved),
     "census_with_a_z_leaf_lost": census_fault(with_a_z_leaf_lost),
-    "flags_with_last_y_flipped": [(first_last_occurrence_flags, flags_with_last_y_flipped)],
+    "flags_with_last_y_flipped": [(first_last_positions, positions_with_last_y_flipped)],
+    "last_occurrence_at_the_first": [
+        (first_last_positions, positions_with_the_last_at_the_first)],
     "representative_left_alone": [
         (canonical_table, table_left_alone),
         (ref_kernels.canonical_representative, representative_left_alone)],
@@ -258,6 +266,17 @@ def test_checks_match_the_reference_under_a_faulty_kernel(monkeypatch, fault):
     failing = {cid for cid, outcomes in got.items()
                if any(o["status"] == "FAIL" for o in outcomes)}
     assert failing  # the fault shows, so the comparison covers a failure
+
+
+@pytest.mark.parametrize("fault, check_id, detail", [
+    ("flags_with_last_y_flipped", "P2.2", "occurrence flags of value "),
+    ("last_occurrence_at_the_first", "P5.1", "is not the last occurrence of"),
+])
+def test_an_occurrence_fault_reaches_its_check(monkeypatch, fault, check_id, detail):
+    for original, fake in FAULTS[fault]:
+        rebind_everywhere(monkeypatch, original, fake)
+    got = harness_outcomes([check_id], FAULT_FAMILY)[check_id]
+    assert any(o["status"] == "FAIL" and detail in o["detail"] for o in got)
 
 
 def test_a_raising_kernel_fails_only_the_checks_that_call_it(monkeypatch):
@@ -300,7 +319,7 @@ def counting(monkeypatch, original):
 
 
 @pytest.mark.parametrize("check_id, unused", [
-    ("P2.1", [first_last_occurrence_flags, statistics]),
+    ("P2.1", [first_last_positions, statistics]),
     ("P2.2", [statistics]),
 ])
 def test_one_check_runs_no_kernel_of_another(monkeypatch, check_id, unused):
