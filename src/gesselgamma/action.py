@@ -17,10 +17,12 @@ one pass over the rows.  The flips are written once, on tables:
 ``orbit`` act on ``t.table`` and wrap any table they return in a
 ``GesselTree``, which checks its shape.
 
-Pruning a tree removes its x- and y-leaves and remembers what was lost as
-a vertex label: nothing for a vertex that had neither, ``y`` when only a
-y-leaf was removed, ``v`` when only an x-leaf, and ``u`` when both.  A
-canonical tree has no ``y`` labels and carries the weight u^#u * v^#v.
+Pruning a tree removes its x- and y-leaves and keeps each vertex's
+``BalanceStatus``, which says what was lost; it is written as a tag on the
+label: nothing for a vertex that had neither, ``y`` when only a y-leaf was
+removed (unbalanced-y), ``v`` when only an x-leaf (unbalanced-x), and ``u``
+when both (balanced).  A canonical tree has no ``y`` tags and carries the
+weight u^#u * v^#v.
 """
 
 from __future__ import annotations
@@ -254,28 +256,13 @@ def is_canonical_ternary(t: GesselTree) -> bool:
     if not t.multiset.is_uniform(2):
         raise DomainError(
             f"canonical ternary trees live over 2,2,...,2 multisets, not {{{t.multiset}}}")
-    return ternary_from_census(leaf_census(t))
+    return not any(z_count and not has_x
+                   for has_x, _, z_count in leaf_census(t).per_vertex.values())
 
 
-def ternary_from_census(census: LeafCensus) -> bool:
-    """Whether the tree whose leaf census this is has no z-leaf without an x-leaf."""
-    for has_x, _, z_count in census.per_vertex.values():
-        if z_count and not has_x:
-            return False
-    return True
-
-
-# Pruned-tree vertex types, keyed by (had_x, had_y).
-TYPE_NONE, TYPE_Y, TYPE_V, TYPE_U = 1, 2, 3, 4
-
-_TYPE_BY_FLAGS = {
-    (False, False): TYPE_NONE,
-    (False, True): TYPE_Y,
-    (True, False): TYPE_V,
-    (True, True): TYPE_U,
-}
-
-_TYPE_SUFFIX = {TYPE_NONE: "", TYPE_Y: ":y", TYPE_V: ":v", TYPE_U: ":u"}
+# The tag a pruned vertex is written with: what pruning removed from it.
+_PRUNED_TAG = {BalanceStatus.NO_XY: "", BalanceStatus.UNBALANCED_Y: ":y",
+               BalanceStatus.UNBALANCED_X: ":v", BalanceStatus.BALANCED: ":u"}
 
 
 @dataclass(frozen=True)
@@ -284,27 +271,27 @@ class PrunedTree:
 
     The remaining leaves are exactly the z-leaves of the original tree.
     ``rows`` is the slot table with those leaves gone, so a row may have
-    fewer than 2 slots, or none.  ``types`` records, per vertex, which
-    sides were removed; ``weight`` is only defined when no vertex is of
-    the y-only type.
+    fewer than 2 slots, or none.  ``types`` holds each vertex's
+    ``BalanceStatus`` in the original tree, which says which sides were
+    removed; ``weight`` is only defined when no vertex is unbalanced-y.
     """
 
     rows: Table
     multiset: Multiset
-    types: dict[int, int]
+    types: dict[int, BalanceStatus]
     zleaf: int
 
     @property
     def u_count(self) -> int:
-        return sum(1 for ty in self.types.values() if ty == TYPE_U)
+        return sum(1 for ty in self.types.values() if ty is BalanceStatus.BALANCED)
 
     @property
     def v_count(self) -> int:
-        return sum(1 for ty in self.types.values() if ty == TYPE_V)
+        return sum(1 for ty in self.types.values() if ty is BalanceStatus.UNBALANCED_X)
 
     def weight(self) -> tuple[int, int]:
-        """(u-exponent, v-exponent); raises NotCanonicalError on a y-type vertex."""
-        bad = sorted(v for v, ty in self.types.items() if ty == TYPE_Y)
+        """(u-exponent, v-exponent); raises NotCanonicalError on an unbalanced-y vertex."""
+        bad = sorted(v for v, ty in self.types.items() if ty is BalanceStatus.UNBALANCED_Y)
         if bad:
             raise NotCanonicalError(bad[0])
         return (self.u_count, self.v_count)
@@ -313,10 +300,7 @@ class PrunedTree:
 def prune(t: GesselTree) -> PrunedTree:
     table = t.table
     census = table_census(table)
-    types = {
-        label: _TYPE_BY_FLAGS[(has_x, has_y)]
-        for label, (has_x, has_y, _) in census.per_vertex.items()
-    }
+    types = balance_from_census(census).status
     # Each vertex keeps its subtrees and its z-leaves; x- and y-leaves go.
     pruned = (table[0], *(tuple(c for pos, c in enumerate(row) if c or 0 < pos < len(row) - 1)
                           for row in table[1:]))
@@ -325,4 +309,4 @@ def prune(t: GesselTree) -> PrunedTree:
 
 def serialize_pruned(p: PrunedTree) -> str:
     """``(label[:tag] child ...)`` with ``*`` for the surviving z-leaves."""
-    return render_table(p.rows, lambda label: f"{label}{_TYPE_SUFFIX[p.types[label]]}")
+    return render_table(p.rows, lambda label: f"{label}{_PRUNED_TAG[p.types[label]]}")

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success (and on PASS for verify/golden), 1 when a
-verification run reports a failure, 2 on usage or input errors.
+verification run reports a failure, 2 on usage or input errors, each told
+in one ``error:`` or ``refused:`` line on stderr.  A reader that closes
+stdout early (``| head``) ends the command quietly, with exit code 0.
 """
 
 from __future__ import annotations
@@ -9,10 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import islice
 
-from .action import TYPE_Y, is_canonical, orbit, prune, serialize_pruned
+from .action import BalanceStatus, is_canonical, orbit, prune, serialize_pruned
 from .counts import GAMMA_ROUTES, c_polynomial_enum
 from .errors import (
     ChainTooLargeError,
@@ -37,7 +40,7 @@ from .harness import (
     golden_examples,
     verify,
 )
-from .multiset import Multiset
+from .multiset import Multiset, parse_ints
 from .poly import XYZ, Poly3
 from .stirling import (
     StirlingPermutation,
@@ -53,11 +56,18 @@ from .trees import gessel_forward, gessel_inverse, parse_tree, serialize
 GRAMMAR_COST_CAP = 5_000_000
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError on a usage error, which ``main`` reports in one line."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; ``parse_args`` keeps
     no state between calls, and a build takes milliseconds."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gesselgamma",
         description="Stirling permutations, Gessel trees and gamma expansions, exactly.",
     )
@@ -214,7 +224,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_prune(args) -> int:
     t = parse_tree(args.tree)
     p = prune(t)
-    y_vertices = sorted(v for v, ty in p.types.items() if ty == TYPE_Y)
+    y_vertices = sorted(v for v, ty in p.types.items() if ty is BalanceStatus.UNBALANCED_Y)
     out = {
         "pruned": serialize_pruned(p),
         "zleaf": p.zleaf,
@@ -227,13 +237,10 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_grammar_derive(args) -> int:
-    try:
-        kseq = [int(x) for x in args.k_seq.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ParseError(f"bad --k-seq {args.k_seq!r}: {exc}") from None
+    kseq = parse_ints([x for x in args.k_seq.split(",") if x.strip()], args.k_seq, "--k-seq")
     if not kseq or any(k < 1 for k in kseq):
         raise ParseError(f"--k-seq needs positive multiplicities, got {args.k_seq!r}")
-    _refuse_enumeration(Multiset(tuple(kseq)), "grammar")
+    _refuse_enumeration(Multiset(kseq), "grammar")
     if args.rules == "xyz":
         steps = derive_chain(Poly3.variable("x", XYZ), map(xyz_rules, kseq))
     else:
@@ -258,7 +265,9 @@ def _cmd_verify(args) -> int:
     if args.multisets is not None:
         members = [Multiset.parse(spec) for spec in args.multisets.split(";")]
         members = sorted(set(members), key=lambda m: m.mults)
-    report = verify(args.check, members, jobs=max(1, args.jobs))
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
+    report = verify(args.check, members, jobs=args.jobs)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.passed else 1
 
@@ -284,13 +293,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help, after which argparse exits
+        return exc.code if isinstance(exc.code, int) else 2
     except FamilyTooLargeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
@@ -300,7 +307,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  The interpreter flushes stdout once more
+        # at exit; pointing it at os.devnull keeps that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -63,14 +63,17 @@ class FamilyTooLargeError(RuntimeError):
     """Raised when listing a family would pass the cap on its words or letters.
 
     A cost past COST_TEXT_BOUND reads "more than 10^100"; such a ``cost``
-    may be a lower bound, counted only until it passed the bound.
+    may be a lower bound, counted only until it passed the bound.  The
+    message names ``noun``, which a subclass sets to what it refuses.
     """
+
+    noun = "family"
 
     def __init__(self, cost: int, cap: int, unit: str = "Stirling permutations"):
         self.cost = cost
         self.cap = cap
         amount = cost if cost <= COST_TEXT_BOUND else f"more than 10^{COST_DIGITS}"
-        super().__init__(f"family too large: {amount} {unit} requested, cap is {cap}")
+        super().__init__(f"{self.noun} too large: {amount} {unit} requested, cap is {cap}")
 
 
 class OrbitTooLargeError(FamilyTooLargeError):
@@ -102,11 +105,7 @@ class ChainTooLargeError(FamilyTooLargeError):
     over the steps of the chain.
     """
 
+    noun = "derivative chain"
+
     def __init__(self, cost: int, cap: int):
-        self.cost = cost
-        self.cap = cap
-        RuntimeError.__init__(
-            self,
-            f"derivative chain too large: {cost} term-rule products requested, "
-            f"cap is {cap}",
-        )
+        super().__init__(cost, cap, "term-rule products")

@@ -25,7 +25,6 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator
 
 from .action import (
-    balance_from_census,
     balance_report,
     canonical_representative,
     canonical_table,
@@ -34,7 +33,6 @@ from .action import (
     is_canonical_ternary,
     prune,
     table_orbit,
-    ternary_from_census,
 )
 from .counts import GAMMA_ROUTES, c_polynomial_enum, triple_polynomial
 from .errors import COST_TEXT_BOUND, DomainError, FamilyTooLargeError
@@ -327,9 +325,9 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
     # no pass of its own: the tables are the forward scan of the words, so
     # once word -> tree -> word is the identity, rebuilding a tree from its
     # word gives back the same tree.  Bijectivity rests on that identity,
-    # injectivity and the count.
+    # injectivity and the count.  Injectivity is counted on the tables, each
+    # of which came back from its text unchanged.
     ctx = _context(m)
-    seen: set[str] = set()
     for s, table in zip(ctx.perms, ctx.tables):
         text = render_table(table)
         parsed = parse_tree(text).table
@@ -340,11 +338,10 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
         if back != s.word:
             return [_fail(m, "word -> tree -> word is not the identity",
                           sigma=str(s), lhs=str(s), rhs=" ".join(map(str, back)))]
-        seen.add(text)
     count = len(ctx.perms)
-    if len(seen) != count:
-        return [_fail(m, "correspondence is not injective",
-                      lhs=count, rhs=len(seen))]
+    distinct = len(set(ctx.tables))
+    if distinct != count:
+        return [_fail(m, "correspondence is not injective", lhs=count, rhs=distinct)]
     formula = count_stirling(m)
     if count != formula:
         return [_fail(m, "enumeration size differs from the counting product",
@@ -450,7 +447,7 @@ def _check_p63(m: Multiset, w: WordRecord) -> Failure | None:
     if aplat_values != x_with_z or len(prof.aplat_positions) != len(x_with_z):
         return _fail(m, "ascent-plateau values differ from x-with-z vertices",
                      sigma=str(s), lhs=sorted(aplat_values), rhs=sorted(x_with_z))
-    if (prof.dplat == 0) != ternary_from_census(census):
+    if (prof.dplat == 0) != (not z_without_x):
         return _fail(m, "descent-plateau-freeness differs from ternary canonicity",
                      sigma=str(s))
     return None
@@ -512,7 +509,7 @@ def _orbit_class_failure(m: Multiset, canon: Table, members: list[Table],
         return _fail(m, "orbit closure differs from the canonical-representative class",
                      tree=None)
     census = table_census(canon)
-    ux = balance_from_census(census).uxleaf
+    ux = sum(has_x and not has_y for has_x, has_y, _ in census.per_vertex.values())
     if len(members) != 2 ** ux:
         return _fail(m, "orbit size is not 2^(unbalanced-x vertices)",
                      tree=None, lhs=len(members), rhs=2 ** ux)
@@ -665,31 +662,31 @@ class CampaignReport:
         }
 
 
-def _run_cell(check_id: str, m: Multiset) -> dict:
-    """One (check, multiset) cell, timed; a crash counts as a failure.
+def _run_cell(check_id: str, m: Multiset) -> tuple[CheckOutcome, float]:
+    """One (check, multiset) cell and its milliseconds; a crash counts as a
+    failure.
 
     The time includes any shared-context data this check is first to need,
     and for the first per-word check of a task the pass over the words.
     """
     cd = CHECKS[check_id]
+    spec = m.spec()
     start = time.perf_counter()
     if not cd.applies_to(m):
-        out = {"status": "SKIP", "detail": "check applies to doubled multisets only"}
+        outcome = CheckOutcome(spec, "SKIP", "check applies to doubled multisets only")
     else:
         try:
             failures = cd.run(m)
         except Exception as exc:  # a crash is a verification failure, not a harness abort
-            failures = [{"multiset": m.spec(), "detail": f"exception: {exc!r}"}]
+            failures = [{"multiset": spec, "detail": f"exception: {exc!r}"}]
         if failures:
-            out = {"status": "FAIL", "detail": failures[0].get("detail"),
-                   "counterexample": failures[0]}
+            outcome = CheckOutcome(spec, "FAIL", failures[0].get("detail"), failures[0])
         else:
-            out = {"status": "PASS"}
-    out["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
-    return out
+            outcome = CheckOutcome(spec, "PASS")
+    return outcome, (time.perf_counter() - start) * 1000.0
 
 
-def _run_multiset(args: tuple[tuple[str, ...], str]) -> list[dict]:
+def _run_multiset(args: tuple[tuple[str, ...], str]) -> list[tuple[CheckOutcome, float]]:
     """Every given check on one multiset, in order, over one shared context.
 
     Module-level so process pools can pickle it; the context is dropped
@@ -725,13 +722,16 @@ def run_campaign(
     built once per multiset; with ``jobs > 1`` whole tasks go to a process
     pool, largest first.  The report lists outcomes check by check, in the
     order of ``check_ids`` and then of ``members``, which pass through
-    ``admit_enumeration`` before a word is listed.
+    ``admit_enumeration`` before a word is listed.  A family with no member,
+    or with the empty multiset as one, is refused with DomainError.
     """
     for cid in check_ids:
         if cid not in CHECKS:
             raise DomainError(
                 f"unknown check id {cid!r}; known ids: {', '.join(sorted(CHECKS))}")
     members = admit_enumeration(members)
+    if not members or not all(m.mults for m in members):
+        raise DomainError("a campaign needs one or more multisets, all of them nonempty")
     cost = family_cost(members)
     specs = [m.spec() for m in members]
     ids = tuple(check_ids)
@@ -755,10 +755,8 @@ def run_campaign(
         reports.append(CheckReport(
             check=cid,
             description=CHECKS[cid].description,
-            outcomes=[CheckOutcome(multiset=spec, status=r["status"], detail=r.get("detail"),
-                                   counterexample=r.get("counterexample"))
-                      for spec, r in zip(specs, cells)],
-            elapsed_ms=sum(r["elapsed_ms"] for r in cells),
+            outcomes=[outcome for outcome, _ in cells],
+            elapsed_ms=sum(ms for _, ms in cells),
         ))
     return CampaignReport(reports=reports, multisets=specs, cost=cost)
 

@@ -56,11 +56,7 @@ class Multiset:
         text = text.strip()
         if not text:
             return cls(())
-        parts = [p.strip() for p in text.split(",")]
-        try:
-            mults = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ParseError(f"bad multiset spec {text!r}: {exc}") from None
+        mults = parse_ints([p.strip() for p in text.split(",")], text, "multiset spec")
         if any(k < 1 for k in mults):
             raise ParseError(f"bad multiset spec {text!r}: multiplicities must be >= 1")
         return cls(mults)
@@ -72,3 +68,18 @@ class Multiset:
 
     def __str__(self) -> str:
         return self.spec()
+
+
+def parse_ints(parts: list[str], text: str, what: str) -> tuple[int, ...]:
+    """The integers the parts of ``text`` spell; a part ``int`` refuses is a
+    ParseError for a bad ``what``.  A decimal one has more digits than
+    ``int`` converts, and is named by its digit count rather than echoed."""
+    values = []
+    for p in parts:
+        try:
+            values.append(int(p))
+        except ValueError as exc:
+            if p.isdecimal():
+                raise ParseError(f"bad {what}: a value of {len(p)} digits is too long") from None
+            raise ParseError(f"bad {what} {text!r}: {exc}") from None
+    return tuple(values)

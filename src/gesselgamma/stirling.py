@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterator
 
-from .errors import DomainError, ParseError
-from .multiset import Multiset
+from .errors import DomainError
+from .multiset import Multiset, parse_ints
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,37 +88,30 @@ def parse_word(text: str) -> tuple[int, ...]:
         parts = list(text)
     else:
         parts = [text]
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"bad permutation word {text!r}: {exc}") from None
+    return parse_ints(parts, text, "permutation word")
 
 
 def is_stirling(word, multiset: Multiset) -> bool:
     """Check multiplicities and the Stirling condition.
 
     The condition for value v only needs checking between the first and
-    last occurrence of v, which covers every pair of equal letters.
+    last occurrence of v, as :func:`first_last_positions` finds them,
+    which covers every pair of equal letters.
     """
     word = tuple(word)
+    n = multiset.n
     if len(word) != multiset.K:
         return False
-    counts = [0] * multiset.n
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for pos, v in enumerate(word):
-        if not 1 <= v <= multiset.n:
+    counts = [0] * (n + 1)
+    for v in word:
+        if not 1 <= v <= n:
             return False
-        counts[v - 1] += 1
-        first.setdefault(v, pos)
-        last[v] = pos
-    if tuple(counts) != multiset.mults:
+        counts[v] += 1
+    if tuple(counts[1:]) != multiset.mults:
         return False
-    for v in first:
-        for k in range(first[v] + 1, last[v]):
-            if word[k] < v:
-                return False
-    return True
+    first, last = first_last_positions(word, n)
+    # 1-based positions: word[first[v]:last[v] - 1] lies strictly between them.
+    return all(min(word[first[v]:last[v] - 1], default=v) >= v for v in range(1, n + 1))
 
 
 def count_stirling(multiset: Multiset) -> int:

@@ -14,7 +14,9 @@ are the images of w0, ..., w_ki.  Reading the tree back left to right
 A tree is stored as its slot table (``Table``), the one tree form of the
 package: row v lists the children of vertex v, a vertex by its label and a
 leaf as 0.  :func:`table_of_word` builds it in one left-to-right scan of
-the word and :func:`word_of_table` reads the word back off the rows.  A
+the word and :func:`word_of_table` reads the word back off the rows, also
+of a subtree: the i-segment of a word and its split at the copies of i
+are the words of the subtrees under vertex i and its slots.  A
 :class:`GesselTree` checks its table's shape once, when it is built, so
 every walk from the root ends; :func:`validate_tree` checks the tree
 against its multiset.
@@ -34,7 +36,7 @@ from typing import Callable
 
 from .errors import DomainError, ParseError, TreeValidationError
 from .multiset import Multiset
-from .stirling import StirlingPermutation
+from .stirling import StirlingPermutation, first_last_positions
 
 # A tree as a slot table: ``table[v][p]`` is the vertex in child slot p of
 # vertex v, or 0 for a leaf; row 0 has one slot, which holds the root (0 over
@@ -273,59 +275,52 @@ def table_census(table: Table) -> LeafCensus:
     return LeafCensus(xleaf, yleaf, zleaf, zleaf_by_j, per_vertex)
 
 
+def _rooted_at(s: StirlingPermutation, i: int) -> Table:
+    """The slot table of s's tree with vertex i in row 0, which reads back
+    the subtree under i; i must be a value of s's multiset."""
+    if not 1 <= i <= s.multiset.n:
+        raise DomainError(f"value {i} is not in the multiset {{{s.multiset}}}")
+    return ((i,), *table_of_word(s.word, s.multiset.mults)[1:])
+
+
 def segment(s: StirlingPermutation, i: int) -> tuple[int, int]:
     """The i-segment as a 1-based inclusive index window (r, s).
 
     This is the maximal contiguous window that contains every occurrence
-    of i and consists of elements >= i: starting from the span of the
-    occurrences of i, grow outwards while the neighbouring element is at
-    least i.  Maximality pins the window down uniquely; it coincides with
-    the subword the Gessel tree hangs below vertex i.
+    of i and consists of elements >= i.  Its letters are the word of the
+    subtree under vertex i (:func:`segment_word`), whose first i is the
+    first i of the word.
     """
-    if not 1 <= i <= s.multiset.n:
-        raise DomainError(f"value {i} is not in the multiset {{{s.multiset}}}")
-    w = s.word
-    r = w.index(i) + 1  # first and last occurrence of i, 1-based
-    t = len(w) - w[::-1].index(i)
-    while r > 1 and w[r - 2] >= i:
-        r -= 1
-    while t < len(w) and w[t] >= i:
-        t += 1
-    return (r, t)
+    seg = segment_word(s, i)
+    r = s.word.index(i) + 1 - seg.index(i)
+    return (r, r + len(seg) - 1)
 
 
 def segment_word(s: StirlingPermutation, i: int) -> tuple[int, ...]:
-    r, t = segment(s, i)
-    return s.word[r - 1 : t]
+    """The letters of the i-segment: the word of the subtree under vertex i."""
+    return word_of_table(_rooted_at(s, i))
 
 
 def gessel_decomposition(s: StirlingPermutation, i: int) -> tuple[tuple[int, ...], ...]:
     """Split the i-segment at the k_i copies of i into k_i + 1 factors.
 
-    Each nonempty factor is itself the segment of its own minimum, which
-    is how the tree recursion consumes the word.
+    The factors are the words of the subtrees in the child slots of vertex
+    i, so each nonempty one is itself the segment of its own minimum,
+    which is how the tree recursion consumes the word.
     """
-    seg = segment_word(s, i)
-    parts: list[tuple[int, ...]] = []
-    start = 0
-    for pos, v in enumerate(seg):
-        if v == i:
-            parts.append(seg[start:pos])
-            start = pos + 1
-    parts.append(seg[start:])
-    return tuple(parts)
+    table = _rooted_at(s, i)
+    return tuple(word_of_table(((c,), *table[1:])) for c in table[i])
 
 
 def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, bool]:
-    """(first occurrence of i is an ascent, last occurrence is a descent)."""
+    """(first occurrence of i is an ascent, last occurrence is a descent),
+    read around the positions ``stirling.first_last_positions`` finds."""
     if not 1 <= i <= s.multiset.n:
         raise DomainError(f"value {i} is not in the multiset {{{s.multiset}}}")
     w = s.word
-    p = w.index(i)  # the first occurrence, 0-based: w[p - 1] is read before it
-    q = len(w) - w[::-1].index(i)  # the last, 1-based: w[q] is read after it
-    before = w[p - 1] if p else 0
-    after = w[q] if q < len(w) else 0
-    return (before < i, i > after)
+    first, last = first_last_positions(w, s.multiset.n)
+    padded = (0, *w, 0)  # padded[p] is the letter at 1-based position p
+    return (padded[first[i] - 1] < i, i > padded[last[i] + 1])
 
 
 def render_table(table: Table, head: Callable[[int], str] = str) -> str:

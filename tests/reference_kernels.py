@@ -23,7 +23,10 @@ route by the full census, the ternary route by a one-pass walk.  All
 four take the permutations as an argument, so the caller owns the
 enumeration and the domain checks.  ``segment`` and
 ``first_last_occurrence_flags`` find the first and last occurrence of a
-value in a list of all its positions.
+value in a list of all its positions, and ``segment`` grows the window
+from there; ``segment_word`` and ``gessel_decomposition`` cut that window
+out of the word and split it at the copies of the value, where the
+package reads subtree words off the slot table.
 
 ``parse_tree`` is the tree parser as it was before its token loop became
 one ``for`` over the tokens: a ``while`` loop over a token index that
@@ -245,6 +248,23 @@ def segment(s: StirlingPermutation, i: int) -> tuple[int, int]:
     while t < len(w) and w[t] >= i:
         t += 1
     return (r, t)
+
+
+def segment_word(s: StirlingPermutation, i: int) -> tuple[int, ...]:
+    r, t = segment(s, i)
+    return s.word[r - 1 : t]
+
+
+def gessel_decomposition(s: StirlingPermutation, i: int) -> tuple[tuple[int, ...], ...]:
+    seg = segment_word(s, i)
+    parts: list[tuple[int, ...]] = []
+    start = 0
+    for pos, v in enumerate(seg):
+        if v == i:
+            parts.append(seg[start:pos])
+            start = pos + 1
+    parts.append(seg[start:])
+    return tuple(parts)
 
 
 def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, bool]:

@@ -33,7 +33,6 @@ from gesselgamma import (
     statistics,
     toggle,
 )
-from gesselgamma.action import TYPE_U, TYPE_Y
 from gesselgamma.trees import GesselTree
 
 SEG_TREE = "(1 (2 (3 (5 * * *) * *) *) * (4 * (6 * * * (7 * *)) *))"
@@ -295,7 +294,7 @@ class TestPrune:
         p = prune(t)
         assert serialize_pruned(p) == "(2:y (1:u))"
         assert p.zleaf == 0
-        assert p.types == {2: TYPE_Y, 1: TYPE_U}
+        assert p.types == {2: BalanceStatus.UNBALANCED_Y, 1: BalanceStatus.BALANCED}
 
 
 class TestLabels:

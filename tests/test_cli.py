@@ -1,6 +1,9 @@
-"""End-to-end command-line tests driving main() directly."""
+"""End-to-end command-line tests driving main() directly, and the command
+line's exit and stderr contract checked in subprocesses."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -528,6 +531,89 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+# The command line as a program: every input is answered (exit 0 or 1) or
+# refused (exit 2) with one short line on stderr, never with a traceback.
+LONG = "9" * 5000  # past the 4 300 digits int() converts
+CHAIN = "9" * 2500 + ",1"  # a chain cost past 10^100
+CHAIN_REFUSAL = ("refused: derivative chain too large: more than 10^100 term-rule "
+                 "products requested, cap is 5000000")
+
+
+def cli_command(argv):
+    return [sys.executable, "-m", "gesselgamma.cli", *argv]
+
+
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+def assert_contract(code, err):
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err, err
+    if code == 2:
+        line, rest = err.split("\n", 1)
+        assert rest == "", err
+        assert len(line) <= 200, line
+        assert line.startswith(("error:", "refused:")), line
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("argv, code, line", [
+        pytest.param(["gamma", "--via", "grammar", "--multiset", CHAIN], 2, CHAIN_REFUSAL,
+                     id="gamma-chain-cost"),
+        pytest.param(["poly", "--via", "grammar", "--multiset", CHAIN], 2, CHAIN_REFUSAL,
+                     id="poly-chain-cost"),
+        pytest.param(["grammar-derive", "--rules", "xyz", "--k-seq", CHAIN], 2, CHAIN_REFUSAL,
+                     id="derive-chain-cost"),
+        pytest.param(["verify", "--check", "ORBIT", "--max-n", "0"], 2, None, id="no-member"),
+        pytest.param(["verify", "--check", "ORBIT", "--max-n", "-1"], 2, None,
+                     id="negative-bound"),
+        pytest.param(["verify", "--check", "all", "--multisets", ""], 2, None,
+                     id="empty-multiset"),
+        pytest.param(["verify", "--check", "all", "--multisets", "2,2;"], 2, None,
+                     id="trailing-separator"),
+        pytest.param(["verify", "--check", "P2.1", "--multisets", "2,2", "--jobs", "0"], 2,
+                     None, id="jobs-zero"),
+        pytest.param(["verify", "--check", "P2.1", "--multisets", "2,2", "--jobs", "-3"], 2,
+                     None, id="jobs-negative"),
+        pytest.param(["gamma", "--multiset"], 2, None, id="missing-value"),
+        pytest.param(["nope"], 2, None, id="unknown-command"),
+        pytest.param([], 2, None, id="no-command"),
+        pytest.param(["enumerate", "--multiset", LONG], 2, None, id="long-multiplicity"),
+        pytest.param(["tree", "--perm", "1 " + LONG], 2, None, id="long-word-value"),
+        pytest.param(["grammar-derive", "--rules", "uvz", "--k-seq", LONG], 2, None,
+                     id="long-k-seq"),
+        pytest.param(["enumerate", "--multiset", ""], 0, None, id="enumerate-empty"),
+        pytest.param(["poly", "--via", "enum", "--multiset", ""], 0, None, id="poly-empty"),
+        pytest.param(["gamma", "--help"], 0, None, id="help"),
+    ])
+    def test_each_input_is_answered_or_refused_in_one_line(self, argv, code, line):
+        done = subprocess.run(cli_command(argv), capture_output=True, text=True, env=CLI_ENV,
+                              timeout=120)
+        assert_contract(done.returncode, done.stderr)
+        assert done.returncode == code, done.stderr
+        if line is not None:
+            assert done.stderr == line + "\n"
+
+    @pytest.mark.parametrize("argv, size", [
+        (["enumerate", "--multiset", "2,2,2,2,2,2"], 100),
+        (["verify", "--check", "all"], 100),
+        # Closed before the command writes anything.
+        (["tree", "--perm", "1221"], 0),
+    ], ids=["enumerate", "verify", "unread"])
+    def test_a_reader_that_stops_early_ends_the_command_quietly(self, argv, size):
+        proc = subprocess.Popen(cli_command(argv), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=CLI_ENV)
+        try:
+            head = proc.stdout.read(size)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert len(head) == size
+        assert proc.returncode in (0, 1, 2)
+        assert err == b""
 
 
 class TestParserCache:

@@ -1,7 +1,7 @@
 """The one-pass key kernels of the perms and mma routes, the slot-table key
-of the ternary route, and the first/last-occurrence scans, against the full
-profiles and censuses and against the bodies they replaced
-(``reference_kernels``)."""
+of the ternary route, the first/last-occurrence scans and the segments
+read off the slot table, against the full profiles and censuses and
+against the bodies they replaced (``reference_kernels``)."""
 
 import pytest
 
@@ -16,8 +16,10 @@ from gesselgamma import (
     default_campaign_family,
     enumerate_stirling,
     first_last_occurrence_flags,
+    gessel_decomposition,
     leaf_census,
     segment,
+    segment_word,
     statistics,
 )
 from gesselgamma import counts
@@ -88,3 +90,13 @@ def test_occurrence_scans_match_the_reference():
                 assert first_last_occurrence_flags(s, i) == \
                     ref.first_last_occurrence_flags(s, i), (s, i)
                 assert segment(s, i) == ref.segment(s, i), (s, i)
+
+
+def test_segment_words_and_decompositions_match_the_reference_window():
+    # The package reads these off the slot table; the reference cuts the
+    # window of its own segment out of the word and splits it at each i.
+    for m in default_campaign_family():
+        for s in enumerate_stirling(m):
+            for i in range(1, m.n + 1):
+                assert segment_word(s, i) == ref.segment_word(s, i), (s, i)
+                assert gessel_decomposition(s, i) == ref.gessel_decomposition(s, i), (s, i)
