@@ -187,9 +187,9 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
 # the one that runs.  The order is the order the command line lists.
 GAMMA_ROUTES: dict[str, Callable[[Multiset], GammaTable]] = {
     "extract": lambda m: gamma_extract(c_polynomial_enum(_nonempty(m)), m.K),
-    "grammar": lambda m: gamma_table_from_uvz(gamma_polynomial_grammar(m), m.K),
+    "grammar": lambda m: gamma_table_from_uvz(gamma_polynomial_grammar(_nonempty(m)), m.K),
     "trees": lambda m: gamma_count_trees(m),
     "perms": lambda m: gamma_count_perms(m),
-    "mma": lambda m: gamma_count_mma(m),
-    "ternary": lambda m: gamma_count_ternary(m),
+    "mma": lambda m: gamma_count_mma(_nonempty(m)),
+    "ternary": lambda m: gamma_count_ternary(_nonempty(m)),
 }

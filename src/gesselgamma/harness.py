@@ -123,8 +123,8 @@ def family_cost(members: list[Multiset]) -> int:
     return sum(count_stirling(m) for m in members)
 
 
-def admit_enumeration(members: Iterable[Multiset]) -> list[Multiset]:
-    """The members as a list, if listing all their words is admitted.
+def admit_enumeration(members: Iterable[Multiset]) -> list[tuple[Multiset, int]]:
+    """The members with their word counts, if listing all their words is admitted.
 
     Adds up the members' words and letters as it reads them, and raises
     ``FamilyTooLargeError`` at the first member that takes either total
@@ -146,7 +146,7 @@ def admit_enumeration(members: Iterable[Multiset]) -> list[Multiset]:
             raise FamilyTooLargeError(words, WORD_CAP)
         if letters > LETTER_CAP:
             raise FamilyTooLargeError(letters, LETTER_CAP, "letters")
-        admitted.append(m)
+        admitted.append((m, count))
     return admitted
 
 
@@ -317,6 +317,17 @@ def _agreement(lhs: str, rhs: str, what: str) -> Callable[[Multiset], list[Failu
     return run
 
 
+def _symmetry(names: tuple[str, ...]) -> Callable[[Multiset], list[Failure]]:
+    """A check that the enumerated polynomial is symmetric in the variables ``names``."""
+    def run(m: Multiset) -> list[Failure]:
+        p = _context(m).c_polynomial
+        if not is_symmetric(p, names):
+            return [_fail(m, f"polynomial is not symmetric in {', '.join(names)}",
+                          lhs=p.to_json_dict())]
+        return []
+    return run
+
+
 def _check_roundtrip(m: Multiset) -> list[Failure]:
     # Each word's tree, the slot table the other checks read, is written out
     # and parsed back.  The parse validates the parsed table, and the parsed
@@ -463,20 +474,6 @@ def _word_check(check_id: str, m: Multiset) -> list[Failure]:
     return _context(m).word_failures(check_id)
 
 
-def _check_sym_xy(m: Multiset) -> list[Failure]:
-    p = _context(m).c_polynomial
-    if not is_symmetric(p, ("x", "y")):
-        return [_fail(m, "polynomial is not symmetric in x, y", lhs=p.to_json_dict())]
-    return []
-
-
-def _check_sym_xyz(m: Multiset) -> list[Failure]:
-    p = _context(m).c_polynomial
-    if not is_symmetric(p, ("x", "y", "z")):
-        return [_fail(m, "polynomial is not symmetric in x, y, z", lhs=p.to_json_dict())]
-    return []
-
-
 def _check_orbit(m: Multiset) -> list[Failure]:
     ctx = _context(m)
     tables = ctx.tables
@@ -584,10 +581,10 @@ CHECKS: dict[str, CheckDef] = {
         partial(_word_check, "P6.3"), doubled_only=True),
     "SYM-XY": CheckDef(
         "the (asc, des, plat) polynomial is symmetric in x and y",
-        _check_sym_xy),
+        _symmetry(("x", "y"))),
     "SYM-XYZ": CheckDef(
         "for doubled multisets the polynomial is symmetric in x, y and z",
-        _check_sym_xyz, doubled_only=True),
+        _symmetry(("x", "y", "z")), doubled_only=True),
     "ORBIT": CheckDef(
         "orbits have one canonical member, size 2^ux, and monomial sum (xy)^y (x+y)^ux z^z",
         _check_orbit),
@@ -686,15 +683,14 @@ def _run_cell(check_id: str, m: Multiset) -> tuple[CheckOutcome, float]:
     return outcome, (time.perf_counter() - start) * 1000.0
 
 
-def _run_multiset(args: tuple[tuple[str, ...], str]) -> list[tuple[CheckOutcome, float]]:
+def _run_multiset(args: tuple[tuple[str, ...], Multiset]) -> list[tuple[CheckOutcome, float]]:
     """Every given check on one multiset, in order, over one shared context.
 
     Module-level so process pools can pickle it; the context is dropped
     when the last check is done, whatever happened.
     """
     global _current
-    check_ids, spec = args
-    m = Multiset.parse(spec)
+    check_ids, m = args
     _current = MultisetContext(m, check_ids)
     try:
         return [_run_cell(cid, m) for cid in check_ids]
@@ -720,24 +716,25 @@ def run_campaign(
 
     A task is one multiset with all its checks, so the words and trees are
     built once per multiset; with ``jobs > 1`` whole tasks go to a process
-    pool, largest first.  The report lists outcomes check by check, in the
-    order of ``check_ids`` and then of ``members``, which pass through
-    ``admit_enumeration`` before a word is listed.  A family with no member,
-    or with the empty multiset as one, is refused with DomainError.
+    pool, largest first by the word counts ``admit_enumeration`` hands on.
+    The report lists outcomes check by check, in the order of ``check_ids``
+    and then of ``members``.  An unknown check id, a ``jobs`` below 1 and a
+    family with no member or with the empty multiset are refused with
+    DomainError.
     """
     for cid in check_ids:
         if cid not in CHECKS:
             raise DomainError(
                 f"unknown check id {cid!r}; known ids: {', '.join(sorted(CHECKS))}")
-    members = admit_enumeration(members)
-    if not members or not all(m.mults for m in members):
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    admitted = admit_enumeration(members)
+    if not admitted or not all(m.mults for m, _ in admitted):
         raise DomainError("a campaign needs one or more multisets, all of them nonempty")
-    cost = family_cost(members)
-    specs = [m.spec() for m in members]
     ids = tuple(check_ids)
     # Largest first, so that no big multiset starts last and runs alone.
-    order = sorted(range(len(members)), key=lambda k: -count_stirling(members[k]))
-    tasks = [(ids, specs[k]) for k in order]
+    order = sorted(range(len(admitted)), key=lambda k: -admitted[k][1])
+    tasks = [(ids, admitted[k][0]) for k in order]
     workers = pool_workers(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         # Imported here: the pool pulls in multiprocessing, which a serial
@@ -751,14 +748,15 @@ def run_campaign(
     cells_of = dict(zip(order, done))
     reports = []
     for c, cid in enumerate(ids):
-        cells = [cells_of[k][c] for k in range(len(members))]
+        cells = [cells_of[k][c] for k in range(len(admitted))]
         reports.append(CheckReport(
             check=cid,
             description=CHECKS[cid].description,
             outcomes=[outcome for outcome, _ in cells],
             elapsed_ms=sum(ms for _, ms in cells),
         ))
-    return CampaignReport(reports=reports, multisets=specs, cost=cost)
+    return CampaignReport(reports=reports, multisets=[m.spec() for m, _ in admitted],
+                          cost=sum(count for _, count in admitted))
 
 
 def verify(
@@ -767,7 +765,8 @@ def verify(
     *,
     jobs: int = 1,
 ) -> CampaignReport:
-    """Run one check id (or "all") over a family (default campaign if omitted)."""
+    """Run one check id (or "all") over a family (default campaign if omitted)
+    by ``run_campaign``, which refuses an unknown id and a ``jobs`` below 1."""
     if members is None:
         members = default_campaign_family()
     ids = sorted(CHECKS) if check_id == "all" else [check_id]

@@ -1,13 +1,19 @@
 """End-to-end command-line tests driving main() directly, and the command
 line's exit and stderr contract checked in subprocesses."""
 
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
 
@@ -18,6 +24,8 @@ from gesselgamma import (
     c_polynomial_grammar,
     enumerate_stirling,
     gamma_polynomial_grammar,
+    gessel_forward,
+    serialize,
     stirling_words,
 )
 from gesselgamma import cli
@@ -184,9 +192,7 @@ class TestGamma:
         code, out, err = run(capsys, "gamma", "--multiset", "", "--via", via)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        if via in ("extract", "trees", "perms"):
-            assert err == "error: gamma tables are defined for nonempty multisets\n"
+        assert err == "error: gamma tables are defined for nonempty multisets\n"
 
     def test_grammar_route_on_mixed(self, capsys):
         code, out, _ = run(capsys, "gamma", "--multiset", "2,1,2", "--via", "grammar")
@@ -450,7 +456,8 @@ class TestGrammarDerive:
             assert Poly3.from_json(out.rstrip("\n").split("\n")[-1]) == build(m), (rules, spec)
 
     def test_bad_k_seq(self, capsys):
-        for bad in ("", "0", "2,x"):
+        # --k-seq follows the --multiset grammar: an empty part is refused.
+        for bad in ("", " ", "0", "2,x", "2,,2", "2,", ",2"):
             code, _, err = run(capsys, "grammar-derive", "--rules", "uvz", "--k-seq", bad)
             assert code == 2
             assert "error:" in err
@@ -539,6 +546,12 @@ LONG = "9" * 5000  # past the 4 300 digits int() converts
 CHAIN = "9" * 2500 + ",1"  # a chain cost past 10^100
 CHAIN_REFUSAL = ("refused: derivative chain too large: more than 10^100 term-rule "
                  "products requested, cap is 5000000")
+D4 = "9" * 4000
+X5 = "x" * 5000
+# A refusal line past 200 characters keeps its first and last 80.
+VIA_REFUSAL = ("error: argument --via: invalid choice: '" + "x" * 40 + " [4952 characters] "
+               + "x" * 8 + "' (choose from 'extract', 'grammar', 'trees', 'perms', 'mma', "
+               "'ternary')")
 
 
 def cli_command(argv):
@@ -587,6 +600,28 @@ class TestCliContract:
         pytest.param(["enumerate", "--multiset", ""], 0, None, id="enumerate-empty"),
         pytest.param(["poly", "--via", "enum", "--multiset", ""], 0, None, id="poly-empty"),
         pytest.param(["gamma", "--help"], 0, None, id="help"),
+        # Thousands of characters echoed into a refusal, which keeps its first and last 80.
+        pytest.param(["verify", "--check", "P2.1", "--multisets", "2,2", "--jobs", "-" + D4], 2,
+                     None, id="long-jobs"),
+        pytest.param(["perm", "--tree", f"(1 ({D4} * *) *)"], 2, None, id="long-label"),
+        pytest.param(["perm", "--tree", f"({D4} * *"], 2, None, id="long-unclosed-label"),
+        pytest.param(["gamma", "--multiset", "2", "--via", X5], 2, VIA_REFUSAL, id="long-choice"),
+        pytest.param(["verify", "--check", X5], 2, None, id="long-check-id"),
+        pytest.param(["enumerate", "--multiset", "2," + X5], 2, None, id="long-bad-part"),
+        pytest.param(["enumerate", "--multiset", "-" + "9" * 8000], 2, None,
+                     id="long-negative-multiplicity"),
+        pytest.param(["perm", "--tree", f"(1 * {X5})"], 2, None, id="long-tree-token"),
+        pytest.param(["tree", "--perm", "1 " + D4], 2, None, id="long-missing-value"),
+        pytest.param(["orbit", "--perm", "1 " + D4], 2, None, id="orbit-long-missing-value"),
+        pytest.param(["tree", "--perm", " ".join(["2", "1"] * 2000)], 2, None,
+                     id="long-non-stirling-word"),
+        pytest.param(["tree", "--perm", " ".join(["1"] * 3000 + ["3"])], 2, None,
+                     id="long-word-missing-a-value"),
+        pytest.param(["perm", "--tree",
+                      "(2000 " + " ".join(f"({i} * *)" for i in range(1, 2000)) + " *)"], 2,
+                     None, id="many-bad-edges"),
+        pytest.param(["grammar-derive", "--rules", "xyz", "--k-seq", "0" + ",1" * 3000], 2, None,
+                     id="long-bad-k-seq"),
     ])
     def test_each_input_is_answered_or_refused_in_one_line(self, argv, code, line):
         done = subprocess.run(cli_command(argv), capture_output=True, text=True, env=CLI_ENV,
@@ -614,6 +649,109 @@ class TestCliContract:
         assert len(head) == size
         assert proc.returncode in (0, 1, 2)
         assert err == b""
+
+
+# Hostile option values: huge and negative decimals, blanks, bare separators,
+# long strings, deep nesting and stray tree tokens.  A decimal has at least
+# 9 digits, so that as a multiplicity it is refused (0, or past the letter
+# cap) and never lists words.
+DECIMALS = st.builds(lambda sign, digit, n: sign + digit * n,
+                     st.sampled_from(["", "-"]), st.sampled_from("0179"), st.integers(9, 5000))
+NEGATIVE = st.builds(lambda digit, n: "-" + digit * n, st.sampled_from("19"),
+                     st.integers(1, 5000))
+WORDLESS = st.one_of(
+    st.text(" \t\n", max_size=4),  # empty or blank
+    st.sampled_from([",", ";", ",,", ";;", ", ;", "*", "(", ")", "()", "(*)"]),
+    st.builds(lambda unit, n: unit * n, st.sampled_from(["x", ",", "(", ")", "(1 ", "* ", "(0 *"]),
+              st.integers(1, 3000)),
+    st.text("()*,; -x0", max_size=30),
+)
+HOSTILE = st.one_of(DECIMALS, WORDLESS)
+
+# Small valid values, K <= 8, so that answered paths run too.
+MULTS = st.lists(st.integers(1, 2), min_size=1, max_size=4).map(tuple)
+SPEC = MULTS.map(lambda mults: ",".join(map(str, mults)))
+
+
+@st.composite
+def valid_perm(draw):
+    return draw(st.sampled_from(list(enumerate_stirling(Multiset(draw(MULTS))))))
+
+
+def word_text(s, sep):
+    return sep.join(map(str, s.word))
+
+
+PERM = st.one_of(st.builds(word_text, valid_perm(), st.sampled_from([" ", ",", ""])), HOSTILE)
+TREE = st.one_of(valid_perm().map(lambda s: serialize(gessel_forward(s))), HOSTILE)
+MULTISET = st.one_of(SPEC, HOSTILE)
+
+
+def choice(options):
+    return st.one_of(st.sampled_from(options), HOSTILE)
+
+
+def optional(*parts):
+    """Nothing, or the option name(s) and value drawn from ``parts``."""
+    return st.one_of(st.just([]), st.tuples(*parts).map(list))
+
+
+ARGV = st.one_of(
+    st.tuples(st.just(["enumerate", "--multiset"]), MULTISET.map(lambda v: [v]),
+              optional(st.just("--stats")), optional(st.just("--format"), choice(["json", "csv"]))),
+    st.tuples(st.just(["tree", "--perm"]), PERM.map(lambda v: [v])),
+    st.tuples(st.just(["perm", "--tree"]), TREE.map(lambda v: [v])),
+    st.tuples(st.just(["poly", "--multiset"]), MULTISET.map(lambda v: [v]),
+              st.tuples(st.just("--via"), choice(["enum", "grammar"])).map(list),
+              optional(st.just("--format"), choice(["json", "csv"]))),
+    st.tuples(st.just(["gamma", "--multiset"]), MULTISET.map(lambda v: [v]),
+              st.tuples(st.just("--via"), choice(list(GAMMA_ROUTES))).map(list)),
+    st.tuples(st.just(["orbit", "--perm"]), PERM.map(lambda v: [v])),
+    st.tuples(st.just(["prune", "--tree"]), TREE.map(lambda v: [v])),
+    st.tuples(st.just(["grammar-derive", "--rules"]), choice(["xyz", "uvz"]).map(lambda v: [v]),
+              st.just(["--k-seq"]), MULTISET.map(lambda v: [v])),
+    st.tuples(st.just(["verify", "--check"]), choice(sorted(CHECKS) + ["all"]).map(lambda v: [v]),
+              st.one_of(
+                  st.tuples(st.just("--multisets"), st.one_of(
+                      st.lists(SPEC, min_size=1, max_size=3).map(";".join), HOSTILE)),
+                  st.tuples(st.just("--max-n"), st.one_of(
+                      st.sampled_from(["0", "1", "2"]), NEGATIVE, WORDLESS))).map(list),
+              optional(st.just("--jobs"), st.one_of(NEGATIVE, st.sampled_from(["-1", "0", "1"])))),
+    st.just((["golden"],)),
+).flatmap(lambda parts: optional(HOSTILE).map(lambda extra: sum(parts, []) + extra))
+
+
+class TestCliContractProperty:
+    """The contract above over drawn argv, in-process: no pool, no subprocess."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ARGV)
+    def test_every_argv_is_answered_or_refused_in_one_short_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception escaping main fails the test
+        assert_contract(code, err.getvalue())
+        assert code != 1, argv  # no check fails on a valid family
+
+
+def readme_commands():
+    """The ``gesselgamma`` lines of the README's command-line examples, as
+    argv lists, trailing comments stripped."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("gesselgamma ")]
+
+
+class TestReadme:
+    def test_the_examples_cover_every_command(self):
+        assert {argv[0] for argv in readme_commands()} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_each_example_runs(self, argv):
+        done = subprocess.run(cli_command(argv), capture_output=True, text=True, env=CLI_ENV,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestParserCache:

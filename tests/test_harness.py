@@ -175,6 +175,11 @@ class TestRunCampaign:
             run_campaign(["NOPE"], SMALL)
         assert "ROUNDTRIP" in str(exc.value)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_refused(self, jobs):
+        with pytest.raises(DomainError, match=f"^jobs must be at least 1, got {jobs}$"):
+            run_campaign(["ROUNDTRIP"], SMALL, jobs=jobs)
+
     def test_cost_cap_refusal(self):
         big = [Multiset((3,) * 9)]
         with pytest.raises(FamilyTooLargeError) as exc:
@@ -269,13 +274,14 @@ class TestAdmission:
     def test_admits_the_largest_multisets_in_use(self):
         # 5^6 has 576 576 words and 17 297 280 letters; 1^9 has 3 265 920 letters.
         for family in ([Multiset((5,) * 6)], [Multiset((1,) * 9)], default_campaign_family()):
-            assert harness.admit_enumeration(iter(family)) == family
+            assert harness.admit_enumeration(iter(family)) == [
+                (m, family_cost([m])) for m in family]
 
     def test_both_caps_are_inclusive(self, monkeypatch):
         family = [Multiset((2, 2)), Multiset((1, 1))]  # 3 + 2 words, 12 + 4 letters
         monkeypatch.setattr(harness, "WORD_CAP", 5)
         monkeypatch.setattr(harness, "LETTER_CAP", 16)
-        assert harness.admit_enumeration(family) == family
+        assert harness.admit_enumeration(family) == [(family[0], 3), (family[1], 2)]
         monkeypatch.setattr(harness, "WORD_CAP", 4)
         with pytest.raises(FamilyTooLargeError, match="^family too large: 5 Stirling "
                            "permutations requested, cap is 4$"):
