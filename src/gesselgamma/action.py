@@ -15,7 +15,8 @@ vertices, hence has size 2^uxleaf.  A tree is its slot table
 one pass over the rows.  The flips are written once, on tables:
 ``psi``, ``toggle``, ``is_canonical``, ``canonical_representative`` and
 ``orbit`` act on ``t.table`` and wrap any table they return in a
-``GesselTree``, which checks its shape.
+``GesselTree``.  A flip keeps every vertex in its parent's row, so a
+flipped Gessel tree is one too, and building it checks that once.
 
 Pruning a tree removes its x- and y-leaves and keeps each vertex's
 ``BalanceStatus``, which says what was lost; it is written as a tag on the
@@ -164,14 +165,16 @@ def orbit(t: GesselTree) -> frozenset[GesselTree]:
     """The orbit of t: all subset-flips of the canonical form's unbalanced-x vertices.
 
     Raises OrbitTooLargeError, before building any member, when the
-    2^ux members of K letters exceed ORBIT_COST_CAP letters.
+    2^ux members of K letters exceed ORBIT_COST_CAP letters.  t itself is
+    the member with its table, so only the others are built.
     """
     canon = canonical_table(t.table)
     ux = sum(1 for row in canon if not row[0] and row[-1])
     K = t.multiset.K
     if 2 ** ux * K > ORBIT_COST_CAP:
         raise OrbitTooLargeError(ux, K, ORBIT_COST_CAP)
-    return frozenset(GesselTree(u, t.multiset) for u in table_orbit(canon))
+    return frozenset(t if u == t.table else GesselTree(u, t.multiset)
+                     for u in table_orbit(canon))
 
 
 def placements(m: Multiset, watched: int) -> Iterator[list[list[int]]]:

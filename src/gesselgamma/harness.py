@@ -97,14 +97,24 @@ class FamilySpec:
     def __iter__(self) -> Iterator[Multiset]:
         # Depth first, smallest part first: each vector comes before its
         # extensions and after every smaller vector, which is lexicographic.
-        stack: list[tuple[int, ...]] = [()]
-        while stack:
-            mults = stack.pop()
-            if mults:
-                yield Multiset(mults)
-            if len(mults) < self.max_n:
-                room = min(self.max_k, self.max_total - sum(mults))
-                stack.extend(mults + (k,) for k in range(room, 0, -1))
+        # ``parts`` is the vector and ``levels[d]`` the lazy range of the
+        # parts left to try at position d, so memory follows max_n, not max_k.
+        parts: list[int] = []
+        levels = [self._next_parts(parts)]
+        while levels:
+            k = next(levels[-1], 0)
+            if k:
+                parts.append(k)
+                yield Multiset(tuple(parts))
+                levels.append(self._next_parts(parts))
+            else:
+                levels.pop()
+                if parts:
+                    parts.pop()
+
+    def _next_parts(self, parts: list[int]) -> Iterator[int]:
+        room = min(self.max_k, self.max_total - sum(parts)) if len(parts) < self.max_n else 0
+        return iter(range(1, room + 1))
 
     def members(self) -> list[Multiset]:
         return list(self)

@@ -74,20 +74,17 @@ def _infer_multiset(word: tuple[int, ...]) -> Multiset:
 def parse_word(text: str) -> tuple[int, ...]:
     """Parse a permutation word.
 
-    Accepts space- or comma-separated decimal values; as a convenience a
-    bare digit string like ``"1221"`` is read one value per character.
+    Accepts decimal values separated by commas or by any whitespace; as a
+    convenience a bare digit string like ``"1221"`` is read one value per
+    character.
     """
     text = text.strip()
-    if not text:
-        return ()
     if "," in text:
         parts = [p.strip() for p in text.split(",") if p.strip()]
-    elif " " in text:
-        parts = text.split()
-    elif text.isdigit():
-        parts = list(text)
     else:
-        parts = [text]
+        parts = text.split()
+        if len(parts) == 1 and text.isdigit():
+            parts = list(text)
     return parse_ints(parts, text, "permutation word")
 
 

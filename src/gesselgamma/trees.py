@@ -16,10 +16,11 @@ package: row v lists the children of vertex v, a vertex by its label and a
 leaf as 0.  :func:`table_of_word` builds it in one left-to-right scan of
 the word and :func:`word_of_table` reads the word back off the rows, also
 of a subtree: the i-segment of a word and its split at the copies of i
-are the words of the subtrees under vertex i and its slots.  A
-:class:`GesselTree` checks its table's shape once, when it is built, so
-every walk from the root ends; :func:`validate_tree` checks the tree
-against its multiset.
+are the words of the subtrees under vertex i and its slots.  Building a
+:class:`GesselTree` runs :func:`validate_tree`, the one check that a table
+is a Gessel tree over its multiset, and refuses every other table; so each
+tree the package holds is one, checked once, and every walk from its root
+ends.
 
 Leaves are classified by their position among their parent's children:
 the first child slot is an x-leaf, the last a y-leaf, and the slot at
@@ -46,45 +47,20 @@ Table = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True, slots=True)
 class GesselTree:
-    """A plane tree, as its slot table, over a multiset.
+    """A Gessel tree, as its slot table, over a multiset.
 
-    Building one refuses with DomainError, naming the label, a table that is
-    not one tree on the vertices 1..n, n = len(table) - 1: a slot value
-    outside 1..n, a vertex in two slots, a vertex the root does not reach,
-    or a vertex row of fewer than 2 slots.  So every walk from the root
-    ends.  Whether the tree fits its multiset and its labels increase is
-    left to :func:`validate_tree`.
+    Building one runs :func:`validate_tree` and raises
+    TreeValidationError, listing every defect, for a table that is not a
+    Gessel tree over the multiset.
     """
 
     table: Table
     multiset: Multiset
 
     def __post_init__(self) -> None:
-        # The walk from the root expands each vertex once, so it ends even on
-        # a table whose slots form a cycle; a vertex it never reaches is named.
-        table = self.table
-        if not table or len(table[0]) != 1:
-            raise DomainError("row 0 of a slot table must hold the root alone")
-        n = len(table) - 1
-        seen = [False] * (n + 1)
-        reached = 0
-        stack = [table[0][0]]
-        while stack:
-            v = stack.pop()
-            if not v:
-                continue
-            if not 1 <= v <= n:
-                raise DomainError(f"vertex label {v} outside 1..{n}")
-            if seen[v]:
-                raise DomainError(f"vertex label {v} appears more than once")
-            seen[v] = True
-            reached += 1
-            row = table[v]
-            if len(row) < 2:
-                raise DomainError(f"vertex {v} has {len(row)} children, expected at least 2")
-            stack.extend(row)
-        if reached < n:
-            raise DomainError(f"vertex {seen.index(False, 1)} is not reached from the root")
+        violations = validate_tree(self)
+        if violations:
+            raise TreeValidationError(violations)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,14 +129,7 @@ def table_of_word(word: tuple[int, ...], mults: tuple[int, ...]) -> Table:
 
 
 def gessel_inverse(t: GesselTree) -> StirlingPermutation:
-    """Read a Gessel tree back to its Stirling permutation.
-
-    The tree is validated first; a malformed tree raises
-    :class:`TreeValidationError`.
-    """
-    violations = validate_tree(t)
-    if violations:
-        raise TreeValidationError(violations)
+    """Read a Gessel tree back to its Stirling permutation."""
     return StirlingPermutation(word_of_table(t.table), t.multiset)
 
 
@@ -195,42 +164,60 @@ def word_of_table(table: Table) -> tuple[int, ...]:
 
 
 def validate_tree(t: GesselTree) -> list[TreeViolation]:
-    """The tree against its multiset; returns one violation record per defect.
+    """Whether t's table is a Gessel tree over t's multiset; returns one
+    violation record per defect, none for a Gessel tree.
 
-    Over the empty multiset the tree must be a single leaf, and otherwise
-    have a root; there must be a vertex for each of the values 1..n and no
-    other, vertex i must have k_i + 1 children, and every edge must go from
-    a smaller label to a larger one.
+    Row 0 must hold the root alone: a single leaf over the empty multiset,
+    and otherwise a vertex.  In one scan of the rows, each row v of 1..n
+    must have k_v + 1 slots, each vertex 1..n must sit in exactly one slot
+    of a smaller label's row (row 0 counting as label 0), and no row may
+    lie past n.  Labels then increase along every edge, so a table that
+    passes is one tree and every walk from its root ends.
     """
     m = t.multiset
     table = t.table
-    root = table[0][0]
-    if m.n == 0:
-        if root:
-            return [TreeViolation(
-                "structure", None, "tree over the empty multiset must be a single leaf")]
-        return []
-    if not root:
+    mults = m.mults
+    n = len(mults)
+    if not table or len(table[0]) != 1:
         return [TreeViolation(
-            "structure", None, f"root must be an internal vertex for {{{m}}}")]
+            "structure", None, "row 0 of a slot table must hold the root alone")]
+    if (not table[0][0]) != (not n):
+        return [TreeViolation("structure", None,
+                              f"root must be an internal vertex for {{{m}}}" if n else
+                              "tree over the empty multiset must be a single leaf")]
 
-    n = m.n
+    placed = [True] + [False] * n  # placed[c]: vertex c sits in a slot
     violations: list[TreeViolation] = []
-    for v in range(1, len(table)):
-        row = table[v]
+    v = 0  # the label of the row; a counter is faster here than enumerate()
+    for row in table:
         if v > n:
             violations.append(TreeViolation(
                 "labels", v, f"vertex label {v} outside 1..{n}"))
-        elif len(row) != (expected := m.mults[v - 1] + 1):
+        elif v and len(row) != (expected := mults[v - 1] + 1):
             violations.append(TreeViolation(
                 "arity", v, f"vertex {v} has {len(row)} children, expected {expected}"))
         for c in row:
-            if c and c <= v:
-                violations.append(TreeViolation(
-                    "increasing", c, f"edge ({v} -> {c}) is not label-increasing"))
-    for v in range(len(table), n + 1):
-        violations.append(TreeViolation("labels", v, f"vertex {v} is missing"))
-    return violations
+            if c:
+                if v < c <= n and not placed[c]:
+                    placed[c] = True
+                elif not 0 < c <= n:
+                    violations.append(TreeViolation(
+                        "labels", c, f"vertex label {c} outside 1..{n}"))
+                elif placed[c]:
+                    violations.append(TreeViolation(
+                        "labels", c, f"vertex {c} appears more than once"))
+                else:
+                    placed[c] = True
+                    violations.append(TreeViolation(
+                        "increasing", c, f"edge ({v} -> {c}) is not label-increasing"))
+        v += 1
+    if len(table) <= n or not all(placed):
+        violations += [
+            TreeViolation("labels", v, f"vertex {v} is missing") if v >= len(table) else
+            TreeViolation("structure", v, f"vertex {v} is not reached from the root")
+            for v in range(1, n + 1) if v >= len(table) or not placed[v]]
+    # A label past n both in a slot and as a row is one defect.
+    return list(dict.fromkeys(violations)) if violations else violations
 
 
 def leaf_census(t: GesselTree) -> LeafCensus:
@@ -431,13 +418,4 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
     if multiset is not None and multiset != inferred:
         raise DomainError(
             f"tree implies multiset {{{inferred}}} but {{{multiset}}} was given")
-    # The parse has made the table one tree on 1..n: each label was read
-    # once, inside the root's text, and each row has 2 or more slots.  So the
-    # shape walk that building a GesselTree makes is skipped.
-    tree = object.__new__(GesselTree)
-    object.__setattr__(tree, "table", table)
-    object.__setattr__(tree, "multiset", inferred)
-    violations = validate_tree(tree)
-    if violations:
-        raise TreeValidationError(violations)
-    return tree
+    return GesselTree(table, inferred)

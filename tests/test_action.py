@@ -15,6 +15,7 @@ from gesselgamma import (
     NotCanonicalError,
     OrbitTooLargeError,
     StirlingPermutation,
+    TreeValidationError,
     balance_report,
     canonical_representative,
     enumerate_canonical,
@@ -105,13 +106,15 @@ class TestPsi:
             assert psi(t, v) == t
 
     def test_absent_vertex(self):
-        with pytest.raises(DomainError):
-            psi(parse_tree(SEG_TREE), 8)
-        # A hand-built tree with fewer vertices than its multiset has values.
-        short = GesselTree(((1,), (0, 0)), Multiset((1, 1)))
         for flip in (psi, toggle):
-            with pytest.raises(DomainError):
-                flip(short, 2)
+            for v in (0, 8):
+                with pytest.raises(DomainError):
+                    flip(parse_tree(SEG_TREE), v)
+        # A table with fewer vertices than its multiset has values is refused
+        # when it is built, so there is no such tree to flip.
+        with pytest.raises(TreeValidationError) as info:
+            GesselTree(((1,), (0, 0)), Multiset((1, 1)))
+        assert str(info.value) == "invalid tree: vertex 2 is missing"
 
     def test_preserves_validity_and_z_leaves(self):
         for m in small_family():
@@ -290,33 +293,35 @@ class TestPrune:
                 assert prune(t).zleaf == leaf_census(t).zleaf
 
     def test_labels_that_do_not_increase(self):
-        t = GesselTree(((2,), (0, 0), (1, 0)), Multiset((1, 1)))
-        p = prune(t)
-        assert serialize_pruned(p) == "(2:y (1:u))"
-        assert p.zleaf == 0
-        assert p.types == {2: BalanceStatus.UNBALANCED_Y, 1: BalanceStatus.BALANCED}
+        # Such a table is refused when it is built, so there is none to prune.
+        with pytest.raises(TreeValidationError) as info:
+            GesselTree(((2,), (0, 0), (1, 0)), Multiset((1, 1)))
+        assert str(info.value) == "invalid tree: edge (2 -> 1) is not label-increasing"
 
 
 class TestLabels:
     @pytest.mark.parametrize("table, message", [
-        (((1,), (2, 2), (0, 0)), "vertex label 2 appears more than once"),
-        (((1,), (3, 0), (0, 0)), "vertex label 3 outside 1..2"),
+        (((1,), (2, 2), (0, 0)), "vertex 2 appears more than once"),
+        (((1,), (3, 0), (0, 0)),
+         "vertex label 3 outside 1..2; vertex 2 is not reached from the root"),
     ], ids=["duplicate", "gap"])
     @pytest.mark.parametrize("kernel", [leaf_census, prune, canonical_representative])
     def test_labels_other_than_one_to_n_are_refused(self, kernel, table, message):
-        with pytest.raises(DomainError) as info:
+        # The table is refused when the tree is built, before the kernel runs.
+        with pytest.raises(TreeValidationError) as info:
             kernel(GesselTree(table, Multiset((1, 1))))
-        assert str(info.value) == message
+        assert str(info.value) == "invalid tree: " + message
 
-    @pytest.mark.parametrize("table, message", [
-        (((1,), (2, 0), ()), "vertex 2 has 0 children, expected at least 2"),
-        (((1,), (2, 0), (0,)), "vertex 2 has 1 children, expected at least 2"),
-        (((1,), (0, 0), (3, 0), (2, 0)), "vertex 2 is not reached from the root"),
-        (((0,), (0, 0)), "vertex 1 is not reached from the root"),
-        (((1,), (1, 0)), "vertex label 1 appears more than once"),
-        (((0, 1), (0, 0)), "row 0 of a slot table must hold the root alone"),
+    @pytest.mark.parametrize("table, mults, message", [
+        (((1,), (2, 0), ()), (1, 1), "vertex 2 has 0 children, expected 2"),
+        (((1,), (2, 0), (0,)), (1, 1), "vertex 2 has 1 children, expected 2"),
+        # 2 and 3 in each other's rows: a cycle has an edge that does not increase
+        (((1,), (0, 0), (3, 0), (2, 0)), (1, 1, 1), "edge (3 -> 2) is not label-increasing"),
+        (((0,), (0, 0)), (1, 1), "root must be an internal vertex for {1,1}"),
+        (((1,), (1, 0)), (1,), "vertex 1 appears more than once"),
+        (((0, 1), (0, 0)), (1, 1), "row 0 of a slot table must hold the root alone"),
     ], ids=["empty-row", "one-slot-row", "cycle", "no-root", "loop", "two-roots"])
-    def test_tables_that_are_not_one_tree_are_refused(self, table, message):
-        with pytest.raises(DomainError) as info:
-            GesselTree(table, Multiset((1, 1)))
-        assert str(info.value) == message
+    def test_tables_that_are_not_one_tree_are_refused(self, table, mults, message):
+        with pytest.raises(TreeValidationError) as info:
+            GesselTree(table, Multiset(mults))
+        assert str(info.value) == "invalid tree: " + message

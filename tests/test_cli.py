@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -121,7 +122,7 @@ class TestTreePerm:
         assert out.strip() == "1 2 2 1"
 
     def test_word_forms_agree(self, capsys):
-        for form in ("1 2 2 1", "1,2,2,1", "1221"):
+        for form in ("1 2 2 1", "1,2,2,1", "1221", "1\t2\t2\t1", "1\n2\n2\n1"):
             _, out, _ = run(capsys, "tree", "--perm", form)
             assert out.strip() == "(1 * (2 * * *) *)"
 
@@ -547,6 +548,9 @@ CHAIN = "9" * 2500 + ",1"  # a chain cost past 10^100
 CHAIN_REFUSAL = ("refused: derivative chain too large: more than 10^100 term-rule "
                  "products requested, cap is 5000000")
 D4 = "9" * 4000
+# A K of 4 301 digits, more than Python writes as text, from parts it converts.
+HUGE_K = "9" * 4300
+K_REFUSAL = "error: K is more than 10^100, too long to write out"
 X5 = "x" * 5000
 # A refusal line past 200 characters keeps its first and last 80.
 VIA_REFUSAL = ("error: argument --via: invalid choice: '" + "x" * 40 + " [4952 characters] "
@@ -559,6 +563,7 @@ def cli_command(argv):
 
 
 CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+MEMORY_LIMIT = 512 * 2**20  # address space of a child under a bounded run
 
 
 def assert_contract(code, err):
@@ -630,6 +635,29 @@ class TestCliContract:
         assert done.returncode == code, done.stderr
         if line is not None:
             assert done.stderr == line + "\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        pytest.param(["gamma", "--via", "grammar", "--multiset", "1," + HUGE_K], K_REFUSAL,
+                     id="gamma-huge-K"),
+        pytest.param(["poly", "--via", "grammar", "--multiset", "5," + HUGE_K], K_REFUSAL,
+                     id="poly-huge-K"),
+        pytest.param(["grammar-derive", "--rules", "xyz", "--k-seq", "5," + HUGE_K], K_REFUSAL,
+                     id="derive-huge-K"),
+        # A bound generated family of 10^20 parts is listed one part at a time.
+        pytest.param(["verify", "--check", "SYM-XY", "--max-n", "2", "--max-k", "9" * 20,
+                      "--max-K", "9" * 20],
+                     "refused: family too large: 20003255 letters requested, cap is 20000000",
+                     id="huge-part-bound"),
+    ])
+    def test_a_refusal_takes_bounded_time_and_memory(self, argv, line):
+        def limit_memory():  # runs in the child, after fork and before exec
+            resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+        done = subprocess.run(cli_command(argv), capture_output=True, text=True, env=CLI_ENV,
+                              timeout=20, preexec_fn=limit_memory)
+        assert_contract(done.returncode, done.stderr)
+        assert done.returncode == 2
+        assert done.stderr == line + "\n"
 
     @pytest.mark.parametrize("argv, size", [
         (["enumerate", "--multiset", "2,2,2,2,2,2"], 100),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import islice, product
 
 import pytest
@@ -61,6 +62,18 @@ class TestFamilies:
         first = list(islice(FamilySpec(max_n=30, max_k=3, max_total=60), 3))
         assert time.perf_counter() - start < 1
         assert [m.mults for m in first] == [(1,), (1, 1), (1, 1, 1)]
+
+    def test_a_huge_part_bound_is_listed_in_little_memory(self):
+        # Listing all 10^6 second parts at once would take 176 MiB; the
+        # command line's 10^20 is run in a memory-bounded child in test_cli.
+        tracemalloc.start()
+        try:
+            first = list(islice(FamilySpec(max_n=2, max_k=10**6, max_total=10**6), 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [m.mults for m in first] == [(1,), (1, 1), (1, 2)]
+        assert peak < 2**20
 
     def test_total_bound_trims(self):
         spec = FamilySpec(max_n=2, max_k=3, max_total=4)

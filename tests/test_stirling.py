@@ -178,6 +178,9 @@ def test_enumerated_words_satisfy_the_definition(mults, seed):
     ("12,13,1", (12, 13, 1)),
     ("7", (7,)),
     ("", ()),
+    ("1\t2\t2\t1", (1, 2, 2, 1)),
+    ("1\n2\n2\n1", (1, 2, 2, 1)),
+    ("12 \t13\r\n1", (12, 13, 1)),
 ])
 def test_parse_word_forms(text, expected):
     assert parse_word(text) == expected

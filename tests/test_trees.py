@@ -24,8 +24,10 @@ from gesselgamma import (
     segment_word,
     serialize,
     statistics,
+    stirling_words,
     validate_tree,
 )
+from gesselgamma import cli, trees
 from gesselgamma.harness import default_campaign_family
 from gesselgamma.trees import render_table, table_census, table_of_word
 
@@ -70,9 +72,11 @@ class TestInverse:
         assert gessel_inverse(parse_tree("*")).word == ()
 
     def test_rejects_malformed(self):
-        bad = GesselTree(((1,), (0, 0)), Multiset((2,)))
-        with pytest.raises(TreeValidationError):
-            gessel_inverse(bad)
+        # A table with too few slots for its multiset is refused when it is
+        # built, so there is no tree to read back.
+        with pytest.raises(TreeValidationError) as info:
+            GesselTree(((1,), (0, 0)), Multiset((2,)))
+        assert str(info.value) == "invalid tree: vertex 1 has 2 children, expected 3"
 
     def test_roundtrips_over_family(self):
         for m in small_family():
@@ -199,34 +203,61 @@ class TestOccurrenceFlags:
                     assert first_last_occurrence_flags(s, i) == (has_x, has_y)
 
 
+def refusal(table, mults):
+    """The (kind, vertex, message) of each defect building a tree refuses."""
+    with pytest.raises(TreeValidationError) as info:
+        GesselTree(table, Multiset(mults))
+    return [(v.kind, v.vertex, v.message) for v in info.value.violations]
+
+
 class TestValidation:
     def test_valid_tree_has_no_violations(self):
         assert validate_tree(parse_tree(BIG_TREE)) == []
 
     def test_arity_violation(self):
-        bad = GesselTree(((1,), (0, 0)), Multiset((2,)))
-        kinds = {v.kind for v in validate_tree(bad)}
-        assert kinds == {"arity"}
+        assert refusal(((1,), (0, 0)), (2,)) == [
+            ("arity", 1, "vertex 1 has 2 children, expected 3")]
 
     def test_increasing_violation(self):
-        bad = GesselTree(((2,), (0, 0), (1, 0)), Multiset((1, 1)))
-        kinds = {v.kind for v in validate_tree(bad)}
-        assert "increasing" in kinds
+        assert refusal(((2,), (0, 0), (1, 0)), (1, 1)) == [
+            ("increasing", 1, "edge (2 -> 1) is not label-increasing")]
 
     def test_missing_and_duplicate_labels(self):
-        missing = GesselTree(((1,), (0, 0)), Multiset((1, 1)))
-        assert any(v.kind == "labels" and v.vertex == 2 for v in validate_tree(missing))
-        extra = GesselTree(((1,), (2, 0), (0, 0)), Multiset((1,)))
-        assert any(v.kind == "labels" and v.vertex == 2 for v in validate_tree(extra))
-        # A table cannot hold a vertex twice, so a duplicate never gets as
-        # far as validation.
-        with pytest.raises(DomainError):
-            GesselTree(((1,), (1, 0)), Multiset((1, 1)))
+        assert refusal(((1,), (0, 0)), (1, 1)) == [("labels", 2, "vertex 2 is missing")]
+        # vertex 2 in a slot and as a row is one defect
+        assert refusal(((1,), (2, 0), (0, 0)), (1,)) == [
+            ("labels", 2, "vertex label 2 outside 1..1")]
+        assert refusal(((1,), (1, 0)), (1, 1)) == [
+            ("labels", 1, "vertex 1 appears more than once"), ("labels", 2, "vertex 2 is missing")]
 
     def test_empty_tree_rules(self):
         assert validate_tree(GesselTree(((0,),), Multiset(()))) == []
-        assert validate_tree(GesselTree(((0,),), Multiset((1,)))) != []
-        assert validate_tree(GesselTree(((1,), (0, 0)), Multiset(()))) != []
+        assert refusal(((0,),), (1,)) == [
+            ("structure", None, "root must be an internal vertex for {1}")]
+        assert refusal(((1,), (0, 0)), ()) == [
+            ("structure", None, "tree over the empty multiset must be a single leaf")]
+
+    def test_every_family_table_is_accepted(self):
+        tables = [(table_of_word(w, m.mults), m)
+                  for m in default_campaign_family() for w in stirling_words(m)]
+        assert len(tables) == 25960
+        assert all(validate_tree(GesselTree(table, m)) == [] for table, m in tables)
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["perm", "--tree", SEG_TREE], 1),
+        (["orbit", "--perm", "1122"], 2),  # one per member: the orbit has 2
+    ], ids=["perm", "orbit"])
+    def test_each_tree_a_command_builds_is_validated_once(self, monkeypatch, capsys, argv,
+                                                           calls):
+        counted = []
+
+        def counting(t):
+            counted.append(t)
+            return validate_tree(t)
+
+        monkeypatch.setattr(trees, "validate_tree", counting)
+        assert cli.main(argv) == 0
+        assert len(counted) == calls
 
 
 class TestParse:
@@ -323,7 +354,9 @@ class TestParse:
 
     def test_equality_compares_the_multiset_and_plane_order(self):
         t = parse_tree("(1 * (2 * *))")
-        assert t != GesselTree(t.table, Multiset((1, 2)))
+        # A table fixes its multiset: the same rows over another are refused.
+        assert refusal(t.table, (1, 2)) == [
+            ("arity", 2, "vertex 2 has 2 children, expected 3")]
         assert t != parse_tree("(1 (2 * *) *)")
 
 
