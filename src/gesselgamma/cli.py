@@ -19,8 +19,6 @@ from itertools import islice
 from .action import BalanceStatus, is_canonical, orbit, prune, serialize_pruned
 from .counts import GAMMA_ROUTES, c_polynomial_enum
 from .errors import (
-    COST_DIGITS,
-    COST_TEXT_BOUND,
     ChainTooLargeError,
     DomainError,
     FamilyTooLargeError,
@@ -126,13 +124,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _refuse_enumeration(m: Multiset, via: str = "enum") -> None:
     """Refuse, before listing a word or tree, a multiset that
     ``harness.admit_enumeration`` refuses; the grammar routes list none, and
-    are refused above GRAMMAR_COST_CAP instead, or for a K past
-    COST_TEXT_BOUND, which their output would write out."""
+    are refused above GRAMMAR_COST_CAP instead, or for a K of more digits
+    than Python writes as text, since their output writes K."""
     if via == "grammar":
         if (cost := chain_cost(m)) > GRAMMAR_COST_CAP:
             raise ChainTooLargeError(cost, GRAMMAR_COST_CAP)
-        if m.K > COST_TEXT_BOUND:
-            raise DomainError(f"K is more than 10^{COST_DIGITS}, too long to write out")
+        # 10^digits has more than 3 * digits bits: test that before building it.
+        digits = sys.get_int_max_str_digits()
+        if digits and m.K.bit_length() > 3 * digits and m.K >= 10**digits:
+            raise DomainError(f"K has more than {digits} digits, too long to write out")
     else:
         admit_enumeration([m])
 

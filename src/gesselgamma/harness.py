@@ -97,24 +97,19 @@ class FamilySpec:
     def __iter__(self) -> Iterator[Multiset]:
         # Depth first, smallest part first: each vector comes before its
         # extensions and after every smaller vector, which is lexicographic.
-        # ``parts`` is the vector and ``levels[d]`` the lazy range of the
-        # parts left to try at position d, so memory follows max_n, not max_k.
-        parts: list[int] = []
-        levels = [self._next_parts(parts)]
-        while levels:
-            k = next(levels[-1], 0)
-            if k:
-                parts.append(k)
-                yield Multiset(tuple(parts))
-                levels.append(self._next_parts(parts))
+        # Each level is a lazy generator, so memory follows max_n, not max_k.
+        stack = [self._children(())]
+        while stack:
+            mults = next(stack[-1], None)
+            if mults is None:
+                stack.pop()
             else:
-                levels.pop()
-                if parts:
-                    parts.pop()
+                yield Multiset(mults)
+                stack.append(self._children(mults))
 
-    def _next_parts(self, parts: list[int]) -> Iterator[int]:
-        room = min(self.max_k, self.max_total - sum(parts)) if len(parts) < self.max_n else 0
-        return iter(range(1, room + 1))
+    def _children(self, mults: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        room = min(self.max_k, self.max_total - sum(mults)) if len(mults) < self.max_n else 0
+        return (mults + (k,) for k in range(1, room + 1))
 
     def members(self) -> list[Multiset]:
         return list(self)

@@ -31,10 +31,12 @@ package reads subtree words off the slot table.
 ``parse_tree`` is the tree parser as it was before its token loop became
 one ``for`` over the tokens: a ``while`` loop over a token index that
 attaches each finished slot and closes every vertex whose ``)`` follows.
-It ends, as the package's does, by inferring the multiset, building a
-``GesselTree`` and validating it, here by ``validate_tree``, a copy of the
-package's.  The package's parser must return an equal tree, or raise an
-exception of the same type with the same message.
+It ends by inferring the multiset and validating the table by
+``validate_tree``, the package's check as it was before building a
+``GesselTree`` ran it, here on a plain holder of the table and the
+multiset.  Only a table that passes is built as the package's
+``GesselTree``.  The package's parser must return an equal tree, or raise
+an exception of the same type with the same message.
 
 The trees here are object trees of their own (``Vertex``, with ``None``
 for a leaf, inside a ``Tree``), where the package stores a tree only as
@@ -55,7 +57,10 @@ list, sorts it and wraps each word.  ``c_polynomial_enum`` counts the
 is given.
 
 Only the package's data classes are imported; no function of the package
-is called.
+is called.  Building a ``GesselTree`` runs the package's ``validate_tree``:
+``parse_tree`` runs its own check first, so the package's decides none of
+its outcomes, and ``gessel_tree`` is refused, as the package refuses it,
+for a reference tree that is not a Gessel tree.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional
 
 from gesselgamma.errors import (
@@ -278,7 +284,7 @@ def first_last_occurrence_flags(s: StirlingPermutation, i: int) -> tuple[bool, b
     return (before < i, i > after)
 
 
-def validate_tree(t: GesselTree) -> list[TreeViolation]:
+def validate_tree(t: GesselTree | SimpleNamespace) -> list[TreeViolation]:
     m = t.multiset
     table = t.table
     root = table[0][0]
@@ -378,11 +384,10 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
     if multiset is not None and multiset != inferred:
         raise DomainError(
             f"tree implies multiset {{{inferred}}} but {{{multiset}}} was given")
-    tree = GesselTree(table, inferred)
-    violations = validate_tree(tree)
+    violations = validate_tree(SimpleNamespace(table=table, multiset=inferred))
     if violations:
         raise TreeValidationError(violations)
-    return tree
+    return GesselTree(table, inferred)
 
 
 def _tally(m: Multiset, keys: Iterable[tuple[int, int]]) -> GammaTable:

@@ -550,7 +550,9 @@ CHAIN_REFUSAL = ("refused: derivative chain too large: more than 10^100 term-rul
 D4 = "9" * 4000
 # A K of 4 301 digits, more than Python writes as text, from parts it converts.
 HUGE_K = "9" * 4300
-K_REFUSAL = "error: K is more than 10^100, too long to write out"
+K_REFUSAL = "error: K has more than 4300 digits, too long to write out"
+# A K of 4 300 digits, the most Python writes as text.
+LARGEST_K = "9" * 4299
 X5 = "x" * 5000
 # A refusal line past 200 characters keeps its first and last 80.
 VIA_REFUSAL = ("error: argument --via: invalid choice: '" + "x" * 40 + " [4952 characters] "
@@ -627,6 +629,12 @@ class TestCliContract:
                      None, id="many-bad-edges"),
         pytest.param(["grammar-derive", "--rules", "xyz", "--k-seq", "0" + ",1" * 3000], 2, None,
                      id="long-bad-k-seq"),
+        pytest.param(["gamma", "--via", "grammar", "--multiset", "1," + LARGEST_K], 0, None,
+                     id="gamma-largest-K"),
+        pytest.param(["poly", "--via", "grammar", "--multiset", "5," + LARGEST_K], 0, None,
+                     id="poly-largest-K"),
+        pytest.param(["grammar-derive", "--rules", "xyz", "--k-seq", "5," + LARGEST_K], 0, None,
+                     id="derive-largest-K"),
     ])
     def test_each_input_is_answered_or_refused_in_one_line(self, argv, code, line):
         done = subprocess.run(cli_command(argv), capture_output=True, text=True, env=CLI_ENV,
