@@ -3,16 +3,17 @@
 Each check exhaustively tests one identity on one multiset at a time and
 reports a counterexample payload on failure (the multiset, the offending
 permutation or tree, and both sides of the failed equality).  A campaign
-runs multiset by multiset: the words, the slot tables of their trees and
-the enumerated polynomial of a multiset are built once, in a shared
-context that every check reads, and dropped before the next multiset.
-The per-word checks run together, in one pass over the words; they, ORBIT
-and T4.3 read the rows of the tables, and ROUNDTRIP writes each table out
-and parses it back.  The independent routes the checks compare against
-still compute on their own.  Campaigns can hand whole multisets to a
-process pool.  Every campaign and every command that lists words asks
-``admit_enumeration`` first, which refuses a family past a fixed cap on
-its words or on their letters.
+runs multiset by multiset, each in a shared context that every check
+reads and that is dropped before the next multiset.  One pass over the
+multiset's words hands each word and the slot table of its tree to every
+layer a check reads: the tally that is the enumerated polynomial, the
+per-word checks, ROUNDTRIP, which writes each table out and parses it
+back, T4.3's weights and ORBIT's grouping.  The pass drops each word's
+table after it; only what the layers sum up is kept.  The independent
+routes the checks compare against still compute on their own.  Campaigns
+can hand whole multisets to a process pool.  Every campaign and every
+command that lists words asks ``admit_enumeration`` first, which refuses
+a family past a fixed cap on its words or on their letters.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .action import (
@@ -34,7 +36,7 @@ from .action import (
     prune,
     table_orbit,
 )
-from .counts import GAMMA_ROUTES, c_polynomial_enum, triple_polynomial
+from .counts import GAMMA_ROUTES, c_polynomial_enum
 from .errors import COST_TEXT_BOUND, DomainError, FamilyTooLargeError
 from .grammar import c_polynomial_grammar, gamma_polynomial_grammar
 from .multiset import Multiset
@@ -75,6 +77,11 @@ from .trees import (
 # The most words, and letters (words times K), that one listing may produce.
 WORD_CAP = 10**6
 LETTER_CAP = 2 * 10**7
+# The words a pass over a multiset's words holds at a time.  Blocks of 64
+# kept so many of their words' objects alive across young-generation
+# collections that ``verify --check all`` on 1^9 spent 2.5 s collecting
+# garbage, against 0.7 s with 32.
+PASS_BLOCK = 32
 
 
 # --------------------------------------------------------------------------
@@ -168,44 +175,41 @@ def _fail(m: Multiset, detail: str, **extra) -> Failure:
 
 
 class MultisetContext:
-    """What the checks of one multiset share, each part built on first use.
+    """What the checks of one multiset share.
 
-    ``perms`` are the Stirling permutations in enumeration order,
-    ``tables[k]`` is the slot table of the Gessel tree of ``perms[k]``, a
-    tuple of tuples (``trees.table_of_word``), and ``triples[k]`` is its
-    ``(asc, des, plat)``.  ``c_polynomial`` sums those triples (``x`` for the
-    empty multiset, like ``c_polynomial_enum``) and ``gamma`` is its
-    extracted table; ``route(name)`` is the table by a ``GAMMA_ROUTES``
+    One pass over ``enumerate_stirling(m)``, in lexicographic order, feeds
+    each word's ``WordRecord`` to the layers (``_LAYERS``) that the checks
+    of ``check_ids`` read (``CheckDef.reads``) and drops the records, so no
+    list of words, slot tables or triples is kept.  A layer read later that
+    no pass has fed gets a pass of its own.  The context holds each layer's
+    outcome (its first failure, what it raised, or None) and their sums:
+    ``triples``, the number of words by ``(asc, des, plat)``, which
+    ``c_polynomial`` is (``x`` for the empty multiset, like
+    ``c_polynomial_enum``); ROUNDTRIP's counts of ``words`` and of
+    ``distinct`` words; T4.3's ``weights``, the canonical tables by
+    ``(u, v, z)``; and ORBIT's ``classes``, the member words of each
+    canonical table in word order, until ORBIT takes them
+    (``orbit_classes``).  ``gamma`` is the table extracted from
+    ``c_polynomial``; ``route(name)`` is the table by a ``GAMMA_ROUTES``
     route, computed once, and for ``extract`` it is ``gamma``.
-    ``word_failures`` runs the per-word ones of ``check_ids`` in one pass.
-    A word's profile and leaf census are dropped after the word: kept for
-    2^6 they would hold tens of MiB.
     """
 
     def __init__(self, m: Multiset, check_ids: tuple[str, ...] = ()):
         self.multiset = m
         self.check_ids = check_ids
         self._routes: dict[str, GammaTable] = {}
-        self._word_results: dict[str, Failure | Exception | None] = {}
-
-    @cached_property
-    def perms(self) -> list[StirlingPermutation]:
-        return list(enumerate_stirling(self.multiset))
-
-    @cached_property
-    def tables(self) -> list[Table]:
-        mults = self.multiset.mults
-        return [table_of_word(s.word, mults) for s in self.perms]
-
-    @cached_property
-    def triples(self) -> list[tuple[int, int, int]]:
-        return [asc_des_plat(s.word) for s in self.perms]
+        self._outcomes: dict[str, Failure | Exception | None] = {}
+        self.triples: Counter[tuple[int, int, int]] = Counter()
+        self.words = self.distinct = 0
+        self.weights: Counter[tuple[int, int, int]] = Counter()
+        self.classes: dict[Table, list[tuple[int, ...]]] = {}
 
     @cached_property
     def c_polynomial(self) -> Poly3:
         if self.multiset.n == 0:
             return Poly3.variable("x", XYZ)
-        return triple_polynomial(self.triples)
+        self.outcome("polynomial")
+        return Poly3(XYZ, self.triples)
 
     @cached_property
     def gamma(self) -> GammaTable:
@@ -218,57 +222,91 @@ class MultisetContext:
             self._routes[name] = GAMMA_ROUTES[name](self.multiset)
         return self._routes[name]
 
-    def word_failures(self, check_id: str) -> list[Failure]:
-        """A per-word check's failures; what the check raised is re-raised.
+    def outcome(self, layer: str) -> Failure | None:
+        """A layer's first failure, or None; what the layer raised is re-raised."""
+        if layer not in self._outcomes:
+            self._pass(layer)
+        outcome = self._outcomes[layer]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
-        The first per-word check asked for runs, in one pass over the words,
-        every per-word check of this context that applies to its multiset.
-        Each check stops at its own first failure or exception.
+    def orbit_classes(self) -> dict[Table, list[tuple[int, ...]]]:
+        """ORBIT's classes, which the context then drops: nothing else reads them."""
+        self.outcome("ORBIT")
+        classes, self.classes = self.classes, {}
+        del self._outcomes["ORBIT"]
+        return classes
+
+    def _pass(self, asked: str) -> None:
+        """One pass over the words that feeds ``asked`` and every layer not
+        fed yet that a check of this context reads.
+
+        The words come in blocks of ``PASS_BLOCK``, and each layer reads a
+        whole block before the next layer does: word by word, the same
+        kernels took about a fifth longer.  Each layer stops at its own first failure or
+        exception.  If the enumeration itself raises, every layer of the
+        pass has raised it.
         """
-        if check_id not in self._word_results:
-            m = self.multiset
-            ids = [c for c in self.check_ids if c in _WORD_CHECKS and CHECKS[c].applies_to(m)]
-            active = {cid: _WORD_CHECKS[cid] for cid in [check_id, *ids]}
-            results: dict[str, Failure | Exception | None] = dict.fromkeys(active)
-            checks = list(active.items())
-            for k in range(len(self.perms)):
-                record = WordRecord(self, k)
-                failed = False
-                for cid, check in checks:
+        m = self.multiset
+        wanted = {asked}.union(*(CHECKS[c].reads for c in self.check_ids
+                                 if CHECKS[c].applies_to(m)))
+        layers = [(name, feed) for name, feed in _LAYERS.items()
+                  if name in wanted and name not in self._outcomes]
+        outcomes: dict[str, Failure | Exception | None] = {name: None for name, _ in layers}
+        try:
+            words = enumerate_stirling(m)
+            previous = None
+            while layers:
+                block = []
+                for s in islice(words, PASS_BLOCK):
+                    block.append(WordRecord(self, s, previous))
+                    previous = s.word
+                if not block:
+                    break
+                for name, feed in layers:
                     try:
-                        failure = check(m, record)
-                    except Exception as exc:  # a crash fails this check only
+                        for w in block:
+                            failure = feed(m, w)
+                            if failure is not None:
+                                break
+                    except Exception as exc:  # a crash fails this layer only
                         failure = exc
-                    if failure is not None:
-                        results[cid] = failure
-                        failed = True
-                if failed:
-                    checks = [(cid, check) for cid, check in checks if results[cid] is None]
-                    if not checks:
-                        break
-            self._word_results.update(results)
-        result = self._word_results[check_id]
-        if isinstance(result, Exception):
-            raise result
-        return [] if result is None else [result]
+                    outcomes[name] = failure
+                layers = [(name, feed) for name, feed in layers if outcomes[name] is None]
+        except Exception as exc:
+            outcomes = dict.fromkeys(outcomes, exc)
+        self._outcomes.update(outcomes)
 
 
 class WordRecord:
-    """One word of a context and its tree's slot table, as the per-word
-    checks read them.
+    """One word of a pass, and what the layers read of it; dropped with its block.
 
-    The profile, the leaf census and the first and last position of each
-    value (``ends``) are built on first use, so each runs once per word,
-    and only for a check that reads it.  They are plain slots, not
+    ``previous`` is the word before it.  The slot table of its tree, its
+    triple, its profile, its leaf census and the first and last position
+    of each value (``ends``) are built on first use, so each runs once per
+    word, and only for a layer that reads it.  They are plain slots, not
     ``functools.cached_property``, which takes a lock on every first use.
     """
 
-    __slots__ = ("ctx", "k", "s", "table", "_profile", "_census", "_ends")
+    __slots__ = ("ctx", "s", "previous", "_table", "_triple", "_profile", "_census", "_ends")
 
-    def __init__(self, ctx: MultisetContext, k: int):
-        self.ctx, self.k = ctx, k
-        self.s, self.table = ctx.perms[k], ctx.tables[k]
-        self._profile = self._census = self._ends = None
+    def __init__(self, ctx: MultisetContext, s: StirlingPermutation,
+                 previous: tuple[int, ...] | None):
+        self.ctx, self.s, self.previous = ctx, s, previous
+        self._table = self._triple = self._profile = self._census = self._ends = None
+
+    @property
+    def table(self) -> Table:
+        if self._table is None:
+            self._table = table_of_word(self.s.word, self.ctx.multiset.mults)
+        return self._table
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        if self._triple is None:
+            self._triple = asc_des_plat(self.s.word)
+        return self._triple
 
     @property
     def profile(self) -> StatProfile:
@@ -288,14 +326,10 @@ class WordRecord:
             self._ends = first_last_positions(self.s.word, self.ctx.multiset.n)
         return self._ends
 
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return self.ctx.triples[self.k]
-
 
 # The context of the multiset a campaign task is checking, if any.  It is
-# set and emptied by _run_multiset, so at most one multiset's words and
-# trees are held at a time.
+# set and emptied by _run_multiset, so at most one multiset's outcomes and
+# ORBIT classes are held at a time.
 _current: MultisetContext | None = None
 
 
@@ -333,29 +367,37 @@ def _symmetry(names: tuple[str, ...]) -> Callable[[Multiset], list[Failure]]:
     return run
 
 
-def _check_roundtrip(m: Multiset) -> list[Failure]:
-    # Each word's tree, the slot table the other checks read, is written out
+def _roundtrip_word(m: Multiset, w: WordRecord) -> Failure | None:
+    # Each word's tree, the slot table the other layers read, is written out
     # and parsed back.  The parse validates the parsed table, and the parsed
     # table must equal the written one, which carries that validation back to
     # it; it must also read back to the word.  tree -> word -> tree needs
     # no pass of its own: the tables are the forward scan of the words, so
     # once word -> tree -> word is the identity, rebuilding a tree from its
     # word gives back the same tree.  Bijectivity rests on that identity,
-    # injectivity and the count.  Injectivity is counted on the tables, each
-    # of which came back from its text unchanged.
+    # injectivity and the count.
+    s, table = w.s, w.table
+    text = render_table(table)
+    parsed = parse_tree(text).table
+    if parsed != table:
+        return _fail(m, "serialize -> parse is not the identity", sigma=str(s), tree=text)
+    back = word_of_table(parsed)
+    if back != s.word:
+        return _fail(m, "word -> tree -> word is not the identity",
+                     sigma=str(s), lhs=str(s), rhs=" ".join(map(str, back)))
+    # Once every word has come back from its tree, two tables are equal only
+    # if their words are, and equal words are neighbours in sorted order.
+    w.ctx.words += 1
+    w.ctx.distinct += s.word != w.previous
+    return None
+
+
+def _check_roundtrip(m: Multiset) -> list[Failure]:
     ctx = _context(m)
-    for s, table in zip(ctx.perms, ctx.tables):
-        text = render_table(table)
-        parsed = parse_tree(text).table
-        if parsed != table:
-            return [_fail(m, "serialize -> parse is not the identity",
-                          sigma=str(s), tree=text)]
-        back = word_of_table(parsed)
-        if back != s.word:
-            return [_fail(m, "word -> tree -> word is not the identity",
-                          sigma=str(s), lhs=str(s), rhs=" ".join(map(str, back)))]
-    count = len(ctx.perms)
-    distinct = len(set(ctx.tables))
+    failure = ctx.outcome("ROUNDTRIP")
+    if failure is not None:
+        return [failure]
+    count, distinct = ctx.words, ctx.distinct
     if distinct != count:
         return [_fail(m, "correspondence is not injective", lhs=count, rhs=distinct)]
     formula = count_stirling(m)
@@ -366,7 +408,7 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
 
 
 # The per-word checks: each reads one word's record and returns its
-# failure, or None.
+# failure, or None.  They are layers of the pass over the words (_LAYERS).
 
 def _check_p21(m: Multiset, w: WordRecord) -> Failure | None:
     triple, census = w.triple, w.census
@@ -404,26 +446,27 @@ def _check_t41(m: Multiset) -> list[Failure]:
                      c_polynomial_grammar(m), _context(m).c_polynomial)
 
 
-def _check_t43(m: Multiset) -> list[Failure]:
+def _weigh_canonical(m: Multiset, w: WordRecord) -> None:
     # A canonical tree pruned has a u-vertex for each row with both ends
     # empty and a v-vertex for each with only its first slot empty, and it
     # keeps the z-leaves, the empty slots between a row's ends.
+    u = v = z = 0
+    for row in w.table[1:]:
+        x, y = row[0] == 0, row[-1] == 0
+        if y and not x:
+            return  # an unbalanced y-leaf: not canonical
+        u += x and y
+        v += x and not y
+        z += row.count(0) - x - y
+    w.ctx.weights[u, v, z] += 1
+
+
+def _check_t43(m: Multiset) -> list[Failure]:
     ctx = _context(m)
-    weights: Counter[tuple[int, int, int]] = Counter()
-    for table in ctx.tables:
-        u = v = z = 0
-        for row in table[1:]:
-            x, y = row[0] == 0, row[-1] == 0
-            if y and not x:
-                break  # an unbalanced y-leaf: not canonical
-            u += x and y
-            v += x and not y
-            z += row.count(0) - x - y
-        else:
-            weights[u, v, z] += 1
+    ctx.outcome("T4.3")  # raises what the weighing raised
     expected = gamma_table_to_uvz(ctx.gamma)
     return _mismatch(m, "pruned-tree weights do not sum to the gamma polynomial",
-                     Poly3(UVZ, weights), expected)
+                     Poly3(UVZ, ctx.weights), expected)
 
 
 def _check_t44(m: Multiset) -> list[Failure]:
@@ -469,29 +512,38 @@ def _check_p63(m: Multiset, w: WordRecord) -> Failure | None:
     return None
 
 
-_WORD_CHECKS: dict[str, Callable[[Multiset, WordRecord], Failure | None]] = {
+def _tally_triple(m: Multiset, w: WordRecord) -> None:
+    w.ctx.triples[w.triple] += 1
+
+
+def _group_by_class(m: Multiset, w: WordRecord) -> None:
+    w.ctx.classes.setdefault(canonical_table(w.table), []).append(w.s.word)
+
+
+# The layers of the pass over the words, in the order each word meets them.
+_LAYERS: dict[str, Callable[[Multiset, WordRecord], Failure | None]] = {
+    "polynomial": _tally_triple,
     "P2.1": _check_p21, "JKP-ZJ": _check_jkp, "P2.2": _check_p22,
     "P5.1": _check_p51, "P6.3": _check_p63,
+    "ROUNDTRIP": _roundtrip_word, "T4.3": _weigh_canonical, "ORBIT": _group_by_class,
 }
 
 
 def _word_check(check_id: str, m: Multiset) -> list[Failure]:
-    return _context(m).word_failures(check_id)
+    failure = _context(m).outcome(check_id)
+    return [] if failure is None else [failure]
 
 
 def _check_orbit(m: Multiset) -> list[Failure]:
-    ctx = _context(m)
-    tables = ctx.tables
-    # Classes by their representative's rows.
-    groups: dict[Table, list[int]] = {}
-    for k, table in enumerate(tables):
-        groups.setdefault(canonical_table(table), []).append(k)
+    # Each class's member tables are rebuilt from its words, in word order:
+    # the context keeps the words, which take a fraction of the tables' memory.
     # A failing class is named by its representative's text, and the one
     # whose text sorts first is reported; a passing class is never written.
+    mults = m.mults
     failures = []
-    for canon, indices in groups.items():
-        failure = _orbit_class_failure(m, canon, [tables[k] for k in indices],
-                                       [ctx.triples[k] for k in indices])
+    for canon, words in _context(m).orbit_classes().items():
+        members = [table_of_word(word, mults) for word in words]
+        failure = _orbit_class_failure(m, canon, members, list(map(asc_des_plat, words)))
         if failure:
             failure["tree"] = render_table(canon)
             failures.append(failure)
@@ -533,49 +585,54 @@ class CheckDef:
     description: str
     run: Callable[[Multiset], list[Failure]]
     doubled_only: bool = False
+    reads: tuple[str, ...] = ()  # the layers of the pass over the words it reads
 
     def applies_to(self, m: Multiset) -> bool:
         return not self.doubled_only or m.is_uniform(2)
 
 
+_POLYNOMIAL = ("polynomial",)
+
 CHECKS: dict[str, CheckDef] = {
     "ROUNDTRIP": CheckDef(
         "word -> tree -> word and tree -> word -> tree are identities; the map is injective",
-        _check_roundtrip),
+        _check_roundtrip, reads=("ROUNDTRIP",)),
     "P2.1": CheckDef(
         "(asc, des, plat) equals (x-leaf, y-leaf, z-leaf) counts under the correspondence",
-        partial(_word_check, "P2.1")),
+        partial(_word_check, "P2.1"), reads=("P2.1",)),
     "JKP-ZJ": CheckDef(
         "plateaux keyed by occurrence index match z-leaves keyed by child position",
-        partial(_word_check, "JKP-ZJ")),
+        partial(_word_check, "JKP-ZJ"), reads=("JKP-ZJ",)),
     "P2.2": CheckDef(
         "vertex i has an x-leaf iff the first i tops an ascent, a y-leaf iff the last i tops a descent",
-        partial(_word_check, "P2.2")),
+        partial(_word_check, "P2.2"), reads=("P2.2",)),
     "T3.1": CheckDef(
         "extracted gamma table equals canonical-tree counts by (z-leaves, y-leaves)",
         _agreement("extract", "trees",
-                   "extracted gamma table differs from canonical-tree counts")),
+                   "extracted gamma table differs from canonical-tree counts"),
+        reads=_POLYNOMIAL),
     "T4.1": CheckDef(
         "the xyz derivative chain rebuilds the enumerated (asc, des, plat) polynomial",
-        _check_t41),
+        _check_t41, reads=_POLYNOMIAL),
     "T4.3": CheckDef(
         "pruned canonical trees, weighted u^#u v^#v z^#z, sum to the gamma polynomial",
-        _check_t43),
+        _check_t43, reads=("T4.3", *_POLYNOMIAL)),
     "T4.4": CheckDef(
         "the uvz derivative chain builds the gamma polynomial directly",
-        _check_t44),
+        _check_t44, reads=_POLYNOMIAL),
     "T5.2": CheckDef(
         "extracted gamma table equals double-fall-free counts by (plateaux, descents)",
         _agreement("extract", "perms",
-                   "extracted gamma table differs from double-fall-free counts")),
+                   "extracted gamma table differs from double-fall-free counts"),
+        reads=_POLYNOMIAL),
     "P5.1": CheckDef(
         "double-fall positions map onto the unbalanced-y vertices",
-        partial(_word_check, "P5.1")),
+        partial(_word_check, "P5.1"), reads=("P5.1",)),
     "T6.1": CheckDef(
         "extracted gamma table equals descent-plateau-free counts (doubled multisets)",
         _agreement("extract", "mma",
                    "extracted gamma table differs from descent-plateau-free counts"),
-        doubled_only=True),
+        doubled_only=True, reads=_POLYNOMIAL),
     "T6.2": CheckDef(
         "descent-plateau-free counts equal canonical ternary tree counts (doubled multisets)",
         _agreement("mma", "ternary",
@@ -583,16 +640,16 @@ CHECKS: dict[str, CheckDef] = {
         doubled_only=True),
     "P6.3": CheckDef(
         "descent-plateaux map to z-without-x vertices, ascent-plateaux to x-with-z vertices (doubled multisets)",
-        partial(_word_check, "P6.3"), doubled_only=True),
+        partial(_word_check, "P6.3"), doubled_only=True, reads=("P6.3",)),
     "SYM-XY": CheckDef(
         "the (asc, des, plat) polynomial is symmetric in x and y",
-        _symmetry(("x", "y"))),
+        _symmetry(("x", "y")), reads=_POLYNOMIAL),
     "SYM-XYZ": CheckDef(
         "for doubled multisets the polynomial is symmetric in x, y and z",
-        _symmetry(("x", "y", "z")), doubled_only=True),
+        _symmetry(("x", "y", "z")), doubled_only=True, reads=_POLYNOMIAL),
     "ORBIT": CheckDef(
         "orbits have one canonical member, size 2^ux, and monomial sum (xy)^y (x+y)^ux z^z",
-        _check_orbit),
+        _check_orbit, reads=("ORBIT",)),
 }
 
 
@@ -669,7 +726,8 @@ def _run_cell(check_id: str, m: Multiset) -> tuple[CheckOutcome, float]:
     failure.
 
     The time includes any shared-context data this check is first to need,
-    and for the first per-word check of a task the pass over the words.
+    and for the first check of a task that reads the pass over the words,
+    the whole pass.
     """
     cd = CHECKS[check_id]
     spec = m.spec()

@@ -141,6 +141,21 @@ class TestRunCampaign:
         assert [o.status for o in outcomes] == ["FAIL", "FAIL"]
         assert all("serialize -> parse" in o.detail for o in outcomes)
 
+    def test_roundtrip_fails_when_a_word_is_listed_twice(self, monkeypatch):
+        original = harness.enumerate_stirling
+
+        def twice(m):
+            for s in original(m):
+                yield s
+                yield s
+
+        monkeypatch.setattr(harness, "enumerate_stirling", twice)
+        report = run_campaign(["ROUNDTRIP"], [Multiset((2, 2)), Multiset((1, 2))])
+        outcomes = report.reports[0].outcomes
+        assert [o.detail for o in outcomes] == ["correspondence is not injective"] * 2
+        assert [(o.counterexample["lhs"], o.counterexample["rhs"]) for o in outcomes] == [
+            (6, 3), (4, 2)]
+
     def test_all_has_sixteen_checks(self):
         report = verify("all", SMALL)
         assert len(report.reports) == 16
@@ -397,9 +412,10 @@ class TestSharedContext:
             return original(m)
 
         monkeypatch.setattr(harness, "enumerate_stirling", counting)
-        report = run_campaign(PER_WORD_CHECKS, MIXED)
-        assert report.passed
-        assert sorted(calls) == sorted(m.spec() for m in MIXED)
+        for check_ids in (PER_WORD_CHECKS, sorted(CHECKS)):
+            calls.clear()
+            assert run_campaign(check_ids, MIXED).passed
+            assert sorted(calls) == sorted(m.spec() for m in MIXED)
 
     def test_checks_of_a_multiset_share_one_context(self):
         seen = []
@@ -419,6 +435,34 @@ class TestSharedContext:
         assert [spec for spec, _ in seen] == [m.spec() for m in by_size for _ in "AB"]
         assert all(seen[i][1] == seen[i + 1][1] for i in range(0, len(seen), 2))
         assert harness._current is None
+
+    @pytest.mark.parametrize("check_id, built", [
+        ("T4.1", False), ("SYM-XY", False), ("T6.2", False), ("T4.3", True), ("ORBIT", True),
+    ])
+    def test_a_pass_builds_slot_tables_only_for_a_check_that_reads_them(
+            self, monkeypatch, check_id, built):
+        tables = []
+        original = harness.table_of_word
+
+        def counting(word, mults):
+            tables.append(word)
+            return original(word, mults)
+
+        monkeypatch.setattr(harness, "table_of_word", counting)
+        assert run_campaign([check_id], MIXED).passed
+        assert bool(tables) == built
+
+    def test_a_campaign_holds_no_list_per_word(self):
+        # 5 040 words.  Holding each word's permutation, slot table and
+        # triple for the whole task took a 4.4 MiB peak.
+        tracemalloc.start()
+        try:
+            report = run_campaign(sorted(CHECKS), [Multiset.uniform(7, 1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 2.2 * 2**20
 
     def test_context_is_released_after_a_campaign(self):
         run_campaign(PER_WORD_CHECKS, MIXED)
@@ -460,8 +504,8 @@ class TestSharedContext:
         m = Multiset((2, 2))
         ctx = harness._context(m)
         assert harness._current is None
-        assert len(ctx.perms) == len(ctx.tables) == len(ctx.triples) == 3
         assert ctx.c_polynomial.terms == {(1, 2, 2): 1, (2, 1, 2): 1, (2, 2, 1): 1}
+        assert sum(ctx.triples.values()) == 3
         assert harness._context(Multiset(())).c_polynomial.terms == {(1, 0, 0): 1}
 
 

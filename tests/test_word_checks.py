@@ -25,7 +25,12 @@ from gesselgamma.action import (
     table_orbit,
 )
 from gesselgamma.harness import CHECKS, CheckOutcome, run_campaign
-from gesselgamma.stirling import StatProfile, first_last_positions, statistics
+from gesselgamma.stirling import (
+    StatProfile,
+    StirlingPermutation,
+    first_last_positions,
+    statistics,
+)
 from gesselgamma.trees import (
     GesselTree,
     LeafCensus,
@@ -395,11 +400,22 @@ def held_objects(obj):
             stack.extend(vars(x).values())
 
 
-def test_the_pass_leaves_no_profile_or_census_on_the_context():
+def test_the_pass_leaves_no_profile_or_census_on_the_context(monkeypatch):
+    # After every check of a campaign task has run, as _run_multiset runs
+    # them: no record or what it built, no slot table (a tuple of rows), and
+    # no list of words or triples (a list of tuples).
     m = Multiset.uniform(3, 2)
-    ctx = harness.MultisetContext(m, tuple(IDS))
-    for cid in WORD_IDS:
-        assert ctx.word_failures(cid) == []
-    kept = [type(x).__name__ for x in held_objects(ctx)
-            if isinstance(x, (StatProfile, LeafCensus, BalanceReport, harness.WordRecord))]
+    ctx = harness.MultisetContext(m, tuple(sorted(CHECKS)))
+    monkeypatch.setattr(harness, "_current", ctx)
+    statuses = {harness._run_cell(cid, m)[0].status for cid in sorted(CHECKS)}
+    assert statuses == {"PASS"}
+    held = list(held_objects(ctx))
+    kept = [type(x).__name__ for x in held
+            if isinstance(x, (StatProfile, LeafCensus, BalanceReport, harness.WordRecord,
+                              StirlingPermutation))]
     assert kept == []
+    tables = [x for x in held if isinstance(x, tuple) and x
+              and all(isinstance(row, tuple) for row in x)]
+    assert tables == []
+    lists = [x for x in held if isinstance(x, list) and any(isinstance(e, tuple) for e in x)]
+    assert lists == []
