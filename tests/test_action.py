@@ -305,10 +305,11 @@ class TestLabels:
         (((1,), (3, 0), (0, 0)),
          "vertex label 3 outside 1..2; vertex 2 is not reached from the root"),
     ], ids=["duplicate", "gap"])
-    def test_labels_other_than_one_to_n_are_refused(self, table, message):
-        # The table is refused when the tree is built, before any kernel can run.
+    @pytest.mark.parametrize("kernel", [leaf_census, prune, canonical_representative])
+    def test_labels_other_than_one_to_n_are_refused(self, kernel, table, message):
+        # The table is refused when the tree is built, before the kernel runs.
         with pytest.raises(TreeValidationError) as info:
-            GesselTree(table, Multiset((1, 1)))
+            kernel(GesselTree(table, Multiset((1, 1))))
         assert str(info.value) == "invalid tree: " + message
 
     @pytest.mark.parametrize("table, mults, message", [
