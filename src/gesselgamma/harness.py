@@ -2,18 +2,20 @@
 
 Each check exhaustively tests one identity on one multiset at a time and
 reports a counterexample payload on failure (the multiset, the offending
-permutation or tree, and both sides of the failed equality).  A campaign
-runs multiset by multiset, each in a shared context that every check
-reads and that is dropped before the next multiset.  One pass over the
-multiset's words hands each word and the slot table of its tree to every
-layer a check reads: the tally that is the enumerated polynomial, the
-per-word checks, ROUNDTRIP, which writes each table out and parses it
-back, T4.3's weights and ORBIT's grouping.  The pass drops each word's
-table after it; only what the layers sum up is kept.  The independent
-routes the checks compare against still compute on their own.  Campaigns
-can hand whole multisets to a process pool.  Every campaign and every
-command that lists words asks ``admit_enumeration`` first, which refuses
-a family past a fixed cap on its words or on their letters.
+permutation or tree, and both sides of the failed equality).  A check runs
+only inside a campaign task, one multiset and its checks, which share a
+context dropped before the next task; one check on one multiset is
+``verify(id, [m])``.  The context fixes its layers from the reads of the
+task's checks and makes one pass over the multiset's words, which hands
+each word and the slot table of its tree to every layer: the tally that
+is the enumerated polynomial, the per-word checks, ROUNDTRIP, which
+writes each table out and parses it back, T4.3's weights and ORBIT's
+grouping.  The pass drops each word's table after it; only what the
+layers sum up is kept.  The independent routes the checks compare
+against still compute on their own.  Campaigns can hand whole multisets
+to a process pool.  Every campaign and every command that lists words
+asks ``admit_enumeration`` first, which refuses a family past a fixed
+cap on its words or on their letters.
 """
 
 from __future__ import annotations
@@ -175,15 +177,16 @@ def _fail(m: Multiset, detail: str, **extra) -> Failure:
 
 
 class MultisetContext:
-    """What the checks of one multiset share.
+    """What the checks of one campaign task, one multiset, share.
 
-    One pass over ``enumerate_stirling(m)``, in lexicographic order, feeds
-    each word's ``WordRecord`` to the layers (``_LAYERS``) that the checks
-    of ``check_ids`` read (``CheckDef.reads``) and drops the records, so no
-    list of words, slot tables or triples is kept.  A layer read later that
-    no pass has fed gets a pass of its own.  The context holds each layer's
-    outcome (its first failure, what it raised, or None) and their sums:
-    ``triples``, the number of words by ``(asc, des, plat)``, which
+    Its layers (``_LAYERS``) are fixed when it is built: those that the
+    checks of ``check_ids`` that apply to m read (``CheckDef.reads``); any
+    other layer raises KeyError.  The first read runs the one pass over
+    ``enumerate_stirling(m)``, in lexicographic order, which feeds each
+    word's ``WordRecord`` to every layer and drops the records, so no list
+    of words, slot tables or triples is kept.  The context holds each
+    layer's outcome (its first failure, what it raised, or None) and their
+    sums: ``triples``, the number of words by ``(asc, des, plat)``, which
     ``c_polynomial`` is (``x`` for the empty multiset, like
     ``c_polynomial_enum``); ROUNDTRIP's counts of ``words`` and of
     ``distinct`` words; T4.3's ``weights``, the canonical tables by
@@ -194,11 +197,12 @@ class MultisetContext:
     route, computed once, and for ``extract`` it is ``gamma``.
     """
 
-    def __init__(self, m: Multiset, check_ids: tuple[str, ...] = ()):
+    def __init__(self, m: Multiset, check_ids: Iterable[str]):
         self.multiset = m
-        self.check_ids = check_ids
+        reads = set().union(*(CHECKS[c].reads for c in check_ids if CHECKS[c].applies_to(m)))
+        self._layers = {name: feed for name, feed in _LAYERS.items() if name in reads}
         self._routes: dict[str, GammaTable] = {}
-        self._outcomes: dict[str, Failure | Exception | None] = {}
+        self._outcomes: dict[str, Failure | Exception | None] | None = None
         self.triples: Counter[tuple[int, int, int]] = Counter()
         self.words = self.distinct = 0
         self.weights: Counter[tuple[int, int, int]] = Counter()
@@ -224,8 +228,8 @@ class MultisetContext:
 
     def outcome(self, layer: str) -> Failure | None:
         """A layer's first failure, or None; what the layer raised is re-raised."""
-        if layer not in self._outcomes:
-            self._pass(layer)
+        if self._outcomes is None:
+            self._outcomes = self._pass()
         outcome = self._outcomes[layer]
         if isinstance(outcome, Exception):
             raise outcome
@@ -235,12 +239,10 @@ class MultisetContext:
         """ORBIT's classes, which the context then drops: nothing else reads them."""
         self.outcome("ORBIT")
         classes, self.classes = self.classes, {}
-        del self._outcomes["ORBIT"]
         return classes
 
-    def _pass(self, asked: str) -> None:
-        """One pass over the words that feeds ``asked`` and every layer not
-        fed yet that a check of this context reads.
+    def _pass(self) -> dict[str, Failure | Exception | None]:
+        """The outcome of each layer of this context, from one pass over the words.
 
         The words come in blocks of ``PASS_BLOCK``, and each layer reads a
         whole block before the next layer does: word by word, the same
@@ -249,11 +251,8 @@ class MultisetContext:
         pass has raised it.
         """
         m = self.multiset
-        wanted = {asked}.union(*(CHECKS[c].reads for c in self.check_ids
-                                 if CHECKS[c].applies_to(m)))
-        layers = [(name, feed) for name, feed in _LAYERS.items()
-                  if name in wanted and name not in self._outcomes]
-        outcomes: dict[str, Failure | Exception | None] = {name: None for name, _ in layers}
+        layers = list(self._layers.items())
+        outcomes: dict[str, Failure | Exception | None] = dict.fromkeys(self._layers)
         try:
             words = enumerate_stirling(m)
             previous = None
@@ -276,7 +275,7 @@ class MultisetContext:
                 layers = [(name, feed) for name, feed in layers if outcomes[name] is None]
         except Exception as exc:
             outcomes = dict.fromkeys(outcomes, exc)
-        self._outcomes.update(outcomes)
+        return outcomes
 
 
 class WordRecord:
@@ -334,11 +333,10 @@ _current: MultisetContext | None = None
 
 
 def _context(m: Multiset) -> MultisetContext:
-    """The shared context of m: the campaign's one if it is checking m, else
-    a fresh one that lives only as long as its caller keeps it."""
-    if _current is not None and _current.multiset == m:
-        return _current
-    return MultisetContext(m)
+    """The context of the campaign task checking m; a check runs only in one."""
+    if _current is None or _current.multiset != m:
+        raise RuntimeError(f"no campaign task is checking {m.spec()}; call verify")
+    return _current
 
 
 def _mismatch(m: Multiset, what: str, lhs: Poly3 | GammaTable,
@@ -585,7 +583,7 @@ class CheckDef:
     description: str
     run: Callable[[Multiset], list[Failure]]
     doubled_only: bool = False
-    reads: tuple[str, ...] = ()  # the layers of the pass over the words it reads
+    reads: tuple[str, ...] = ()  # the only layers of the pass over the words it may read
 
     def applies_to(self, m: Multiset) -> bool:
         return not self.doubled_only or m.is_uniform(2)
@@ -722,8 +720,8 @@ class CampaignReport:
 
 
 def _run_cell(check_id: str, m: Multiset) -> tuple[CheckOutcome, float]:
-    """One (check, multiset) cell and its milliseconds; a crash counts as a
-    failure.
+    """One (check, multiset) cell of the running task and its milliseconds; a
+    crash, such as the KeyError of a layer not in ``CheckDef.reads``, fails it.
 
     The time includes any shared-context data this check is first to need,
     and for the first check of a task that reads the pass over the words,
@@ -781,14 +779,16 @@ def run_campaign(
     built once per multiset; with ``jobs > 1`` whole tasks go to a process
     pool, largest first by the word counts ``admit_enumeration`` hands on.
     The report lists outcomes check by check, in the order of ``check_ids``
-    and then of ``members``.  An unknown check id, a ``jobs`` below 1 and a
-    family with no member or with the empty multiset are refused with
-    DomainError.
+    and then of ``members``.  An unknown or repeated check id, a ``jobs``
+    below 1 and a family with no member or with the empty multiset are
+    refused with DomainError.
     """
-    for cid in check_ids:
+    for k, cid in enumerate(check_ids):
         if cid not in CHECKS:
             raise DomainError(
                 f"unknown check id {cid!r}; known ids: {', '.join(sorted(CHECKS))}")
+        if cid in check_ids[:k]:
+            raise DomainError(f"check id {cid!r} is asked for more than once")
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     admitted = admit_enumeration(members)

@@ -203,6 +203,11 @@ class TestRunCampaign:
             run_campaign(["NOPE"], SMALL)
         assert "ROUNDTRIP" in str(exc.value)
 
+    def test_a_repeated_check_id_is_refused(self):
+        # A second ORBIT would find its classes already handed off.
+        with pytest.raises(DomainError, match="^check id 'ORBIT' is asked for more than once$"):
+            run_campaign(["ORBIT", "P2.1", "ORBIT"], [Multiset((2, 2, 2))])
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_refused(self, jobs):
         with pytest.raises(DomainError, match=f"^jobs must be at least 1, got {jobs}$"):
@@ -367,6 +372,19 @@ MIXED = [Multiset((1,)), Multiset((2, 2)), Multiset((1, 1, 1, 1)), Multiset((2, 
          Multiset((2, 2, 2)), Multiset((3, 1))]
 
 
+def enumerations(monkeypatch) -> list[str]:
+    """The multisets ``harness.enumerate_stirling`` is called on from now on."""
+    calls = []
+    original = harness.enumerate_stirling
+
+    def counting(m):
+        calls.append(m.spec())
+        return original(m)
+
+    monkeypatch.setattr(harness, "enumerate_stirling", counting)
+    return calls
+
+
 def _canonical_digest(data) -> str:
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -404,18 +422,44 @@ class TestCampaignOutput:
 
 class TestSharedContext:
     def test_each_multiset_is_enumerated_once(self, monkeypatch):
-        calls = []
-        original = harness.enumerate_stirling
-
-        def counting(m):
-            calls.append(m.spec())
-            return original(m)
-
-        monkeypatch.setattr(harness, "enumerate_stirling", counting)
+        calls = enumerations(monkeypatch)
         for check_ids in (PER_WORD_CHECKS, sorted(CHECKS)):
             calls.clear()
             assert run_campaign(check_ids, MIXED).passed
             assert sorted(calls) == sorted(m.spec() for m in MIXED)
+
+    @pytest.mark.parametrize("check_id", sorted(CHECKS))
+    def test_a_check_enumerates_each_member_at_most_once(self, monkeypatch, check_id):
+        calls = enumerations(monkeypatch)
+        members = [Multiset((2, 2, 2)), Multiset((2, 1, 2))]
+        assert run_campaign([check_id], members).passed
+        # T6.2 reads no layer, and a skipped check reads none on 2,1,2.
+        cd = CHECKS[check_id]
+        assert sorted(calls) == sorted(m.spec() for m in members
+                                       if cd.reads and cd.applies_to(m))
+
+    def test_a_check_outside_a_campaign_task_is_refused(self, monkeypatch):
+        calls = enumerations(monkeypatch)
+        with pytest.raises(RuntimeError, match="no campaign task is checking 2,2,2"):
+            CHECKS["T4.3"].run(Multiset((2, 2, 2)))
+        assert calls == []
+
+    def test_every_declared_read_is_a_layer(self):
+        assert {r for cd in CHECKS.values() for r in cd.reads} <= set(harness._LAYERS)
+
+    def test_reading_an_undeclared_layer_fails_the_cell(self, monkeypatch):
+        calls = enumerations(monkeypatch)
+        CHECKS["X-UNDECLARED"] = CheckDef(
+            "reads T4.3's layer without declaring it",
+            lambda m: harness._word_check("T4.3", m), reads=())
+        try:
+            report = run_campaign(["P2.1", "X-UNDECLARED"], [Multiset((2, 2, 2))])
+        finally:
+            del CHECKS["X-UNDECLARED"]
+        assert report.reports[0].passed
+        (outcome,) = report.reports[1].outcomes
+        assert (outcome.status, outcome.detail) == ("FAIL", "exception: KeyError('T4.3')")
+        assert calls == ["2,2,2"]
 
     def test_checks_of_a_multiset_share_one_context(self):
         seen = []
@@ -495,18 +539,19 @@ class TestSharedContext:
         assert calls == ["2,2,2"]
 
     def test_extract_route_is_the_context_gamma(self):
-        ctx = harness._context(Multiset((2, 1, 2)))
+        ctx = harness.MultisetContext(Multiset((2, 1, 2)), sorted(CHECKS))
         assert ctx.route("extract") is ctx.gamma
         assert ctx.route("trees") is ctx.route("trees")
         assert ctx.route("trees") == ctx.gamma
 
     def test_context_outside_a_campaign_is_not_kept(self):
         m = Multiset((2, 2))
-        ctx = harness._context(m)
+        ctx = harness.MultisetContext(m, sorted(CHECKS))
         assert harness._current is None
         assert ctx.c_polynomial.terms == {(1, 2, 2): 1, (2, 1, 2): 1, (2, 2, 1): 1}
         assert sum(ctx.triples.values()) == 3
-        assert harness._context(Multiset(())).c_polynomial.terms == {(1, 0, 0): 1}
+        empty = harness.MultisetContext(Multiset(()), sorted(CHECKS))
+        assert empty.c_polynomial.terms == {(1, 0, 0): 1}
 
 
 class TestGolden:
