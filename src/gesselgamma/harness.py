@@ -9,13 +9,14 @@ context dropped before the next task; one check on one multiset is
 task's checks and makes one pass over the multiset's words, which hands
 each word and the slot table of its tree to every layer: the tally that
 is the enumerated polynomial, the per-word checks, ROUNDTRIP, which
-writes each table out and parses it back, T4.3's weights and ORBIT's
-grouping.  The pass drops each word's table after it; only what the
-layers sum up is kept.  The independent routes the checks compare
-against still compute on their own.  Campaigns can hand whole multisets
-to a process pool.  Every campaign and every command that lists words
-asks ``admit_enumeration`` first, which refuses a family past a fixed
-cap on its words or on their letters.
+writes each table out and parses it back, and T4.3's weights.  The pass
+drops each word's table after it; only what the layers sum up is kept.
+ORBIT reads no word: it takes the canonical tables from ``placements``
+and checks their orbits one at a time.  The independent routes the
+checks compare against still compute on their own.  Campaigns can hand
+whole multisets to a process pool.  Every campaign and every command
+that lists words asks ``admit_enumeration`` first, which refuses a
+family past a fixed cap on its words or on their letters.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from typing import Callable, Iterable, Iterator
 from .action import (
     balance_report,
     canonical_representative,
-    canonical_table,
     is_canonical,
     is_canonical_table,
     is_canonical_ternary,
+    placements,
     prune,
     table_orbit,
 )
@@ -189,10 +190,8 @@ class MultisetContext:
     sums: ``triples``, the number of words by ``(asc, des, plat)``, which
     ``c_polynomial`` is (``x`` for the empty multiset, like
     ``c_polynomial_enum``); ROUNDTRIP's counts of ``words`` and of
-    ``distinct`` words; T4.3's ``weights``, the canonical tables by
-    ``(u, v, z)``; and ORBIT's ``classes``, the member words of each
-    canonical table in word order, until ORBIT takes them
-    (``orbit_classes``).  ``gamma`` is the table extracted from
+    ``distinct`` words; and T4.3's ``weights``, the canonical tables by
+    ``(u, v, z)``.  ``gamma`` is the table extracted from
     ``c_polynomial``; ``route(name)`` is the table by a ``GAMMA_ROUTES``
     route, computed once, and for ``extract`` it is ``gamma``.
     """
@@ -206,7 +205,6 @@ class MultisetContext:
         self.triples: Counter[tuple[int, int, int]] = Counter()
         self.words = self.distinct = 0
         self.weights: Counter[tuple[int, int, int]] = Counter()
-        self.classes: dict[Table, list[tuple[int, ...]]] = {}
 
     @cached_property
     def c_polynomial(self) -> Poly3:
@@ -234,12 +232,6 @@ class MultisetContext:
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
-
-    def orbit_classes(self) -> dict[Table, list[tuple[int, ...]]]:
-        """ORBIT's classes, which the context then drops: nothing else reads them."""
-        self.outcome("ORBIT")
-        classes, self.classes = self.classes, {}
-        return classes
 
     def _pass(self) -> dict[str, Failure | Exception | None]:
         """The outcome of each layer of this context, from one pass over the words.
@@ -327,8 +319,8 @@ class WordRecord:
 
 
 # The context of the multiset a campaign task is checking, if any.  It is
-# set and emptied by _run_multiset, so at most one multiset's outcomes and
-# ORBIT classes are held at a time.
+# set and emptied by _run_multiset, so at most one multiset's outcomes are
+# held at a time.
 _current: MultisetContext | None = None
 
 
@@ -514,16 +506,12 @@ def _tally_triple(m: Multiset, w: WordRecord) -> None:
     w.ctx.triples[w.triple] += 1
 
 
-def _group_by_class(m: Multiset, w: WordRecord) -> None:
-    w.ctx.classes.setdefault(canonical_table(w.table), []).append(w.s.word)
-
-
 # The layers of the pass over the words, in the order each word meets them.
 _LAYERS: dict[str, Callable[[Multiset, WordRecord], Failure | None]] = {
     "polynomial": _tally_triple,
     "P2.1": _check_p21, "JKP-ZJ": _check_jkp, "P2.2": _check_p22,
     "P5.1": _check_p51, "P6.3": _check_p63,
-    "ROUNDTRIP": _roundtrip_word, "T4.3": _weigh_canonical, "ORBIT": _group_by_class,
+    "ROUNDTRIP": _roundtrip_word, "T4.3": _weigh_canonical,
 }
 
 
@@ -533,32 +521,34 @@ def _word_check(check_id: str, m: Multiset) -> list[Failure]:
 
 
 def _check_orbit(m: Multiset) -> list[Failure]:
-    # Each class's member tables are rebuilt from its words, in word order:
-    # the context keeps the words, which take a fraction of the tables' memory.
-    # A failing class is named by its representative's text, and the one
-    # whose text sorts first is reported; a passing class is never written.
-    mults = m.mults
-    failures = []
-    for canon, words in _context(m).orbit_classes().items():
-        members = [table_of_word(word, mults) for word in words]
-        failure = _orbit_class_failure(m, canon, members, list(map(asc_des_plat, words)))
+    # Class by class, from each canonical table, enumerating no word.  One
+    # canonical member per orbit makes the orbits disjoint, and their sizes
+    # summing to |Q_m| makes them a partition of Q_m.  A failing class is
+    # named by its representative's text, and the one whose text sorts first
+    # is reported; a passing class is never written.
+    first, size = None, 0
+    for table in placements(m, -1):
+        canon = tuple(map(tuple, table))
+        members = table_orbit(canon)
+        size += len(members)
+        failure = _orbit_class_failure(m, canon, members)
         if failure:
             failure["tree"] = render_table(canon)
-            failures.append(failure)
-    return [min(failures, key=lambda f: f["tree"])] if failures else []
+            if first is None or failure["tree"] < first["tree"]:
+                first = failure
+    if first:
+        return [first]
+    count = count_stirling(m)
+    if size != count:
+        return [_fail(m, "orbit sizes do not sum to the number of words", lhs=size, rhs=count)]
+    return []
 
 
-def _orbit_class_failure(m: Multiset, canon: Table, members: list[Table],
-                         triples: list[tuple[int, int, int]]) -> Failure | None:
+def _orbit_class_failure(m: Multiset, canon: Table, members: frozenset[Table]) -> Failure | None:
     """The first failure of one class, its ``tree`` still to be named, or None."""
-    if not is_canonical_table(canon):
-        return _fail(m, "orbit representative is not canonical", tree=None)
     canonical_members = sum(map(is_canonical_table, members))
     if canonical_members != 1:
         return _fail(m, f"orbit has {canonical_members} canonical members, expected 1",
-                     tree=None)
-    if table_orbit(members[0]) != frozenset(members):
-        return _fail(m, "orbit closure differs from the canonical-representative class",
                      tree=None)
     census = table_census(canon)
     ux = sum(has_x and not has_y for has_x, has_y, _ in census.per_vertex.values())
@@ -569,9 +559,7 @@ def _orbit_class_failure(m: Multiset, canon: Table, members: list[Table],
         return _fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
                      tree=None, lhs=ux, rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)
     expected = substitute_uv(Poly3.monomial((census.yleaf, ux, census.zleaf), 1, UVZ))
-    # Each member is the tree of the word it was built from, so the word's
-    # triple is the member's monomial.
-    actual = Poly3(XYZ, Counter(triples))
+    actual = Poly3(XYZ, Counter(asc_des_plat(word_of_table(u)) for u in members))
     if actual != expected:
         return _fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
                      tree=None, lhs=actual.to_json_dict(), rhs=expected.to_json_dict())
@@ -647,7 +635,7 @@ CHECKS: dict[str, CheckDef] = {
         _symmetry(("x", "y", "z")), doubled_only=True, reads=_POLYNOMIAL),
     "ORBIT": CheckDef(
         "orbits have one canonical member, size 2^ux, and monomial sum (xy)^y (x+y)^ux z^z",
-        _check_orbit, reads=("ORBIT",)),
+        _check_orbit),
 }
 
 

@@ -33,6 +33,9 @@ class StirlingPermutation:
     @classmethod
     def from_word(cls, word, multiset: Multiset | None = None) -> StirlingPermutation:
         word = tuple(word)
+        for v in word:
+            if type(v) is not int:  # refuses bools, which would pass as 1 and 0
+                raise DomainError(f"word values must be integers, got {v!r}")
         if multiset is None:
             multiset = _infer_multiset(word)
         if not is_stirling(word, multiset):
@@ -54,7 +57,7 @@ def _infer_multiset(word: tuple[int, ...]) -> Multiset:
     if not word:
         return Multiset(())
     for v in word:
-        if not isinstance(v, int) or v < 1:
+        if v < 1:
             raise DomainError(f"word values must be positive integers, got {v!r}")
     n = max(word)
     if n > len(word):
@@ -166,9 +169,56 @@ def stirling_words(multiset: Multiset) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:
-    """All Stirling permutations of the multiset, in lexicographic order."""
-    for w in sorted(stirling_words(multiset)):
-        yield StirlingPermutation(w, multiset)
+    """All Stirling permutations of the multiset, in lexicographic order,
+    each the successor of the one before: one word and O(n) counts are held.
+
+    The values started but not finished form a stack increasing to its
+    top (one opened after v closes before v's next copy), so the next
+    letter is the top again or an unused value above it, and the least
+    completion of a prefix finishes the stack from the top down, then
+    writes each unused value as a whole block, in increasing order.  The
+    successor backs up from the right, a run of equal letters at a time,
+    to the last run with a value above its letter unused before it, puts
+    the least such value at the run's last position and completes.
+    """
+    k = (0, *multiset.mults)
+    word = [v for v in range(1, len(k)) for _ in range(k[v])]
+    left = [0] * len(k)  # the copies of each value in the part backed up over
+    while True:
+        yield StirlingPermutation(tuple(word), multiset)
+        unused = 0  # the largest value with all its copies backed up over
+        seen = []  # the values backed up over
+        end = len(word)
+        while end:
+            a = word[end - 1]
+            start = end - 1
+            while start and word[start - 1] == a:
+                start -= 1
+            if not left[a]:
+                seen.append(a)
+            left[a] += end - start
+            if left[a] == k[a] and a > unused:
+                unused = a
+            if unused > a:
+                break
+            end = start
+        else:
+            return
+        left[a] -= end - 1 - start  # the run's other copies stay before the choice
+        u = a + 1
+        while left[u] != k[u]:
+            u += 1
+        seen.sort()
+        tail = [u] * k[u]  # u opens on top of the stack and is finished first
+        left[u] = 0
+        for v in reversed(seen):  # then the rest of the stack, from the top down
+            if left[v] != k[v]:
+                tail += [v] * left[v]
+                left[v] = 0
+        for v in seen:  # then each unused value as a whole block
+            tail += [v] * left[v]
+            left[v] = 0
+        word[end - 1:] = tail
 
 
 @dataclass(frozen=True)

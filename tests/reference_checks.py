@@ -2,18 +2,20 @@
 on object trees.
 
 These are the earlier bodies of ``harness._check_p21``, ``_check_jkp``,
-``_check_p22``, ``_check_p51``, ``_check_p63``, ``_check_orbit`` and
-``_check_t43``: each per-word check walks every word on its own and
-rebuilds the statistics, leaf census and balance report it reads, ORBIT
-groups the trees by serialized text, parses each class's text back and
-compares orbits as sets of trees, and T4.3 prunes every canonical tree.
-The harness's one pass over the words and its ORBIT and T4.3, which read
-slot tables, must report the same outcomes, first failure included.
+``_check_p22``, ``_check_p51``, ``_check_p63`` and ``_check_t43``: each
+per-word check walks every word on its own and rebuilds the statistics,
+leaf census and balance report it reads, and T4.3 prunes every canonical
+tree.  ORBIT goes class by class, as the harness does, but takes its
+canonical trees from the trees of the words, builds each orbit by object
+flips and reads each member's word back off it.  The harness's one pass
+over the words and its ORBIT from ``placements`` and T4.3, which read slot
+tables, must report the same outcomes, first failure included.
 
-Their flips (``canonical_representative``, ``is_canonical`` and
-``orbit``) are the object-tree bodies in ``reference_kernels``, run on
-the reference's own trees of the words, so they share no flip code with
-the harness's slot-table kernels.  For everything else they call the
+Their words are the reference's list-and-sort enumeration, and their
+flips (``is_canonical`` and ``orbit``) are the object-tree bodies in
+``reference_kernels``, run on the reference's own trees of the words, so
+they share no enumeration or flip code with the harness's successor and
+slot-table kernels.  For everything else they call the
 package's kernels on the package's trees, as the harness does, so a test
 can corrupt a census, profile or occurrence kernel under both: P2.2 and
 P5.1 read the first and last positions of each value from
@@ -25,7 +27,7 @@ reference for.
 from __future__ import annotations
 
 import reference_kernels
-from reference_kernels import canonical_representative, is_canonical, orbit
+from reference_kernels import is_canonical, orbit
 
 from gesselgamma.action import (
     BalanceStatus,
@@ -38,14 +40,12 @@ from gesselgamma.multiset import Multiset
 from gesselgamma.poly import UVZ, XYZ, Poly3, gamma_extract, gamma_table_to_uvz
 from gesselgamma.stirling import (
     asc_des_plat,
-    enumerate_stirling,
     first_last_positions,
     statistics,
 )
 from gesselgamma.trees import (
     gessel_forward,
     leaf_census,
-    parse_tree,
     serialize,
 )
 
@@ -58,7 +58,7 @@ class Context:
 
     def __init__(self, m: Multiset):
         self.multiset = m
-        self.perms = list(enumerate_stirling(m))
+        self.perms = list(reference_kernels.enumerate_stirling(m))
         self.trees = [gessel_forward(s) for s in self.perms]
         self.ref_trees = [reference_kernels.gessel_forward(s) for s in self.perms]
         self.triples = [asc_des_plat(s.word) for s in self.perms]
@@ -159,43 +159,50 @@ def check_p63(m: Multiset, ctx: Context) -> list[Failure]:
 
 
 def check_orbit(m: Multiset, ctx: Context) -> list[Failure]:
-    trees = ctx.ref_trees
-    groups: dict[str, list[int]] = {}
-    for k, t in enumerate(trees):
-        text = serialize(reference_kernels.gessel_tree(canonical_representative(t)))
-        groups.setdefault(text, []).append(k)
+    failures = []
+    size = 0
+    for t in ctx.ref_trees:
+        if is_canonical(t):
+            members = orbit(t)
+            size += len(members)
+            failure = _orbit_class_failure(m, t, members)
+            if failure:
+                failures.append(failure)
+    if failures:
+        return [min(failures, key=lambda f: f["tree"])]
+    if size != len(ctx.perms):
+        return [_fail(m, "orbit sizes do not sum to the number of words",
+                      lhs=size, rhs=len(ctx.perms))]
+    return []
+
+
+def _orbit_class_failure(m: Multiset, t, members) -> Failure | None:
+    canon = reference_kernels.gessel_tree(t)
+    canon_text = serialize(canon)
+    canonical_members = [u for u in members if is_canonical(u)]
+    if len(canonical_members) != 1:
+        return _fail(m, f"orbit has {len(canonical_members)} canonical members, expected 1",
+                     tree=canon_text)
+    report = balance_report(canon)
+    if len(members) != 2 ** report.uxleaf:
+        return _fail(m, "orbit size is not 2^(unbalanced-x vertices)",
+                     tree=canon_text, lhs=len(members), rhs=2 ** report.uxleaf)
+    census = leaf_census(canon)
+    if report.uxleaf != m.K + 1 - census.zleaf - 2 * census.yleaf:
+        return _fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
+                     tree=canon_text, lhs=report.uxleaf,
+                     rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)
     x = Poly3.variable("x", XYZ)
     y = Poly3.variable("y", XYZ)
-    for canon_text in sorted(groups):
-        indices = groups[canon_text]
-        members = [trees[k] for k in indices]
-        canon = parse_tree(canon_text)
-        if not is_canonical(canonical_representative(members[0])):
-            return [_fail(m, "orbit representative is not canonical", tree=canon_text)]
-        canonical_members = [t for t in members if is_canonical(t)]
-        if len(canonical_members) != 1:
-            return [_fail(m, f"orbit has {len(canonical_members)} canonical members, expected 1",
-                          tree=canon_text)]
-        if orbit(members[0]) != frozenset(members):
-            return [_fail(m, "orbit closure differs from the canonical-representative class",
-                          tree=canon_text)]
-        report = balance_report(canon)
-        if len(members) != 2 ** report.uxleaf:
-            return [_fail(m, "orbit size is not 2^(unbalanced-x vertices)",
-                          tree=canon_text, lhs=len(members), rhs=2 ** report.uxleaf)]
-        census = leaf_census(canon)
-        if report.uxleaf != m.K + 1 - census.zleaf - 2 * census.yleaf:
-            return [_fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
-                          tree=canon_text, lhs=report.uxleaf,
-                          rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)]
-        expected = ((x * y) ** census.yleaf) * ((x + y) ** report.uxleaf) \
-            * Poly3.monomial((0, 0, census.zleaf), 1, XYZ)
-        actual = triple_polynomial(ctx.triples[k] for k in indices)
-        if actual != expected:
-            return [_fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
-                          tree=canon_text, lhs=actual.to_json_dict(),
-                          rhs=expected.to_json_dict())]
-    return []
+    expected = ((x * y) ** census.yleaf) * ((x + y) ** report.uxleaf) \
+        * Poly3.monomial((0, 0, census.zleaf), 1, XYZ)
+    actual = triple_polynomial(asc_des_plat(reference_kernels.gessel_inverse(u).word)
+                               for u in members)
+    if actual != expected:
+        return _fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
+                     tree=canon_text, lhs=actual.to_json_dict(),
+                     rhs=expected.to_json_dict())
+    return None
 
 
 def check_t43(m: Multiset, ctx: Context) -> list[Failure]:

@@ -200,6 +200,15 @@ def test_from_word_validates():
         StirlingPermutation.from_word((1, 1), Multiset((2, 1)))
 
 
+@pytest.mark.parametrize("multiset", [None, Multiset((2,))], ids=["inferred", "given"])
+def test_from_word_refuses_bool_letters(multiset):
+    # True == 1, so without a type test (True, True) passed as a word over {1^2}
+    with pytest.raises(DomainError, match="^word values must be integers, got True$"):
+        StirlingPermutation.from_word((True, True), multiset)
+    with pytest.raises(DomainError, match="got False$"):
+        StirlingPermutation.from_word((1, False), multiset)
+
+
 @pytest.mark.parametrize("word", [(1, 10000000), (1, 1, 10 ** 40)])
 def test_from_word_names_an_outlying_value_briefly(word):
     with pytest.raises(DomainError) as info:

@@ -1,9 +1,12 @@
-"""The bare words streamed by ``stirling.stirling_words`` and the counting
-routes that tally straight off them, against the list-and-sort enumerator
-they replaced (``reference_kernels``) and the brute-force oracle."""
+"""The bare words streamed by ``stirling.stirling_words``, the counting
+routes that tally straight off them, and ``enumerate_stirling``'s
+lexicographic successor, against the list-and-sort enumerator they
+replaced (``reference_kernels``), which is the order oracle, and the
+brute-force oracle."""
 
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -24,6 +27,37 @@ from gesselgamma import (
 from gesselgamma import stirling
 
 FAMILIES = {"default": default_campaign_family, "5,3,11": FamilySpec(5, 3, 11).members}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_successor_gives_the_reference_order(family):
+    for m in FAMILIES[family]():
+        assert list(enumerate_stirling(m)) == list(ref.enumerate_stirling(m)), m
+
+
+def test_the_successor_gives_every_word_once():
+    for m in [Multiset(()), *small_family()]:
+        assert [s.word for s in enumerate_stirling(m)] == brute_stirling(m.mults), m
+
+
+def test_the_successor_holds_no_list_of_words():
+    m = Multiset.uniform(8, 1)  # sorting its 40 320 words peaked near 5 MiB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_stirling(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 40320
+    assert peak < 64 * 1024, peak
+
+
+def test_the_successor_needs_no_recursion():
+    words = [s.word for s in islice(enumerate_stirling(Multiset((1,) * 1100)), 3)]
+    head = tuple(range(1, 1098))
+    assert words == [head + (1098, 1099, 1100), head + (1098, 1100, 1099),
+                     head + (1099, 1098, 1100)]
+    assert [s.word for s in enumerate_stirling(Multiset((100000,)))] == [(1,) * 100000]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

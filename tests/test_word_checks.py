@@ -3,7 +3,10 @@ slot tables, against the object-tree check bodies they replaced
 (``reference_checks``), with correct kernels and with corrupted ones.  A
 corrupted flip is a pair where the harness and the reference call
 different kernels: a package kernel on slot tables and a
-``reference_kernels`` body on object trees, so the two share no flip code."""
+``reference_kernels`` body on object trees, so the two share no flip code.
+A corrupted canonicity test corrupts ``placements`` and
+``is_canonical_table``, which the harness's ORBIT reads, and the
+reference's ``is_canonical`` alike."""
 
 import ast
 import sys
@@ -21,6 +24,7 @@ from gesselgamma.action import (
     is_canonical,
     is_canonical_table,
     orbit,
+    placements,
     prune,
     table_orbit,
 )
@@ -142,33 +146,51 @@ def swap_ends(table, v):
     return table[:v] + ((row[-1], *row[1:-1], row[0]),) + table[v + 1:]
 
 
+def placing(canonical):
+    """A ``placements`` that yields the table of every word's tree that
+    ``canonical`` passes, in place of the canonical tables."""
+    def fake(m, watched):
+        for s in ref_kernels.enumerate_stirling(m):
+            table = table_of_word(s.word, m.mults)
+            if canonical(table):
+                yield [list(row) for row in table]
+    return fake
+
+
+def canonicity_fault(table_test, tree_test):
+    """Canonicity decided by ``table_test`` on slot tables, for the harness's
+    ORBIT, which takes its classes from ``placements`` and counts canonical
+    members by ``is_canonical_table``, and by ``tree_test`` on object trees,
+    for the reference's ORBIT, which does both by ``is_canonical``."""
+    return [(placements, placing(table_test)), (is_canonical_table, table_test),
+            (ref_kernels.is_canonical, tree_test)]
+
+
 def table_left_alone(table):
-    """Returns the table itself when its root has an x-leaf."""
-    if not table[table[0][0]][0]:
-        return table
-    return canonical_table(table)
+    """Counts a table as canonical when its root has an x-leaf."""
+    return is_canonical_table(table) or not table[table[0][0]][0]
 
 
 def representative_left_alone(t):
-    """Returns the tree itself when its root has an x-leaf."""
-    if type(t.root.children[0]) is not type(t.root):
-        return t
-    return ref_kernels.canonical_representative(t)
+    """Counts a tree as canonical when its root has an x-leaf."""
+    return ref_kernels.is_canonical(t) or t.root.children[0] is None
 
 
 def table_flipped_once(table):
-    """Flips the smallest unbalanced-x vertex of the true canonical table."""
+    """Counts as canonical, in place of the canonical table, the member with
+    its smallest unbalanced-x vertex flipped."""
     canon = canonical_table(table)
     free = [v for v, row in enumerate(canon) if not row[0] and row[-1]]
-    return swap_ends(canon, free[0]) if free else canon
+    return table == (swap_ends(canon, free[0]) if free else canon)
 
 
 def representative_flipped_once(t):
-    """Flips the smallest unbalanced-x vertex of the true representative."""
+    """Counts as canonical, in place of the representative, the member with
+    its smallest unbalanced-x vertex flipped."""
     canon = ref_kernels.canonical_representative(t)
     free = sorted(v for v, (has_x, has_y, _) in ref_kernels.leaf_census(canon).per_vertex.items()
                   if has_x and not has_y)
-    return ref_kernels.toggle(canon, free[0]) if free else canon
+    return t == (ref_kernels.toggle(canon, free[0]) if free else canon)
 
 
 def with_full_rows_sorted(table):
@@ -191,14 +213,15 @@ def with_full_vertices_sorted(node):
 
 
 def table_merging_orbits(table):
-    """Merges the classes that differ by a swap of a vertex with no x- or y-leaf."""
-    return with_full_rows_sorted(canonical_table(table))
+    """Keeps one of the classes that differ by a swap of a vertex with no x-
+    or y-leaf: a canonical table counts only with its full rows sorted."""
+    return is_canonical_table(table) and with_full_rows_sorted(table) == table
 
 
 def representative_merging_orbits(t):
-    """Merges the classes that differ by a swap of a vertex with no x- or y-leaf."""
-    canon = ref_kernels.canonical_representative(t)
-    return ref_kernels.Tree(with_full_vertices_sorted(canon.root), t.multiset)
+    """Keeps one of the classes that differ by a swap of a vertex with no x-
+    or y-leaf: a canonical tree counts only with its full vertices sorted."""
+    return ref_kernels.is_canonical(t) and with_full_vertices_sorted(t.root) == t.root
 
 
 def table_orbit_without_its_canonical_member(table):
@@ -217,6 +240,34 @@ def orbit_without_its_canonical_member(t):
     return frozenset(u for u in members if not ref_kernels.is_canonical(u))
 
 
+def table_orbit_without_its_all_y_member(table):
+    """Drops the member with no unbalanced-x vertex from every table orbit of
+    two or more tables."""
+    members = table_orbit(table)
+    if len(members) < 2:
+        return members
+    return frozenset(u for u in members if any(not row[0] and row[-1] for row in u))
+
+
+def orbit_without_its_all_y_member(t):
+    """Drops the member with no unbalanced-x vertex from every orbit of two
+    or more trees."""
+    members = ref_kernels.orbit(t)
+    if len(members) < 2:
+        return members
+    return frozenset(u for u in members if any(
+        has_x and not has_y for has_x, has_y, _ in ref_kernels.leaf_census(u).per_vertex.values()))
+
+
+def placements_repeating_the_first(m, watched):
+    """Yields the first table twice."""
+    tables = placements(m, watched)
+    first = [list(row) for row in next(tables)]
+    yield first
+    yield first
+    yield from tables
+
+
 def statistics_raising(s):
     """Raises on every word that ends with its largest value."""
     if s.multiset.n > 1 and s.word[-1] == s.multiset.n:
@@ -232,18 +283,17 @@ FAULTS = {
     "flags_with_last_y_flipped": [(first_last_positions, positions_with_last_y_flipped)],
     "last_occurrence_at_the_first": [
         (first_last_positions, positions_with_the_last_at_the_first)],
-    "representative_left_alone": [
-        (canonical_table, table_left_alone),
-        (ref_kernels.canonical_representative, representative_left_alone)],
-    "representative_flipped_once": [
-        (canonical_table, table_flipped_once),
-        (ref_kernels.canonical_representative, representative_flipped_once)],
-    "representative_merging_orbits": [
-        (canonical_table, table_merging_orbits),
-        (ref_kernels.canonical_representative, representative_merging_orbits)],
+    "representative_left_alone": canonicity_fault(table_left_alone, representative_left_alone),
+    "representative_flipped_once": canonicity_fault(table_flipped_once,
+                                                    representative_flipped_once),
+    "representative_merging_orbits": canonicity_fault(table_merging_orbits,
+                                                      representative_merging_orbits),
     "orbit_without_its_canonical_member": [
         (table_orbit, table_orbit_without_its_canonical_member),
         (ref_kernels.orbit, orbit_without_its_canonical_member)],
+    "orbit_without_its_all_y_member": [
+        (table_orbit, table_orbit_without_its_all_y_member),
+        (ref_kernels.orbit, orbit_without_its_all_y_member)],
     "statistics_raising": [(statistics, statistics_raising)],
 }
 
@@ -281,6 +331,23 @@ def test_an_occurrence_fault_reaches_its_check(monkeypatch, fault, check_id, det
     for original, fake in FAULTS[fault]:
         rebind_everywhere(monkeypatch, original, fake)
     got = harness_outcomes([check_id], FAULT_FAMILY)[check_id]
+    assert any(o["status"] == "FAIL" and detail in o["detail"] for o in got)
+
+
+@pytest.mark.parametrize("faults, detail", [
+    (FAULTS["representative_left_alone"], "canonical members, expected 1"),
+    (FAULTS["representative_flipped_once"], "orbit size is not 2^(unbalanced-x vertices)"),
+    (FAULTS["representative_merging_orbits"], "orbit sizes do not sum to the number of words"),
+    (FAULTS["orbit_without_its_canonical_member"], "orbit has 0 canonical members, expected 1"),
+    (FAULTS["orbit_without_its_all_y_member"], "orbit size is not 2^(unbalanced-x vertices)"),
+    ([(placements, placements_repeating_the_first)],
+     "orbit sizes do not sum to the number of words"),
+], ids=["left_alone", "flipped_once", "merging_orbits", "without_canonical", "without_all_y",
+        "placements_repeating_the_first"])
+def test_an_orbit_fault_fails_orbit(monkeypatch, faults, detail):
+    for original, fake in faults:
+        rebind_everywhere(monkeypatch, original, fake)
+    got = harness_outcomes(["ORBIT"], FAULT_FAMILY)["ORBIT"]
     assert any(o["status"] == "FAIL" and detail in o["detail"] for o in got)
 
 
