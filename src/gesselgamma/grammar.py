@@ -10,7 +10,10 @@ multiplicity k >= 1:
 
 Applying D_{k_1}, ..., D_{k_n} to the seed x builds the ascent/descent/
 plateau polynomial of {1^k1, ..., n^kn}; the uvz chain applied to the
-seed u z^(k_1 - 1) builds its gamma polynomial directly.
+seed u z^(k_1 - 1) builds its gamma polynomial directly.  Each family's
+chain builder has a slice kernel of its own; the xyz one keeps only the
+half a <= b of each polynomial in x^a y^b z^c, since each D_k commutes with
+swapping x and y.
 """
 
 from __future__ import annotations
@@ -109,6 +112,8 @@ def chain_cost(m: Multiset) -> int:
     three variables, K = k_1 + ... + k_(t-1), so it has at most
     (K + 2)(K + 3)/2 terms.  The uvz chain of m takes one step fewer, over
     polynomials with fewer terms, so this bounds it too.
+    :func:`c_polynomial_grammar` keeps only the lower half of each z-slice,
+    so it does about half of this work.
     """
     cost = K = 0
     for k in m.mults:
@@ -117,35 +122,49 @@ def chain_cost(m: Multiset) -> int:
     return cost
 
 
-def _slice_chain(seed: Poly3, rules_of: Callable[[int], GrammarRuleSet],
-                 ks: Iterable[int], w: int) -> Poly3:
-    """Derive the monomial seed by rules_of(k) for each k in turn, z-slice by z-slice.
-
-    The polynomial is carried as {c: {a: coeff}}, c the third exponent and
-    a the first.  Every term has the same weight W = w*a + b + c, and each
-    of the three shift-table rows of rules_of(k) (one rule monomial per
-    variable) adds k to it, w = 1 for the xyz rules and w = 2 for the uvz
-    rules.  So the middle exponent b = W - c - w*a is not stored.  Each row
-    is one loop over one slice, multiplying a term by a, by b, or by c,
-    which is constant across the slice.
-
-    The first two rows take slice c to slice c + dc, the third to c + dc - 1.
-    Slices are kept in falling order of c, so the third row always reaches
-    a slice below all those written so far and builds it by one
-    comprehension; the first row adds into the slice the third row of
-    slice c + 1 built, if there is one.  The seed and every row keep a >= 1,
-    a zero b is skipped, and every rule coefficient is positive, so no
-    stored coefficient is zero.  Each distinct k builds its shift table
-    once, and the Poly3 is built once, at the end.
-    """
-    [((a, b, c), coeff)] = seed.terms.items()
-    W = w * a + b + c
-    slices = {c: {a: coeff}}
-    tables = {}
+def _shift_tables(rules_of: Callable[[int], GrammarRuleSet],
+                  ks: Iterable[int]) -> Iterator[tuple[int, tuple]]:
+    """(k, shift_table(rules_of(k))) for each k in turn, each distinct k's table built once."""
+    tables: dict[int, tuple] = {}
     for k in ks:
         rows = tables.get(k)
         if rows is None:
             rows = tables[k] = shift_table(rules_of(k))
+        yield k, rows
+
+
+def c_polynomial_grammar(m: Multiset) -> Poly3:
+    """Build the ascent/descent/plateau polynomial by the xyz derivative chain.
+
+    Applies D_{k_1}, ..., D_{k_n} to the seed x and gives the polynomial
+    that :func:`derive_chain` ends on, z-slice by z-slice, with no Poly3
+    per step; :func:`derive` is the general one-step kernel.
+
+    Each D_k commutes with swapping x and y (the x- and y-rows of the
+    shift table are mirror images), and the seed x meets only the x-row,
+    which makes it x y z^(k_1 - 1).  So every later polynomial is
+    symmetric, and the chain keeps only the lower half a <= b as
+    {c: {a: coeff}}, reading b = W - c - a off the weight W = a + b + c,
+    which each row raises by k.  A lower term (a, b) of slice c with
+    coefficient v sends, each times the row's coefficient,
+      - a * v to (a, b + 1) by the x-row;
+      - b * v to (a + 1, b) by the y-row when a < b, and 2b * v when
+        b = a + 1, since its mirror's x-row image is the same diagonal
+        term; nothing when a = b, as that image lies above the diagonal;
+      - c * v to (a + 1, b + 1) in slice c + dc - 1 by the z-row.
+    Slices are kept in falling order of c, so the z-row always builds a
+    new slice, by one comprehension.  a >= 1 throughout, and the y- and
+    z-rows act only for b >= 1 and c >= 1, so no stored coefficient is
+    zero.  The Poly3 is built once, at the end, from each term and its
+    mirror.
+    """
+    if not m.n:
+        return Poly3.variable("x", XYZ)
+    tables = _shift_tables(xyz_rules, m.mults)
+    k, ((_, da, db, dc, r), *_) = next(tables)
+    slices = {dc: {1 + da: r}}  # x -> x^(1 + da) y^db z^dc = x y z^(k_1 - 1)
+    W = 1 + k
+    for k, rows in tables:
         (_, da0, _, dc, r0), (_, da1, _, _, r1), (_, da2, _, _, r2) = rows
         out: dict[int, dict[int, int]] = {}
         for c, row in slices.items():
@@ -160,28 +179,28 @@ def _slice_chain(seed: Poly3, rules_of: Callable[[int], GrammarRuleSet],
             get = t.get
             Wc = W - c
             for a, v in row.items():
-                b = Wc - w * a
-                if b:
-                    key = a + da1
-                    t[key] = get(key, 0) + b * r1 * v
+                key = a + da1
+                t[key] = get(key, 0) + (Wc - a) * r1 * v
+            # the half's top term h: (h, h + 1) also gets its mirror's x-row
+            # image, and the y-row image of (h, h) lies above the diagonal
+            h, odd = divmod(Wc, 2)
+            v = row.get(h)
+            if v is not None:
+                if odd:
+                    t[h + da1] += (h + 1) * r0 * v
+                else:
+                    del t[h + da1]
             if c:
-                m = c * r2
-                out[c + dc - 1] = {a + da2: m * v for a, v in row.items()}
+                mult = c * r2
+                out[c + dc - 1] = {a + da2: mult * v for a, v in row.items()}
         W += k
         slices = out
-    return Poly3._wrap(seed.vars, {(a, W - c - w * a, c): v
-                                   for c, row in slices.items() for a, v in row.items()})
-
-
-def c_polynomial_grammar(m: Multiset) -> Poly3:
-    """Build the ascent/descent/plateau polynomial by the xyz derivative chain.
-
-    Applies D_{k_1}, ..., D_{k_n} to the seed x.  The chain runs slice by
-    slice in a private kernel and gives the polynomial that
-    :func:`derive_chain` ends on; :func:`derive` is the general one-step
-    kernel.
-    """
-    return _slice_chain(Poly3.variable("x", XYZ), xyz_rules, m.mults, 1)
+    terms: dict[Exponent, int] = {}
+    for c, row in slices.items():
+        Wc = W - c
+        for a, v in row.items():
+            terms[a, Wc - a, c] = terms[Wc - a, a, c] = v
+    return Poly3._wrap(XYZ, terms)
 
 
 def uvz_seed(k: int) -> Poly3:
@@ -194,12 +213,42 @@ def gamma_polynomial_grammar(m: Multiset) -> Poly3:
 
     The chain starts from the seed u z^(k_1 - 1), the image of the first
     value's block, and applies D_{k_2}, ..., D_{k_n}.  Like
-    :func:`c_polynomial_grammar` it runs slice by slice and gives the
-    polynomial that :func:`derive_chain` ends on.
+    :func:`c_polynomial_grammar` it runs z-slice by z-slice, as
+    {c: {a: coeff}} with b = W - c - 2a read off the weight W = 2a + b + c,
+    which each row raises by k, and gives the polynomial that
+    :func:`derive_chain` ends on.  The u-row and the v-row take slice c to
+    the same slice c + dc, so one loop over the slice feeds both, and a
+    zero b is skipped; the z-row builds slice c + dc - 1 by one
+    comprehension.
     """
     if m.n == 0:
         raise DomainError("the gamma polynomial is defined for nonempty multisets")
-    return _slice_chain(uvz_seed(m.mults[0]), uvz_rules, m.mults[1:], 2)
+    [((a, b, c), coeff)] = uvz_seed(m.mults[0]).terms.items()
+    W = 2 * a + b + c
+    slices = {c: {a: coeff}}
+    for k, rows in _shift_tables(uvz_rules, m.mults[1:]):
+        (_, da0, _, dc, r0), (_, da1, _, _, r1), (_, da2, _, _, r2) = rows
+        out: dict[int, dict[int, int]] = {}
+        for c, row in slices.items():
+            t = out.get(c + dc)
+            if t is None:
+                t = out[c + dc] = {}
+            get = t.get
+            Wc = W - c
+            for a, v in row.items():
+                key = a + da0
+                t[key] = get(key, 0) + a * r0 * v
+                b = Wc - 2 * a
+                if b:
+                    key = a + da1
+                    t[key] = get(key, 0) + b * r1 * v
+            if c:
+                mult = c * r2
+                out[c + dc - 1] = {a + da2: mult * v for a, v in row.items()}
+        W += k
+        slices = out
+    return Poly3._wrap(UVZ, {(a, W - c - 2 * a, c): v
+                             for c, row in slices.items() for a, v in row.items()})
 
 
 def change_of_variables_check(p: Poly3, signed: bool = False) -> Poly3:

@@ -558,11 +558,12 @@ def _orbit_class_failure(m: Multiset, canon: Table, members: frozenset[Table]) -
     if ux != m.K + 1 - census.zleaf - 2 * census.yleaf:
         return _fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
                      tree=None, lhs=ux, rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)
-    expected = substitute_uv(Poly3.monomial((census.yleaf, ux, census.zleaf), 1, UVZ))
-    actual = Poly3(XYZ, Counter(asc_des_plat(word_of_table(u)) for u in members))
-    if actual != expected:
+    expected = substitute_uv(Poly3._wrap(UVZ, {(census.yleaf, ux, census.zleaf): 1}))
+    actual = Counter(asc_des_plat(word_of_table(u)) for u in members)
+    if actual != expected.terms:
         return _fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
-                     tree=None, lhs=actual.to_json_dict(), rhs=expected.to_json_dict())
+                     tree=None, lhs=Poly3(XYZ, actual).to_json_dict(),
+                     rhs=expected.to_json_dict())
     return None
 
 

@@ -92,9 +92,10 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def is_stirling(word, multiset: Multiset) -> bool:
-    """Check multiplicities and the Stirling condition.
+    """Check the letters, the multiplicities and the Stirling condition.
 
-    The condition for value v only needs checking between the first and
+    Every letter must be an int in 1..n: a bool or a float is refused.  The
+    condition for value v only needs checking between the first and
     last occurrence of v, as :func:`first_last_positions` finds them,
     which covers every pair of equal letters.
     """
@@ -104,7 +105,7 @@ def is_stirling(word, multiset: Multiset) -> bool:
         return False
     counts = [0] * (n + 1)
     for v in word:
-        if not 1 <= v <= n:
+        if type(v) is not int or not 1 <= v <= n:
             return False
         counts[v] += 1
     if tuple(counts[1:]) != multiset.mults:

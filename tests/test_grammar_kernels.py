@@ -121,14 +121,24 @@ def test_chains_match_reference_chains():
 
 
 def reference_chains(mults):
-    """The xyz and uvz polynomials of mults by chains of reference derive steps."""
+    """The xyz and uvz polynomials of mults by chains of reference derive
+    steps; the uvz one is None for the empty multiset, which has no seed."""
     p = X
     for k in mults:
         p = ref.derive(p, xyz_rules(k))
+    if not mults:
+        return p, None
     q = Poly3.monomial((1, 0, mults[0] - 1), 1, UVZ)
     for k in mults[1:]:
         q = ref.derive(q, uvz_rules(k))
     return p, q
+
+
+def assert_xyz_terms_are_stored_whole(p, m):
+    # the half kernel writes each term and its mirror: none may be zero,
+    # and every term lies on the weight a + b + c = K + 1
+    assert all(p.terms.values())
+    assert {a + b + c for a, b, c in p.terms} == {m.K + 1}
 
 
 def test_rule_rows_have_the_shape_the_slice_kernel_reads():
@@ -143,6 +153,14 @@ def test_rule_rows_have_the_shape_the_slice_kernel_reads():
             assert {w * da + db + dc for _, da, db, dc, _ in rows} == {k}
             assert all(da >= 0 and rc > 0 for _, da, _, _, rc in rows)
             assert rows[0][3] == rows[1][3] == rows[2][3] + 1
+        # the xyz half kernel: the x-row keeps a and raises b by one, the
+        # y-row is its mirror image (da and db swapped, the same dc and
+        # coefficient), and the z-row raises a and b by one
+        (_, xda, xdb, xdc, xc), (_, yda, ydb, ydc, yc), (_, zda, zdb, _, _) = \
+            shift_table(xyz_rules(k))
+        assert (xda, xdb) == (0, 1)
+        assert (yda, ydb, ydc, yc) == (xdb, xda, xdc, xc)
+        assert (zda, zdb) == (1, 1)
 
 
 @pytest.mark.parametrize("mults", [
@@ -152,20 +170,35 @@ def test_rule_rows_have_the_shape_the_slice_kernel_reads():
     (4, 1, 3, 1, 1, 4, 2, 1) * 4,  # k = 1 between larger ones: the z-row shifts by -1
     (1, 4) * 12 + (1,),
     (3, 1, 1, 1, 2, 1, 4, 1, 1, 3),
+    # the empty chain is the seed x, and one step leaves the single
+    # diagonal term x y z^(k-1)
+    (),
+    *((k,) for k in range(1, 7)),
+    (1, 1),
+    (1,) * 40,
+    (2,) * 40,
 ])
 def test_chains_match_reference_chains_on_large_shapes(mults):
     p, q = reference_chains(mults)
     m = Multiset(mults)
-    assert c_polynomial_grammar(m) == p
-    assert gamma_polynomial_grammar(m) == q
+    got = c_polynomial_grammar(m)
+    assert got == p
     assert sum(p.terms.values()) == count_stirling(m)
+    assert_xyz_terms_are_stored_whole(got, m)
+    if q is None:
+        with pytest.raises(DomainError):
+            gamma_polynomial_grammar(m)
+    else:
+        assert gamma_polynomial_grammar(m) == q
 
 
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=25))
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=25))
 def test_chains_match_reference_chains_on_random_multiplicities(mults):
     p, q = reference_chains(mults)
     m = Multiset(tuple(mults))
-    assert c_polynomial_grammar(m) == p
+    got = c_polynomial_grammar(m)
+    assert got == p
+    assert_xyz_terms_are_stored_whole(got, m)
     assert gamma_polynomial_grammar(m) == q
 
 

@@ -51,6 +51,12 @@ def test_is_stirling_checks_multiplicities():
     assert not is_stirling((1, 1), Multiset((2, 2)))
 
 
+def test_is_stirling_refuses_letters_that_are_not_ints():
+    assert is_stirling((1, 1), Multiset((2,)))
+    assert not is_stirling((True, True), Multiset((2,)))
+    assert not is_stirling((1.0, 1), Multiset((2,)))
+
+
 # ---------------------------------------------------------------- enumeration
 
 
