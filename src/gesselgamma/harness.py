@@ -7,10 +7,13 @@ only inside a campaign task, one multiset and its checks, which share a
 context dropped before the next task; one check on one multiset is
 ``verify(id, [m])``.  The context fixes its layers from the reads of the
 task's checks and makes one pass over the multiset's words, which hands
-each word and the slot table of its tree to every layer: the tally that
-is the enumerated polynomial, the per-word checks, ROUNDTRIP, which
-writes each table out and parses it back, and T4.3's weights.  The pass
-drops each word's table after it; only what the layers sum up is kept.
+them to every layer a block at a time, as columns: the words, the slot
+tables of their trees, their triples, profiles, leaf censuses and first
+and last positions, each column built by one call of its kernel per word
+and only if a layer reads it.  The layers are the tally that is the
+enumerated polynomial, the per-word checks, ROUNDTRIP, which writes each
+table out and parses it back, and T4.3's weights.  The pass drops each
+block after it; only what the layers sum up is kept.
 ORBIT reads no word: it takes the canonical tables from ``placements``
 and checks their orbits one at a time.  The independent routes the
 checks compare against still compute on their own.  Campaigns can hand
@@ -26,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 from .action import (
@@ -54,7 +57,6 @@ from .poly import (
     substitute_uv,
 )
 from .stirling import (
-    StatProfile,
     StirlingPermutation,
     asc_des_plat,
     count_stirling,
@@ -64,7 +66,6 @@ from .stirling import (
     statistics,
 )
 from .trees import (
-    LeafCensus,
     Table,
     first_last_occurrence_flags,
     gessel_forward,
@@ -80,10 +81,11 @@ from .trees import (
 # The most words, and letters (words times K), that one listing may produce.
 WORD_CAP = 10**6
 LETTER_CAP = 2 * 10**7
-# The words a pass over a multiset's words holds at a time.  Blocks of 64
-# kept so many of their words' objects alive across young-generation
-# collections that ``verify --check all`` on 1^9 spent 2.5 s collecting
-# garbage, against 0.7 s with 32.
+# The words a pass over a multiset's words holds at a time, with their
+# columns.  A block's objects stay alive until the block is dropped, and
+# past 32 words they outgrow the young generation: ``verify --check all``
+# on 1^9 set off 5 671 collections (1.0 s) with blocks of 64, and 8 with
+# blocks of 32 or 16, which ran no faster.
 PASS_BLOCK = 32
 
 
@@ -183,14 +185,14 @@ class MultisetContext:
     Its layers (``_LAYERS``) are fixed when it is built: those that the
     checks of ``check_ids`` that apply to m read (``CheckDef.reads``); any
     other layer raises KeyError.  The first read runs the one pass over
-    ``enumerate_stirling(m)``, in lexicographic order, which feeds each
-    word's ``WordRecord`` to every layer and drops the records, so no list
-    of words, slot tables or triples is kept.  The context holds each
-    layer's outcome (its first failure, what it raised, or None) and their
-    sums: ``triples``, the number of words by ``(asc, des, plat)``, which
-    ``c_polynomial`` is (``x`` for the empty multiset, like
+    ``enumerate_stirling(m)``, in lexicographic order, which feeds the
+    words to every layer a ``PassBlock`` at a time and drops each block,
+    so no list of the words, slot tables or triples is kept.  The context
+    holds each layer's outcome (its first failure, what it raised, or
+    None) and their sums: ``triples``, the number of words by ``(asc, des,
+    plat)``, which ``c_polynomial`` is (``x`` for the empty multiset, like
     ``c_polynomial_enum``); ROUNDTRIP's counts of ``words`` and of
-    ``distinct`` words; and T4.3's ``weights``, the canonical tables by
+    ``distinct`` words; and T4.3's ``weights``, the canonical trees by
     ``(u, v, z)``.  ``gamma`` is the table extracted from
     ``c_polynomial``; ``route(name)`` is the table by a ``GAMMA_ROUTES``
     route, computed once, and for ``extract`` it is ``gamma``.
@@ -236,9 +238,9 @@ class MultisetContext:
     def _pass(self) -> dict[str, Failure | Exception | None]:
         """The outcome of each layer of this context, from one pass over the words.
 
-        The words come in blocks of ``PASS_BLOCK``, and each layer reads a
-        whole block before the next layer does: word by word, the same
-        kernels took about a fifth longer.  Each layer stops at its own first failure or
+        The words come in blocks of ``PASS_BLOCK`` (``PassBlock``), and
+        each layer reads a whole block before the next layer does, column
+        by column.  Each layer stops at its own first failure or
         exception.  If the enumeration itself raises, every layer of the
         pass has raised it.
         """
@@ -246,76 +248,98 @@ class MultisetContext:
         layers = list(self._layers.items())
         outcomes: dict[str, Failure | Exception | None] = dict.fromkeys(self._layers)
         try:
-            words = enumerate_stirling(m)
+            perms = enumerate_stirling(m)
             previous = None
             while layers:
-                block = []
-                for s in islice(words, PASS_BLOCK):
-                    block.append(WordRecord(self, s, previous))
-                    previous = s.word
-                if not block:
+                block = PassBlock(self, list(islice(perms, PASS_BLOCK)), previous)
+                if not block.perms:
                     break
                 for name, feed in layers:
                     try:
-                        for w in block:
-                            failure = feed(m, w)
-                            if failure is not None:
-                                break
+                        outcomes[name] = feed(m, block)
                     except Exception as exc:  # a crash fails this layer only
-                        failure = exc
-                    outcomes[name] = failure
+                        outcomes[name] = exc
                 layers = [(name, feed) for name, feed in layers if outcomes[name] is None]
+                previous = block.perms[-1].word
         except Exception as exc:
             outcomes = dict.fromkeys(outcomes, exc)
         return outcomes
 
 
-class WordRecord:
-    """One word of a pass, and what the layers read of it; dropped with its block.
+class PassBlock:
+    """Up to ``PASS_BLOCK`` words of a pass, as columns; dropped with the block.
 
-    ``previous`` is the word before it.  The slot table of its tree, its
-    triple, its profile, its leaf census and the first and last position
-    of each value (``ends``) are built on first use, so each runs once per
-    word, and only for a layer that reads it.  They are plain slots, not
-    ``functools.cached_property``, which takes a lock on every first use.
+    ``perms`` are the block's permutations, in order, and ``previous`` is
+    the word before the first of them.  Every other column (``_COLUMNS``)
+    is built on its first read, by one ``map`` of its kernel over the
+    block, so each kernel runs once per word, and only for a layer that
+    reads it.  A column whose kernel raises at word i keeps words 0..i-1
+    and the exception, and a layer reads those words before the exception
+    (``read``), so its outcome is the one of reading word by word.
     """
 
-    __slots__ = ("ctx", "s", "previous", "_table", "_triple", "_profile", "_census", "_ends")
+    __slots__ = ("ctx", "perms", "previous", "_columns")
 
-    def __init__(self, ctx: MultisetContext, s: StirlingPermutation,
+    def __init__(self, ctx: MultisetContext, perms: list[StirlingPermutation],
                  previous: tuple[int, ...] | None):
-        self.ctx, self.s, self.previous = ctx, s, previous
-        self._table = self._triple = self._profile = self._census = self._ends = None
+        self.ctx, self.perms, self.previous = ctx, perms, previous
+        self._columns: dict[str, tuple[list, Exception | None]] = {"perms": (perms, None)}
 
-    @property
-    def table(self) -> Table:
-        if self._table is None:
-            self._table = table_of_word(self.s.word, self.ctx.multiset.mults)
-        return self._table
+    def column(self, name: str) -> tuple[list, Exception | None]:
+        """A column's values, up to the word its kernel raised at, and that exception."""
+        col = self._columns.get(name)
+        if col is None:
+            col = self._columns[name] = _COLUMNS[name](self)
+        return col
 
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        if self._triple is None:
-            self._triple = asc_des_plat(self.s.word)
-        return self._triple
+    def read(self, *names: str) -> Iterator:
+        """The named columns word by word, as tuples, or as values for one
+        name; if a kernel raised, the words before its raise and then its
+        exception: of the columns' raises, the earliest in word order, and
+        the first named of those at the same word."""
+        cols = [self.column(name) for name in names]
+        rows = zip(*(values for values, _ in cols)) if len(cols) > 1 else iter(cols[0][0])
+        raised = [(len(values), exc) for values, exc in cols if exc is not None]
+        if not raised:
+            return rows
+        return chain(rows, _raising(min(raised, key=lambda r: r[0])[1]))
 
-    @property
-    def profile(self) -> StatProfile:
-        if self._profile is None:
-            self._profile = statistics(self.s)
-        return self._profile
 
-    @property
-    def census(self) -> LeafCensus:
-        if self._census is None:
-            self._census = table_census(self.table)
-        return self._census
+def _raising(exc: Exception) -> Iterator:
+    """An iterator that raises ``exc`` when it is first advanced."""
+    raise exc
+    yield
 
-    @property
-    def ends(self) -> tuple[list[int], list[int]]:
-        if self._ends is None:
-            self._ends = first_last_positions(self.s.word, self.ctx.multiset.n)
-        return self._ends
+
+def _mapped(kernel: Callable, *columns: list) -> tuple[list, Exception | None]:
+    """``list(map(kernel, *columns))``, or the values before a raise and the exception."""
+    values: list = []
+    try:
+        values.extend(map(kernel, *columns))
+    except Exception as exc:
+        return values, exc
+    return values, None
+
+
+def _censuses(block: PassBlock) -> tuple[list, Exception | None]:
+    tables, raised = block.column("tables")
+    values, exc = _mapped(table_census, tables)
+    return values, exc or raised  # its own raise comes at an earlier word
+
+
+# How each column of a block past ``perms`` is built.  The kernels are
+# looked up in this module's globals at each call, so a rebinding of one
+# reaches the pass.
+_COLUMNS: dict[str, Callable[[PassBlock], tuple[list, Exception | None]]] = {
+    "words": lambda b: ([s.word for s in b.perms], None),
+    "tables": lambda b: _mapped(table_of_word, b.column("words")[0],
+                                repeat(b.ctx.multiset.mults)),
+    "triples": lambda b: _mapped(asc_des_plat, b.column("words")[0]),
+    "profiles": lambda b: _mapped(statistics, b.perms),
+    "censuses": _censuses,
+    "ends": lambda b: _mapped(first_last_positions, b.column("words")[0],
+                              repeat(b.ctx.multiset.n)),
+}
 
 
 # The context of the multiset a campaign task is checking, if any.  It is
@@ -357,7 +381,7 @@ def _symmetry(names: tuple[str, ...]) -> Callable[[Multiset], list[Failure]]:
     return run
 
 
-def _roundtrip_word(m: Multiset, w: WordRecord) -> Failure | None:
+def _roundtrip(m: Multiset, block: PassBlock) -> Failure | None:
     # Each word's tree, the slot table the other layers read, is written out
     # and parsed back.  The parse validates the parsed table, and the parsed
     # table must equal the written one, which carries that validation back to
@@ -366,19 +390,22 @@ def _roundtrip_word(m: Multiset, w: WordRecord) -> Failure | None:
     # once word -> tree -> word is the identity, rebuilding a tree from its
     # word gives back the same tree.  Bijectivity rests on that identity,
     # injectivity and the count.
-    s, table = w.s, w.table
-    text = render_table(table)
-    parsed = parse_tree(text).table
-    if parsed != table:
-        return _fail(m, "serialize -> parse is not the identity", sigma=str(s), tree=text)
-    back = word_of_table(parsed)
-    if back != s.word:
-        return _fail(m, "word -> tree -> word is not the identity",
-                     sigma=str(s), lhs=str(s), rhs=" ".join(map(str, back)))
-    # Once every word has come back from its tree, two tables are equal only
-    # if their words are, and equal words are neighbours in sorted order.
-    w.ctx.words += 1
-    w.ctx.distinct += s.word != w.previous
+    ctx, previous = block.ctx, block.previous
+    for s, table in block.read("perms", "tables"):
+        text = render_table(table)
+        parsed = parse_tree(text).table
+        if parsed != table:
+            return _fail(m, "serialize -> parse is not the identity", sigma=str(s), tree=text)
+        back = word_of_table(parsed)
+        if back != s.word:
+            return _fail(m, "word -> tree -> word is not the identity",
+                         sigma=str(s), lhs=str(s), rhs=" ".join(map(str, back)))
+        # Once every word has come back from its tree, two tables are equal
+        # only if their words are, and equal words are neighbours in sorted
+        # order.
+        ctx.words += 1
+        ctx.distinct += s.word != previous
+        previous = s.word
     return None
 
 
@@ -397,37 +424,39 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
     return []
 
 
-# The per-word checks: each reads one word's record and returns its
-# failure, or None.  They are layers of the pass over the words (_LAYERS).
+# The per-word checks: each reads the columns of a block word by word and
+# returns its first failure, or None.  They are layers of the pass over
+# the words (_LAYERS).
 
-def _check_p21(m: Multiset, w: WordRecord) -> Failure | None:
-    triple, census = w.triple, w.census
-    if triple != census.triple:
-        return _fail(m, "(asc, des, plat) differs from (x, y, z) leaf counts",
-                     sigma=str(w.s), lhs=list(triple), rhs=list(census.triple))
+def _check_p21(m: Multiset, block: PassBlock) -> Failure | None:
+    for s, triple, census in block.read("perms", "triples", "censuses"):
+        if triple != census.triple:
+            return _fail(m, "(asc, des, plat) differs from (x, y, z) leaf counts",
+                         sigma=str(s), lhs=list(triple), rhs=list(census.triple))
     return None
 
 
-def _check_jkp(m: Multiset, w: WordRecord) -> Failure | None:
-    prof, census = w.profile, w.census
-    if prof.plat_by_j != census.zleaf_by_j:
-        return _fail(m, "plateaux by occurrence index differ from z-leaves by position",
-                     sigma=str(w.s), lhs=prof.plat_by_j, rhs=census.zleaf_by_j)
+def _check_jkp(m: Multiset, block: PassBlock) -> Failure | None:
+    for s, prof, census in block.read("perms", "profiles", "censuses"):
+        if prof.plat_by_j != census.zleaf_by_j:
+            return _fail(m, "plateaux by occurrence index differ from z-leaves by position",
+                         sigma=str(s), lhs=prof.plat_by_j, rhs=census.zleaf_by_j)
     return None
 
 
-def _check_p22(m: Multiset, w: WordRecord) -> Failure | None:
+def _check_p22(m: Multiset, block: PassBlock) -> Failure | None:
     # The first i tops an ascent when the letter before it is smaller, and
     # the last i a descent when the letter after it is; the boundary is 0.
-    s, per_vertex = w.s, w.census.per_vertex
-    first, last = w.ends
-    padded = (0, *s.word, 0)  # padded[p] is the letter at 1-based position p
-    for i in range(1, m.n + 1):
-        flags = (padded[first[i] - 1] < i, i > padded[last[i] + 1])
-        has_x, has_y, _ = per_vertex[i]
-        if flags != (has_x, has_y):
-            return _fail(m, f"occurrence flags of value {i} differ from leaf flags",
-                         sigma=str(s), lhs=list(flags), rhs=[has_x, has_y])
+    values = range(1, m.n + 1)
+    for s, census, (first, last) in block.read("perms", "censuses", "ends"):
+        per_vertex = census.per_vertex
+        padded = (0, *s.word, 0)  # padded[p] is the letter at 1-based position p
+        for i in values:
+            has_x, has_y, _ = per_vertex[i]
+            x, y = padded[first[i] - 1] < i, i > padded[last[i] + 1]
+            if x != has_x or y != has_y:
+                return _fail(m, f"occurrence flags of value {i} differ from leaf flags",
+                             sigma=str(s), lhs=[x, y], rhs=[has_x, has_y])
     return None
 
 
@@ -436,19 +465,21 @@ def _check_t41(m: Multiset) -> list[Failure]:
                      c_polynomial_grammar(m), _context(m).c_polynomial)
 
 
-def _weigh_canonical(m: Multiset, w: WordRecord) -> None:
-    # A canonical tree pruned has a u-vertex for each row with both ends
-    # empty and a v-vertex for each with only its first slot empty, and it
-    # keeps the z-leaves, the empty slots between a row's ends.
-    u = v = z = 0
-    for row in w.table[1:]:
-        x, y = row[0] == 0, row[-1] == 0
-        if y and not x:
-            return  # an unbalanced y-leaf: not canonical
-        u += x and y
-        v += x and not y
-        z += row.count(0) - x - y
-    w.ctx.weights[u, v, z] += 1
+def _weigh_canonical(m: Multiset, block: PassBlock) -> None:
+    # A canonical tree pruned has a u-vertex for each vertex with an x- and
+    # a y-leaf and a v-vertex for each with an x-leaf only, and it keeps the
+    # z-leaves; a tree with a y-leaf and no x-leaf is not canonical.
+    weights = block.ctx.weights
+    for census in block.read("censuses"):
+        u = v = z = 0
+        for has_x, has_y, z_count in census.per_vertex.values():
+            if has_y and not has_x:
+                break
+            u += has_x and has_y
+            v += has_x and not has_y
+            z += z_count
+        else:
+            weights[u, v, z] += 1
 
 
 def _check_t43(m: Multiset) -> list[Failure]:
@@ -465,53 +496,61 @@ def _check_t44(m: Multiset) -> list[Failure]:
                      gamma_table_to_uvz(_context(m).gamma))
 
 
-def _check_p51(m: Multiset, w: WordRecord) -> Failure | None:
-    s, dfalls = w.s, w.profile.dfall_positions
-    word = s.word
-    unbalanced_y = {v for v, (has_x, has_y, _) in w.census.per_vertex.items()
-                    if has_y and not has_x}
-    dfall_values = {word[i - 1] for i in dfalls}
-    if dfall_values != unbalanced_y or len(dfalls) != len(unbalanced_y):
-        return _fail(m, "double-fall values differ from unbalanced-y vertices",
-                     sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))
-    if dfalls:
-        last = w.ends[1]
-        for i in dfalls:
-            v = word[i - 1]
-            if i != last[v]:
-                return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
-                             sigma=str(s))
+def _check_p51(m: Multiset, block: PassBlock) -> Failure | None:
+    # A word's last positions are read only if it has a double fall, so a
+    # word without one passes whatever first_last_positions does on it.
+    ends, raised = block.column("ends")
+    for k, (s, prof, census) in enumerate(block.read("perms", "profiles", "censuses")):
+        dfalls, word = prof.dfall_positions, s.word
+        unbalanced_y = {v for v, (has_x, has_y, _) in census.per_vertex.items()
+                        if has_y and not has_x}
+        dfall_values = {word[i - 1] for i in dfalls}
+        if dfall_values != unbalanced_y or len(dfalls) != len(unbalanced_y):
+            return _fail(m, "double-fall values differ from unbalanced-y vertices",
+                         sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))
+        if dfalls:
+            if k >= len(ends):
+                raise raised
+            last = ends[k][1]
+            for i in dfalls:
+                v = word[i - 1]
+                if i != last[v]:
+                    return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
+                                 sigma=str(s))
     return None
 
 
-def _check_p63(m: Multiset, w: WordRecord) -> Failure | None:
-    s, prof, census = w.s, w.profile, w.census
-    z_without_x = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and not hx}
-    x_with_z = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and hx}
-    dplat_values = {s.word[i - 1] for i in prof.dplat_positions}
-    aplat_values = {s.word[i - 1] for i in prof.aplat_positions}
-    if dplat_values != z_without_x or len(prof.dplat_positions) != len(z_without_x):
-        return _fail(m, "descent-plateau values differ from z-without-x vertices",
-                     sigma=str(s), lhs=sorted(dplat_values), rhs=sorted(z_without_x))
-    if aplat_values != x_with_z or len(prof.aplat_positions) != len(x_with_z):
-        return _fail(m, "ascent-plateau values differ from x-with-z vertices",
-                     sigma=str(s), lhs=sorted(aplat_values), rhs=sorted(x_with_z))
-    if (prof.dplat == 0) != (not z_without_x):
-        return _fail(m, "descent-plateau-freeness differs from ternary canonicity",
-                     sigma=str(s))
+def _check_p63(m: Multiset, block: PassBlock) -> Failure | None:
+    for s, prof, census in block.read("perms", "profiles", "censuses"):
+        z_without_x: set[int] = set()
+        x_with_z: set[int] = set()
+        for v, (hx, _, zc) in census.per_vertex.items():
+            if zc:
+                (x_with_z if hx else z_without_x).add(v)
+        dplat_values = {s.word[i - 1] for i in prof.dplat_positions}
+        aplat_values = {s.word[i - 1] for i in prof.aplat_positions}
+        if dplat_values != z_without_x or len(prof.dplat_positions) != len(z_without_x):
+            return _fail(m, "descent-plateau values differ from z-without-x vertices",
+                         sigma=str(s), lhs=sorted(dplat_values), rhs=sorted(z_without_x))
+        if aplat_values != x_with_z or len(prof.aplat_positions) != len(x_with_z):
+            return _fail(m, "ascent-plateau values differ from x-with-z vertices",
+                         sigma=str(s), lhs=sorted(aplat_values), rhs=sorted(x_with_z))
+        if (prof.dplat == 0) != (not z_without_x):
+            return _fail(m, "descent-plateau-freeness differs from ternary canonicity",
+                         sigma=str(s))
     return None
 
 
-def _tally_triple(m: Multiset, w: WordRecord) -> None:
-    w.ctx.triples[w.triple] += 1
+def _tally_triples(m: Multiset, block: PassBlock) -> None:
+    block.ctx.triples.update(block.read("triples"))
 
 
-# The layers of the pass over the words, in the order each word meets them.
-_LAYERS: dict[str, Callable[[Multiset, WordRecord], Failure | None]] = {
-    "polynomial": _tally_triple,
+# The layers of the pass over the words, in the order each block meets them.
+_LAYERS: dict[str, Callable[[Multiset, PassBlock], Failure | None]] = {
+    "polynomial": _tally_triples,
     "P2.1": _check_p21, "JKP-ZJ": _check_jkp, "P2.2": _check_p22,
     "P5.1": _check_p51, "P6.3": _check_p63,
-    "ROUNDTRIP": _roundtrip_word, "T4.3": _weigh_canonical,
+    "ROUNDTRIP": _roundtrip, "T4.3": _weigh_canonical,
 }
 
 

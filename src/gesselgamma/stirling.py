@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError
 from .multiset import Multiset, parse_ints
@@ -171,59 +171,63 @@ def stirling_words(multiset: Multiset) -> Iterator[tuple[int, ...]]:
 
 def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:
     """All Stirling permutations of the multiset, in lexicographic order,
-    each the successor of the one before: one word and O(n) counts are held.
+    each the successor of the one before: one word is held.
 
     The values started but not finished form a stack increasing to its
     top (one opened after v closes before v's next copy), so the next
     letter is the top again or an unused value above it, and the least
     completion of a prefix finishes the stack from the top down, then
     writes each unused value as a whole block, in increasing order.  The
-    successor backs up from the right, a run of equal letters at a time,
-    to the last run with a value above its letter unused before it, puts
-    the least such value at the run's last position and completes.
+    greatest completion writes every letter left in decreasing order, so
+    the successor backs up over the nonincreasing suffix to the last
+    ascent, whose lower letter a it changes: every value above a in the
+    suffix is unused, and the least of them, u, takes a's place, then the
+    rest is completed.
     """
     k = (0, *multiset.mults)
     word = [v for v in range(1, len(k)) for _ in range(k[v])]
-    left = [0] * len(k)  # the copies of each value in the part backed up over
+    last = len(word) - 1
     while True:
         yield StirlingPermutation(tuple(word), multiset)
-        unused = 0  # the largest value with all its copies backed up over
-        seen = []  # the values backed up over
-        end = len(word)
-        while end:
-            a = word[end - 1]
-            start = end - 1
-            while start and word[start - 1] == a:
-                start -= 1
-            if not left[a]:
-                seen.append(a)
-            left[a] += end - start
-            if left[a] == k[a] and a > unused:
-                unused = a
-            if unused > a:
-                break
-            end = start
-        else:
+        i = last - 1
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        left[a] -= end - 1 - start  # the run's other copies stay before the choice
-        u = a + 1
-        while left[u] != k[u]:
-            u += 1
-        seen.sort()
-        tail = [u] * k[u]  # u opens on top of the stack and is finished first
-        left[u] = 0
-        for v in reversed(seen):  # then the rest of the stack, from the top down
-            if left[v] != k[v]:
-                tail += [v] * left[v]
-                left[v] = 0
-        for v in seen:  # then each unused value as a whole block
-            tail += [v] * left[v]
-            left[v] = 0
-        word[end - 1:] = tail
+        a = word[i]
+        p = last  # the suffix is word[i + 1:]: its letters above a, then those up to a
+        while word[p] <= a:
+            p -= 1
+        u = word[p]
+        ku = k[u]
+        # The unused values above u, in increasing order: the suffix's
+        # blocks before u's, reversed.
+        above = word[p - ku:i:-1]
+        if p == last:  # no letter of the suffix is up to a: a is left alone
+            word[i:] = [u] * ku + [a] + above
+            continue
+        # a and the suffix's letters up to it, nonincreasing, a run per
+        # value: a value is open when the run lacks some of its copies.
+        opened: list[int] = []
+        unused: list[int] = []
+        v, c = a, 1
+        for w in word[p + 1:]:
+            if w == v:
+                c += 1
+                continue
+            if c < k[v]:
+                opened += [v] * c
+            else:
+                unused[:0] = [v] * c
+            v, c = w, 1
+        if c < k[v]:
+            opened += [v] * c
+        else:
+            unused[:0] = [v] * c
+        word[i:] = [u] * ku + opened + unused + above
 
 
-@dataclass(frozen=True)
-class StatProfile:
+class StatProfile(NamedTuple):
     """All position statistics of one Stirling permutation.
 
     Positions are 1-based.  An index i is an ascent when sigma_{i-1} <
@@ -232,7 +236,9 @@ class StatProfile:
     is keyed by j when its right copy is the j-th occurrence of its value.
     A descent at i is a double fall when the position before the first
     occurrence of sigma_i is itself a descent.  A plateau is an ascent- or
-    descent-plateau according to the step that enters it.
+    descent-plateau according to the step that enters it.  A named tuple:
+    the harness builds one per word, and a frozen dataclass cost about five
+    times as much to build.
     """
 
     asc: int
@@ -302,8 +308,6 @@ def statistics(s: StirlingPermutation) -> StatProfile:
         if fell[prev]:
             dfalls.append(len(w))
 
-    # Positional: keyword arguments cost the frozen dataclass about a
-    # microsecond a word.
     fs = frozenset
     return StatProfile(
         len(ascents), len(descents), len(plateaus), plat_by_j,

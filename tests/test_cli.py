@@ -2,6 +2,7 @@
 line's exit and stderr contract checked in subprocesses."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -93,6 +94,18 @@ class TestEnumerate:
         assert lines[0] == "word,asc,des,plat,dfall,aplat,dplat"
         assert lines[1] == "1 1 2 2,2,1,2,0,2,0"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("spec, fmt, digest", [
+        ("2,2", "json", "a839edbdc1446d041c0d0570070c550220197dac7df4ab8b369e464c4b7c39c9"),
+        ("2,2", "csv", "5c265cc8e7a67d565025481ff054e05f254d8c0676529243eba09ffed0f818d9"),
+        ("3,1,2", "json", "2e037c7b8124754d50959551450ab581052a6c3b4b92486ce6bb788a0da45439"),
+        ("3,1,2", "csv", "8dcd7d6dd4df8095343a1ed98358b81a584e6874143f7db8eafb0c5836050671"),
+    ])
+    def test_stats_output_is_frozen(self, capsys, spec, fmt, digest):
+        # The bytes printed while StatProfile was a frozen dataclass.
+        code, out, _ = run(capsys, "enumerate", "--multiset", spec, "--format", fmt, "--stats")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("spec", ["2,2", "1,2,1", "1,1,1,1", ""])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -8,6 +8,7 @@ from gesselgamma import (
     DomainError,
     Multiset,
     ParseError,
+    StatProfile,
     StirlingPermutation,
     count_stirling,
     enumerate_stirling,
@@ -132,6 +133,20 @@ def test_statistics_smallest_cases():
 
     empty = statistics(StirlingPermutation.from_word(()))
     assert empty.triple == (0, 0, 0) and empty.plat_by_j == {}
+
+
+def test_a_profile_keeps_its_fields_in_order_and_cannot_be_changed():
+    prof = statistics(StirlingPermutation.from_word(BIG_WORD))
+    assert StatProfile._fields == (
+        "asc", "des", "plat", "plat_by_j", "dfall", "aplat", "dplat",
+        "ascent_positions", "descent_positions", "plateau_positions",
+        "dfall_positions", "aplat_positions", "dplat_positions")
+    assert prof[:3] == prof.triple == (5, 5, 5)
+    assert prof[3] is prof.plat_by_j and prof[-1] == prof.dplat_positions == frozenset({5})
+    for field in [*StatProfile._fields, "triple"]:
+        with pytest.raises(AttributeError):
+            setattr(prof, field, 0)
+    assert prof == statistics(StirlingPermutation.from_word(BIG_WORD))
 
 
 def test_plateau_occurrence_keys_for_triples():

@@ -9,6 +9,7 @@ from gesselgamma import (
     DomainError,
     FamilySpec,
     GesselTree,
+    LeafCensus,
     Multiset,
     ParseError,
     StirlingPermutation,
@@ -107,6 +108,21 @@ class TestLeafCensus:
         census = leaf_census(gessel_forward(perm(())))
         assert census.triple == (0, 0, 0)
         assert census.per_vertex == {}
+
+    def test_a_census_keeps_its_fields_in_order_and_cannot_be_changed(self):
+        census = leaf_census(parse_tree(BIG_TREE))
+        assert LeafCensus._fields == ("xleaf", "yleaf", "zleaf", "zleaf_by_j", "per_vertex")
+        assert census[:3] == census.triple == (5, 5, 5)
+        assert census.zleaf_by_j == {2: 5}
+        assert census[4] is census.per_vertex
+        assert list(census.per_vertex.items()) == [
+            (1, (False, False, 0)), (4, (True, True, 0)), (6, (True, True, 1)),
+            (7, (True, True, 1)), (2, (False, True, 1)), (3, (True, False, 1)),
+            (5, (True, True, 1))]
+        for field in [*LeafCensus._fields, "triple"]:
+            with pytest.raises(AttributeError):
+                setattr(census, field, 0)
+        assert census == table_census(table_of_word(BIG_WORD, (2,) * 7))
 
     def test_census_matches_statistics_over_family(self):
         for m in small_family():

@@ -32,6 +32,7 @@ from gesselgamma.harness import CHECKS, CheckOutcome, run_campaign
 from gesselgamma.stirling import (
     StatProfile,
     StirlingPermutation,
+    asc_des_plat,
     first_last_positions,
     statistics,
 )
@@ -269,8 +270,17 @@ def placements_repeating_the_first(m, watched):
 
 
 def statistics_raising(s):
-    """Raises on every word that ends with its largest value."""
+    """Raises on every word that ends with its largest value, the first
+    word of its multiset among them."""
     if s.multiset.n > 1 and s.word[-1] == s.multiset.n:
+        raise ValueError(f"no profile for {s}")
+    return statistics(s)
+
+
+def statistics_raising_late(s):
+    """Raises on every word that starts with its largest value; those come
+    last."""
+    if s.multiset.n > 1 and s.word[0] == s.multiset.n:
         raise ValueError(f"no profile for {s}")
     return statistics(s)
 
@@ -359,6 +369,39 @@ def test_a_raising_kernel_fails_only_the_checks_that_call_it(monkeypatch):
     assert failing == {"JKP-ZJ", "P5.1", "P6.3"}
 
 
+def first_raise(kernel, perms):
+    """The index of the first permutation ``kernel`` raises on."""
+    for k, s in enumerate(perms):
+        try:
+            kernel(s)
+        except ValueError:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("raising, raises_at, detail, sigma", [
+    (statistics_raising_late, 12,
+     "plateaux by occurrence index differ from z-leaves by position", "1 1 2 2 3 3"),
+    (statistics_raising, 0, "exception: ValueError('no profile for 1 1 2 2 3 3')", None),
+], ids=["raise_after_the_failure", "raise_at_the_failing_word"])
+def test_a_failure_and_a_raise_in_one_block_come_in_word_order(monkeypatch, raising,
+                                                               raises_at, detail, sigma):
+    # The census fault fails JKP-ZJ on the first word, and the profiles
+    # column raises at a later word of the same block, or at that word,
+    # whose profile JKP-ZJ reads before its census.
+    m = Multiset((2, 2, 2))
+    perms = list(harness.enumerate_stirling(m))
+    assert len(perms) <= harness.PASS_BLOCK
+    assert first_raise(raising, perms) == raises_at
+    for original, fake in [*FAULTS["census_with_a_z_leaf_moved"], (statistics, raising)]:
+        rebind_everywhere(monkeypatch, original, fake)
+    got = harness_outcomes(IDS, [m])
+    assert got == reference_outcomes(IDS, [m])
+    (jkp,) = got["JKP-ZJ"]
+    assert jkp["detail"] == detail
+    assert jkp["counterexample"].get("sigma") == sigma
+
+
 def test_reference_checks_take_no_flip_from_the_package():
     tree = ast.parse(open(ref.__file__).read())
     flips = {"psi", "toggle", "is_canonical", "canonical_representative", "orbit"}
@@ -409,13 +452,19 @@ def test_a_doubled_only_check_adds_no_work_on_other_multisets(monkeypatch):
 
 
 def test_each_word_gets_one_profile_and_one_census(monkeypatch):
+    # Every column of a block is built once per word, however many of the
+    # per-word checks read it.
     profiles = counting(monkeypatch, statistics)
     censuses = counting(monkeypatch, table_census)
+    tables, triples, ends = (counting(monkeypatch, f)
+                             for f in (table_of_word, asc_des_plat, first_last_positions))
     members = [m for m in FAULT_FAMILY if m.is_uniform(2)]
     assert run_campaign(WORD_IDS, members).passed
-    words = [str(s) for m in members for s in harness.enumerate_stirling(m)]
-    assert sorted(str(s) for (s,) in profiles) == sorted(words)
+    words = [s.word for m in members for s in harness.enumerate_stirling(m)]
+    assert sorted(s.word for (s,) in profiles) == sorted(words)
     assert len(censuses) == len(words)
+    for calls in (tables, triples, ends):
+        assert sorted(word for word, *_ in calls) == sorted(words)
 
 
 def test_table_checks_build_no_object_tree(monkeypatch):
@@ -469,7 +518,7 @@ def held_objects(obj):
 
 def test_the_pass_leaves_no_profile_or_census_on_the_context(monkeypatch):
     # After every check of a campaign task has run, as _run_multiset runs
-    # them: no record or what it built, no slot table (a tuple of rows), and
+    # them: no block or what it built, no slot table (a tuple of rows), and
     # no list of words or triples (a list of tuples).
     m = Multiset.uniform(3, 2)
     ctx = harness.MultisetContext(m, tuple(sorted(CHECKS)))
@@ -478,7 +527,7 @@ def test_the_pass_leaves_no_profile_or_census_on_the_context(monkeypatch):
     assert statuses == {"PASS"}
     held = list(held_objects(ctx))
     kept = [type(x).__name__ for x in held
-            if isinstance(x, (StatProfile, LeafCensus, BalanceReport, harness.WordRecord,
+            if isinstance(x, (StatProfile, LeafCensus, BalanceReport, harness.PassBlock,
                               StirlingPermutation))]
     assert kept == []
     tables = [x for x in held if isinstance(x, tuple) and x
