@@ -9,11 +9,11 @@ context dropped before the next task; one check on one multiset is
 task's checks and makes one pass over the multiset's words, which hands
 them to every layer a block at a time, as columns: the words, the slot
 tables of their trees, their triples, profiles, leaf censuses and first
-and last positions, each column built by one call of its kernel per word
-and only if a layer reads it.  The layers are the tally that is the
-enumerated polynomial, the per-word checks, ROUNDTRIP, which writes each
-table out and parses it back, and T4.3's weights.  The pass drops each
-block after it; only what the layers sum up is kept.
+and last positions, each built by one call of its kernel per word if a
+layer reads it, and read only through ``PassBlock.read``.  The layers are
+the tally that is the enumerated polynomial, the per-word checks, T4.3's
+weights and ROUNDTRIP, which writes each table out and parses it back;
+its order check keeps its own last word.  Only what they sum up is kept.
 ORBIT reads no word: it takes the canonical tables from ``placements``
 and checks their orbits one at a time.  The independent routes the
 checks compare against still compute on their own.  Campaigns can hand
@@ -191,8 +191,8 @@ class MultisetContext:
     holds each layer's outcome (its first failure, what it raised, or
     None) and their sums: ``triples``, the number of words by ``(asc, des,
     plat)``, which ``c_polynomial`` is (``x`` for the empty multiset, like
-    ``c_polynomial_enum``); ROUNDTRIP's counts of ``words`` and of
-    ``distinct`` words; and T4.3's ``weights``, the canonical trees by
+    ``c_polynomial_enum``); ROUNDTRIP's ``words``, ``distinct`` words and
+    ``last_word``; and T4.3's ``weights``, the canonical trees by
     ``(u, v, z)``.  ``gamma`` is the table extracted from
     ``c_polynomial``; ``route(name)`` is the table by a ``GAMMA_ROUTES``
     route, computed once, and for ``extract`` it is ``gamma``.
@@ -206,6 +206,7 @@ class MultisetContext:
         self._outcomes: dict[str, Failure | Exception | None] | None = None
         self.triples: Counter[tuple[int, int, int]] = Counter()
         self.words = self.distinct = 0
+        self.last_word: tuple[int, ...] | None = None
         self.weights: Counter[tuple[int, int, int]] = Counter()
 
     @cached_property
@@ -249,9 +250,8 @@ class MultisetContext:
         outcomes: dict[str, Failure | Exception | None] = dict.fromkeys(self._layers)
         try:
             perms = enumerate_stirling(m)
-            previous = None
             while layers:
-                block = PassBlock(self, list(islice(perms, PASS_BLOCK)), previous)
+                block = PassBlock(self, list(islice(perms, PASS_BLOCK)))
                 if not block.perms:
                     break
                 for name, feed in layers:
@@ -260,7 +260,6 @@ class MultisetContext:
                     except Exception as exc:  # a crash fails this layer only
                         outcomes[name] = exc
                 layers = [(name, feed) for name, feed in layers if outcomes[name] is None]
-                previous = block.perms[-1].word
         except Exception as exc:
             outcomes = dict.fromkeys(outcomes, exc)
         return outcomes
@@ -269,20 +268,19 @@ class MultisetContext:
 class PassBlock:
     """Up to ``PASS_BLOCK`` words of a pass, as columns; dropped with the block.
 
-    ``perms`` are the block's permutations, in order, and ``previous`` is
-    the word before the first of them.  Every other column (``_COLUMNS``)
-    is built on its first read, by one ``map`` of its kernel over the
-    block, so each kernel runs once per word, and only for a layer that
-    reads it.  A column whose kernel raises at word i keeps words 0..i-1
-    and the exception, and a layer reads those words before the exception
-    (``read``), so its outcome is the one of reading word by word.
+    ``perms`` are the block's permutations, in order.  Every other column
+    (``_COLUMNS``) is built on its first read, by one ``map`` of its kernel
+    over the block, so each kernel runs once per word, and only for a layer
+    that reads it.  A column whose kernel raises at word i keeps words
+    0..i-1 and the exception, and every layer reads its columns only
+    through ``read``, which yields those words before the exception, so its
+    outcome is the one of reading word by word.
     """
 
-    __slots__ = ("ctx", "perms", "previous", "_columns")
+    __slots__ = ("ctx", "perms", "_columns")
 
-    def __init__(self, ctx: MultisetContext, perms: list[StirlingPermutation],
-                 previous: tuple[int, ...] | None):
-        self.ctx, self.perms, self.previous = ctx, perms, previous
+    def __init__(self, ctx: MultisetContext, perms: list[StirlingPermutation]):
+        self.ctx, self.perms = ctx, perms
         self._columns: dict[str, tuple[list, Exception | None]] = {"perms": (perms, None)}
 
     def column(self, name: str) -> tuple[list, Exception | None]:
@@ -390,7 +388,7 @@ def _roundtrip(m: Multiset, block: PassBlock) -> Failure | None:
     # once word -> tree -> word is the identity, rebuilding a tree from its
     # word gives back the same tree.  Bijectivity rests on that identity,
     # injectivity and the count.
-    ctx, previous = block.ctx, block.previous
+    ctx, previous = block.ctx, block.ctx.last_word
     for s, table in block.read("perms", "tables"):
         text = render_table(table)
         parsed = parse_tree(text).table
@@ -406,6 +404,7 @@ def _roundtrip(m: Multiset, block: PassBlock) -> Failure | None:
         ctx.words += 1
         ctx.distinct += s.word != previous
         previous = s.word
+    ctx.last_word = previous
     return None
 
 
@@ -490,17 +489,8 @@ def _check_t43(m: Multiset) -> list[Failure]:
                      Poly3(UVZ, ctx.weights), expected)
 
 
-def _check_t44(m: Multiset) -> list[Failure]:
-    return _mismatch(m, "uvz derivative chain differs from the extracted gamma polynomial",
-                     gamma_polynomial_grammar(m),
-                     gamma_table_to_uvz(_context(m).gamma))
-
-
 def _check_p51(m: Multiset, block: PassBlock) -> Failure | None:
-    # A word's last positions are read only if it has a double fall, so a
-    # word without one passes whatever first_last_positions does on it.
-    ends, raised = block.column("ends")
-    for k, (s, prof, census) in enumerate(block.read("perms", "profiles", "censuses")):
+    for s, prof, census, (_, last) in block.read("perms", "profiles", "censuses", "ends"):
         dfalls, word = prof.dfall_positions, s.word
         unbalanced_y = {v for v, (has_x, has_y, _) in census.per_vertex.items()
                         if has_y and not has_x}
@@ -508,15 +498,11 @@ def _check_p51(m: Multiset, block: PassBlock) -> Failure | None:
         if dfall_values != unbalanced_y or len(dfalls) != len(unbalanced_y):
             return _fail(m, "double-fall values differ from unbalanced-y vertices",
                          sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))
-        if dfalls:
-            if k >= len(ends):
-                raise raised
-            last = ends[k][1]
-            for i in dfalls:
-                v = word[i - 1]
-                if i != last[v]:
-                    return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
-                                 sigma=str(s))
+        for i in dfalls:
+            v = word[i - 1]
+            if i != last[v]:
+                return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
+                             sigma=str(s))
     return None
 
 
@@ -645,7 +631,9 @@ CHECKS: dict[str, CheckDef] = {
         _check_t43, reads=("T4.3", *_POLYNOMIAL)),
     "T4.4": CheckDef(
         "the uvz derivative chain builds the gamma polynomial directly",
-        _check_t44, reads=_POLYNOMIAL),
+        _agreement("grammar", "extract",
+                   "uvz derivative chain differs from the extracted gamma polynomial"),
+        reads=_POLYNOMIAL),
     "T5.2": CheckDef(
         "extracted gamma table equals double-fall-free counts by (plateaux, descents)",
         _agreement("extract", "perms",

@@ -15,6 +15,7 @@ its coefficient is forced, subtracted, and the slice shrinks.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import DomainError, GammaExtractionError, ParseError
 
@@ -22,6 +23,20 @@ XYZ = ("x", "y", "z")
 UVZ = ("u", "v", "z")
 
 Exponent = tuple[int, int, int]
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _json_int(value: object, name: str, *, text: bool = False, least: int | None = None) -> int:
+    """A JSON field as an int: an int that is not a bool, or with ``text`` a
+    decimal string, and not below ``least``; otherwise ValueError."""
+    if text and isinstance(value, str) and _DECIMAL.fullmatch(value):
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{name} is not an int{' or a decimal string' * text}: {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} is below {least}: {value}")
+    return value
 
 
 class Poly3:
@@ -190,14 +205,26 @@ class Poly3:
     def from_json_dict(cls, data: dict) -> Poly3:
         try:
             vars = tuple(data["vars"])
-            terms = {tuple(t["e"]): int(t["c"]) for t in data["terms"]}
+            terms: dict[Exponent, int] = {}
+            for t in data["terms"]:
+                e = t["e"]
+                if not isinstance(e, (list, tuple)) or len(e) != 3:
+                    raise ValueError(f"an exponent is not three ints: {e!r}")
+                e = tuple(_json_int(a, "an exponent", least=0) for a in e)
+                if e in terms:
+                    raise ValueError(f"exponent {list(e)} is listed twice")
+                terms[e] = _json_int(t["c"], "a coefficient", text=True)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polynomial JSON: {exc}") from None
         return cls(vars, terms)
 
     @classmethod
     def from_json(cls, text: str) -> Poly3:
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"bad polynomial JSON: {exc}") from None
+        return cls.from_json_dict(data)
 
     def to_csv(self) -> str:
         header = ",".join(self.vars) + ",coeff"
@@ -270,15 +297,24 @@ class GammaTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> GammaTable:
         try:
-            K = int(data["K"])
-            entries = {(int(e["i"]), int(e["j"])): int(e["g"]) for e in data["entries"]}
+            K = _json_int(data["K"], "K")
+            entries: dict[tuple[int, int], int] = {}
+            for e in data["entries"]:
+                key = (_json_int(e["i"], "i", least=0), _json_int(e["j"], "j", least=0))
+                if key in entries:
+                    raise ValueError(f"entry (i, j) = {key} is listed twice")
+                entries[key] = _json_int(e["g"], "g", text=True)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad gamma table JSON: {exc}") from None
         return cls(K, entries)
 
     @classmethod
     def from_json(cls, text: str) -> GammaTable:
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"bad gamma table JSON: {exc}") from None
+        return cls.from_json_dict(data)
 
     def to_csv(self) -> str:
         rows = [f"{i},{j},{g}" for (i, j), g in self.sorted_entries()]

@@ -125,6 +125,7 @@ def check_p51(m: Multiset, ctx: Context) -> list[Failure]:
     for s, t in zip(ctx.perms, ctx.trees):
         prof = statistics(s)
         report = balance_report(t)
+        _, last = first_last_positions(s.word, m.n)
         unbalanced_y = set(report.vertices_with(BalanceStatus.UNBALANCED_Y))
         dfall_values = {s.word[i - 1] for i in prof.dfall_positions}
         if dfall_values != unbalanced_y or len(prof.dfall_positions) != len(unbalanced_y):
@@ -132,7 +133,7 @@ def check_p51(m: Multiset, ctx: Context) -> list[Failure]:
                           sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))]
         for i in prof.dfall_positions:
             v = s.word[i - 1]
-            if i != first_last_positions(s.word, m.n)[1][v]:
+            if i != last[v]:
                 return [_fail(m, f"double fall at {i} is not the last occurrence of {v}",
                               sigma=str(s))]
     return []

@@ -581,6 +581,12 @@ CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 MEMORY_LIMIT = 512 * 2**20  # address space of a child under a bounded run
 
 
+def limit_memory():
+    """Caps a child's address space at MEMORY_LIMIT; runs in the child, after
+    fork and before exec."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def assert_contract(code, err):
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err, err
@@ -671,9 +677,6 @@ class TestCliContract:
                      id="huge-part-bound"),
     ])
     def test_a_refusal_takes_bounded_time_and_memory(self, argv, line):
-        def limit_memory():  # runs in the child, after fork and before exec
-            resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
-
         done = subprocess.run(cli_command(argv), capture_output=True, text=True, env=CLI_ENV,
                               timeout=20, preexec_fn=limit_memory)
         assert_contract(done.returncode, done.stderr)
@@ -781,6 +784,20 @@ class TestCliContractProperty:
             code = main(argv)  # an exception escaping main fails the test
         assert_contract(code, err.getvalue())
         assert code != 1, argv  # no check fails on a valid family
+
+
+class TestCliContractChildren:
+    """The contract above over a few drawn argv, each run as a child process,
+    one at a time, under MEMORY_LIMIT and a 20 s timeout: the bound on time
+    and memory that the in-process property cannot assert."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(ARGV)
+    def test_every_argv_is_answered_or_refused_in_bounded_time_and_memory(self, argv):
+        done = subprocess.run(cli_command(argv), capture_output=True, text=True, env=CLI_ENV,
+                              timeout=20, preexec_fn=limit_memory)
+        assert_contract(done.returncode, done.stderr)
+        assert done.returncode != 1, argv
 
 
 def readme_commands():

@@ -19,6 +19,8 @@ from gesselgamma import (
     GammaTable,
     GesselTree,
     Multiset,
+    Poly3,
+    UVZ,
     default_campaign_family,
     family_cost,
     golden_examples,
@@ -156,6 +158,23 @@ class TestRunCampaign:
         assert [(o.counterexample["lhs"], o.counterexample["rhs"]) for o in outcomes] == [
             (6, 3), (4, 2)]
 
+    def test_roundtrip_catches_a_repeat_across_a_block_boundary(self, monkeypatch):
+        # 1,1,1,1,1 has 120 words, four blocks; the last word of the first
+        # block comes again as the first word of the second.
+        original = harness.enumerate_stirling
+
+        def repeating_the_last_of_a_block(m):
+            for k, s in enumerate(original(m), 1):
+                yield s
+                if k == harness.PASS_BLOCK:
+                    yield s
+
+        monkeypatch.setattr(harness, "enumerate_stirling", repeating_the_last_of_a_block)
+        (check,) = run_campaign(["ROUNDTRIP"], [Multiset((1,) * 5)]).reports
+        (outcome,) = check.outcomes
+        assert outcome.detail == "correspondence is not injective"
+        assert (outcome.counterexample["lhs"], outcome.counterexample["rhs"]) == (121, 120)
+
     def test_all_has_sixteen_checks(self):
         report = verify("all", SMALL)
         assert len(report.reports) == 16
@@ -185,18 +204,24 @@ class TestRunCampaign:
             {"multiset": "2,2", "status": "PASS"},
         ]
 
+    WRONG = GammaTable(6, {(0, 1): 1})
+    # What a route's function returns in place of WRONG: the grammar route
+    # reads the chain's u v^5 as gamma_{0,1} = 1.
+    FAKES = {"gamma_polynomial_grammar": Poly3(UVZ, {(1, 5, 0): 1})}
+
     @pytest.mark.parametrize("check_id, route", [
         ("T3.1", "gamma_count_trees"), ("T5.2", "gamma_count_perms"),
         ("T6.1", "gamma_count_mma"), ("T6.2", "gamma_count_ternary"),
+        ("T4.4", "gamma_polynomial_grammar"),
     ])
     def test_agreement_checks_read_the_route_registry(self, monkeypatch, check_id, route):
-        wrong = GammaTable(6, {(0, 1): 1})
-        monkeypatch.setattr(counts, route, lambda m: wrong)
+        fake = self.FAKES.get(route, self.WRONG)
+        monkeypatch.setattr(counts, route, lambda m: fake)
         (check,) = verify(check_id, [Multiset((2, 2, 2))]).reports
         (outcome,) = check.outcomes
         assert outcome.status == "FAIL"
-        assert wrong.to_json_dict() in (outcome.counterexample["lhs"],
-                                        outcome.counterexample["rhs"])
+        assert self.WRONG.to_json_dict() in (outcome.counterexample["lhs"],
+                                             outcome.counterexample["rhs"])
 
     def test_unknown_check_id(self):
         with pytest.raises(DomainError) as exc:

@@ -94,6 +94,30 @@ class TestSerialization:
             Poly3.from_json_dict({"vars": ["x", "y", "z"]})
         with pytest.raises(ParseError):
             Poly3.from_json('{"vars": ["x","y","z"], "terms": [{"e": [1,0,0]}]}')
+        with pytest.raises(ParseError, match="^bad polynomial JSON: "):
+            Poly3.from_json('{"vars": ["x","y","z"], ')
+        bad_terms = [
+            [{"e": [1, 2], "c": "1"}],
+            [{"e": [1, 2, 3, 4], "c": "1"}],
+            [{"e": ["a", 2, 3], "c": "1"}],
+            [{"e": [-1, 2, 3], "c": "1"}],
+            [{"e": [True, 2, 3], "c": "1"}],
+            [{"e": [1.0, 2, 3], "c": "1"}],
+            [{"e": [1, 2, 3], "c": "1"}, {"e": [1, 2, 3], "c": "5"}],
+            [{"e": [1, 2, 3], "c": 1.7}],
+            [{"e": [1, 2, 3], "c": "1.7"}],
+            [{"e": [1, 2, 3], "c": " 5"}],
+            [{"e": [1, 2, 3], "c": True}],
+        ]
+        for terms in bad_terms:
+            with pytest.raises(ParseError, match="^bad polynomial JSON: "):
+                Poly3.from_json_dict({"vars": ["x", "y", "z"], "terms": terms})
+
+    def test_poly_json_reads_ints_and_decimal_strings(self):
+        terms = [{"e": [0, 0, 1], "c": -3}, {"e": [1, 1, 0], "c": "-12"}]
+        p = Poly3.from_json_dict({"vars": ["u", "v", "z"], "terms": terms})
+        assert p.terms == {(0, 0, 1): -3, (1, 1, 0): -12}
+        assert Poly3.from_json(p.to_json()) == p
 
     def test_table_json_exact(self):
         t = GammaTable(3, {(1, 1): 2, (0, 1): 1})
@@ -103,6 +127,28 @@ class TestSerialization:
         }
         assert GammaTable.from_json(t.to_json()) == t
         assert t.to_csv() == "i,j,g\n0,1,1\n1,1,2\n"
+
+    def test_table_json_rejects_garbage(self):
+        good = {"i": 0, "j": 1, "g": 1}
+        bad = [
+            {"K": "6", "entries": [good]},
+            {"K": 6.0, "entries": [good]},
+            {"K": True, "entries": [good]},
+            {"K": 6, "entries": [good, {"i": 0, "j": 1, "g": 2}]},
+            {"K": 6, "entries": [{"i": -1, "j": 1, "g": 1}]},
+            {"K": 6, "entries": [{"i": 0, "j": -1, "g": 1}]},
+            {"K": 6, "entries": [{"i": "0", "j": 1, "g": 1}]},
+            {"K": 6, "entries": [{"i": 0, "j": 1, "g": 1.5}]},
+            {"K": 6, "entries": [{"i": 0, "j": 1, "g": "1.5"}]},
+            {"K": 6, "entries": [{"i": 0, "j": 1}]},
+        ]
+        for data in bad:
+            with pytest.raises(ParseError, match="^bad gamma table JSON: "):
+                GammaTable.from_json_dict(data)
+        with pytest.raises(ParseError, match="^bad gamma table JSON: "):
+            GammaTable.from_json('{"K": 6, ')
+        table = GammaTable.from_json_dict({"K": 6, "entries": [good, {"i": 2, "j": 1, "g": "7"}]})
+        assert table == GammaTable(6, {(0, 1): 1, (2, 1): 7})
 
     def test_json_roundtrip_preserves_huge_coefficients(self):
         p = Poly3.monomial((1, 2, 3), 10 ** 40)

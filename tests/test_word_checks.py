@@ -285,6 +285,22 @@ def statistics_raising_late(s):
     return statistics(s)
 
 
+def positions_raising(word, n):
+    """Raises on every word that enters the first copy of each value from a
+    smaller letter and does not end with its largest value.  A double fall
+    is a descent from a value whose first copy was entered by a descent, so
+    none of these words has one."""
+    prev, seen = 0, set()
+    for c in word:
+        if c not in seen and prev > c:
+            return first_last_positions(word, n)
+        seen.add(c)
+        prev = c
+    if word[-1] == n:
+        return first_last_positions(word, n)
+    raise ValueError(f"no positions for {' '.join(map(str, word))}")
+
+
 # Each fault, by name: the (kernel, corrupted kernel) pairs it rebinds.
 FAULTS = {
     "census_without_root_y": census_fault(without_root_y),
@@ -305,6 +321,7 @@ FAULTS = {
         (table_orbit, table_orbit_without_its_all_y_member),
         (ref_kernels.orbit, orbit_without_its_all_y_member)],
     "statistics_raising": [(statistics, statistics_raising)],
+    "positions_raising": [(first_last_positions, positions_raising)],
 }
 
 
@@ -367,6 +384,28 @@ def test_a_raising_kernel_fails_only_the_checks_that_call_it(monkeypatch):
     failing = {cid for cid, outcomes in got.items()
                if any(o["status"] == "FAIL" for o in outcomes)}
     assert failing == {"JKP-ZJ", "P5.1", "P6.3"}
+
+
+def test_a_raising_position_kernel_fails_p22_and_p51_with_its_exception(monkeypatch):
+    # P5.1 reads no position of a word without a double fall, yet it reads
+    # the positions column through the block, so it fails there as P2.2 does.
+    raised_on = []
+    for m in FAULT_FAMILY:
+        for s in harness.enumerate_stirling(m):
+            try:
+                positions_raising(s.word, m.n)
+            except ValueError:
+                raised_on.append(s)
+    assert raised_on
+    assert all(statistics(s).dfall == 0 for s in raised_on)
+    for original, fake in FAULTS["positions_raising"]:
+        rebind_everywhere(monkeypatch, original, fake)
+    got = harness_outcomes(IDS, FAULT_FAMILY)
+    assert got == reference_outcomes(IDS, FAULT_FAMILY)
+    for cid in ("P2.2", "P5.1"):
+        assert any(o["status"] == "FAIL"
+                   and o["detail"].startswith("exception: ValueError('no positions for ")
+                   for o in got[cid])
 
 
 def first_raise(kernel, perms):
