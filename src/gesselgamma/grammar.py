@@ -19,7 +19,7 @@ swapping x and y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError, GammaExtractionError
 from .multiset import Multiset
@@ -110,27 +110,17 @@ def chain_cost(m: Multiset) -> int:
 
     Before the step by k_t the polynomial is homogeneous of degree K + 1 in
     three variables, K = k_1 + ... + k_(t-1), so it has at most
-    (K + 2)(K + 3)/2 terms.  The uvz chain of m takes one step fewer, over
-    polynomials with fewer terms, so this bounds it too.
+    (K + 2)(K + 3)/2 terms, each met by one rule monomial per variable.
+    The uvz chain of m takes one step fewer, over polynomials with fewer
+    terms, so this bounds it too.
     :func:`c_polynomial_grammar` keeps only the lower half of each z-slice,
     so it does about half of this work.
     """
     cost = K = 0
     for k in m.mults:
-        cost += (K + 2) * (K + 3) // 2 * len(shift_table(xyz_rules(k)))
+        cost += (K + 2) * (K + 3) // 2 * 3
         K += k
     return cost
-
-
-def _shift_tables(rules_of: Callable[[int], GrammarRuleSet],
-                  ks: Iterable[int]) -> Iterator[tuple[int, tuple]]:
-    """(k, shift_table(rules_of(k))) for each k in turn, each distinct k's table built once."""
-    tables: dict[int, tuple] = {}
-    for k in ks:
-        rows = tables.get(k)
-        if rows is None:
-            rows = tables[k] = shift_table(rules_of(k))
-        yield k, rows
 
 
 def c_polynomial_grammar(m: Multiset) -> Poly3:
@@ -140,59 +130,54 @@ def c_polynomial_grammar(m: Multiset) -> Poly3:
     that :func:`derive_chain` ends on, z-slice by z-slice, with no Poly3
     per step; :func:`derive` is the general one-step kernel.
 
-    Each D_k commutes with swapping x and y (the x- and y-rows of the
-    shift table are mirror images), and the seed x meets only the x-row,
-    which makes it x y z^(k_1 - 1).  So every later polynomial is
-    symmetric, and the chain keeps only the lower half a <= b as
-    {c: {a: coeff}}, reading b = W - c - a off the weight W = a + b + c,
-    which each row raises by k.  A lower term (a, b) of slice c with
-    coefficient v sends, each times the row's coefficient,
-      - a * v to (a, b + 1) by the x-row;
-      - b * v to (a + 1, b) by the y-row when a < b, and 2b * v when
-        b = a + 1, since its mirror's x-row image is the same diagonal
-        term; nothing when a = b, as that image lies above the diagonal;
-      - c * v to (a + 1, b + 1) in slice c + dc - 1 by the z-row.
-    Slices are kept in falling order of c, so the z-row always builds a
+    Each D_k commutes with swapping x and y, and the seed x becomes
+    x y z^(k_1 - 1).  So every later polynomial is symmetric, and the chain
+    keeps only the lower half a <= b as {c: {a: coeff}}, reading
+    b = W - c - a off the weight W = a + b + c, which each step raises by
+    k.  With dc = k - 1, D_k sends a lower term (a, b) of slice c with
+    coefficient v
+      - a * v to (a, b + 1) in slice c + dc, by x -> x y z^dc;
+      - b * v to (a + 1, b) in slice c + dc, by y -> x y z^dc, when a < b,
+        and 2b * v when b = a + 1, since its mirror's x-image is the same
+        diagonal term; nothing when a = b, as that image lies above it;
+      - c * v to (a + 1, b + 1) in slice c + dc - 1, by z -> x y z^dc.
+    Slices are kept in falling order of c, so the z-image always builds a
     new slice, by one comprehension.  a >= 1 throughout, and the y- and
-    z-rows act only for b >= 1 and c >= 1, so no stored coefficient is
+    z-images arise only for b >= 1 and c >= 1, so no stored coefficient is
     zero.  The Poly3 is built once, at the end, from each term and its
     mirror.
     """
     if not m.n:
         return Poly3.variable("x", XYZ)
-    tables = _shift_tables(xyz_rules, m.mults)
-    k, ((_, da, db, dc, r), *_) = next(tables)
-    slices = {dc: {1 + da: r}}  # x -> x^(1 + da) y^db z^dc = x y z^(k_1 - 1)
+    k, *ks = m.mults
+    slices = {k - 1: {1: 1}}
     W = 1 + k
-    for k, rows in tables:
-        (_, da0, _, dc, r0), (_, da1, _, _, r1), (_, da2, _, _, r2) = rows
+    for k in ks:
+        dc = k - 1
         out: dict[int, dict[int, int]] = {}
         for c, row in slices.items():
             t = out.get(c + dc)
             if t is None:
-                t = out[c + dc] = {a + da0: a * r0 * v for a, v in row.items()}
+                t = out[c + dc] = {a: a * v for a, v in row.items()}
             else:
                 get = t.get
                 for a, v in row.items():
-                    key = a + da0
-                    t[key] = get(key, 0) + a * r0 * v
+                    t[a] = get(a, 0) + a * v
             get = t.get
             Wc = W - c
             for a, v in row.items():
-                key = a + da1
-                t[key] = get(key, 0) + (Wc - a) * r1 * v
-            # the half's top term h: (h, h + 1) also gets its mirror's x-row
-            # image, and the y-row image of (h, h) lies above the diagonal
+                t[a + 1] = get(a + 1, 0) + (Wc - a) * v
+            # the half's top term h: (h, h + 1) also gets its mirror's
+            # x-image, and the y-image of (h, h) lies above the diagonal
             h, odd = divmod(Wc, 2)
             v = row.get(h)
             if v is not None:
                 if odd:
-                    t[h + da1] += (h + 1) * r0 * v
+                    t[h + 1] += (h + 1) * v
                 else:
-                    del t[h + da1]
+                    del t[h + 1]
             if c:
-                mult = c * r2
-                out[c + dc - 1] = {a + da2: mult * v for a, v in row.items()}
+                out[c + dc - 1] = {a + 1: c * v for a, v in row.items()}
         W += k
         slices = out
     terms: dict[Exponent, int] = {}
@@ -215,19 +200,20 @@ def gamma_polynomial_grammar(m: Multiset) -> Poly3:
     value's block, and applies D_{k_2}, ..., D_{k_n}.  Like
     :func:`c_polynomial_grammar` it runs z-slice by z-slice, as
     {c: {a: coeff}} with b = W - c - 2a read off the weight W = 2a + b + c,
-    which each row raises by k, and gives the polynomial that
-    :func:`derive_chain` ends on.  The u-row and the v-row take slice c to
-    the same slice c + dc, so one loop over the slice feeds both, and a
-    zero b is skipped; the z-row builds slice c + dc - 1 by one
-    comprehension.
+    which each step raises by k, and gives the polynomial that
+    :func:`derive_chain` ends on.  With dc = k - 1, D_k sends a term
+    (a, b) of slice c with coefficient v to slice c + dc, in one loop, by
+    u -> u v z^dc (a * v to (a, b + 1)) and v -> 2 u z^dc (2b * v to
+    (a + 1, b - 1), skipped when b = 0), and to slice c + dc - 1, by one
+    comprehension, by z -> u z^dc (c * v to (a + 1, b)).
     """
     if m.n == 0:
         raise DomainError("the gamma polynomial is defined for nonempty multisets")
-    [((a, b, c), coeff)] = uvz_seed(m.mults[0]).terms.items()
-    W = 2 * a + b + c
-    slices = {c: {a: coeff}}
-    for k, rows in _shift_tables(uvz_rules, m.mults[1:]):
-        (_, da0, _, dc, r0), (_, da1, _, _, r1), (_, da2, _, _, r2) = rows
+    k, *ks = m.mults
+    slices = {k - 1: {1: 1}}
+    W = 1 + k
+    for k in ks:
+        dc = k - 1
         out: dict[int, dict[int, int]] = {}
         for c, row in slices.items():
             t = out.get(c + dc)
@@ -236,15 +222,12 @@ def gamma_polynomial_grammar(m: Multiset) -> Poly3:
             get = t.get
             Wc = W - c
             for a, v in row.items():
-                key = a + da0
-                t[key] = get(key, 0) + a * r0 * v
+                t[a] = get(a, 0) + a * v
                 b = Wc - 2 * a
                 if b:
-                    key = a + da1
-                    t[key] = get(key, 0) + b * r1 * v
+                    t[a + 1] = get(a + 1, 0) + 2 * b * v
             if c:
-                mult = c * r2
-                out[c + dc - 1] = {a + da2: mult * v for a, v in row.items()}
+                out[c + dc - 1] = {a + 1: c * v for a, v in row.items()}
         W += k
         slices = out
     return Poly3._wrap(UVZ, {(a, W - c - 2 * a, c): v

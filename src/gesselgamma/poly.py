@@ -297,7 +297,7 @@ class GammaTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> GammaTable:
         try:
-            K = _json_int(data["K"], "K")
+            K = _json_int(data["K"], "K", least=0)
             entries: dict[tuple[int, int], int] = {}
             for e in data["entries"]:
                 key = (_json_int(e["i"], "i", least=0), _json_int(e["j"], "j", least=0))

@@ -79,11 +79,12 @@ def parse_word(text: str) -> tuple[int, ...]:
 
     Accepts decimal values separated by commas or by any whitespace; as a
     convenience a bare digit string like ``"1221"`` is read one value per
-    character.
+    character.  Every comma-separated part must be a value, so an empty
+    one is refused, as :meth:`Multiset.parse` refuses it.
     """
     text = text.strip()
     if "," in text:
-        parts = [p.strip() for p in text.split(",") if p.strip()]
+        parts = [p.strip() for p in text.split(",")]
     else:
         parts = text.split()
         if len(parts) == 1 and text.isdigit():

@@ -144,6 +144,19 @@ class TestTreePerm:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--perm", ","],
+        ["tree", "--perm", "1,,1"],
+        ["tree", "--perm", ",1,1,"],
+        ["tree", "--perm", "1, ,1"],
+        ["orbit", "--perm", ", ,"],
+    ])
+    def test_a_word_with_an_empty_part_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad permutation word {argv[2]!r}: " \
+            "invalid literal for int() with base 10: ''\n"
+
     def test_bad_tree(self, capsys):
         code, _, err = run(capsys, "perm", "--tree", "(1 * (2 * *)")
         assert code == 2

@@ -142,6 +142,8 @@ def assert_xyz_terms_are_stored_whole(p, m):
 
 
 def test_rule_rows_have_the_shape_the_slice_kernel_reads():
+    # pins xyz_rules/uvz_rules, the definition derive reads, to the effects
+    # that c_polynomial_grammar and gamma_polynomial_grammar apply directly:
     # one row per variable, in order; each raises the weight w*a + b + c
     # (w = 1 for xyz, 2 for uvz) by k, so b is read off the weight; a never
     # falls, the first two rows share a z-shift and the third shifts z by
@@ -177,6 +179,13 @@ def test_rule_rows_have_the_shape_the_slice_kernel_reads():
     (1, 1),
     (1,) * 40,
     (2,) * 40,
+    # multiplicities past 6: the seed slice k_1 - 1 and the z-image's shift k - 2
+    (40,),
+    (1, 40),
+    (12, 1, 7),
+    (3, 25, 2, 9),
+    (7,) * 6,
+    (9, 1, 1, 13),
 ])
 def test_chains_match_reference_chains_on_large_shapes(mults):
     p, q = reference_chains(mults)

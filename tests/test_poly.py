@@ -141,6 +141,7 @@ class TestSerialization:
             {"K": 6, "entries": [{"i": 0, "j": 1, "g": 1.5}]},
             {"K": 6, "entries": [{"i": 0, "j": 1, "g": "1.5"}]},
             {"K": 6, "entries": [{"i": 0, "j": 1}]},
+            {"K": -3, "entries": [good]},
         ]
         for data in bad:
             with pytest.raises(ParseError, match="^bad gamma table JSON: "):

@@ -202,6 +202,7 @@ def test_enumerated_words_satisfy_the_definition(mults, seed):
     ("1\t2\t2\t1", (1, 2, 2, 1)),
     ("1\n2\n2\n1", (1, 2, 2, 1)),
     ("12 \t13\r\n1", (12, 13, 1)),
+    (" 1, 2 ,2,1 ", (1, 2, 2, 1)),
 ])
 def test_parse_word_forms(text, expected):
     assert parse_word(text) == expected
@@ -210,6 +211,10 @@ def test_parse_word_forms(text, expected):
 def test_parse_word_rejects_garbage():
     with pytest.raises(ParseError):
         parse_word("1 2 x")
+    # every comma-separated part is a value, as in Multiset.parse
+    for text in (",", "1,,1", ",1,1,", "1, ,1", " , ,"):
+        with pytest.raises(ParseError, match="^bad permutation word "):
+            parse_word(text)
 
 
 def test_from_word_validates():
