@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Iterator
 
 from .errors import DomainError, NotCanonicalError, OrbitTooLargeError
@@ -151,14 +152,11 @@ def canonical_table(table: Table) -> Table:
 
 
 def table_orbit(table: Table) -> frozenset[Table]:
-    """The orbit of a slot table: its ends swapped on every subset of the rows
-    that have exactly one of their first and last slots empty."""
-    members = [table]
-    for v, row in enumerate(table):
-        if (row[0] == 0) != (row[-1] == 0):
-            swapped = (row[-1], *row[1:-1], row[0])
-            members += [t[:v] + (swapped,) + t[v + 1:] for t in members]
-    return frozenset(members)
+    """The orbit of a slot table, given as any rows: each row as it is or, when
+    exactly one of its ends is empty, with its ends swapped."""
+    return frozenset(product(*(
+        (row, (row[-1], *row[1:-1], row[0])) if (row[0] == 0) != (row[-1] == 0) else (row,)
+        for row in map(tuple, table))))
 
 
 def orbit(t: GesselTree) -> frozenset[GesselTree]:

@@ -30,6 +30,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
+from math import comb
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .action import (
@@ -54,7 +56,6 @@ from .poly import (
     gamma_extract,
     gamma_table_to_uvz,
     is_symmetric,
-    substitute_uv,
 )
 from .stirling import (
     StirlingPermutation,
@@ -309,34 +310,28 @@ def _raising(exc: Exception) -> Iterator:
     yield
 
 
-def _mapped(kernel: Callable, *columns: list) -> tuple[list, Exception | None]:
-    """``list(map(kernel, *columns))``, or the values before a raise and the exception."""
+def _mapped(kernel: Callable, column: tuple[list, Exception | None],
+            *extra: Iterable) -> tuple[list, Exception | None]:
+    """``kernel`` over a column's values, ``extra`` alongside: the values before
+    its raise and the exception, else the column's raise, at a later word."""
     values: list = []
     try:
-        values.extend(map(kernel, *columns))
+        values.extend(map(kernel, column[0], *extra))
     except Exception as exc:
         return values, exc
-    return values, None
-
-
-def _censuses(block: PassBlock) -> tuple[list, Exception | None]:
-    tables, raised = block.column("tables")
-    values, exc = _mapped(table_census, tables)
-    return values, exc or raised  # its own raise comes at an earlier word
+    return values, column[1]
 
 
 # How each column of a block past ``perms`` is built.  The kernels are
 # looked up in this module's globals at each call, so a rebinding of one
 # reaches the pass.
 _COLUMNS: dict[str, Callable[[PassBlock], tuple[list, Exception | None]]] = {
-    "words": lambda b: ([s.word for s in b.perms], None),
-    "tables": lambda b: _mapped(table_of_word, b.column("words")[0],
-                                repeat(b.ctx.multiset.mults)),
-    "triples": lambda b: _mapped(asc_des_plat, b.column("words")[0]),
-    "profiles": lambda b: _mapped(statistics, b.perms),
-    "censuses": _censuses,
-    "ends": lambda b: _mapped(first_last_positions, b.column("words")[0],
-                              repeat(b.ctx.multiset.n)),
+    "words": lambda b: _mapped(attrgetter("word"), b.column("perms")),
+    "tables": lambda b: _mapped(table_of_word, b.column("words"), repeat(b.ctx.multiset.mults)),
+    "triples": lambda b: _mapped(asc_des_plat, b.column("words")),
+    "profiles": lambda b: _mapped(statistics, b.column("perms")),
+    "censuses": lambda b: _mapped(table_census, b.column("tables")),
+    "ends": lambda b: _mapped(first_last_positions, b.column("words"), repeat(b.ctx.multiset.n)),
 }
 
 
@@ -548,19 +543,16 @@ def _word_check(check_id: str, m: Multiset) -> list[Failure]:
 def _check_orbit(m: Multiset) -> list[Failure]:
     # Class by class, from each canonical table, enumerating no word.  One
     # canonical member per orbit makes the orbits disjoint, and their sizes
-    # summing to |Q_m| makes them a partition of Q_m.  A failing class is
-    # named by its representative's text, and the one whose text sorts first
-    # is reported; a passing class is never written.
+    # summing to |Q_m| makes them a partition of Q_m.  The table placements
+    # yields is read through before the next one, so it is not copied.  Of
+    # the failing classes the one whose text sorts first is reported.
     first, size = None, 0
     for table in placements(m, -1):
-        canon = tuple(map(tuple, table))
-        members = table_orbit(canon)
+        members = table_orbit(table)
         size += len(members)
-        failure = _orbit_class_failure(m, canon, members)
-        if failure:
-            failure["tree"] = render_table(canon)
-            if first is None or failure["tree"] < first["tree"]:
-                first = failure
+        failure = _orbit_class_failure(m, table, members)
+        if failure and (first is None or failure["tree"] < first["tree"]):
+            first = failure
     if first:
         return [first]
     count = count_stirling(m)
@@ -570,25 +562,26 @@ def _check_orbit(m: Multiset) -> list[Failure]:
 
 
 def _orbit_class_failure(m: Multiset, canon: Table, members: frozenset[Table]) -> Failure | None:
-    """The first failure of one class, its ``tree`` still to be named, or None."""
+    """The first failure of one class, named by its canonical table's text, or None."""
     canonical_members = sum(map(is_canonical_table, members))
     if canonical_members != 1:
         return _fail(m, f"orbit has {canonical_members} canonical members, expected 1",
-                     tree=None)
+                     tree=render_table(canon))
     census = table_census(canon)
+    y, z = census.yleaf, census.zleaf
     ux = sum(has_x and not has_y for has_x, has_y, _ in census.per_vertex.values())
     if len(members) != 2 ** ux:
         return _fail(m, "orbit size is not 2^(unbalanced-x vertices)",
-                     tree=None, lhs=len(members), rhs=2 ** ux)
-    if ux != m.K + 1 - census.zleaf - 2 * census.yleaf:
+                     tree=render_table(canon), lhs=len(members), rhs=2 ** ux)
+    if ux != m.K + 1 - z - 2 * y:
         return _fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
-                     tree=None, lhs=ux, rhs=m.K + 1 - census.zleaf - 2 * census.yleaf)
-    expected = substitute_uv(Poly3._wrap(UVZ, {(census.yleaf, ux, census.zleaf): 1}))
-    actual = Counter(asc_des_plat(word_of_table(u)) for u in members)
-    if actual != expected.terms:
+                     tree=render_table(canon), lhs=ux, rhs=m.K + 1 - z - 2 * y)
+    expected = {(y + t, y + ux - t, z): comb(ux, t) for t in range(ux + 1)}
+    actual = Counter(map(asc_des_plat, map(word_of_table, members)))
+    if actual != expected:
         return _fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
-                     tree=None, lhs=Poly3(XYZ, actual).to_json_dict(),
-                     rhs=expected.to_json_dict())
+                     tree=render_table(canon), lhs=Poly3(XYZ, actual).to_json_dict(),
+                     rhs=Poly3(XYZ, expected).to_json_dict())
     return None
 
 

@@ -19,6 +19,8 @@ class Multiset:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if type(self.mults) is not tuple:  # a list would neither hash nor equal its tuple
+            object.__setattr__(self, "mults", tuple(self.mults))
         # type(k) is int refuses bools, which would pass as 1 and 0 but
         # render as "True" in spec()
         if not all(type(k) is int and k >= 1 for k in self.mults):

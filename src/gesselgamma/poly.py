@@ -46,8 +46,9 @@ class Poly3:
 
     def __init__(self, vars: tuple[str, str, str] = XYZ, terms: dict[Exponent, int] | None = None):
         self.vars = tuple(vars)
-        if len(self.vars) != 3:
-            raise ParseError(f"expected exactly 3 variables, got {self.vars!r}")
+        if self.vars not in (XYZ, UVZ) and (  # the package's own signatures pass at once
+                not all(isinstance(v, str) for v in self.vars) or len(set(self.vars)) != 3):
+            raise ParseError(f"expected 3 distinct variable names, got {self.vars!r}")
         self.terms: dict[Exponent, int] = {}
         if terms:
             for e, c in terms.items():
@@ -204,6 +205,8 @@ class Poly3:
     @classmethod
     def from_json_dict(cls, data: dict) -> Poly3:
         try:
+            if not (isinstance(data["vars"], list) and isinstance(data["terms"], list)):
+                raise ValueError("vars and terms must be lists")
             vars = tuple(data["vars"])
             terms: dict[Exponent, int] = {}
             for t in data["terms"]:
@@ -214,9 +217,9 @@ class Poly3:
                 if e in terms:
                     raise ValueError(f"exponent {list(e)} is listed twice")
                 terms[e] = _json_int(t["c"], "a coefficient", text=True)
+            return cls(vars, terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polynomial JSON: {exc}") from None
-        return cls(vars, terms)
 
     @classmethod
     def from_json(cls, text: str) -> Poly3:
@@ -298,6 +301,8 @@ class GammaTable:
     def from_json_dict(cls, data: dict) -> GammaTable:
         try:
             K = _json_int(data["K"], "K", least=0)
+            if not isinstance(data["entries"], list):
+                raise ValueError("entries is not a list")
             entries: dict[tuple[int, int], int] = {}
             for e in data["entries"]:
                 key = (_json_int(e["i"], "i", least=0), _json_int(e["j"], "j", least=0))

@@ -34,6 +34,17 @@ def test_constructor_rejects_nonpositive():
         Multiset((2, 0))
 
 
+def test_a_multiset_built_from_a_list_is_the_one_built_from_its_tuple():
+    m = Multiset([2, 2])
+    assert m == Multiset((2, 2)) and m.mults == (2, 2)
+    assert hash(m) == hash(Multiset((2, 2)))
+    assert {m, Multiset((2, 2))} == {Multiset.parse("2,2")}
+    assert m.spec() == "2,2"
+    assert Multiset([]) == Multiset(())
+    with pytest.raises(ParseError):
+        Multiset([2, 0])
+
+
 def test_multiplicity_lookup():
     m = Multiset((2, 1, 3))
     assert [m.multiplicity(v) for v in (1, 2, 3)] == [2, 1, 3]

@@ -112,6 +112,24 @@ class TestSerialization:
         for terms in bad_terms:
             with pytest.raises(ParseError, match="^bad polynomial JSON: "):
                 Poly3.from_json_dict({"vars": ["x", "y", "z"], "terms": terms})
+        bad_lists = [
+            '{"vars": [1, 2, 3], "terms": []}',
+            '{"vars": [["x"], ["y"], ["z"]], "terms": []}',
+            '{"vars": ["x", "x", "z"], "terms": []}',
+            '{"vars": ["x", "y", "z", "w"], "terms": []}',
+            '{"vars": "xyz", "terms": []}',
+            '{"vars": ["x", "y", "z"], "terms": {}}',
+            '{"vars": ["x", "y", "z"], "terms": "[]"}',
+        ]
+        for text in bad_lists:
+            with pytest.raises(ParseError, match="^bad polynomial JSON: "):
+                Poly3.from_json(text)
+
+    def test_poly_variables_are_three_distinct_names(self):
+        for vars in [(1, 2, 3), ("x", "x", "z"), ("x", "y"), (None, "y", "z")]:
+            with pytest.raises(ParseError, match="3 distinct variable names"):
+                Poly3(vars)
+        assert Poly3(["u", "v", "z"]).vars == UVZ
 
     def test_poly_json_reads_ints_and_decimal_strings(self):
         terms = [{"e": [0, 0, 1], "c": -3}, {"e": [1, 1, 0], "c": "-12"}]
@@ -142,6 +160,8 @@ class TestSerialization:
             {"K": 6, "entries": [{"i": 0, "j": 1, "g": "1.5"}]},
             {"K": 6, "entries": [{"i": 0, "j": 1}]},
             {"K": -3, "entries": [good]},
+            {"K": 3, "entries": {}},
+            {"K": 3, "entries": "[]"},
         ]
         for data in bad:
             with pytest.raises(ParseError, match="^bad gamma table JSON: "):

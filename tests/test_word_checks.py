@@ -10,6 +10,8 @@ reference's ``is_canonical`` alike."""
 
 import ast
 import sys
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -29,10 +31,12 @@ from gesselgamma.action import (
     table_orbit,
 )
 from gesselgamma.harness import CHECKS, CheckOutcome, run_campaign
+from gesselgamma.poly import UVZ, Poly3, substitute_uv
 from gesselgamma.stirling import (
     StatProfile,
     StirlingPermutation,
     asc_des_plat,
+    count_stirling,
     first_last_positions,
     statistics,
 )
@@ -44,6 +48,7 @@ from gesselgamma.trees import (
     table_census,
     table_of_word,
     validate_tree,
+    word_of_table,
 )
 
 WORD_IDS = ["P2.1", "JKP-ZJ", "P2.2", "P5.1", "P6.3"]
@@ -269,6 +274,15 @@ def placements_repeating_the_first(m, watched):
     yield from tables
 
 
+def asc_des_plat_with_a_descent_raised(word):
+    """Turns one descent into an ascent on every word that starts with 1 and
+    does not end with 1: its last step, down to the closing 0, is a descent."""
+    asc, des, plat = asc_des_plat(word)
+    if word and word[0] == 1 and word[-1] != 1:
+        return asc + 1, des - 1, plat
+    return asc, des, plat
+
+
 def statistics_raising(s):
     """Raises on every word that ends with its largest value, the first
     word of its multiset among them."""
@@ -320,6 +334,7 @@ FAULTS = {
     "orbit_without_its_all_y_member": [
         (table_orbit, table_orbit_without_its_all_y_member),
         (ref_kernels.orbit, orbit_without_its_all_y_member)],
+    "triple_with_a_descent_raised": [(asc_des_plat, asc_des_plat_with_a_descent_raised)],
     "statistics_raising": [(statistics, statistics_raising)],
     "positions_raising": [(first_last_positions, positions_raising)],
 }
@@ -369,13 +384,22 @@ def test_an_occurrence_fault_reaches_its_check(monkeypatch, fault, check_id, det
     (FAULTS["orbit_without_its_all_y_member"], "orbit size is not 2^(unbalanced-x vertices)"),
     ([(placements, placements_repeating_the_first)],
      "orbit sizes do not sum to the number of words"),
+    (FAULTS["triple_with_a_descent_raised"], "orbit monomial sum differs"),
 ], ids=["left_alone", "flipped_once", "merging_orbits", "without_canonical", "without_all_y",
-        "placements_repeating_the_first"])
+        "placements_repeating_the_first", "descent_raised"])
 def test_an_orbit_fault_fails_orbit(monkeypatch, faults, detail):
     for original, fake in faults:
         rebind_everywhere(monkeypatch, original, fake)
     got = harness_outcomes(["ORBIT"], FAULT_FAMILY)["ORBIT"]
     assert any(o["status"] == "FAIL" and detail in o["detail"] for o in got)
+
+
+def test_orbit_expects_the_terms_substitute_uv_expands():
+    # ORBIT writes out what each class's monomials sum to as one binomial
+    # row; it is the expansion of u^y v^ux z^z under u -> xy, v -> x + y.
+    for y, ux, z in product(range(7), repeat=3):
+        row = {(y + t, y + ux - t, z): comb(ux, t) for t in range(ux + 1)}
+        assert row == substitute_uv(Poly3.monomial((y, ux, z), 1, UVZ)).terms
 
 
 def test_a_raising_kernel_fails_only_the_checks_that_call_it(monkeypatch):
@@ -520,6 +544,25 @@ def test_table_checks_build_no_object_tree(monkeypatch):
     assert run_campaign(["ORBIT", "T4.3", *WORD_IDS], FAULT_FAMILY).passed
     assert [len(c) for c in calls] == [0] * len(kernels)
     assert built == []
+
+
+def test_orbit_reads_each_class_off_its_placement(monkeypatch):
+    # Per class one orbit and one census of the table placements yields,
+    # uncopied; per member one canonicity test, word and triple; and for a
+    # passing class no polynomial and no expansion.
+    per_class = [counting(monkeypatch, f) for f in (table_orbit, table_census)]
+    per_member = [counting(monkeypatch, f)
+                  for f in (is_canonical_table, word_of_table, asc_des_plat)]
+    expansions = counting(monkeypatch, substitute_uv)
+    polys = []
+    monkeypatch.setattr(Poly3, "__init__", lambda self, *args: polys.append(args))
+    assert run_campaign(["ORBIT"], FAULT_FAMILY).passed
+    classes = sum(1 for m in FAULT_FAMILY for _ in placements(m, -1))
+    words = sum(count_stirling(m) for m in FAULT_FAMILY)
+    assert [len(calls) for calls in per_class] == [classes, classes]
+    assert all(type(table) is list for calls in per_class for table, in calls)
+    assert [len(calls) for calls in per_member] == [words] * 3
+    assert expansions == [] and polys == []
 
 
 def test_roundtrip_validates_each_tree_once(monkeypatch):
