@@ -151,10 +151,11 @@ def canonical_table(table: Table) -> Table:
                  for row in table)
 
 
-def table_orbit(table: Table) -> frozenset[Table]:
+def table_orbit(table: Table) -> tuple[Table, ...]:
     """The orbit of a slot table, given as any rows: each row as it is or, when
-    exactly one of its ends is empty, with its ends swapped."""
-    return frozenset(product(*(
+    exactly one of its ends is empty, with its ends swapped.  Each member is
+    listed once, as the choices of distinct rows differ."""
+    return tuple(product(*(
         (row, (row[-1], *row[1:-1], row[0])) if (row[0] == 0) != (row[-1] == 0) else (row,)
         for row in map(tuple, table))))
 

@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
-from math import comb
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -378,15 +377,17 @@ def _roundtrip(m: Multiset, block: PassBlock) -> Failure | None:
     # Each word's tree, the slot table the other layers read, is written out
     # and parsed back.  The parse validates the parsed table, and the parsed
     # table must equal the written one, which carries that validation back to
-    # it; it must also read back to the word.  tree -> word -> tree needs
-    # no pass of its own: the tables are the forward scan of the words, so
-    # once word -> tree -> word is the identity, rebuilding a tree from its
-    # word gives back the same tree.  Bijectivity rests on that identity,
-    # injectivity and the count.
+    # it; the parse is over m, so the tree must be over m; and the table must
+    # read back to the word.  tree -> word -> tree needs no pass of its own:
+    # the tables are the forward scan of the words, so once word -> tree ->
+    # word is the identity, rebuilding a tree from its word gives back the
+    # same tree.  Bijectivity rests on that identity, injectivity and the
+    # count.
     ctx, previous = block.ctx, block.ctx.last_word
+    words = distinct = 0
     for s, table in block.read("perms", "tables"):
         text = render_table(table)
-        parsed = parse_tree(text).table
+        parsed = parse_tree(text, m).table
         if parsed != table:
             return _fail(m, "serialize -> parse is not the identity", sigma=str(s), tree=text)
         back = word_of_table(parsed)
@@ -396,9 +397,11 @@ def _roundtrip(m: Multiset, block: PassBlock) -> Failure | None:
         # Once every word has come back from its tree, two tables are equal
         # only if their words are, and equal words are neighbours in sorted
         # order.
-        ctx.words += 1
-        ctx.distinct += s.word != previous
+        words += 1
+        distinct += s.word != previous
         previous = s.word
+    ctx.words += words
+    ctx.distinct += distinct
     ctx.last_word = previous
     return None
 
@@ -561,7 +564,7 @@ def _check_orbit(m: Multiset) -> list[Failure]:
     return []
 
 
-def _orbit_class_failure(m: Multiset, canon: Table, members: frozenset[Table]) -> Failure | None:
+def _orbit_class_failure(m: Multiset, canon: Table, members: tuple[Table, ...]) -> Failure | None:
     """The first failure of one class, named by its canonical table's text, or None."""
     canonical_members = sum(map(is_canonical_table, members))
     if canonical_members != 1:
@@ -576,8 +579,13 @@ def _orbit_class_failure(m: Multiset, canon: Table, members: frozenset[Table]) -
     if ux != m.K + 1 - z - 2 * y:
         return _fail(m, "unbalanced-x count differs from K+1 - zleaf - 2*yleaf",
                      tree=render_table(canon), lhs=ux, rhs=m.K + 1 - z - 2 * y)
-    expected = {(y + t, y + ux - t, z): comb(ux, t) for t in range(ux + 1)}
-    actual = Counter(map(asc_des_plat, map(word_of_table, members)))
+    expected, c = {}, 1  # a binomial row: C(ux, t+1) = C(ux, t) (ux-t) / (t+1)
+    for t in range(ux + 1):
+        expected[(y + t, y + ux - t, z)] = c
+        c = c * (ux - t) // (t + 1)
+    actual = {}
+    for triple in map(asc_des_plat, map(word_of_table, members)):
+        actual[triple] = actual.get(triple, 0) + 1
     if actual != expected:
         return _fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
                      tree=render_table(canon), lhs=Poly3(XYZ, actual).to_json_dict(),

@@ -346,7 +346,8 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
     """Parse the serialized form and validate the result.
 
     The multiset is inferred from the tree (vertex i with c children has
-    k_i = c - 1) unless one is supplied, in which case they must agree.
+    k_i = c - 1) unless one is supplied: then the arities must be its
+    multiplicities, and the tree is built over it.
     Syntax errors raise :class:`ParseError`; a syntactically fine but
     structurally invalid tree raises :class:`TreeValidationError`.
     """
@@ -415,8 +416,10 @@ def parse_tree(text: str, multiset: Multiset | None = None) -> GesselTree:
         raise TreeValidationError([TreeViolation(
             "labels", label, f"vertex label {label} outside 1..{n}")])
     table = ((root,), *map(rows.__getitem__, range(1, n + 1)))
-    inferred = Multiset(tuple([len(row) - 1 for row in table[1:]]))
-    if multiset is not None and multiset != inferred:
+    arities = tuple([len(row) - 1 for row in table[1:]])
+    if multiset is None:
+        multiset = Multiset(arities)
+    elif arities != multiset.mults:
         raise DomainError(
-            f"tree implies multiset {{{inferred}}} but {{{multiset}}} was given")
-    return GesselTree(table, inferred)
+            f"tree implies multiset {{{Multiset(arities)}}} but {{{multiset}}} was given")
+    return GesselTree(table, multiset)

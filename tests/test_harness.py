@@ -133,8 +133,8 @@ class TestRunCampaign:
     def test_roundtrip_fails_when_parsing_changes_the_table(self, monkeypatch):
         original = harness.parse_tree
 
-        def canonical_parse(text):
-            t = original(text)
+        def canonical_parse(text, multiset=None):
+            t = original(text, multiset)
             return GesselTree(canonical_table(t.table), t.multiset)
 
         monkeypatch.setattr(harness, "parse_tree", canonical_parse)
@@ -142,6 +142,22 @@ class TestRunCampaign:
         outcomes = report.reports[0].outcomes
         assert [o.status for o in outcomes] == ["FAIL", "FAIL"]
         assert all("serialize -> parse" in o.detail for o in outcomes)
+
+    def test_roundtrip_fails_when_the_text_is_a_tree_over_another_multiset(self, monkeypatch):
+        # One more leaf under the root is a Gessel tree too, over the
+        # multiset with k1 + 1; the parse is over m, so it refuses the text.
+        original = harness.render_table
+
+        def with_a_leaf_added_to_the_root(table):
+            return original(table)[:-1] + " *)"
+
+        monkeypatch.setattr(harness, "render_table", with_a_leaf_added_to_the_root)
+        report = run_campaign(["ROUNDTRIP"], [Multiset((2, 2)), Multiset((1, 2))])
+        outcomes = report.reports[0].outcomes
+        assert [o.status for o in outcomes] == ["FAIL", "FAIL"]
+        assert [o.detail for o in outcomes] == [
+            "exception: DomainError('tree implies multiset {3,2} but {2,2} was given')",
+            "exception: DomainError('tree implies multiset {2,2} but {1,2} was given')"]
 
     def test_roundtrip_fails_when_a_word_is_listed_twice(self, monkeypatch):
         original = harness.enumerate_stirling

@@ -18,7 +18,7 @@ import pytest
 import reference_checks as ref
 import reference_kernels as ref_kernels
 
-from gesselgamma import Multiset, default_campaign_family, harness
+from gesselgamma import Multiset, default_campaign_family, harness, trees
 from gesselgamma.action import (
     BalanceReport,
     canonical_representative,
@@ -235,7 +235,7 @@ def table_orbit_without_its_canonical_member(table):
     members = table_orbit(table)
     if len(members) < 2:
         return members
-    return frozenset(u for u in members if not is_canonical_table(u))
+    return tuple(u for u in members if not is_canonical_table(u))
 
 
 def orbit_without_its_canonical_member(t):
@@ -252,7 +252,7 @@ def table_orbit_without_its_all_y_member(table):
     members = table_orbit(table)
     if len(members) < 2:
         return members
-    return frozenset(u for u in members if any(not row[0] and row[-1] for row in u))
+    return tuple(u for u in members if any(not row[0] and row[-1] for row in u))
 
 
 def orbit_without_its_all_y_member(t):
@@ -392,6 +392,17 @@ def test_an_orbit_fault_fails_orbit(monkeypatch, faults, detail):
         rebind_everywhere(monkeypatch, original, fake)
     got = harness_outcomes(["ORBIT"], FAULT_FAMILY)["ORBIT"]
     assert any(o["status"] == "FAIL" and detail in o["detail"] for o in got)
+
+
+@pytest.mark.parametrize("mults", [(2, 2, 2), (1, 2, 1, 2), (3, 1, 2)])
+def test_table_orbit_lists_each_member_once(mults):
+    # A row with exactly one empty end has two choices, every other row
+    # one; the choices of a row differ, so no member comes twice.
+    for table in placements(Multiset(mults), -1):
+        members = table_orbit(table)
+        swappable = sum((not row[0]) != (not row[-1]) for row in table)
+        assert type(members) is tuple
+        assert len(members) == len(set(members)) == 2 ** swappable
 
 
 def test_orbit_expects_the_terms_substitute_uv_expands():
@@ -570,6 +581,22 @@ def test_roundtrip_validates_each_tree_once(monkeypatch):
     assert run_campaign(["ROUNDTRIP"], FAULT_FAMILY).passed
     words = sum(len(list(harness.enumerate_stirling(m))) for m in FAULT_FAMILY)
     assert len(validations) == words
+
+
+def test_roundtrip_builds_no_multiset_in_parse_tree(monkeypatch):
+    # The parse is over the multiset under check, so it builds its tree over
+    # that one; parse_tree builds a Multiset only when none is given.
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Multiset(*args)
+
+    monkeypatch.setattr(trees, "Multiset", counted)
+    assert run_campaign(["ROUNDTRIP"], [Multiset((2, 2, 2))]).passed
+    assert built == []
+    trees.parse_tree("(1 * *)")
+    assert built == [((1,),)]
 
 
 def test_roundtrip_scans_each_word_once(monkeypatch):
