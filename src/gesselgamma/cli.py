@@ -49,6 +49,7 @@ from .stirling import (
     enumerate_stirling,
     parse_word,
     statistics,
+    word_text,
 )
 from .trees import gessel_forward, gessel_inverse, parse_tree, serialize
 
@@ -142,11 +143,11 @@ def _refuse_enumeration(m: Multiset, via: str = "enum") -> None:
 _ROW_BATCH = 1024
 
 
-def _word_row(s: StirlingPermutation, stats: bool) -> dict:
-    """One word of ``enumerate``, with its statistics under ``--stats``."""
-    row = {"word": list(s.word)}
+def _word_row(word: tuple[int, ...], n: int, stats: bool) -> dict:
+    """One word of ``enumerate``, over 1..n, with its statistics under ``--stats``."""
+    row = {"word": word}
     if stats:
-        prof = statistics(s)
+        prof = statistics(word, n)
         row.update({
             "asc": prof.asc, "des": prof.des, "plat": prof.plat,
             "plat_by_j": {str(j): c for j, c in sorted(prof.plat_by_j.items())},
@@ -161,7 +162,7 @@ def _cmd_enumerate(args) -> int:
     m = Multiset.parse(args.multiset)
     _refuse_enumeration(m)
     write = sys.stdout.write
-    rows = (_word_row(s, args.stats) for s in enumerate_stirling(m))
+    rows = (_word_row(word, m.n, args.stats) for word in enumerate_stirling(m))
     if args.format == "json":
         write(f'{{"multiset": {json.dumps(list(m.mults))}, '
               f'"count": {count_stirling(m)}, "words": [')
@@ -175,7 +176,7 @@ def _cmd_enumerate(args) -> int:
                            if args.stats else [])
         write(",".join(cols) + "\n")
         for row in rows:
-            cells = [" ".join(str(v) for v in row["word"])]
+            cells = [word_text(row["word"])]
             cells += [str(row[c]) for c in cols[1:]]
             write(",".join(cells) + "\n")
     return 0

@@ -8,10 +8,11 @@ z-exponent i, the second the xy-exponent j.
 
 The enumerated polynomial and the perms and mma routes tally straight
 off ``stirling.stirling_words``: bare word tuples in insertion order,
-neither sorted nor wrapped in a ``StirlingPermutation``, with memory
-O(n K) whatever the number of words.  The perms and mma routes read only
-their own key off each word, in one pass that stops at the first sign
-the word is not counted; the full ``statistics`` profile is left to the
+the word type of every per-word kernel, not sorted, with memory O(n K)
+whatever the number of words.  The enumerated polynomial counts each
+word's ``asc_des_plat`` triple; the perms and mma routes read only their
+own key off each word, in one pass that stops at the first sign the
+word is not counted; the full ``statistics`` profile is left to the
 harness and ``enumerate --stats``.
 The trees and ternary routes read no word: ``action.placements`` places
 the vertices of the canonical trees slot by slot, and each route reads
@@ -44,12 +45,7 @@ def c_polynomial_enum(m: Multiset) -> Poly3:
     """
     if m.n == 0:
         return Poly3.variable("x", XYZ)
-    return triple_polynomial(map(asc_des_plat, stirling_words(m)))
-
-
-def triple_polynomial(triples: Iterable[tuple[int, int, int]]) -> Poly3:
-    """Sum of x^asc y^des z^plat over the given (asc, des, plat) triples."""
-    return Poly3(XYZ, Counter(triples))
+    return Poly3(XYZ, Counter(map(asc_des_plat, stirling_words(m))))
 
 
 def _nonempty(m: Multiset) -> Multiset:

@@ -7,10 +7,12 @@ only inside a campaign task, one multiset and its checks, which share a
 context dropped before the next task; one check on one multiset is
 ``verify(id, [m])``.  The context fixes its layers from the reads of the
 task's checks and makes one pass over the multiset's words, which hands
-them to every layer a block at a time, as columns: the words, the slot
-tables of their trees, their triples, profiles, leaf censuses and first
-and last positions, each built by one call of its kernel per word if a
-layer reads it, and read only through ``PassBlock.read``.  The layers are
+them to every layer a block at a time, as columns: the words, bare
+tuples as ``enumerate_stirling`` yields them, then the slot tables of
+their trees, their triples, profiles, leaf censuses and first and last
+positions, each built by one call of its kernel per word if a layer
+reads it, and read only through ``PassBlock.read``.  No layer builds a
+``StirlingPermutation``; a failure writes its word as text.  The layers are
 the tally that is the enumerated polynomial, the per-word checks, T4.3's
 weights and ROUNDTRIP, which writes each table out and parses it back;
 its order check keeps its own last word.  Only what they sum up is kept.
@@ -30,7 +32,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .action import (
@@ -64,6 +65,7 @@ from .stirling import (
     first_last_positions,
     insertion_factors,
     statistics,
+    word_text,
 )
 from .trees import (
     Table,
@@ -185,9 +187,9 @@ class MultisetContext:
     Its layers (``_LAYERS``) are fixed when it is built: those that the
     checks of ``check_ids`` that apply to m read (``CheckDef.reads``); any
     other layer raises KeyError.  The first read runs the one pass over
-    ``enumerate_stirling(m)``, in lexicographic order, which feeds the
-    words to every layer a ``PassBlock`` at a time and drops each block,
-    so no list of the words, slot tables or triples is kept.  The context
+    the bare words of ``enumerate_stirling(m)``, in lexicographic order,
+    which feeds them to every layer a ``PassBlock`` at a time and drops
+    each block, so no list of the words, slot tables or triples is kept.  The context
     holds each layer's outcome (its first failure, what it raised, or
     None) and their sums: ``triples``, the number of words by ``(asc, des,
     plat)``, which ``c_polynomial`` is (``x`` for the empty multiset, like
@@ -249,10 +251,10 @@ class MultisetContext:
         layers = list(self._layers.items())
         outcomes: dict[str, Failure | Exception | None] = dict.fromkeys(self._layers)
         try:
-            perms = enumerate_stirling(m)
+            words = enumerate_stirling(m)
             while layers:
-                block = PassBlock(self, list(islice(perms, PASS_BLOCK)))
-                if not block.perms:
+                block = PassBlock(self, list(islice(words, PASS_BLOCK)))
+                if not block.words:
                     break
                 for name, feed in layers:
                     try:
@@ -268,20 +270,21 @@ class MultisetContext:
 class PassBlock:
     """Up to ``PASS_BLOCK`` words of a pass, as columns; dropped with the block.
 
-    ``perms`` are the block's permutations, in order.  Every other column
-    (``_COLUMNS``) is built on its first read, by one ``map`` of its kernel
-    over the block, so each kernel runs once per word, and only for a layer
-    that reads it.  A column whose kernel raises at word i keeps words
-    0..i-1 and the exception, and every layer reads its columns only
-    through ``read``, which yields those words before the exception, so its
-    outcome is the one of reading word by word.
+    ``words`` are the block's words, bare tuples, in order: the first
+    column.  Every other column (``_COLUMNS``) is built on its first read,
+    by one ``map`` of its kernel over the words or another column, so each
+    kernel runs once per word, and only for a layer that reads it.  A
+    column whose kernel raises at word i keeps words 0..i-1 and the
+    exception, and every layer reads its columns only through ``read``,
+    which yields those words before the exception, so its outcome is the
+    one of reading word by word.
     """
 
-    __slots__ = ("ctx", "perms", "_columns")
+    __slots__ = ("ctx", "words", "_columns")
 
-    def __init__(self, ctx: MultisetContext, perms: list[StirlingPermutation]):
-        self.ctx, self.perms = ctx, perms
-        self._columns: dict[str, tuple[list, Exception | None]] = {"perms": (perms, None)}
+    def __init__(self, ctx: MultisetContext, words: list[tuple[int, ...]]):
+        self.ctx, self.words = ctx, words
+        self._columns: dict[str, tuple[list, Exception | None]] = {"words": (words, None)}
 
     def column(self, name: str) -> tuple[list, Exception | None]:
         """A column's values, up to the word its kernel raised at, and that exception."""
@@ -321,14 +324,13 @@ def _mapped(kernel: Callable, column: tuple[list, Exception | None],
     return values, column[1]
 
 
-# How each column of a block past ``perms`` is built.  The kernels are
+# How each column of a block past ``words`` is built.  The kernels are
 # looked up in this module's globals at each call, so a rebinding of one
 # reaches the pass.
 _COLUMNS: dict[str, Callable[[PassBlock], tuple[list, Exception | None]]] = {
-    "words": lambda b: _mapped(attrgetter("word"), b.column("perms")),
     "tables": lambda b: _mapped(table_of_word, b.column("words"), repeat(b.ctx.multiset.mults)),
     "triples": lambda b: _mapped(asc_des_plat, b.column("words")),
-    "profiles": lambda b: _mapped(statistics, b.column("perms")),
+    "profiles": lambda b: _mapped(statistics, b.column("words"), repeat(b.ctx.multiset.n)),
     "censuses": lambda b: _mapped(table_census, b.column("tables")),
     "ends": lambda b: _mapped(first_last_positions, b.column("words"), repeat(b.ctx.multiset.n)),
 }
@@ -385,21 +387,22 @@ def _roundtrip(m: Multiset, block: PassBlock) -> Failure | None:
     # count.
     ctx, previous = block.ctx, block.ctx.last_word
     words = distinct = 0
-    for s, table in block.read("perms", "tables"):
+    for word, table in block.read("words", "tables"):
         text = render_table(table)
         parsed = parse_tree(text, m).table
         if parsed != table:
-            return _fail(m, "serialize -> parse is not the identity", sigma=str(s), tree=text)
+            return _fail(m, "serialize -> parse is not the identity",
+                         sigma=word_text(word), tree=text)
         back = word_of_table(parsed)
-        if back != s.word:
+        if back != word:
             return _fail(m, "word -> tree -> word is not the identity",
-                         sigma=str(s), lhs=str(s), rhs=" ".join(map(str, back)))
+                         sigma=word_text(word), lhs=word_text(word), rhs=word_text(back))
         # Once every word has come back from its tree, two tables are equal
         # only if their words are, and equal words are neighbours in sorted
         # order.
         words += 1
-        distinct += s.word != previous
-        previous = s.word
+        distinct += word != previous
+        previous = word
     ctx.words += words
     ctx.distinct += distinct
     ctx.last_word = previous
@@ -426,18 +429,18 @@ def _check_roundtrip(m: Multiset) -> list[Failure]:
 # the words (_LAYERS).
 
 def _check_p21(m: Multiset, block: PassBlock) -> Failure | None:
-    for s, triple, census in block.read("perms", "triples", "censuses"):
+    for word, triple, census in block.read("words", "triples", "censuses"):
         if triple != census.triple:
             return _fail(m, "(asc, des, plat) differs from (x, y, z) leaf counts",
-                         sigma=str(s), lhs=list(triple), rhs=list(census.triple))
+                         sigma=word_text(word), lhs=list(triple), rhs=list(census.triple))
     return None
 
 
 def _check_jkp(m: Multiset, block: PassBlock) -> Failure | None:
-    for s, prof, census in block.read("perms", "profiles", "censuses"):
+    for word, prof, census in block.read("words", "profiles", "censuses"):
         if prof.plat_by_j != census.zleaf_by_j:
             return _fail(m, "plateaux by occurrence index differ from z-leaves by position",
-                         sigma=str(s), lhs=prof.plat_by_j, rhs=census.zleaf_by_j)
+                         sigma=word_text(word), lhs=prof.plat_by_j, rhs=census.zleaf_by_j)
     return None
 
 
@@ -445,15 +448,15 @@ def _check_p22(m: Multiset, block: PassBlock) -> Failure | None:
     # The first i tops an ascent when the letter before it is smaller, and
     # the last i a descent when the letter after it is; the boundary is 0.
     values = range(1, m.n + 1)
-    for s, census, (first, last) in block.read("perms", "censuses", "ends"):
+    for word, census, (first, last) in block.read("words", "censuses", "ends"):
         per_vertex = census.per_vertex
-        padded = (0, *s.word, 0)  # padded[p] is the letter at 1-based position p
+        padded = (0, *word, 0)  # padded[p] is the letter at 1-based position p
         for i in values:
             has_x, has_y, _ = per_vertex[i]
             x, y = padded[first[i] - 1] < i, i > padded[last[i] + 1]
             if x != has_x or y != has_y:
                 return _fail(m, f"occurrence flags of value {i} differ from leaf flags",
-                             sigma=str(s), lhs=[x, y], rhs=[has_x, has_y])
+                             sigma=word_text(word), lhs=[x, y], rhs=[has_x, has_y])
     return None
 
 
@@ -488,40 +491,40 @@ def _check_t43(m: Multiset) -> list[Failure]:
 
 
 def _check_p51(m: Multiset, block: PassBlock) -> Failure | None:
-    for s, prof, census, (_, last) in block.read("perms", "profiles", "censuses", "ends"):
-        dfalls, word = prof.dfall_positions, s.word
+    for word, prof, census, (_, last) in block.read("words", "profiles", "censuses", "ends"):
+        dfalls = prof.dfall_positions
         unbalanced_y = {v for v, (has_x, has_y, _) in census.per_vertex.items()
                         if has_y and not has_x}
         dfall_values = {word[i - 1] for i in dfalls}
         if dfall_values != unbalanced_y or len(dfalls) != len(unbalanced_y):
             return _fail(m, "double-fall values differ from unbalanced-y vertices",
-                         sigma=str(s), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))
+                         sigma=word_text(word), lhs=sorted(dfall_values), rhs=sorted(unbalanced_y))
         for i in dfalls:
             v = word[i - 1]
             if i != last[v]:
                 return _fail(m, f"double fall at {i} is not the last occurrence of {v}",
-                             sigma=str(s))
+                             sigma=word_text(word))
     return None
 
 
 def _check_p63(m: Multiset, block: PassBlock) -> Failure | None:
-    for s, prof, census in block.read("perms", "profiles", "censuses"):
+    for word, prof, census in block.read("words", "profiles", "censuses"):
         z_without_x: set[int] = set()
         x_with_z: set[int] = set()
         for v, (hx, _, zc) in census.per_vertex.items():
             if zc:
                 (x_with_z if hx else z_without_x).add(v)
-        dplat_values = {s.word[i - 1] for i in prof.dplat_positions}
-        aplat_values = {s.word[i - 1] for i in prof.aplat_positions}
+        dplat_values = {word[i - 1] for i in prof.dplat_positions}
+        aplat_values = {word[i - 1] for i in prof.aplat_positions}
         if dplat_values != z_without_x or len(prof.dplat_positions) != len(z_without_x):
             return _fail(m, "descent-plateau values differ from z-without-x vertices",
-                         sigma=str(s), lhs=sorted(dplat_values), rhs=sorted(z_without_x))
+                         sigma=word_text(word), lhs=sorted(dplat_values), rhs=sorted(z_without_x))
         if aplat_values != x_with_z or len(prof.aplat_positions) != len(x_with_z):
             return _fail(m, "ascent-plateau values differ from x-with-z vertices",
-                         sigma=str(s), lhs=sorted(aplat_values), rhs=sorted(x_with_z))
+                         sigma=word_text(word), lhs=sorted(aplat_values), rhs=sorted(x_with_z))
         if (prof.dplat == 0) != (not z_without_x):
             return _fail(m, "descent-plateau-freeness differs from ternary canonicity",
-                         sigma=str(s))
+                         sigma=word_text(word))
     return None
 
 
@@ -911,7 +914,7 @@ def golden_examples() -> GoldenReport:
     t1 = gessel_forward(s1)
     record("big-example/tree", _BIG_TREE, serialize(t1))
     record("big-example/census", (5, 5, 5), leaf_census(t1).triple)
-    prof1 = statistics(s1)
+    prof1 = statistics(s1.word, s1.multiset.n)
     record("big-example/stats", (5, 5, 5), prof1.triple)
     record("big-example/aplat-dplat", (4, 1), (prof1.aplat, prof1.dplat))
     record("big-example/dplat-position", frozenset({5}), prof1.dplat_positions)
@@ -957,7 +960,7 @@ def golden_examples() -> GoldenReport:
     record("prune-example/zleaf", 5, pruned.zleaf)
 
     s5 = StirlingPermutation.from_word(_DFALL_WORD)
-    prof5 = statistics(s5)
+    prof5 = statistics(s5.word, s5.multiset.n)
     record("double-fall-example/descents", frozenset({2, 4, 9, 10}), prof5.descent_positions)
     record("double-fall-example/dfalls", frozenset({4}), prof5.dfall_positions)
 
@@ -965,7 +968,7 @@ def golden_examples() -> GoldenReport:
     t7 = gessel_forward(s7)
     record("ternary-example/tree", _TERNARY_TREE, serialize(t7))
     record("ternary-example/is-canonical-ternary", True, is_canonical_ternary(t7))
-    record("ternary-example/dplat", 0, statistics(s7).dplat)
+    record("ternary-example/dplat", 0, statistics(s7.word, s7.multiset.n).dplat)
     record("ternary-example/big-example-not-ternary", False, is_canonical_ternary(t1))
 
     m22 = Multiset((2, 2))

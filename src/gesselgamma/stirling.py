@@ -42,15 +42,13 @@ class StirlingPermutation:
             raise DomainError(f"{word!r} is not a Stirling permutation of {{{multiset}}}")
         return cls(word, multiset)
 
-    def reverse(self) -> StirlingPermutation:
-        """The reversed word, which is again a Stirling permutation."""
-        return StirlingPermutation(self.word[::-1], self.multiset)
-
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.word)
+        return word_text(self.word)
 
-    def __len__(self) -> int:
-        return len(self.word)
+
+def word_text(word) -> str:
+    """A word as text, its letters separated by single spaces: ``"1 2 2 1"``."""
+    return " ".join(map(str, word))
 
 
 def _infer_multiset(word: tuple[int, ...]) -> Multiset:
@@ -170,9 +168,10 @@ def stirling_words(multiset: Multiset) -> Iterator[tuple[int, ...]]:
         gaps[i] = 0
 
 
-def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:
-    """All Stirling permutations of the multiset, in lexicographic order,
-    each the successor of the one before: one word is held.
+def enumerate_stirling(multiset: Multiset) -> Iterator[tuple[int, ...]]:
+    """The words of all Stirling permutations of the multiset, as bare
+    tuples in lexicographic order, each the successor of the one before:
+    one word is held.
 
     The values started but not finished form a stack increasing to its
     top (one opened after v closes before v's next copy), so the next
@@ -189,7 +188,7 @@ def enumerate_stirling(multiset: Multiset) -> Iterator[StirlingPermutation]:
     word = [v for v in range(1, len(k)) for _ in range(k[v])]
     last = len(word) - 1
     while True:
-        yield StirlingPermutation(tuple(word), multiset)
+        yield tuple(word)
         i = last - 1
         while i >= 0 and word[i] >= word[i + 1]:
             i -= 1
@@ -261,8 +260,8 @@ class StatProfile(NamedTuple):
         return (self.asc, self.des, self.plat)
 
 
-def statistics(s: StirlingPermutation) -> StatProfile:
-    """The full :class:`StatProfile` of a word, in one left-to-right pass.
+def statistics(word: tuple[int, ...], n: int) -> StatProfile:
+    """The full :class:`StatProfile` of a word over 1..n, in one left-to-right pass.
 
     Each step (sigma_{p}, sigma_{p+1}) is one of three kinds, and the loop
     branches once on it: an ascent at p + 1, or a descent or a plateau at
@@ -271,7 +270,6 @@ def statistics(s: StirlingPermutation) -> StatProfile:
     a descent at a value whose first occurrence was entered by a descent,
     which is known once that occurrence is read.
     """
-    w = s.word
     ascents: list[int] = []
     descents: list[int] = []
     plateaus: list[int] = []
@@ -279,11 +277,11 @@ def statistics(s: StirlingPermutation) -> StatProfile:
     aplats: list[int] = []
     dplats: list[int] = []
     plat_by_j: dict[int, int] = {}
-    rank = [0] * (len(s.multiset.mults) + 1)  # occurrences of each value read so far
+    rank = [0] * (n + 1)  # occurrences of each value read so far
     fell = [False] * len(rank)  # first occurrence is entered by a descent
     prev = 0
     entered = 0  # the kind of the step into position p: 1 ascent, -1 descent, 0 plateau
-    for p, cur in enumerate(w):
+    for p, cur in enumerate(word):
         r = rank[cur] = rank[cur] + 1
         if prev < cur:
             ascents.append(p + 1)
@@ -305,9 +303,9 @@ def statistics(s: StirlingPermutation) -> StatProfile:
             entered = 0
         prev = cur
     if prev:  # the last step, down to the boundary zero
-        descents.append(len(w))
+        descents.append(len(word))
         if fell[prev]:
-            dfalls.append(len(w))
+            dfalls.append(len(word))
 
     fs = frozenset
     return StatProfile(
@@ -333,7 +331,7 @@ def first_last_positions(word: tuple[int, ...], n: int) -> tuple[list[int], list
 
 
 def asc_des_plat(word: tuple[int, ...]) -> tuple[int, int, int]:
-    """``(asc, des, plat)`` of a word, equal to ``statistics(s).triple``.
+    """``(asc, des, plat)`` of a word, equal to ``statistics(word, n).triple``.
 
     Every step (sigma_{i-1}, sigma_i) for i = 1..K+1, boundary zeros
     included, is exactly one of: an ascent at i, a descent at i-1, or a

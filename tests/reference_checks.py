@@ -26,6 +26,8 @@ reference for.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import reference_kernels
 from reference_kernels import is_canonical, orbit
 
@@ -35,7 +37,6 @@ from gesselgamma.action import (
     is_canonical_ternary,
     prune,
 )
-from gesselgamma.counts import triple_polynomial
 from gesselgamma.multiset import Multiset
 from gesselgamma.poly import UVZ, XYZ, Poly3, gamma_extract, gamma_table_to_uvz
 from gesselgamma.stirling import (
@@ -65,7 +66,7 @@ class Context:
         if m.n == 0:
             self.c_polynomial = Poly3.variable("x", XYZ)
         else:
-            self.c_polynomial = triple_polynomial(self.triples)
+            self.c_polynomial = Poly3(XYZ, Counter(self.triples))
 
 
 def _fail(m: Multiset, detail: str, **extra) -> Failure:
@@ -91,7 +92,7 @@ def check_p21(m: Multiset, ctx: Context) -> list[Failure]:
 
 def check_jkp(m: Multiset, ctx: Context) -> list[Failure]:
     for s, t in zip(ctx.perms, ctx.trees):
-        prof = statistics(s)
+        prof = statistics(s.word, m.n)
         census = leaf_census(t)
         if prof.plat_by_j != census.zleaf_by_j:
             return [_fail(m, "plateaux by occurrence index differ from z-leaves by position",
@@ -123,7 +124,7 @@ def check_p22(m: Multiset, ctx: Context) -> list[Failure]:
 
 def check_p51(m: Multiset, ctx: Context) -> list[Failure]:
     for s, t in zip(ctx.perms, ctx.trees):
-        prof = statistics(s)
+        prof = statistics(s.word, m.n)
         report = balance_report(t)
         _, last = first_last_positions(s.word, m.n)
         unbalanced_y = set(report.vertices_with(BalanceStatus.UNBALANCED_Y))
@@ -141,7 +142,7 @@ def check_p51(m: Multiset, ctx: Context) -> list[Failure]:
 
 def check_p63(m: Multiset, ctx: Context) -> list[Failure]:
     for s, t in zip(ctx.perms, ctx.trees):
-        prof = statistics(s)
+        prof = statistics(s.word, m.n)
         census = leaf_census(t)
         z_without_x = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and not hx}
         x_with_z = {v for v, (hx, _, zc) in census.per_vertex.items() if zc and hx}
@@ -197,8 +198,8 @@ def _orbit_class_failure(m: Multiset, t, members) -> Failure | None:
     y = Poly3.variable("y", XYZ)
     expected = ((x * y) ** census.yleaf) * ((x + y) ** report.uxleaf) \
         * Poly3.monomial((0, 0, census.zleaf), 1, XYZ)
-    actual = triple_polynomial(asc_des_plat(reference_kernels.gessel_inverse(u).word)
-                               for u in members)
+    actual = Poly3(XYZ, Counter(asc_des_plat(reference_kernels.gessel_inverse(u).word)
+                                for u in members))
     if actual != expected:
         return _fail(m, "orbit monomial sum differs from (xy)^y (x+y)^ux z^z",
                      tree=canon_text, lhs=actual.to_json_dict(),

@@ -14,6 +14,7 @@ from gesselgamma import (
     GammaTable,
     Multiset,
     Poly3,
+    StirlingPermutation,
     XYZ,
     balance_report,
     BalanceStatus,
@@ -83,10 +84,10 @@ def test_criterion_01_counts():
 def test_criterion_02_bijection():
     with criterion(2, "bijection", budget=60):
         for m in with_doubled(BOUNDED, 6):
-            for s in enumerate_stirling(m):
-                t = gessel_forward(s)
-                assert gessel_inverse(t).word == s.word
-                prof = statistics(s)
+            for w in enumerate_stirling(m):
+                t = gessel_forward(StirlingPermutation(w, m))
+                assert gessel_inverse(t).word == w
+                prof = statistics(w, m.n)
                 census = leaf_census(t)
                 assert census.triple == prof.triple
                 assert census.zleaf_by_j == prof.plat_by_j
@@ -144,8 +145,9 @@ def test_criterion_07_mma_closure():
             table = gamma_extract(c_polynomial_enum(m), m.K)
             assert gamma_count_mma(m) == table
             assert gamma_count_ternary(m) == table
-            for s in enumerate_stirling(m):
-                prof = statistics(s)
+            for w in enumerate_stirling(m):
+                s = StirlingPermutation(w, m)
+                prof = statistics(w, m.n)
                 t = gessel_forward(s)
                 census = leaf_census(t)
                 # plateau values against the leaf pattern of their vertex
@@ -153,15 +155,15 @@ def test_criterion_07_mma_closure():
                                if zc and not hx}
                 x_with_z = {v for v, (hx, _, zc) in census.per_vertex.items()
                             if zc and hx}
-                assert {s.word[i - 1] for i in prof.dplat_positions} == z_without_x
+                assert {w[i - 1] for i in prof.dplat_positions} == z_without_x
                 assert len(prof.dplat_positions) == len(z_without_x)
-                assert {s.word[i - 1] for i in prof.aplat_positions} == x_with_z
+                assert {w[i - 1] for i in prof.aplat_positions} == x_with_z
                 assert len(prof.aplat_positions) == len(x_with_z)
                 assert (prof.dplat == 0) == is_canonical_ternary(t)
                 # double-fall values against the unbalanced-y vertices
                 unbalanced_y = set(
                     balance_report(t).vertices_with(BalanceStatus.UNBALANCED_Y))
-                assert {s.word[i - 1] for i in prof.dfall_positions} == unbalanced_y
+                assert {w[i - 1] for i in prof.dfall_positions} == unbalanced_y
                 assert len(prof.dfall_positions) == len(unbalanced_y)
                 # first/last occurrence flags against x/y leaves
                 for i in range(1, n + 1):
@@ -233,7 +235,7 @@ def test_criterion_10_algebraic_laws():
             assert gamma_extract(gamma_reconstruct(table), K) == table
 
         pool = FamilySpec(max_n=3, max_k=3, max_total=7).members()
-        words = {m: list(enumerate_stirling(m)) for m in pool}
+        words = {m: [StirlingPermutation(w, m) for w in enumerate_stirling(m)] for m in pool}
 
         for _ in range(cases):  # toggle is an involution
             m = rng.choice(pool)

@@ -78,8 +78,8 @@ class TestBalance:
 
     def test_counts_match_census(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
-                t = gessel_forward(s)
+            for w in enumerate_stirling(m):
+                t = gessel_forward(StirlingPermutation(w, m))
                 report = balance_report(t)
                 census = leaf_census(t)
                 assert report.uxleaf + report.bxleaf == census.xleaf
@@ -118,8 +118,8 @@ class TestPsi:
 
     def test_preserves_validity_and_z_leaves(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
-                t = gessel_forward(s)
+            for w in enumerate_stirling(m):
+                t = gessel_forward(StirlingPermutation(w, m))
                 census = leaf_census(t)
                 for v in range(1, m.n + 1):
                     u = psi(t, v)
@@ -136,8 +136,8 @@ class TestToggle:
 
     def test_involution_exhaustive(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
-                t = gessel_forward(s)
+            for w in enumerate_stirling(m):
+                t = gessel_forward(StirlingPermutation(w, m))
                 for v in range(1, m.n + 1):
                     assert toggle(toggle(t, v), v) == t
 
@@ -148,9 +148,9 @@ class TestToggle:
             Multiset((2, 3)), Multiset((4, 2)),
         ]))
         words = list(enumerate_stirling(m))
-        s = words[data.draw(st.integers(0, len(words) - 1))]
+        w = words[data.draw(st.integers(0, len(words) - 1))]
         v = data.draw(st.integers(1, m.n))
-        t = gessel_forward(s)
+        t = gessel_forward(StirlingPermutation(w, m))
         assert toggle(toggle(t, v), v) == t
 
 
@@ -169,8 +169,8 @@ class TestCanonical:
 
     def test_canonical_is_idempotent_and_preserves_z(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
-                t = gessel_forward(s)
+            for w in enumerate_stirling(m):
+                t = gessel_forward(StirlingPermutation(w, m))
                 c = canonical_representative(t)
                 assert is_canonical(c)
                 assert canonical_representative(c) == c
@@ -182,7 +182,7 @@ class TestCanonical:
         for _ in range(300):
             m = rng.choice(pool)
             words = list(enumerate_stirling(m))
-            t = gessel_forward(rng.choice(words))
+            t = gessel_forward(StirlingPermutation(rng.choice(words), m))
             u = t
             while True:
                 bad = balance_report(u).vertices_with(BalanceStatus.UNBALANCED_Y)
@@ -212,7 +212,7 @@ class TestOrbit:
 
     def test_partitions_the_family(self):
         for m in small_family(max_n=3, max_k=2, max_total=6):
-            trees = [gessel_forward(s) for s in enumerate_stirling(m)]
+            trees = [gessel_forward(StirlingPermutation(w, m)) for w in enumerate_stirling(m)]
             orbits = {frozenset(orbit(t)) for t in trees}
             assert sum(len(o) for o in orbits) == len(trees)
             assert len(orbits) == sum(1 for _ in enumerate_canonical(m))
@@ -256,9 +256,10 @@ class TestTernary:
     def test_matches_dplat_free(self):
         for n in (1, 2, 3):
             m = Multiset((2,) * n)
-            for s in enumerate_stirling(m):
-                prof = statistics(s)
-                assert is_canonical_ternary(gessel_forward(s)) == (prof.dplat == 0)
+            for w in enumerate_stirling(m):
+                prof = statistics(w, m.n)
+                t = gessel_forward(StirlingPermutation(w, m))
+                assert is_canonical_ternary(t) == (prof.dplat == 0)
 
 
 class TestPrune:
@@ -288,8 +289,8 @@ class TestPrune:
 
     def test_zleaf_preserved(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
-                t = gessel_forward(s)
+            for w in enumerate_stirling(m):
+                t = gessel_forward(StirlingPermutation(w, m))
                 assert prune(t).zleaf == leaf_census(t).zleaf
 
     def test_labels_that_do_not_increase(self):

@@ -23,6 +23,7 @@ from gesselgamma import (
     GAMMA_ROUTES,
     Multiset,
     Poly3,
+    StirlingPermutation,
     c_polynomial_grammar,
     enumerate_stirling,
     gamma_polynomial_grammar,
@@ -740,7 +741,8 @@ SPEC = MULTS.map(lambda mults: ",".join(map(str, mults)))
 
 @st.composite
 def valid_perm(draw):
-    return draw(st.sampled_from(list(enumerate_stirling(Multiset(draw(MULTS))))))
+    m = Multiset(draw(MULTS))
+    return StirlingPermutation(draw(st.sampled_from(list(enumerate_stirling(m)))), m)
 
 
 def word_text(s, sep):

@@ -19,6 +19,7 @@ from oracles import boundary_asc_des
 from gesselgamma import (
     FamilySpec,
     Multiset,
+    StirlingPermutation,
     TreeValidationError,
     asc_des_plat,
     canonical_representative,
@@ -64,15 +65,16 @@ def test_reference_kernels_import_no_package_function():
 def test_fast_kernels_match_the_reference_on_the_default_family():
     words = 0
     for m in default_campaign_family():
-        for s in enumerate_stirling(m):
+        for w in enumerate_stirling(m):
+            s = StirlingPermutation(w, m)
             words += 1
-            prof = statistics(s)
+            prof = statistics(w, m.n)
             want = ref.statistics(s)
             assert prof == want, s
             assert list(prof.plat_by_j.items()) == list(want.plat_by_j.items()), s
-            triple = asc_des_plat(s.word)
+            triple = asc_des_plat(w)
             assert triple == prof.triple, s
-            assert triple[:2] == boundary_asc_des(s.word), s
+            assert triple[:2] == boundary_asc_des(w), s
 
             t = gessel_forward(s)
             rt = ref.gessel_forward(s)
@@ -99,7 +101,8 @@ def test_orbits_match_the_reference_on_the_default_family():
     classes = 0
     for m in default_campaign_family():
         seen = set()
-        for s in enumerate_stirling(m):
+        for w in enumerate_stirling(m):
+            s = StirlingPermutation(w, m)
             t = gessel_forward(s)
             canon = canonical_representative(t)
             if canon not in seen:
@@ -111,7 +114,8 @@ def test_orbits_match_the_reference_on_the_default_family():
 
 def test_psi_and_toggle_match_the_reference_at_every_vertex():
     for m in FamilySpec(3, 3, 7).members():
-        for s in enumerate_stirling(m):
+        for w in enumerate_stirling(m):
+            s = StirlingPermutation(w, m)
             t = gessel_forward(s)
             rt = ref.gessel_forward(s)
             for v in range(1, m.n + 1):

@@ -13,6 +13,7 @@ from gesselgamma import (
     FamilySpec,
     GesselTree,
     Multiset,
+    StirlingPermutation,
     default_campaign_family,
     enumerate_stirling,
     first_last_occurrence_flags,
@@ -50,14 +51,14 @@ def test_keys_match_the_full_profile_and_census():
     counted = {"perms": 0, "mma": 0, "ternary": 0}
     for m in default_campaign_family():
         doubled = m.is_uniform(2)
-        for s in enumerate_stirling(m):
-            prof = statistics(s)
-            key = counts._perms_key(s.word)
-            assert (key is None) == (prof.dfall > 0), s
-            assert key in (None, (prof.plat, prof.des)), s
-            key = counts._mma_key(s.word)
-            assert (key is None) == (prof.dplat > 0), s
-            assert key in (None, (prof.des, prof.aplat)), s
+        for w in enumerate_stirling(m):
+            prof = statistics(w, m.n)
+            key = counts._perms_key(w)
+            assert (key is None) == (prof.dfall > 0), w
+            assert key in (None, (prof.plat, prof.des)), w
+            key = counts._mma_key(w)
+            assert (key is None) == (prof.dplat > 0), w
+            assert key in (None, (prof.des, prof.aplat)), w
             counted["perms"] += prof.dfall == 0
             counted["mma"] += prof.dplat == 0
         if doubled:
@@ -81,11 +82,12 @@ def test_routes_take_no_full_profile_or_census(monkeypatch, route, kernel):
 
 def test_occurrence_scans_match_the_reference():
     for m in default_campaign_family():
-        for s in enumerate_stirling(m):
-            first, last = first_last_positions(s.word, m.n)
+        for w in enumerate_stirling(m):
+            s = StirlingPermutation(w, m)
+            first, last = first_last_positions(w, m.n)
             assert first[0] == last[0] == 0, s
             for i in range(1, m.n + 1):
-                positions = ref._positions(s.word, i)
+                positions = ref._positions(w, i)
                 assert (first[i], last[i]) == (positions[0], positions[-1]), (s, i)
                 assert first_last_occurrence_flags(s, i) == \
                     ref.first_last_occurrence_flags(s, i), (s, i)
@@ -96,7 +98,8 @@ def test_segment_words_and_decompositions_match_the_reference_window():
     # The package reads these off the slot table; the reference cuts the
     # window of its own segment out of the word and splits it at each i.
     for m in default_campaign_family():
-        for s in enumerate_stirling(m):
+        for w in enumerate_stirling(m):
+            s = StirlingPermutation(w, m)
             for i in range(1, m.n + 1):
                 assert segment_word(s, i) == ref.segment_word(s, i), (s, i)
                 assert gessel_decomposition(s, i) == ref.gessel_decomposition(s, i), (s, i)

@@ -32,12 +32,14 @@ FAMILIES = {"default": default_campaign_family, "5,3,11": FamilySpec(5, 3, 11).m
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_successor_gives_the_reference_order(family):
     for m in FAMILIES[family]():
-        assert list(enumerate_stirling(m)) == list(ref.enumerate_stirling(m)), m
+        words = list(enumerate_stirling(m))
+        assert words == [s.word for s in ref.enumerate_stirling(m)], m
+        assert all(type(w) is tuple for w in words), m
 
 
 def test_the_successor_gives_every_word_once():
     for m in [Multiset(()), *small_family()]:
-        assert [s.word for s in enumerate_stirling(m)] == brute_stirling(m.mults), m
+        assert list(enumerate_stirling(m)) == brute_stirling(m.mults), m
 
 
 def test_the_successor_holds_no_list_of_words():
@@ -53,11 +55,11 @@ def test_the_successor_holds_no_list_of_words():
 
 
 def test_the_successor_needs_no_recursion():
-    words = [s.word for s in islice(enumerate_stirling(Multiset((1,) * 1100)), 3)]
+    words = list(islice(enumerate_stirling(Multiset((1,) * 1100)), 3))
     head = tuple(range(1, 1098))
     assert words == [head + (1098, 1099, 1100), head + (1098, 1100, 1099),
                      head + (1099, 1098, 1100)]
-    assert [s.word for s in enumerate_stirling(Multiset((100000,)))] == [(1,) * 100000]
+    assert list(enumerate_stirling(Multiset((100000,)))) == [(1,) * 100000]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -109,8 +111,8 @@ def test_the_stream_holds_no_list_of_words():
     assert peak < 64 * 1024, peak
 
 
-@pytest.mark.parametrize("route", ["perms", "mma", "extract"])
-def test_routes_build_no_permutation_and_call_no_enumerate_stirling(monkeypatch, route):
+def constructions(monkeypatch):
+    """The arguments of every ``StirlingPermutation`` built from now on."""
     made = []
     init = StirlingPermutation.__init__
 
@@ -119,11 +121,18 @@ def test_routes_build_no_permutation_and_call_no_enumerate_stirling(monkeypatch,
         init(self, *args)
 
     monkeypatch.setattr(StirlingPermutation, "__init__", counted_init)
+    return made
+
+
+@pytest.mark.parametrize("route", ["perms", "mma", "extract"])
+def test_routes_build_no_permutation_and_call_no_enumerate_stirling(monkeypatch, route):
+    made = constructions(monkeypatch)
     calls = counting(monkeypatch, enumerate_stirling)
     GAMMA_ROUTES[route](Multiset((2, 2, 2, 2)))
     assert made == [] and calls == []
     # the counters see what they count
-    list(stirling.enumerate_stirling(Multiset((2, 2))))
+    m = Multiset((2, 2))
+    [StirlingPermutation(w, m) for w in stirling.enumerate_stirling(m)]
     assert len(made) == 3 and len(calls) == 1
 
 

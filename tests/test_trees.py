@@ -82,9 +82,9 @@ class TestInverse:
     def test_roundtrips_over_family(self):
         for m in small_family():
             seen = set()
-            for s in enumerate_stirling(m):
-                t = gessel_forward(s)
-                assert gessel_inverse(t).word == s.word
+            for w in enumerate_stirling(m):
+                t = gessel_forward(StirlingPermutation(w, m))
+                assert gessel_inverse(t).word == w
                 text = serialize(t)
                 assert serialize(gessel_forward(gessel_inverse(t))) == text
                 seen.add(text)
@@ -126,9 +126,9 @@ class TestLeafCensus:
 
     def test_census_matches_statistics_over_family(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
-                prof = statistics(s)
-                census = leaf_census(gessel_forward(s))
+            for w in enumerate_stirling(m):
+                prof = statistics(w, m.n)
+                census = leaf_census(gessel_forward(StirlingPermutation(w, m)))
                 assert census.triple == prof.triple
                 assert census.zleaf_by_j == prof.plat_by_j
                 assert census.xleaf + census.yleaf + census.zleaf == m.K + 1
@@ -166,15 +166,15 @@ class TestSegments:
 
     def test_segment_properties_over_family(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
+            for w in enumerate_stirling(m):
                 for i in range(1, m.n + 1):
-                    r, t = segment(s, i)
-                    window = s.word[r - 1 : t]
+                    r, t = segment(StirlingPermutation(w, m), i)
+                    window = w[r - 1 : t]
                     assert all(v >= i for v in window)
                     assert window.count(i) == m.multiplicity(i)
                     # maximal: the neighbours, when they exist, are smaller
-                    assert r == 1 or s.word[r - 2] < i
-                    assert t == m.K or s.word[t] < i
+                    assert r == 1 or w[r - 2] < i
+                    assert t == m.K or w[t] < i
 
     @pytest.mark.parametrize("i,expected", [
         (1, ((5, 5, 3, 3, 2), (), (4, 6, 6, 6, 7, 4))),
@@ -186,7 +186,8 @@ class TestSegments:
 
     def test_decomposition_factors_are_segments_of_their_minima(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
+            for w in enumerate_stirling(m):
+                s = StirlingPermutation(w, m)
                 for i in range(1, m.n + 1):
                     r, _ = segment(s, i)
                     factors = gessel_decomposition(s, i)
@@ -212,7 +213,8 @@ class TestOccurrenceFlags:
 
     def test_flags_match_leaves_over_family(self):
         for m in small_family():
-            for s in enumerate_stirling(m):
+            for w in enumerate_stirling(m):
+                s = StirlingPermutation(w, m)
                 census = leaf_census(gessel_forward(s))
                 for i in range(1, m.n + 1):
                     has_x, has_y, _ = census.per_vertex[i]
@@ -347,8 +349,8 @@ class TestParse:
 
     def test_serialize_parse_roundtrip_over_family(self):
         for m in small_family(max_n=3, max_k=2, max_total=6):
-            for s in enumerate_stirling(m):
-                t = gessel_forward(s)
+            for w in enumerate_stirling(m):
+                t = gessel_forward(StirlingPermutation(w, m))
                 assert parse_tree(serialize(t)) == t
 
     def test_deep_chain_equality_and_hash(self):
@@ -362,7 +364,7 @@ class TestParse:
 
     def test_equality_tells_every_tree_apart(self):
         for m in small_family(max_n=3, max_k=2, max_total=6):
-            trees = [gessel_forward(s) for s in enumerate_stirling(m)]
+            trees = [gessel_forward(StirlingPermutation(w, m)) for w in enumerate_stirling(m)]
             copies = [parse_tree(serialize(t)) for t in trees]
             assert len(set(trees)) == len(trees)
             assert set(trees) == set(copies)
@@ -385,8 +387,8 @@ def parse_outcome(parse, text):
 
 
 def family_texts():
-    return [render_table(table_of_word(s.word, m.mults))
-            for m in default_campaign_family() for s in enumerate_stirling(m)]
+    return [render_table(table_of_word(w, m.mults))
+            for m in default_campaign_family() for w in enumerate_stirling(m)]
 
 
 def mutated_texts(texts, seed, count):
@@ -455,8 +457,9 @@ class TestSlotTables:
     def test_table_of_word_is_the_table_of_the_forward_tree(self, family):
         # The reference builds the tree by recursive splitting at the minimum.
         for m in family():
-            for s in enumerate_stirling(m):
-                table = table_of_word(s.word, m.mults)
+            for w in enumerate_stirling(m):
+                s = StirlingPermutation(w, m)
+                table = table_of_word(w, m.mults)
                 assert table == ref.gessel_tree(ref.gessel_forward(s)).table, s
                 assert all(type(row) is tuple for row in table)
 

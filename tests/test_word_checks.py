@@ -39,6 +39,7 @@ from gesselgamma.stirling import (
     count_stirling,
     first_last_positions,
     statistics,
+    word_text,
 )
 from gesselgamma.trees import (
     GesselTree,
@@ -283,20 +284,20 @@ def asc_des_plat_with_a_descent_raised(word):
     return asc, des, plat
 
 
-def statistics_raising(s):
+def statistics_raising(word, n):
     """Raises on every word that ends with its largest value, the first
     word of its multiset among them."""
-    if s.multiset.n > 1 and s.word[-1] == s.multiset.n:
-        raise ValueError(f"no profile for {s}")
-    return statistics(s)
+    if n > 1 and word[-1] == n:
+        raise ValueError(f"no profile for {word_text(word)}")
+    return statistics(word, n)
 
 
-def statistics_raising_late(s):
+def statistics_raising_late(word, n):
     """Raises on every word that starts with its largest value; those come
     last."""
-    if s.multiset.n > 1 and s.word[0] == s.multiset.n:
-        raise ValueError(f"no profile for {s}")
-    return statistics(s)
+    if n > 1 and word[0] == n:
+        raise ValueError(f"no profile for {word_text(word)}")
+    return statistics(word, n)
 
 
 def positions_raising(word, n):
@@ -426,13 +427,13 @@ def test_a_raising_position_kernel_fails_p22_and_p51_with_its_exception(monkeypa
     # the positions column through the block, so it fails there as P2.2 does.
     raised_on = []
     for m in FAULT_FAMILY:
-        for s in harness.enumerate_stirling(m):
+        for w in harness.enumerate_stirling(m):
             try:
-                positions_raising(s.word, m.n)
+                positions_raising(w, m.n)
             except ValueError:
-                raised_on.append(s)
+                raised_on.append((w, m.n))
     assert raised_on
-    assert all(statistics(s).dfall == 0 for s in raised_on)
+    assert all(statistics(w, n).dfall == 0 for w, n in raised_on)
     for original, fake in FAULTS["positions_raising"]:
         rebind_everywhere(monkeypatch, original, fake)
     got = harness_outcomes(IDS, FAULT_FAMILY)
@@ -443,11 +444,11 @@ def test_a_raising_position_kernel_fails_p22_and_p51_with_its_exception(monkeypa
                    for o in got[cid])
 
 
-def first_raise(kernel, perms):
-    """The index of the first permutation ``kernel`` raises on."""
-    for k, s in enumerate(perms):
+def first_raise(kernel, words, n):
+    """The index of the first word over 1..n that ``kernel`` raises on."""
+    for k, w in enumerate(words):
         try:
-            kernel(s)
+            kernel(w, n)
         except ValueError:
             return k
     return None
@@ -464,9 +465,9 @@ def test_a_failure_and_a_raise_in_one_block_come_in_word_order(monkeypatch, rais
     # column raises at a later word of the same block, or at that word,
     # whose profile JKP-ZJ reads before its census.
     m = Multiset((2, 2, 2))
-    perms = list(harness.enumerate_stirling(m))
-    assert len(perms) <= harness.PASS_BLOCK
-    assert first_raise(raising, perms) == raises_at
+    words = list(harness.enumerate_stirling(m))
+    assert len(words) <= harness.PASS_BLOCK
+    assert first_raise(raising, words, m.n) == raises_at
     for original, fake in [*FAULTS["census_with_a_z_leaf_moved"], (statistics, raising)]:
         rebind_everywhere(monkeypatch, original, fake)
     got = harness_outcomes(IDS, [m])
@@ -534,8 +535,8 @@ def test_each_word_gets_one_profile_and_one_census(monkeypatch):
                              for f in (table_of_word, asc_des_plat, first_last_positions))
     members = [m for m in FAULT_FAMILY if m.is_uniform(2)]
     assert run_campaign(WORD_IDS, members).passed
-    words = [s.word for m in members for s in harness.enumerate_stirling(m)]
-    assert sorted(s.word for (s,) in profiles) == sorted(words)
+    words = [w for m in members for w in harness.enumerate_stirling(m)]
+    assert sorted(word for word, _ in profiles) == sorted(words)
     assert len(censuses) == len(words)
     for calls in (tables, triples, ends):
         assert sorted(word for word, *_ in calls) == sorted(words)
