@@ -162,8 +162,9 @@ def _cmd_enumerate(args) -> int:
     m = Multiset.parse(args.multiset)
     _refuse_enumeration(m)
     write = sys.stdout.write
-    rows = (_word_row(word, m.n, args.stats) for word in enumerate_stirling(m))
+    words = enumerate_stirling(m)
     if args.format == "json":
+        rows = (_word_row(word, m.n, args.stats) for word in words)
         write(f'{{"multiset": {json.dumps(list(m.mults))}, '
               f'"count": {count_stirling(m)}, "words": [')
         sep = ""
@@ -171,14 +172,15 @@ def _cmd_enumerate(args) -> int:
             write(sep + json.dumps(batch)[1:-1])  # the rows, without the brackets
             sep = ", "
         write("]}\n")
+    elif args.stats:
+        write("word,asc,des,plat,dfall,aplat,dplat\n")
+        for word in words:
+            p = statistics(word, m.n)
+            write(f"{word_text(word)},{p.asc},{p.des},{p.plat},{p.dfall},{p.aplat},{p.dplat}\n")
     else:
-        cols = ["word"] + (["asc", "des", "plat", "dfall", "aplat", "dplat"]
-                           if args.stats else [])
-        write(",".join(cols) + "\n")
-        for row in rows:
-            cells = [word_text(row["word"])]
-            cells += [str(row[c]) for c in cols[1:]]
-            write(",".join(cells) + "\n")
+        write("word\n")
+        for word in words:
+            write(word_text(word) + "\n")
     return 0
 
 

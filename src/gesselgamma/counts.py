@@ -6,14 +6,17 @@ routes (grammar derivatives, basis extraction).  All tables share the
 indexing of the basis (xy)^j (x+y)^(K+1-i-2j) z^i: the first key is the
 z-exponent i, the second the xy-exponent j.
 
-The enumerated polynomial and the perms and mma routes tally straight
-off ``stirling.stirling_words``: bare word tuples in insertion order,
-the word type of every per-word kernel, not sorted, with memory O(n K)
-whatever the number of words.  The enumerated polynomial counts each
-word's ``asc_des_plat`` triple; the perms and mma routes read only their
-own key off each word, in one pass that stops at the first sign the
-word is not counted; the full ``statistics`` profile is left to the
-harness and ``enumerate --stats``.
+The enumerated polynomial and the perms and mma routes read only the
+words u of m' = m without its last block n^k, off ``stirling.stirling_words``
+(bare word tuples in insertion order, memory O(n K)): each word of m is u
+with the block put into one of u's K'+1 gaps, one per step (l, r) of u
+scanned over ``(*u, 0)``, the closing step to the boundary zero included.
+The block is larger than every letter of u, so the step (l, r) becomes an
+ascent, k - 1 plateaux and a descent, and the one other step that changes
+is the one after: r is now entered by a descent.  So the words of one u
+fall into at most three keys, by the kind of the step replaced, and each
+route adds them to its tally weighted; the full ``statistics`` profile of
+every word is left to the harness and ``enumerate --stats``.
 The trees and ternary routes read no word: ``action.placements`` places
 the vertices of the canonical trees slot by slot, and each route reads
 its key off the slot table.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable
 
 from .action import placements
 from .errors import DomainError
@@ -35,6 +38,36 @@ from .grammar import gamma_polynomial_grammar
 from .multiset import Multiset
 from .poly import XYZ, GammaTable, Poly3, gamma_extract, gamma_table_from_uvz
 from .stirling import asc_des_plat, stirling_words
+
+Word = tuple[int, ...]
+Key = tuple[int, ...]
+Weighted = tuple[tuple[Key, int], ...]
+
+
+def _tally(m: Multiset, keys: Callable[[Word, int], Weighted]) -> Counter:
+    """The total weight of each key over the words of m, where ``keys(u, k)``
+    gives the weighted keys of the words made from u, a word of m without
+    its last block n^k.  A key of weight 0 may hold a negative entry; the
+    table or polynomial built from the tally drops it.
+    """
+    *below, k = m.mults
+    tally: Counter = Counter()
+    for u in stirling_words(Multiset(tuple(below))):
+        for key, weight in keys(u, k):
+            tally[key] += weight
+    return tally
+
+
+def _enum_keys(u: Word, k: int) -> Weighted:
+    """The ``(asc, des, plat)`` triples of the words made from u, weighted:
+    the block replaces one of u's A ascents, P plateaux or D descents by an
+    ascent, k - 1 plateaux and a descent.  The empty word's one step (0, 0)
+    is a plateau.
+    """
+    asc, des, plat = asc_des_plat(u) if u else (0, 0, 1)
+    return (((asc, des + 1, plat + k - 1), asc),
+            ((asc + 1, des + 1, plat + k - 2), plat),
+            ((asc + 1, des, plat + k - 1), des))
 
 
 def c_polynomial_enum(m: Multiset) -> Poly3:
@@ -45,7 +78,7 @@ def c_polynomial_enum(m: Multiset) -> Poly3:
     """
     if m.n == 0:
         return Poly3.variable("x", XYZ)
-    return Poly3(XYZ, Counter(map(asc_des_plat, stirling_words(m))))
+    return Poly3(XYZ, _tally(m, _enum_keys))
 
 
 def _nonempty(m: Multiset) -> Multiset:
@@ -53,15 +86,6 @@ def _nonempty(m: Multiset) -> Multiset:
     if m.n == 0:
         raise DomainError("gamma tables are defined for nonempty multisets")
     return m
-
-
-def _tally(m: Multiset, keys: Iterable[tuple[int, int] | None]) -> GammaTable:
-    """The gamma table of m whose entry (i, j) counts the keys equal to (i, j).
-
-    A key of None marks an object the route does not count; every real key
-    is a nonempty tuple, so ``filter(None, ...)`` drops exactly the Nones.
-    """
-    return GammaTable(m.K, Counter(filter(None, keys)))
 
 
 def _trees_key(table: list[list[int]]) -> tuple[int, int]:
@@ -76,39 +100,51 @@ def _trees_key(table: list[list[int]]) -> tuple[int, int]:
 
 def gamma_count_trees(m: Multiset) -> GammaTable:
     """gamma_{i,j} = canonical trees with i z-leaves and j y-leaves."""
-    return _tally(m, map(_trees_key, placements(_nonempty(m), -1)))
+    return GammaTable(m.K, Counter(map(_trees_key, placements(_nonempty(m), -1))))
 
 
-def _perms_key(word: tuple[int, ...]) -> tuple[int, int] | None:
-    """``(plat, des)`` of a permutation with no double fall, else None.
+def _perms_keys(u: Word, k: int) -> Weighted:
+    """The ``(plat, des)`` keys of the double-fall-free words of u with the
+    block n^k put in, weighted.
 
-    As in :func:`asc_des_plat`, each step (sigma_{i-1}, sigma_i), the
-    closing step down to the boundary zero included, is an ascent, a plateau
-    or a descent at i-1.  That descent is a double fall unless the first
-    occurrence of sigma_{i-1} was entered by an ascent; and only a first
-    occurrence can be, since no smaller letter sits between two copies.
+    A descent at the last copy of a value (the only copy that can descend)
+    is a double fall when the value's first copy is entered by a descent.
+    The block replaces a step (l, r), and the step into r becomes a descent
+    (n, r); no other step changes, and n's first copy is entered by an
+    ascent.  So a gap removes at most the one double fall at l, and a gap
+    at an ascent into the first copy of a value that descends makes one.
+    With one double fall in u only its own gap counts; with none, every
+    plateau and descent gap counts, and every ascent gap but the D into a
+    value that descends.
     """
-    rose: set[int] = set()  # the values entered by an ascent so far
-    plat = des = 0
+    rose: set[int] = set()  # the values whose first copy is entered by an ascent
+    asc = des = plat = 0
+    dfall = False
     prev = 0
-    for cur in word:
+    for cur in (*u, 0):
         if cur > prev:
+            asc += 1
             rose.add(cur)
         elif cur < prev:
-            if prev not in rose:
-                return None
             des += 1
+            if prev not in rose:
+                if dfall:
+                    return ()
+                dfall = True
         else:
             plat += 1
         prev = cur
-    if prev not in rose:
-        return None
-    return plat, des + 1
+    if dfall:
+        return (((plat + k - 1, des), 1),)
+    return (((plat + k - 1, des + 1), asc - des),
+            ((plat + k - 2, des + 1), plat),
+            ((plat + k - 1, des), des))
 
 
 def gamma_count_perms(m: Multiset) -> GammaTable:
     """gamma_{i,j} = double-fall-free permutations with i plateaux and j descents."""
-    return _tally(m, map(_perms_key, stirling_words(_nonempty(m))))
+    m = _nonempty(m)
+    return GammaTable(m.K, _tally(m, _perms_keys))
 
 
 def _require_doubled(m: Multiset, route: str) -> None:
@@ -117,26 +153,41 @@ def _require_doubled(m: Multiset, route: str) -> None:
             f"the {route} route needs a doubled multiset 2,2,...,2, got {m.spec()!r}")
 
 
-def _mma_key(word: tuple[int, ...]) -> tuple[int, int] | None:
-    """``(des, aplat)`` of a permutation with no descent-plateau, else None.
+def _mma_keys(u: Word, k: int) -> Weighted:
+    """The ``(des, aplat)`` keys of the descent-plateau-free words of u with
+    the block n n put in, weighted: u is a word of a doubled multiset, k is 2.
 
-    A plateau sigma_i = sigma_{i+1} is an ascent- or descent-plateau by the
-    step (sigma_{i-1}, sigma_i) before it; the last letter is always a
-    descent, since the boundary zero follows it.
+    A plateau is an ascent- or descent-plateau by the step that enters it.
+    The block's plateau follows an ascent, and the step into r becomes a
+    descent (n, r), so a gap at an ascent into a plateau makes that plateau
+    a descent-plateau, and a gap at a plateau removes it.  With one
+    descent-plateau in u only its own gap counts; with none, every descent
+    and plateau gap counts and the A - P ascent gaps not into a plateau.
     """
-    des = aplat = 0
+    if not u:
+        return (((1, 1), 1),)
+    asc = des = aplat = 0
+    dplat = False
     before = prev = 0
-    for cur in word:
+    for cur in (*u, 0):
         if cur == prev:
             if before > prev:
-                return None
-            if before < prev:
+                if dplat:
+                    return ()
+                dplat = True
+            else:
                 aplat += 1
-        elif cur < prev:
+        elif cur > prev:
+            asc += 1
+        else:
             des += 1
         before = prev
         prev = cur
-    return des + 1, aplat
+    if dplat:
+        return (((des + 1, aplat + 1), 1),)
+    return (((des + 1, aplat + 1), asc - aplat),
+            ((des + 1, aplat), aplat),
+            ((des, aplat + 1), des))
 
 
 def gamma_count_mma(m: Multiset) -> GammaTable:
@@ -149,7 +200,7 @@ def gamma_count_mma(m: Multiset) -> GammaTable:
     symmetric in i and j) but {1^2, 2^2, 3^2} can, and fixes this one.
     """
     _require_doubled(m, "mma")
-    return _tally(m, map(_mma_key, stirling_words(m)))
+    return GammaTable(m.K, _tally(m, _mma_keys))
 
 
 def _ternary_key(table: list[list[int]]) -> tuple[int, int]:
@@ -175,7 +226,7 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
     watched.
     """
     _require_doubled(m, "ternary")
-    return _tally(m, map(_ternary_key, placements(m, 1)))
+    return GammaTable(m.K, Counter(map(_ternary_key, placements(m, 1))))
 
 
 # Each entry looks its function up in this module when called, and holds

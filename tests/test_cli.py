@@ -235,6 +235,85 @@ class TestGamma:
         }
 
 
+# The bytes the counting routes printed while they read every word of the
+# multiset, before they read the words without its last block.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+ROUTE_OUTPUTS = [
+    (["poly", "--via", "enum", "--format", "json", "--multiset", "2,2"],
+     "d7138346e3535fad14b51fd270162858b6b7856c26fa7e0c742d29d068057fbd"),
+    (["poly", "--via", "enum", "--format", "csv", "--multiset", "2,2"],
+     "8a8257b4ace37c42e8a4e8a42a1cf50729a1d56178cffed89cf4e1a8868f6739"),
+    (["gamma", "--via", "extract", "--multiset", "2,2"],
+     "f797c7563bf8428e38b6d3685e1ec6106f1e1835c58432e11706168c0a7351a6"),
+    (["gamma", "--via", "perms", "--multiset", "2,2"],
+     "f797c7563bf8428e38b6d3685e1ec6106f1e1835c58432e11706168c0a7351a6"),
+    (["gamma", "--via", "mma", "--multiset", "2,2"],
+     "f797c7563bf8428e38b6d3685e1ec6106f1e1835c58432e11706168c0a7351a6"),
+    (["poly", "--via", "enum", "--format", "json", "--multiset", "3,1,2"],
+     "e8fade8446a45d2fddf79c742a92083b0c51b8db5416308b5f94887a10e259aa"),
+    (["poly", "--via", "enum", "--format", "csv", "--multiset", "3,1,2"],
+     "051418e2018bacda9052bdca5ef42de002744db4fb07c1ed38e69b8925249eb4"),
+    (["gamma", "--via", "extract", "--multiset", "3,1,2"],
+     "3942d74c0f6c9d6b61c5ee89fcdbba70a578045e766175748913fccb4326ea8a"),
+    (["gamma", "--via", "perms", "--multiset", "3,1,2"],
+     "3942d74c0f6c9d6b61c5ee89fcdbba70a578045e766175748913fccb4326ea8a"),
+    (["gamma", "--via", "mma", "--multiset", "3,1,2"],
+     EMPTY),
+    (["poly", "--via", "enum", "--format", "json", "--multiset", "1,1,1,1"],
+     "6e02650f5e390770f60fe42a5f7860d6491aa15a36fa518b99e33c2e8c99b48f"),
+    (["poly", "--via", "enum", "--format", "csv", "--multiset", "1,1,1,1"],
+     "03c19966a587418f7d84607b949827851b81b9ef1bc09abcb07ad65832bf2663"),
+    (["gamma", "--via", "extract", "--multiset", "1,1,1,1"],
+     "4ed52c1408e02830919138ef0588ec90a283cad31ccb4fd04c71bb5ffdbbcbde"),
+    (["gamma", "--via", "perms", "--multiset", "1,1,1,1"],
+     "4ed52c1408e02830919138ef0588ec90a283cad31ccb4fd04c71bb5ffdbbcbde"),
+    (["gamma", "--via", "mma", "--multiset", "1,1,1,1"],
+     EMPTY),
+    (["poly", "--via", "enum", "--format", "json", "--multiset", "4,2,3,1,2"],
+     "d6aaf3eefba12b7932312cad367baf35c53d79ae56975b344f231de2fac42a6a"),
+    (["poly", "--via", "enum", "--format", "csv", "--multiset", "4,2,3,1,2"],
+     "ec777feac099be85e2cf5ae1907a2a444e744a16931ae35c5031585552b6b72f"),
+    (["gamma", "--via", "extract", "--multiset", "4,2,3,1,2"],
+     "86565c54d3a8553686c4ae8b5e14bc2fbd1a3cbbfb3bec197acfb8252c8e5220"),
+    (["gamma", "--via", "perms", "--multiset", "4,2,3,1,2"],
+     "86565c54d3a8553686c4ae8b5e14bc2fbd1a3cbbfb3bec197acfb8252c8e5220"),
+    (["gamma", "--via", "mma", "--multiset", "4,2,3,1,2"],
+     EMPTY),
+    (["poly", "--via", "enum", "--format", "json", "--multiset", "2,2,2,2,2"],
+     "d945965c990a9d3f4dbe3bea901748f2cdced580d5a2136ad8be9ff38ad0785c"),
+    (["poly", "--via", "enum", "--format", "csv", "--multiset", "2,2,2,2,2"],
+     "8316499f99db984510c4bc65495c670e085ab6afe807a04b3179d80dbf05a1a3"),
+    (["gamma", "--via", "extract", "--multiset", "2,2,2,2,2"],
+     "8b0c6e6aeba5c40b18385f74617006401be4b81c42c9beff9ace1ce75574426c"),
+    (["gamma", "--via", "perms", "--multiset", "2,2,2,2,2"],
+     "8b0c6e6aeba5c40b18385f74617006401be4b81c42c9beff9ace1ce75574426c"),
+    (["gamma", "--via", "mma", "--multiset", "2,2,2,2,2"],
+     "8b0c6e6aeba5c40b18385f74617006401be4b81c42c9beff9ace1ce75574426c"),
+    (["poly", "--via", "enum", "--format", "json", "--multiset", "1"],
+     "3a05a8c52603b688034d4ca6ad90f39f37b2c5828094373fc47f075b510e8497"),
+    (["poly", "--via", "enum", "--format", "csv", "--multiset", "1"],
+     "f3c411a7696b3939c4933f684c83e7b0be26cff01694a92ed9e527fce564ca54"),
+    (["gamma", "--via", "extract", "--multiset", "1"],
+     "dba90297d4c151df338269e30bb0e1fdf75b50e5ce706ff5ac66f8f42241cc6e"),
+    (["gamma", "--via", "perms", "--multiset", "1"],
+     "dba90297d4c151df338269e30bb0e1fdf75b50e5ce706ff5ac66f8f42241cc6e"),
+    (["gamma", "--via", "mma", "--multiset", "1"],
+     EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv, digest", ROUTE_OUTPUTS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8])
+def test_counting_route_outputs_are_frozen(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if digest == EMPTY:
+        assert (code, err) == (2, "error: the mma route needs a doubled multiset 2,2,...,2, "
+                                  f"got {argv[-1]!r}\n")
+    else:
+        assert (code, err) == (0, "")
+
+
 # 34 459 425 words, far past the default cost cap of 10^6
 BIG = "2,2,2,2,2,2,2,2,2"
 

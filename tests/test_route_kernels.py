@@ -1,9 +1,13 @@
-"""The one-pass key kernels of the perms and mma routes, the slot-table key
-of the ternary route, the first/last-occurrence scans and the segments
-read off the slot table, against the full profiles and censuses and
-against the bodies they replaced (``reference_kernels``)."""
+"""The gap kernels of the enumerated polynomial and the perms and mma
+routes, the slot-table key of the ternary route, the first/last-occurrence
+scans and the segments read off the slot table, against the full profiles
+and censuses and against the bodies they replaced (``reference_kernels``)."""
+
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
 from test_word_checks import counting
@@ -14,6 +18,8 @@ from gesselgamma import (
     GesselTree,
     Multiset,
     StirlingPermutation,
+    c_polynomial_enum,
+    count_stirling,
     default_campaign_family,
     enumerate_stirling,
     first_last_occurrence_flags,
@@ -22,9 +28,11 @@ from gesselgamma import (
     segment,
     segment_word,
     statistics,
+    stirling_words,
 )
 from gesselgamma import counts
 from gesselgamma.action import placements
+from gesselgamma.cli import main
 from gesselgamma.stirling import first_last_positions
 
 DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 7)]
@@ -47,28 +55,86 @@ def test_doubled_routes_match_the_reference(route):
         assert GAMMA_ROUTES[route](m).to_json() == reference_table(route, m), m
 
 
-def test_keys_match_the_full_profile_and_census():
-    counted = {"perms": 0, "mma": 0, "ternary": 0}
+def _weighted(keys):
+    """The weighted keys of a gap kernel as a Counter of the positive weights;
+    a weight below 0 is never right."""
+    total = Counter()
+    for key, weight in keys:
+        total[key] += weight
+    assert min(total.values(), default=0) >= 0, keys
+    return Counter({key: w for key, w in total.items() if w})
+
+
+def test_gap_kernels_weigh_the_words_made_from_each_u():
+    # Each word of m is a word u of m without its last block, with the
+    # block put into one of u's gaps; the kernel's weighted keys for u must
+    # count exactly the keys of those words' full reference profiles.
+    members = [*FamilySpec(5, 3, 11).members(), *map(Multiset, zip(range(1, 6))), *DOUBLED]
+    for m in members:
+        *below, k = m.mults
+        block = (m.n,) * k
+        for u in stirling_words(Multiset(tuple(below))):
+            profiles = [ref.statistics(StirlingPermutation(u[:g] + block + u[g:], m))
+                        for g in range(len(u) + 1)]
+            assert _weighted(counts._enum_keys(u, k)) == Counter(
+                p.triple for p in profiles), (m, u)
+            assert _weighted(counts._perms_keys(u, k)) == Counter(
+                (p.plat, p.des) for p in profiles if p.dfall == 0), (m, u)
+            if m.is_uniform(2):
+                assert _weighted(counts._mma_keys(u, k)) == Counter(
+                    (p.des, p.aplat) for p in profiles if p.dplat == 0), (m, u)
+
+
+def test_the_ternary_key_matches_the_full_census():
+    counted = 0
     for m in default_campaign_family():
-        doubled = m.is_uniform(2)
-        for w in enumerate_stirling(m):
-            prof = statistics(w, m.n)
-            key = counts._perms_key(w)
-            assert (key is None) == (prof.dfall > 0), w
-            assert key in (None, (prof.plat, prof.des)), w
-            key = counts._mma_key(w)
-            assert (key is None) == (prof.dplat > 0), w
-            assert key in (None, (prof.des, prof.aplat)), w
-            counted["perms"] += prof.dfall == 0
-            counted["mma"] += prof.dplat == 0
-        if doubled:
+        if m.is_uniform(2):
             for table in placements(m, 1):
                 census = leaf_census(GesselTree(tuple(map(tuple, table)), m))
                 both_xz = sum(1 for has_x, _, z in census.per_vertex.values() if has_x and z)
                 assert counts._ternary_key(table) == (census.yleaf, both_xz), table
-                counted["ternary"] += 1
-    # every word kernel both counts and refuses words of the family
-    assert all(0 < c < 25960 for c in counted.values()), counted
+                counted += 1
+    assert 0 < counted < 25960
+
+
+@pytest.mark.parametrize("spec, argv", [
+    (spec, argv) for spec in ("2,2,2,2", "3,1,2,2") for argv in (
+        ["gamma", "--via", "extract"], ["gamma", "--via", "perms"], ["gamma", "--via", "mma"],
+        ["poly", "--via", "enum"], ["poly", "--via", "enum", "--format", "csv"],
+    ) if spec == "2,2,2,2" or argv[-1] != "mma"
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_counting_routes_read_only_the_words_without_the_last_block(
+        capsys, monkeypatch, spec, argv):
+    # perms on 2,2,2,2 reads the 15 words of 2,2,2, not its own 105.
+    m = Multiset.parse(spec)
+    read = []
+
+    def counted(multiset):
+        for word in stirling_words(multiset):
+            read.append(word)
+            yield word
+
+    monkeypatch.setattr(counts, "stirling_words", counted)
+    assert main([*argv, "--multiset", spec]) == 0
+    assert capsys.readouterr().out
+    assert len(read) == count_stirling(Multiset(m.mults[:-1])) < count_stirling(m)
+    assert all(len(word) == m.K - m.mults[-1] for word in read)
+
+
+small_multisets = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    st.integers(1, 5).map(lambda n: [2] * n),
+).map(lambda mults: Multiset(tuple(mults))).filter(lambda m: count_stirling(m) <= 10**4)
+
+
+@settings(max_examples=60)
+@given(small_multisets)
+def test_gap_routes_match_the_per_word_routes(m):
+    perms = list(ref.enumerate_stirling(m))
+    assert c_polynomial_enum(m) == ref.c_polynomial_enum(perms)
+    assert GAMMA_ROUTES["perms"](m) == ref.gamma_count_perms(m, perms)
+    if m.is_uniform(2):
+        assert GAMMA_ROUTES["mma"](m) == ref.gamma_count_mma(m, perms)
 
 
 @pytest.mark.parametrize("route, kernel", [
