@@ -1,8 +1,10 @@
 """Generating polynomials and gamma tables obtained by direct counting.
 
-Every function here enumerates an explicit set of objects and tabulates a
-statistic pair, providing counting-side counterparts to the algebraic
-routes (grammar derivatives, basis extraction).  All tables share the
+Every counting function here tallies a statistic pair over an explicit set
+of objects, words or trees, providing counting-side counterparts to the
+algebraic routes (grammar derivatives, basis extraction).  None lists the
+whole set: each lists the objects built from all but the largest value n,
+and weighs the ways n can be put in by their kind.  All tables share the
 indexing of the basis (xy)^j (x+y)^(K+1-i-2j) z^i: the first key is the
 z-exponent i, the second the xy-exponent j.
 
@@ -18,8 +20,11 @@ fall into at most three keys, by the kind of the step replaced, and each
 route adds them to its tally weighted; the full ``statistics`` profile of
 every word is left to the harness and ``enumerate --stats``.
 The trees and ternary routes read no word: ``action.placements`` places
-the vertices of the canonical trees slot by slot, and each route reads
-its key off the slot table.
+vertices 1..n-1 of the canonical trees slot by slot and stops, and vertex
+n, a row of k + 1 empty slots, goes into one free slot of each partial
+table.  The slot's kind (a middle slot, or an end of a row by which of
+its ends are empty) fixes the tree's key, so each partial table gives at
+most three weighted keys too.
 
 ``GAMMA_ROUTES`` names every route to a multiset's gamma table, counting
 and algebraic alike; the command line, the harness's agreement checks and
@@ -29,7 +34,6 @@ the tests all read it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from typing import Callable
 
 from .action import placements
@@ -44,15 +48,17 @@ Key = tuple[int, ...]
 Weighted = tuple[tuple[Key, int], ...]
 
 
-def _tally(m: Multiset, keys: Callable[[Word, int], Weighted]) -> Counter:
-    """The total weight of each key over the words of m, where ``keys(u, k)``
-    gives the weighted keys of the words made from u, a word of m without
-    its last block n^k.  A key of weight 0 may hold a negative entry; the
-    table or polynomial built from the tally drops it.
+def _tally(m: Multiset, keys: Callable[..., Weighted], watched: int | None = None) -> Counter:
+    """The total weight of each key over m, where ``keys(u, k)`` gives the
+    weighted keys of what u leads to: u is a word of m without its last
+    block n^k or, given ``watched``, a slot table of ``placements(m,
+    watched)`` with every vertex but n placed.  A key of weight 0 may hold a
+    negative entry; the table or polynomial built from the tally drops it.
     """
     *below, k = m.mults
     tally: Counter = Counter()
-    for u in stirling_words(Multiset(tuple(below))):
+    for u in (stirling_words(Multiset(tuple(below))) if watched is None
+              else placements(m, watched, all_but_last=True)):
         for key, weight in keys(u, k):
             tally[key] += weight
     return tally
@@ -88,19 +94,42 @@ def _nonempty(m: Multiset) -> Multiset:
     return m
 
 
-def _trees_key(table: list[list[int]]) -> tuple[int, int]:
-    """(z-leaves, y-leaves) of a slot table: its empty middle and last slots."""
-    zleaf = yleaf = 0
-    for row in islice(table, 1, None):
+def _trees_keys(table: list[list[int]], k: int) -> Weighted:
+    """The ``(zleaf, yleaf)`` keys of the canonical trees made from a slot
+    table with vertex n of multiplicity k left out, weighted by the free
+    slots of rows 1..n-1 that vertex n can take.
+
+    Vertex n brings k - 1 empty middle slots and an empty last slot.  Of Z
+    empty middle slots and Y rows with an empty last slot, a middle slot
+    gives (Z + k - 2, Y + 1), a last slot (Z + k - 1, Y), and the first
+    slot of one of the c rows whose last slot alone is filled (Z + k - 1,
+    Y + 1); a first slot of a row with both ends empty makes it bad.  A bad
+    row (first slot filled, last empty) is mended only by its last slot.
+    """
+    rows = table[1:-1]
+    if not rows:  # n = 1: vertex 1 goes into the root slot
+        return (((k - 1, 1), 1),)
+    zleaf = yleaf = c = 0
+    bad = False
+    for row in rows:
+        zleaf += row[1:-1].count(0)
         if not row[-1]:
             yleaf += 1
-        zleaf += row[1:-1].count(0)
-    return zleaf, yleaf
+            if row[0]:
+                bad = True
+        elif not row[0]:
+            c += 1
+    if bad:
+        return (((zleaf + k - 1, yleaf), 1),)
+    return (((zleaf + k - 2, yleaf + 1), zleaf),
+            ((zleaf + k - 1, yleaf), yleaf),
+            ((zleaf + k - 1, yleaf + 1), c))
 
 
 def gamma_count_trees(m: Multiset) -> GammaTable:
     """gamma_{i,j} = canonical trees with i z-leaves and j y-leaves."""
-    return GammaTable(m.K, Counter(map(_trees_key, placements(_nonempty(m), -1))))
+    m = _nonempty(m)
+    return GammaTable(m.K, _tally(m, _trees_keys, -1))
 
 
 def _perms_keys(u: Word, k: int) -> Weighted:
@@ -203,16 +232,37 @@ def gamma_count_mma(m: Multiset) -> GammaTable:
     return GammaTable(m.K, _tally(m, _mma_keys))
 
 
-def _ternary_key(table: list[list[int]]) -> tuple[int, int]:
-    """(y-leaves, vertices with an x-leaf and a z-leaf) of a ternary slot table:
-    its empty last slots, and its vertices with empty first and middle slots."""
-    yleaf = both_xz = 0
-    for x, z, y in islice(table, 1, None):
+def _ternary_keys(table: list[list[int]], k: int) -> Weighted:
+    """The ``(yleaf, both_xz)`` keys of the canonical ternary trees made from
+    a slot table with vertex n left out, weighted by the free slots of rows
+    1..n-1 that vertex n can take; k is 2.
+
+    A row is (x, z, y), and vertex n brings an empty one.  Of Y rows with
+    an empty y slot and X rows with x and z empty, the x slot of one of the
+    F rows with x empty and z filled gives (Y + 1, X + 1), a z slot of an X
+    row (Y + 1, X) and a y slot (Y, X + 1); an x slot of an X row makes it
+    bad.  A bad row (x filled, z empty) is mended only by its z slot.
+    """
+    rows = table[1:-1]
+    if not rows:  # n = 1: vertex 1 goes into the root slot
+        return (((1, 1), 1),)
+    yleaf = both_xz = f = 0
+    bad = False
+    for x, z, y in rows:
         if not y:
             yleaf += 1
-        if not x and not z:
+        if x:
+            if not z:
+                bad = True
+        elif z:
+            f += 1
+        else:
             both_xz += 1
-    return yleaf, both_xz
+    if bad:
+        return (((yleaf + 1, both_xz + 1), 1),)
+    return (((yleaf + 1, both_xz + 1), f),
+            ((yleaf + 1, both_xz), both_xz),
+            ((yleaf, both_xz + 1), yleaf))
 
 
 def gamma_count_ternary(m: Multiset) -> GammaTable:
@@ -226,7 +276,7 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
     watched.
     """
     _require_doubled(m, "ternary")
-    return GammaTable(m.K, Counter(map(_ternary_key, placements(m, 1))))
+    return GammaTable(m.K, _tally(m, _ternary_keys, 1))
 
 
 # Each entry looks its function up in this module when called, and holds

@@ -32,6 +32,7 @@ from gesselgamma import (
     stirling_words,
 )
 from gesselgamma import cli
+from gesselgamma.action import placements
 from gesselgamma.cli import main
 from gesselgamma.grammar import chain_cost
 from gesselgamma.harness import CHECKS, CheckDef
@@ -300,6 +301,33 @@ ROUTE_OUTPUTS = [
     (["gamma", "--via", "mma", "--multiset", "1"],
      EMPTY),
 ]
+# The bytes the trees and ternary routes printed while they listed every tree.
+ROUTE_OUTPUTS += [
+    (["gamma", "--via", "trees", "--multiset", "2,2"],
+     "f797c7563bf8428e38b6d3685e1ec6106f1e1835c58432e11706168c0a7351a6"),
+    (["gamma", "--via", "ternary", "--multiset", "2,2"],
+     "f797c7563bf8428e38b6d3685e1ec6106f1e1835c58432e11706168c0a7351a6"),
+    (["gamma", "--via", "trees", "--multiset", "3,1,2"],
+     "3942d74c0f6c9d6b61c5ee89fcdbba70a578045e766175748913fccb4326ea8a"),
+    (["gamma", "--via", "ternary", "--multiset", "3,1,2"],
+     EMPTY),
+    (["gamma", "--via", "trees", "--multiset", "1,1,1,1"],
+     "4ed52c1408e02830919138ef0588ec90a283cad31ccb4fd04c71bb5ffdbbcbde"),
+    (["gamma", "--via", "ternary", "--multiset", "1,1,1,1"],
+     EMPTY),
+    (["gamma", "--via", "trees", "--multiset", "4,2,3,1,2"],
+     "86565c54d3a8553686c4ae8b5e14bc2fbd1a3cbbfb3bec197acfb8252c8e5220"),
+    (["gamma", "--via", "ternary", "--multiset", "4,2,3,1,2"],
+     EMPTY),
+    (["gamma", "--via", "trees", "--multiset", "2,2,2,2,2"],
+     "8b0c6e6aeba5c40b18385f74617006401be4b81c42c9beff9ace1ce75574426c"),
+    (["gamma", "--via", "ternary", "--multiset", "2,2,2,2,2"],
+     "8b0c6e6aeba5c40b18385f74617006401be4b81c42c9beff9ace1ce75574426c"),
+    (["gamma", "--via", "trees", "--multiset", "1"],
+     "dba90297d4c151df338269e30bb0e1fdf75b50e5ce706ff5ac66f8f42241cc6e"),
+    (["gamma", "--via", "ternary", "--multiset", "1"],
+     EMPTY),
+]
 
 
 @pytest.mark.parametrize("argv, digest", ROUTE_OUTPUTS,
@@ -308,8 +336,8 @@ def test_counting_route_outputs_are_frozen(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     if digest == EMPTY:
-        assert (code, err) == (2, "error: the mma route needs a doubled multiset 2,2,...,2, "
-                                  f"got {argv[-1]!r}\n")
+        assert (code, err) == (2, f"error: the {argv[2]} route needs a doubled multiset "
+                                  f"2,2,...,2, got {argv[-1]!r}\n")
     else:
         assert (code, err) == (0, "")
 
@@ -320,16 +348,17 @@ BIG = "2,2,2,2,2,2,2,2,2"
 
 @pytest.fixture
 def no_enumeration(monkeypatch):
-    """Make every package binding of enumerate_stirling and stirling_words
-    fail at once, so a missing refusal fails the test instead of listing
-    millions of words."""
-    def refuse(m):
+    """Make every package binding of enumerate_stirling, stirling_words and
+    placements fail at once, so a missing refusal fails the test instead of
+    listing millions of words or trees."""
+    def refuse(m, *args, **options):
         raise AssertionError(f"enumerated {m.spec()}")
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("gesselgamma"):
             for attr, original in [("enumerate_stirling", enumerate_stirling),
-                                   ("stirling_words", stirling_words)]:
+                                   ("stirling_words", stirling_words),
+                                   ("placements", placements)]:
                 if getattr(mod, attr, None) is original:
                     monkeypatch.setattr(mod, attr, refuse)
 

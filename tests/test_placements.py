@@ -24,10 +24,9 @@ from gesselgamma import (
     gessel_forward,
     is_canonical,
     is_canonical_ternary,
-    leaf_census,
     serialize,
 )
-from gesselgamma import action, counts
+from gesselgamma import action
 from gesselgamma.action import placements
 
 DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 8)]
@@ -71,13 +70,6 @@ def test_routes_match_the_reference(route, family):
     for m in members:
         got = GAMMA_ROUTES[route](m).to_json()
         assert got == reference(m, perms_of(m)).to_json(), m
-
-
-def test_trees_key_matches_the_census_of_the_table_tree():
-    for m in default_campaign_family():
-        for table in placements(m, -1):
-            census = leaf_census(GesselTree(tuple(map(tuple, table)), m))
-            assert counts._trees_key(table) == (census.zleaf, census.yleaf), table
 
 
 @pytest.mark.parametrize("route", ["trees", "ternary"])

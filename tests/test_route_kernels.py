@@ -1,7 +1,8 @@
 """The gap kernels of the enumerated polynomial and the perms and mma
-routes, the slot-table key of the ternary route, the first/last-occurrence
-scans and the segments read off the slot table, against the full profiles
-and censuses and against the bodies they replaced (``reference_kernels``)."""
+routes, the slot kernels of the trees and ternary routes, the
+first/last-occurrence scans and the segments read off the slot table,
+against the full profiles and censuses and against the bodies they
+replaced (``reference_kernels``)."""
 
 from collections import Counter
 
@@ -24,6 +25,8 @@ from gesselgamma import (
     enumerate_stirling,
     first_last_occurrence_flags,
     gessel_decomposition,
+    is_canonical,
+    is_canonical_ternary,
     leaf_census,
     segment,
     segment_word,
@@ -85,16 +88,43 @@ def test_gap_kernels_weigh_the_words_made_from_each_u():
                     (p.des, p.aplat) for p in profiles if p.dplat == 0), (m, u)
 
 
-def test_the_ternary_key_matches_the_full_census():
-    counted = 0
-    for m in default_campaign_family():
-        if m.is_uniform(2):
-            for table in placements(m, 1):
-                census = leaf_census(GesselTree(tuple(map(tuple, table)), m))
-                both_xz = sum(1 for has_x, _, z in census.per_vertex.values() if has_x and z)
-                assert counts._ternary_key(table) == (census.yleaf, both_xz), table
-                counted += 1
-    assert 0 < counted < 25960
+def completions(table, m):
+    """The trees made from a table with every vertex but n placed: vertex n
+    put into each free slot, the root's included."""
+    n = m.n
+    for v, row in enumerate(table[:n]):
+        for p, child in enumerate(row):
+            if not child:
+                done = [list(r) for r in table]
+                done[v][p] = n
+                yield GesselTree(tuple(map(tuple, done)), m)
+
+
+def ternary_key(census):
+    return census.yleaf, sum(1 for has_x, _, z in census.per_vertex.values() if has_x and z)
+
+
+def test_tree_kernels_weigh_the_trees_made_from_each_partial_table():
+    # Each canonical tree of m is a table placements yields one vertex
+    # early, with vertex n put into one of its free slots; the kernel's
+    # weighted keys for the table must count exactly the keys of those
+    # completions that have no bad vertex.
+    members = [*default_campaign_family(), *FamilySpec(5, 3, 11).members(), *DOUBLED,
+               *map(Multiset, zip(range(1, 6))), *map(Multiset, [(1, 1), (3, 1), (2, 2)])]
+    routes = [(counts._trees_keys, -1, is_canonical,
+               lambda c: (c.zleaf, c.yleaf)),
+              (counts._ternary_keys, 1, is_canonical_ternary, ternary_key)]
+    tables = Counter()
+    for m in members:
+        for kernel, watched, canonical, key in routes:
+            if watched == 1 and not m.is_uniform(2):
+                continue
+            for table in placements(m, watched, all_but_last=True):
+                trees = [t for t in completions(table, m) if canonical(t)]
+                assert _weighted(kernel(table, m.mults[-1])) == Counter(
+                    key(leaf_census(t)) for t in trees), (m, table)
+                tables[watched] += 1
+    assert tables[-1] > tables[1] > 0
 
 
 @pytest.mark.parametrize("spec, argv", [
@@ -121,6 +151,26 @@ def test_counting_routes_read_only_the_words_without_the_last_block(
     assert all(len(word) == m.K - m.mults[-1] for word in read)
 
 
+@pytest.mark.parametrize("spec, route, tables", [
+    ("2,2,2,2", "trees", 14), ("3,1,2,2", "trees", 19), ("2,2,2,2", "ternary", 14),
+])
+def test_tree_routes_place_no_last_vertex(capsys, monkeypatch, spec, route, tables):
+    # trees on 2,2,2,2 reads 14 tables with vertex 4 left out, not its 46 trees.
+    m = Multiset.parse(spec)
+    last_rows = []
+
+    def counted(multiset, watched, **options):
+        for table in placements(multiset, watched, **options):
+            last_rows.append(list(table[m.n]))
+            yield table
+
+    monkeypatch.setattr(counts, "placements", counted)
+    assert main(["gamma", "--via", route, "--multiset", spec]) == 0
+    assert capsys.readouterr().out
+    assert len(last_rows) == tables
+    assert all(not any(row) for row in last_rows)
+
+
 small_multisets = st.one_of(
     st.lists(st.integers(1, 4), min_size=1, max_size=6),
     st.integers(1, 5).map(lambda n: [2] * n),
@@ -133,8 +183,10 @@ def test_gap_routes_match_the_per_word_routes(m):
     perms = list(ref.enumerate_stirling(m))
     assert c_polynomial_enum(m) == ref.c_polynomial_enum(perms)
     assert GAMMA_ROUTES["perms"](m) == ref.gamma_count_perms(m, perms)
+    assert GAMMA_ROUTES["trees"](m) == ref.gamma_count_trees(m, perms)
     if m.is_uniform(2):
         assert GAMMA_ROUTES["mma"](m) == ref.gamma_count_mma(m, perms)
+        assert GAMMA_ROUTES["ternary"](m) == ref.gamma_count_ternary(m, perms)
 
 
 @pytest.mark.parametrize("route, kernel", [
