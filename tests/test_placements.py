@@ -5,6 +5,7 @@ ternary routes no longer read: every word's tree, kept when canonical
 import ast
 import inspect
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -24,9 +25,10 @@ from gesselgamma import (
     gessel_forward,
     is_canonical,
     is_canonical_ternary,
+    leaf_census,
     serialize,
 )
-from gesselgamma import action
+from gesselgamma import action, counts
 from gesselgamma.action import placements
 
 DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 8)]
@@ -70,6 +72,21 @@ def test_routes_match_the_reference(route, family):
     for m in members:
         got = GAMMA_ROUTES[route](m).to_json()
         assert got == reference(m, perms_of(m)).to_json(), m
+
+
+def test_trees_key_matches_the_census_of_the_table_tree():
+    # The trees kernel over the tables with vertex n left out counts the
+    # (zleaf, yleaf) census of every full table placements yields.
+    for m in default_campaign_family():
+        expected = Counter()
+        for table in placements(m, -1):
+            census = leaf_census(GesselTree(tuple(map(tuple, table)), m))
+            expected[census.zleaf, census.yleaf] += 1
+        got = Counter()
+        for table in placements(m, -1, all_but_last=True):
+            for key, weight in counts._trees_keys(table, m.mults[-1]):
+                got[key] += weight
+        assert +got == expected, m
 
 
 @pytest.mark.parametrize("route", ["trees", "ternary"])

@@ -127,6 +127,22 @@ def test_tree_kernels_weigh_the_trees_made_from_each_partial_table():
     assert tables[-1] > tables[1] > 0
 
 
+def test_the_ternary_key_matches_the_full_census():
+    # The ternary kernel over the tables with vertex n left out counts the
+    # (yleaf, both_xz) census of every full table placements yields.
+    counted = 0
+    for m in default_campaign_family():
+        if m.is_uniform(2):
+            expected = Counter()
+            for table in placements(m, 1):
+                expected[ternary_key(leaf_census(GesselTree(tuple(map(tuple, table)), m)))] += 1
+                counted += 1
+            got = _weighted(kernel for table in placements(m, 1, all_but_last=True)
+                            for kernel in counts._ternary_keys(table, 2))
+            assert got == expected, m
+    assert 0 < counted < 25960
+
+
 @pytest.mark.parametrize("spec, argv", [
     (spec, argv) for spec in ("2,2,2,2", "3,1,2,2") for argv in (
         ["gamma", "--via", "extract"], ["gamma", "--via", "perms"], ["gamma", "--via", "mma"],
