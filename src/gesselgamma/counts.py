@@ -19,12 +19,14 @@ is the one after: r is now entered by a descent.  So the words of one u
 fall into at most three keys, by the kind of the step replaced, and each
 route adds them to its tally weighted; the full ``statistics`` profile of
 every word is left to the harness and ``enumerate --stats``.
-The trees and ternary routes read no word: ``action.placements`` places
-vertices 1..n-1 of the canonical trees slot by slot and stops, and vertex
-n, a row of k + 1 empty slots, goes into one free slot of each partial
-table.  The slot's kind (a middle slot, or an end of a row by which of
-its ends are empty) fixes the tree's key, so each partial table gives at
-most three weighted keys too.
+The trees and ternary routes read no word: ``action.placements(m,
+watched)`` places vertices 1..n-1 of the canonical trees slot by slot and
+stops, and vertex n, a row of k + 1 empty slots, goes into one free slot
+of each partial table.  One slot kernel serves both routes: it reads each
+row by its first slot, its watched slot (the last for trees, the middle
+for ternary) and its other slots, and the kind of the slot n takes fixes
+the tree's key, so each partial table gives at most three weighted keys
+too.
 
 ``GAMMA_ROUTES`` names every route to a multiset's gamma table, counting
 and algebraic alike; the command line, the harness's agreement checks and
@@ -34,6 +36,7 @@ the tests all read it.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Callable
 
 from .action import placements
@@ -52,13 +55,18 @@ def _tally(m: Multiset, keys: Callable[..., Weighted], watched: int | None = Non
     """The total weight of each key over m, where ``keys(u, k)`` gives the
     weighted keys of what u leads to: u is a word of m without its last
     block n^k or, given ``watched``, a slot table of ``placements(m,
-    watched)`` with every vertex but n placed.  A key of weight 0 may hold a
-    negative entry; the table or polynomial built from the tally drops it.
+    watched)`` with every vertex but n placed, which the slot kernel reads
+    with that ``watched``.  A key of weight 0 may hold a negative entry;
+    the table or polynomial built from the tally drops it.
     """
     *below, k = m.mults
+    if watched is None:
+        objects = stirling_words(Multiset(tuple(below)))
+    else:
+        objects = placements(m, watched, all_but_last=True)
+        keys = partial(keys, watched=watched)
     tally: Counter = Counter()
-    for u in (stirling_words(Multiset(tuple(below))) if watched is None
-              else placements(m, watched, all_but_last=True)):
+    for u in objects:
         for key, weight in keys(u, k):
             tally[key] += weight
     return tally
@@ -94,42 +102,48 @@ def _nonempty(m: Multiset) -> Multiset:
     return m
 
 
-def _trees_keys(table: list[list[int]], k: int) -> Weighted:
-    """The ``(zleaf, yleaf)`` keys of the canonical trees made from a slot
-    table with vertex n of multiplicity k left out, weighted by the free
-    slots of rows 1..n-1 that vertex n can take.
+def _slot_keys(table: list[list[int]], k: int, watched: int) -> Weighted:
+    """The keys of the canonical trees made from a slot table of
+    ``placements(m, watched)`` with vertex n of multiplicity k left out,
+    weighted by the free slots of rows 1..n-1 that vertex n can take:
+    (z-leaves, y-leaves) for trees, watched -1, and (y-leaves, vertices
+    with an x- and a z-leaf) for ternary trees, watched 1.
 
-    Vertex n brings k - 1 empty middle slots and an empty last slot.  Of Z
-    empty middle slots and Y rows with an empty last slot, a middle slot
-    gives (Z + k - 2, Y + 1), a last slot (Z + k - 1, Y), and the first
-    slot of one of the c rows whose last slot alone is filled (Z + k - 1,
-    Y + 1); a first slot of a row with both ends empty makes it bad.  A bad
-    row (first slot filled, last empty) is mended only by its last slot.
+    A row is bad while its first slot is filled and its watched slot
+    empty, and vertex n brings a row of k + 1 empty slots, k - 1 of them
+    other slots.  Of O empty slots that are neither a row's first nor its
+    watched slot, X rows with both of those empty and F rows with only the
+    first empty, one of the O gives (O + k - 2, X + 1), the watched slot of
+    an X row (O + k - 1, X) and the first slot of an F row (O + k - 1,
+    X + 1); the first slot of an X row makes it bad.  A table with a bad
+    row (at most one) is mended only by that row's watched slot, which
+    gives (O + k - 1, X + 1).
     """
     rows = table[1:-1]
     if not rows:  # n = 1: vertex 1 goes into the root slot
         return (((k - 1, 1), 1),)
-    zleaf = yleaf = c = 0
-    bad = False
+    other = x = f = bad = 0
     for row in rows:
-        zleaf += row[1:-1].count(0)
-        if not row[-1]:
-            yleaf += 1
-            if row[0]:
-                bad = True
-        elif not row[0]:
-            c += 1
+        other += row.count(0)
+        if row[0]:
+            if not row[watched]:
+                bad = 1
+        elif row[watched]:
+            f += 1
+        else:
+            x += 1
+    other -= 2 * x + f + bad  # the empty first and watched slots
     if bad:
-        return (((zleaf + k - 1, yleaf), 1),)
-    return (((zleaf + k - 2, yleaf + 1), zleaf),
-            ((zleaf + k - 1, yleaf), yleaf),
-            ((zleaf + k - 1, yleaf + 1), c))
+        return (((other + k - 1, x + 1), 1),)
+    return (((other + k - 2, x + 1), other),
+            ((other + k - 1, x), x),
+            ((other + k - 1, x + 1), f))
 
 
 def gamma_count_trees(m: Multiset) -> GammaTable:
     """gamma_{i,j} = canonical trees with i z-leaves and j y-leaves."""
     m = _nonempty(m)
-    return GammaTable(m.K, _tally(m, _trees_keys, -1))
+    return GammaTable(m.K, _tally(m, _slot_keys, -1))
 
 
 def _perms_keys(u: Word, k: int) -> Weighted:
@@ -232,39 +246,6 @@ def gamma_count_mma(m: Multiset) -> GammaTable:
     return GammaTable(m.K, _tally(m, _mma_keys))
 
 
-def _ternary_keys(table: list[list[int]], k: int) -> Weighted:
-    """The ``(yleaf, both_xz)`` keys of the canonical ternary trees made from
-    a slot table with vertex n left out, weighted by the free slots of rows
-    1..n-1 that vertex n can take; k is 2.
-
-    A row is (x, z, y), and vertex n brings an empty one.  Of Y rows with
-    an empty y slot and X rows with x and z empty, the x slot of one of the
-    F rows with x empty and z filled gives (Y + 1, X + 1), a z slot of an X
-    row (Y + 1, X) and a y slot (Y, X + 1); an x slot of an X row makes it
-    bad.  A bad row (x filled, z empty) is mended only by its z slot.
-    """
-    rows = table[1:-1]
-    if not rows:  # n = 1: vertex 1 goes into the root slot
-        return (((1, 1), 1),)
-    yleaf = both_xz = f = 0
-    bad = False
-    for x, z, y in rows:
-        if not y:
-            yleaf += 1
-        if x:
-            if not z:
-                bad = True
-        elif z:
-            f += 1
-        else:
-            both_xz += 1
-    if bad:
-        return (((yleaf + 1, both_xz + 1), 1),)
-    return (((yleaf + 1, both_xz + 1), f),
-            ((yleaf + 1, both_xz), both_xz),
-            ((yleaf, both_xz + 1), yleaf))
-
-
 def gamma_count_ternary(m: Multiset) -> GammaTable:
     """Over a doubled multiset {1^2, ..., n^2}: gamma_{i,j} = canonical
     ternary trees with i y-leaves and j vertices carrying both an x-leaf
@@ -276,7 +257,7 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
     watched.
     """
     _require_doubled(m, "ternary")
-    return GammaTable(m.K, _tally(m, _ternary_keys, 1))
+    return GammaTable(m.K, _tally(m, _slot_keys, 1))
 
 
 # Each entry looks its function up in this module when called, and holds

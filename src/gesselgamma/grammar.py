@@ -254,8 +254,6 @@ def change_of_variables_check(p: Poly3, signed: bool = False) -> Poly3:
         if len(degrees) > 1:
             raise GammaExtractionError(
                 "z-slice is not homogeneous in the first two variables", i=i)
-        if not degrees:
-            continue
         d = degrees.pop()
         for j, g in peel_slice(slice_terms, d, i, nonpositive):
             out[(j, d - 2 * j, i)] = g

@@ -84,7 +84,7 @@ def test_trees_key_matches_the_census_of_the_table_tree():
             expected[census.zleaf, census.yleaf] += 1
         got = Counter()
         for table in placements(m, -1, all_but_last=True):
-            for key, weight in counts._trees_keys(table, m.mults[-1]):
+            for key, weight in counts._slot_keys(table, m.mults[-1], -1):
                 got[key] += weight
         assert +got == expected, m
 

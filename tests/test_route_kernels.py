@@ -111,17 +111,16 @@ def test_tree_kernels_weigh_the_trees_made_from_each_partial_table():
     # completions that have no bad vertex.
     members = [*default_campaign_family(), *FamilySpec(5, 3, 11).members(), *DOUBLED,
                *map(Multiset, zip(range(1, 6))), *map(Multiset, [(1, 1), (3, 1), (2, 2)])]
-    routes = [(counts._trees_keys, -1, is_canonical,
-               lambda c: (c.zleaf, c.yleaf)),
-              (counts._ternary_keys, 1, is_canonical_ternary, ternary_key)]
+    routes = [(-1, is_canonical, lambda c: (c.zleaf, c.yleaf)),
+              (1, is_canonical_ternary, ternary_key)]
     tables = Counter()
     for m in members:
-        for kernel, watched, canonical, key in routes:
+        for watched, canonical, key in routes:
             if watched == 1 and not m.is_uniform(2):
                 continue
             for table in placements(m, watched, all_but_last=True):
                 trees = [t for t in completions(table, m) if canonical(t)]
-                assert _weighted(kernel(table, m.mults[-1])) == Counter(
+                assert _weighted(counts._slot_keys(table, m.mults[-1], watched)) == Counter(
                     key(leaf_census(t)) for t in trees), (m, table)
                 tables[watched] += 1
     assert tables[-1] > tables[1] > 0
@@ -138,7 +137,7 @@ def test_the_ternary_key_matches_the_full_census():
                 expected[ternary_key(leaf_census(GesselTree(tuple(map(tuple, table)), m)))] += 1
                 counted += 1
             got = _weighted(kernel for table in placements(m, 1, all_but_last=True)
-                            for kernel in counts._ternary_keys(table, 2))
+                            for kernel in counts._slot_keys(table, 2, 1))
             assert got == expected, m
     assert 0 < counted < 25960
 
