@@ -176,8 +176,7 @@ def orbit(t: GesselTree) -> frozenset[GesselTree]:
                      for u in table_orbit(canon))
 
 
-def placements(m: Multiset, watched: int, *,
-               all_but_last: bool = False) -> Iterator[list[list[int]]]:
+def placements(m: Multiset, watched: int) -> Iterator[list[list[int]]]:
     """Every Gessel tree over m whose vertices all pass the ``watched`` test,
     as a slot table.
 
@@ -191,22 +190,16 @@ def placements(m: Multiset, watched: int, *,
     ``watched`` (an index into its row, -1 for the last) is empty.  Only a
     later vertex can mend a bad one, by filling its watched slot, and each
     mends at most one, so a branch is cut as soon as more vertices are bad
-    than are left to place.  The trees yielded are those with no bad vertex.
-
-    With ``all_but_last`` a table is yielded once vertices 1..n-1 are
-    placed, each way the cut above lets through: the bound still counts
-    vertex n, so a yielded table has at most one bad vertex, and vertex n's
-    row is all zeros.  Putting vertex n into each free slot (the root's,
-    when n = 1) completes it to the trees it leads to.
+    than are left to place.  The trees yielded are those with no bad vertex;
+    ``counts._slot_keys`` counts them by state without listing them.
 
     One table is filled and emptied in place and yielded each time: read
     it before asking for the next.
     """
     mults = m.mults
     n = len(mults)
-    stop = n - 1 if all_but_last else n  # the last vertex placed
-    table = [[1 if stop > 0 else 0]] + [[0] * (k + 1) for k in mults]
-    if stop <= 1:
+    table = [[1 if n else 0]] + [[0] * (k + 1) for k in mults]
+    if n <= 1:
         yield table
         return
     target = [0] + [watched % (k + 1) for k in mults]
@@ -249,7 +242,7 @@ def placements(m: Multiset, watched: int, *,
         where[i] = c
         gain[i] = delta
         bad += delta
-        if i == stop:
+        if i == n:
             yield table
         else:
             i += 1

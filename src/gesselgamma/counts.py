@@ -1,12 +1,11 @@
 """Generating polynomials and gamma tables obtained by direct counting.
 
-Every counting function here tallies a statistic pair over an explicit set
-of objects, words or trees, providing counting-side counterparts to the
+Every counting function here counts a statistic pair over a set of
+objects, words or trees, providing counting-side counterparts to the
 algebraic routes (grammar derivatives, basis extraction).  None lists the
-whole set: each lists the objects built from all but the largest value n,
-and weighs the ways n can be put in by their kind.  All tables share the
-indexing of the basis (xy)^j (x+y)^(K+1-i-2j) z^i: the first key is the
-z-exponent i, the second the xy-exponent j.
+whole set.  All tables share the indexing of the basis (xy)^j
+(x+y)^(K+1-i-2j) z^i: the first key is the z-exponent i, the second the
+xy-exponent j.
 
 The enumerated polynomial and the perms and mma routes read only the
 words u of m' = m without its last block n^k, off ``stirling.stirling_words``
@@ -19,14 +18,11 @@ is the one after: r is now entered by a descent.  So the words of one u
 fall into at most three keys, by the kind of the step replaced, and each
 route adds them to its tally weighted; the full ``statistics`` profile of
 every word is left to the harness and ``enumerate --stats``.
-The trees and ternary routes read no word: ``action.placements(m,
-watched)`` places vertices 1..n-1 of the canonical trees slot by slot and
-stops, and vertex n, a row of k + 1 empty slots, goes into one free slot
-of each partial table.  One slot kernel serves both routes: it reads each
-row by its first slot, its watched slot (the last for trees, the middle
-for ternary) and its other slots, and the kind of the slot n takes fixes
-the tree's key, so each partial table gives at most three weighted keys
-too.
+The trees and ternary routes read no word and list no tree: ``_slot_keys``
+places vertices 1..n one at a time and keeps, per state, only how many
+rows and slots of each kind are still empty, with the number of ways to
+reach it.  A swap of each row's middle and last slot makes the one count
+serve both routes.
 
 ``GAMMA_ROUTES`` names every route to a multiset's gamma table, counting
 and algebraic alike; the command line, the harness's agreement checks and
@@ -36,10 +32,8 @@ the tests all read it.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from typing import Callable
 
-from .action import placements
 from .errors import DomainError
 from .grammar import gamma_polynomial_grammar
 from .multiset import Multiset
@@ -51,22 +45,15 @@ Key = tuple[int, ...]
 Weighted = tuple[tuple[Key, int], ...]
 
 
-def _tally(m: Multiset, keys: Callable[..., Weighted], watched: int | None = None) -> Counter:
+def _tally(m: Multiset, keys: Callable[[Word, int], Weighted]) -> Counter:
     """The total weight of each key over m, where ``keys(u, k)`` gives the
-    weighted keys of what u leads to: u is a word of m without its last
-    block n^k or, given ``watched``, a slot table of ``placements(m,
-    watched)`` with every vertex but n placed, which the slot kernel reads
-    with that ``watched``.  A key of weight 0 may hold a negative entry;
-    the table or polynomial built from the tally drops it.
+    weighted keys of the words made from u, a word of m without its last
+    block n^k.  A key of weight 0 may hold a negative entry; the table or
+    polynomial built from the tally drops it.
     """
     *below, k = m.mults
-    if watched is None:
-        objects = stirling_words(Multiset(tuple(below)))
-    else:
-        objects = placements(m, watched, all_but_last=True)
-        keys = partial(keys, watched=watched)
     tally: Counter = Counter()
-    for u in objects:
+    for u in stirling_words(Multiset(tuple(below))):
         for key, weight in keys(u, k):
             tally[key] += weight
     return tally
@@ -102,48 +89,50 @@ def _nonempty(m: Multiset) -> Multiset:
     return m
 
 
-def _slot_keys(table: list[list[int]], k: int, watched: int) -> Weighted:
-    """The keys of the canonical trees made from a slot table of
-    ``placements(m, watched)`` with vertex n of multiplicity k left out,
-    weighted by the free slots of rows 1..n-1 that vertex n can take:
-    (z-leaves, y-leaves) for trees, watched -1, and (y-leaves, vertices
-    with an x- and a z-leaf) for ternary trees, watched 1.
+def _slot_keys(m: Multiset) -> Weighted:
+    """The keys of the canonical trees over m, weighted by their number:
+    (z-leaves, y-leaves) for trees, and (y-leaves, vertices with an x- and
+    a z-leaf) for ternary trees.
 
-    A row is bad while its first slot is filled and its watched slot
-    empty, and vertex n brings a row of k + 1 empty slots, k - 1 of them
-    other slots.  Of O empty slots that are neither a row's first nor its
-    watched slot, X rows with both of those empty and F rows with only the
-    first empty, one of the O gives (O + k - 2, X + 1), the watched slot of
-    an X row (O + k - 1, X) and the first slot of an F row (O + k - 1,
-    X + 1); the first slot of an X row makes it bad.  A table with a bad
-    row (at most one) is mended only by that row's watched slot, which
-    gives (O + k - 1, X + 1).
+    A row is bad while its first slot is filled and its watched slot (the
+    last) empty.  The state once vertices 1..i are placed is (a, b, o): a
+    rows with the first and watched slots empty, b bad rows and o empty
+    other slots; the c rows with only the first slot empty are implied by
+    2a + b + c + o = 1 + K_i free slots.  Vertex 1 starts at (1, 0, k_1 - 1).
+    Each later vertex takes the first slot of an a row (a ways; the row
+    turns bad) or its watched slot (a ways), the first slot of a c row (c
+    ways), the watched slot of a b row (b ways; the row is mended) or an
+    other slot (o ways), and brings its own row: a + 1, o + k - 1.  Each
+    vertex mends at most one bad row, so a state with more bad rows than
+    vertices left to place is cut; the end states, with b = 0, give (o, a).
+
+    No watched slot is given: it is never the first, so the count does not
+    depend on which other slot it is.  On a doubled multiset, swapping
+    every row's middle and last slot maps the canonical trees onto the
+    canonical ternary trees (middle slot watched) and carries (z-leaves,
+    y-leaves) to (y-leaves, vertices with an x- and a z-leaf).
     """
-    rows = table[1:-1]
-    if not rows:  # n = 1: vertex 1 goes into the root slot
-        return (((k - 1, 1), 1),)
-    other = x = f = bad = 0
-    for row in rows:
-        other += row.count(0)
-        if row[0]:
-            if not row[watched]:
-                bad = 1
-        elif row[watched]:
-            f += 1
-        else:
-            x += 1
-    other -= 2 * x + f + bad  # the empty first and watched slots
-    if bad:
-        return (((other + k - 1, x + 1), 1),)
-    return (((other + k - 2, x + 1), other),
-            ((other + k - 1, x), x),
-            ((other + k - 1, x + 1), f))
+    first, *rest = m.mults
+    states = Counter({(1, 0, first - 1): 1})
+    free = first + 1
+    for left, k in zip(reversed(range(len(rest))), rest):
+        placed: Counter = Counter()
+        for (a, b, o), ways in states.items():
+            c = free - 2 * a - b - o
+            for state, weight in (((a, b + 1, o + k - 1), a), ((a, b, o + k - 1), a),
+                                  ((a + 1, b, o + k - 1), c), ((a + 1, b - 1, o + k - 1), b),
+                                  ((a + 1, b, o + k - 2), o)):
+                if weight and state[1] <= left:
+                    placed[state] += ways * weight
+        states = placed
+        free += k
+    return tuple(((o, a), ways) for (a, b, o), ways in states.items())
 
 
 def gamma_count_trees(m: Multiset) -> GammaTable:
     """gamma_{i,j} = canonical trees with i z-leaves and j y-leaves."""
     m = _nonempty(m)
-    return GammaTable(m.K, _tally(m, _slot_keys, -1))
+    return GammaTable(m.K, dict(_slot_keys(m)))
 
 
 def _perms_keys(u: Word, k: int) -> Weighted:
@@ -253,11 +242,11 @@ def gamma_count_ternary(m: Multiset) -> GammaTable:
 
     Canonical here means no vertex has a z-leaf without an x-leaf; the
     trees counted are plane ternary increasing trees, i.e. exactly the
-    Gessel trees of the doubled multiset, placed with the middle slot
-    watched.
+    Gessel trees of the doubled multiset with the middle slot watched,
+    which ``_slot_keys`` counts as it counts the canonical trees.
     """
     _require_doubled(m, "ternary")
-    return GammaTable(m.K, _tally(m, _slot_keys, 1))
+    return GammaTable(m.K, dict(_slot_keys(m)))
 
 
 # Each entry looks its function up in this module when called, and holds

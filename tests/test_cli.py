@@ -328,6 +328,16 @@ ROUTE_OUTPUTS += [
     (["gamma", "--via", "ternary", "--multiset", "1"],
      EMPTY),
 ]
+# The bytes the trees and ternary routes printed while they listed the
+# tables of vertices 1..n-1.
+ROUTE_OUTPUTS += [
+    (["gamma", "--via", "trees", "--multiset", "2,2,2,2"],
+     "03c74fed3edd4e94018ed239a495fb5b5bcbee21d511974fb0b3ee0d57fce660"),
+    (["gamma", "--via", "trees", "--multiset", "3,1,2,2"],
+     "62b8b0c6168622bfbb13893cdc999b6cc2c0afa13b5e0d00d18e51bc43d8aa44"),
+    (["gamma", "--via", "ternary", "--multiset", "2,2,2,2"],
+     "03c74fed3edd4e94018ed239a495fb5b5bcbee21d511974fb0b3ee0d57fce660"),
+]
 
 
 @pytest.mark.parametrize("argv, digest", ROUTE_OUTPUTS,

@@ -75,18 +75,14 @@ def test_routes_match_the_reference(route, family):
 
 
 def test_trees_key_matches_the_census_of_the_table_tree():
-    # The trees kernel over the tables with vertex n left out counts the
-    # (zleaf, yleaf) census of every full table placements yields.
-    for m in default_campaign_family():
+    # The state count gives the (zleaf, yleaf) census of every full table
+    # placements yields.
+    for m in [*default_campaign_family(), *FamilySpec(5, 3, 11).members(), *DOUBLED]:
         expected = Counter()
         for table in placements(m, -1):
             census = leaf_census(GesselTree(tuple(map(tuple, table)), m))
             expected[census.zleaf, census.yleaf] += 1
-        got = Counter()
-        for table in placements(m, -1, all_but_last=True):
-            for key, weight in counts._slot_keys(table, m.mults[-1], -1):
-                got[key] += weight
-        assert +got == expected, m
+        assert Counter(dict(counts._slot_keys(m))) == expected, m
 
 
 @pytest.mark.parametrize("route", ["trees", "ternary"])

@@ -1,9 +1,11 @@
 """The gap kernels of the enumerated polynomial and the perms and mma
-routes, the slot kernels of the trees and ternary routes, the
+routes, the state count of the trees and ternary routes, the
 first/last-occurrence scans and the segments read off the slot table,
 against the full profiles and censuses and against the bodies they
 replaced (``reference_kernels``)."""
 
+import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from test_word_checks import counting
+from test_cli import ROUTE_OUTPUTS, run
+from test_word_checks import counting, rebind_everywhere
 
 from gesselgamma import (
     GAMMA_ROUTES,
@@ -25,8 +28,6 @@ from gesselgamma import (
     enumerate_stirling,
     first_last_occurrence_flags,
     gessel_decomposition,
-    is_canonical,
-    is_canonical_ternary,
     leaf_census,
     segment,
     segment_word,
@@ -36,7 +37,10 @@ from gesselgamma import (
 from gesselgamma import counts
 from gesselgamma.action import placements
 from gesselgamma.cli import main
+from gesselgamma.errors import FamilyTooLargeError
+from gesselgamma.harness import admit_enumeration
 from gesselgamma.stirling import first_last_positions
+from gesselgamma.trees import table_of_word
 
 DOUBLED = [Multiset.uniform(n, 2) for n in range(1, 7)]
 
@@ -88,58 +92,21 @@ def test_gap_kernels_weigh_the_words_made_from_each_u():
                     (p.des, p.aplat) for p in profiles if p.dplat == 0), (m, u)
 
 
-def completions(table, m):
-    """The trees made from a table with every vertex but n placed: vertex n
-    put into each free slot, the root's included."""
-    n = m.n
-    for v, row in enumerate(table[:n]):
-        for p, child in enumerate(row):
-            if not child:
-                done = [list(r) for r in table]
-                done[v][p] = n
-                yield GesselTree(tuple(map(tuple, done)), m)
-
-
 def ternary_key(census):
     return census.yleaf, sum(1 for has_x, _, z in census.per_vertex.values() if has_x and z)
 
 
-def test_tree_kernels_weigh_the_trees_made_from_each_partial_table():
-    # Each canonical tree of m is a table placements yields one vertex
-    # early, with vertex n put into one of its free slots; the kernel's
-    # weighted keys for the table must count exactly the keys of those
-    # completions that have no bad vertex.
-    members = [*default_campaign_family(), *FamilySpec(5, 3, 11).members(), *DOUBLED,
-               *map(Multiset, zip(range(1, 6))), *map(Multiset, [(1, 1), (3, 1), (2, 2)])]
-    routes = [(-1, is_canonical, lambda c: (c.zleaf, c.yleaf)),
-              (1, is_canonical_ternary, ternary_key)]
-    tables = Counter()
-    for m in members:
-        for watched, canonical, key in routes:
-            if watched == 1 and not m.is_uniform(2):
-                continue
-            for table in placements(m, watched, all_but_last=True):
-                trees = [t for t in completions(table, m) if canonical(t)]
-                assert _weighted(counts._slot_keys(table, m.mults[-1], watched)) == Counter(
-                    key(leaf_census(t)) for t in trees), (m, table)
-                tables[watched] += 1
-    assert tables[-1] > tables[1] > 0
-
-
 def test_the_ternary_key_matches_the_full_census():
-    # The ternary kernel over the tables with vertex n left out counts the
-    # (yleaf, both_xz) census of every full table placements yields.
-    counted = 0
-    for m in default_campaign_family():
-        if m.is_uniform(2):
-            expected = Counter()
-            for table in placements(m, 1):
-                expected[ternary_key(leaf_census(GesselTree(tuple(map(tuple, table)), m)))] += 1
-                counted += 1
-            got = _weighted(kernel for table in placements(m, 1, all_but_last=True)
-                            for kernel in counts._slot_keys(table, 2, 1))
-            assert got == expected, m
-    assert 0 < counted < 25960
+    # The state count gives the (yleaf, both_xz) census of every full table
+    # placements yields with the middle slot watched.
+    members = [m for m in [*default_campaign_family(), *FamilySpec(5, 3, 11).members(), *DOUBLED]
+               if m.is_uniform(2)]
+    assert len(members) > len(DOUBLED)
+    for m in members:
+        expected = Counter()
+        for table in placements(m, 1):
+            expected[ternary_key(leaf_census(GesselTree(tuple(map(tuple, table)), m)))] += 1
+        assert Counter(dict(counts._slot_keys(m))) == expected, m
 
 
 @pytest.mark.parametrize("spec, argv", [
@@ -166,24 +133,35 @@ def test_counting_routes_read_only_the_words_without_the_last_block(
     assert all(len(word) == m.K - m.mults[-1] for word in read)
 
 
-@pytest.mark.parametrize("spec, route, tables", [
-    ("2,2,2,2", "trees", 14), ("3,1,2,2", "trees", 19), ("2,2,2,2", "ternary", 14),
+@pytest.mark.parametrize("argv, digest", [
+    (argv, digest) for argv, digest in ROUTE_OUTPUTS if argv[2] in ("trees", "ternary")
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8])
+def test_tree_routes_list_no_table_or_word(capsys, monkeypatch, argv, digest):
+    # The state count reads no table and no word, so every lister may raise.
+    def refuse(*args):
+        raise AssertionError("listed")
+
+    for original in (placements, stirling_words, enumerate_stirling, table_of_word):
+        rebind_everywhere(monkeypatch, original, refuse)
+    assert hashlib.sha256(run(capsys, *argv)[1].encode()).hexdigest() == digest
+
+
+# Multisets far past the word cap; the random one has n = 40 and k <= 4.
+PAST_THE_CAP = {
+    "2^30": Multiset.uniform(30, 2),
+    "1^60": Multiset.uniform(60, 1),
+    "random": Multiset(tuple(random.Random(40).choices(range(1, 5), k=40))),
+}
+
+
+@pytest.mark.parametrize("route, name", [
+    ("trees", "2^30"), ("trees", "1^60"), ("trees", "random"), ("ternary", "2^30"),
 ])
-def test_tree_routes_place_no_last_vertex(capsys, monkeypatch, spec, route, tables):
-    # trees on 2,2,2,2 reads 14 tables with vertex 4 left out, not its 46 trees.
-    m = Multiset.parse(spec)
-    last_rows = []
-
-    def counted(multiset, watched, **options):
-        for table in placements(multiset, watched, **options):
-            last_rows.append(list(table[m.n]))
-            yield table
-
-    monkeypatch.setattr(counts, "placements", counted)
-    assert main(["gamma", "--via", route, "--multiset", spec]) == 0
-    assert capsys.readouterr().out
-    assert len(last_rows) == tables
-    assert all(not any(row) for row in last_rows)
+def test_tree_routes_match_the_grammar_past_the_word_cap(route, name):
+    m = PAST_THE_CAP[name]
+    with pytest.raises(FamilyTooLargeError):
+        admit_enumeration([m])
+    assert GAMMA_ROUTES[route](m) == GAMMA_ROUTES["grammar"](m)
 
 
 small_multisets = st.one_of(
